@@ -1,24 +1,21 @@
 #!/usr/bin/env python
 """Anatomy of a recovery: timeline, cost report and capacity planning.
 
-Runs a paper-scale (model-kernel) job with two injected failures, then
-uses `repro.analysis` to dissect what happened — the unified event
-timeline, the per-epoch recovery cost breakdown — and finally asks the
-planner the question the paper leaves open: how many spares should this
-job have reserved, and how often should it checkpoint?
+Runs a paper-scale (model-kernel) job with two injected failures under a
+structured tracer, then uses `repro.obs.timeline` to dissect what
+happened — each failure's detect → broadcast → rebuild → restore →
+rollback chain with its per-phase latencies — and finally asks the
+`repro.analysis` planner the question the paper leaves open: how many
+spares should this job have reserved, and how often should it checkpoint?
 
 Run:  python examples/recovery_anatomy.py
 """
 
-from repro.analysis import (
-    collect_timeline,
-    plan_job,
-    recovery_report,
-    render_timeline,
-)
+from repro.analysis import plan_job
 from repro.cluster import FaultPlan
 from repro.experiments.common import ft_config_for, machine_for
 from repro.ft.app import run_ft_application
+from repro.obs import build_timelines, deactivate, install, timeline_report
 from repro.workloads import ModelLanczosProgram, scaled_spec
 
 
@@ -30,23 +27,22 @@ def main():
     print(f"Running {spec.n_workers} workers, {spec.n_iterations} iterations "
           f"(~{spec.setup_time + spec.baseline_runtime:.0f} s), "
           f"killing ranks 5 and 11 ...\n")
-    result = run_ft_application(
-        cfg, ModelLanczosProgram(spec),
-        machine_spec=machine_for(cfg),
-        fault_plan=plan,
-        until=2000.0,
-    )
+    tracer = install()
+    try:
+        result = run_ft_application(
+            cfg, ModelLanczosProgram(spec),
+            machine_spec=machine_for(cfg),
+            fault_plan=plan,
+            until=2000.0,
+        )
+    finally:
+        deactivate()
     assert result.status == "done"
 
-    events = collect_timeline(result)
-    interesting = [e for e in events
-                   if e.source in ("fault", "fd") or e.label in
-                   ("recovered", "restored")]
-    print("=== event timeline (faults, FD, recovery milestones) ===")
-    print(render_timeline(interesting))
-
-    print("\n=== recovery cost report ===")
-    print(recovery_report(result))
+    records = build_timelines(tracer.events())
+    assert len(records) == 2 and all(r.complete for r in records)
+    print("=== recovery cost report ===")
+    print(timeline_report(records, title="Per-failure lifecycle"))
 
     # capacity planning: the question the paper declares out of scope
     duration = max(w["t_done"] for w in result.worker_results().values())

@@ -1,11 +1,9 @@
-"""Post-run analysis: timelines and recovery reports for FT runs."""
+"""Post-run analysis: capacity planning for FT runs.
 
-from repro.analysis.timeline import (
-    TimelineEvent,
-    collect_timeline,
-    render_timeline,
-    recovery_report,
-)
+Per-failure timelines and recovery reports of a traced run live in
+:mod:`repro.obs.timeline`.
+"""
+
 from repro.analysis.planning import (
     SparePlan,
     daly_interval,
@@ -17,10 +15,6 @@ from repro.analysis.planning import (
 )
 
 __all__ = [
-    "TimelineEvent",
-    "collect_timeline",
-    "render_timeline",
-    "recovery_report",
     "SparePlan",
     "daly_interval",
     "expected_failures",

@@ -9,10 +9,11 @@ Usage from a rank's generator::
 
 The write path is the paper's neighbor node-level checkpointing (§IV-C /
 Fig. 2; the C/R library of §V's overhead measurements): a synchronous
-local-node checkpoint, then a signal to the library's helper thread,
-which mirrors the blob to the neighbor node in the background (and,
-optionally, every ``pfs_every``-th version to the PFS).  Because the
-neighbor copy is asynchronous, the application only ever pays the local
+local-node checkpoint, then a signal to the world's
+:class:`CheckpointManager`, whose round data plane mirrors the blob to the
+neighbor node in the background (and, optionally, every ``pfs_every``-th
+version to the PFS) — the role of the paper's per-rank helper thread.
+Because the neighbor copy is asynchronous, the application only ever pays the local
 write — the paper's ≈0.01 % checkpointing overhead.  ``refresh``
 re-derives the neighbor after recovery (fault-aware placement);
 ``restorable_latest`` reports the newest version this rank could actually
@@ -61,11 +62,10 @@ from typing import (
 
 import numpy as np
 
-from repro.sim import Channel, Event, Sleep, WaitEvent
-from repro.gaspi.constants import ReturnCode
+from repro.sim import Event, Sleep, WaitEvent
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
-from repro.checkpoint.neighbor import neighbor_map, neighbor_of
+from repro.checkpoint.neighbor import neighbor_map
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
@@ -78,8 +78,6 @@ from repro.checkpoint.store import (
     NodeLocalStore,
     StoredBlob,
 )
-
-_SHUTDOWN = object()
 
 #: valid values of :attr:`CheckpointConfig.backend` (see ``CHECKPOINTS.md``)
 BACKENDS = ("neighbor", "pfs", "replicated")
@@ -164,17 +162,9 @@ class CheckpointLib:
         self._mirror_queue = ctx.queue_create()
         self._mirror_queue_obj = ctx.queue(self._mirror_queue)
         self._mirror_seg_size = ctx.segment(self.config.mirror_segment).size
-        self._jobs = Channel(name=f"ckpt-jobs-{ctx.rank}")
-        self._helper = ctx.world.launch(
-            ctx.rank, self._helper_loop(), name=f"ckpt-helper-{ctx.rank}"
-        )
-        #: reusable per-rank staging buffer for the zero-copy pack path;
-        #: grown geometrically, never shrunk — after warm-up a checkpoint
-        #: allocates nothing but the immutable stored snapshot
-        self._staging = bytearray()
         #: round-mirror bookkeeping: the request currently in flight on the
-        #: manager data plane, and those queued behind it (the FIFO the
-        #: helper thread's job channel provides on the scalar path)
+        #: manager data plane, and those queued behind it (the per-library
+        #: FIFO of the paper's helper thread)
         self._round_inflight: Optional["_MirrorRequest"] = None
         self._round_deferred: Deque["_MirrorRequest"] = deque()
         self.stats = {"local_writes": 0, "neighbor_copies": 0, "pfs_copies": 0,
@@ -196,10 +186,9 @@ class CheckpointLib:
     def refresh(self, participants: Iterable[int]) -> None:
         """Fault-aware neighbor update after group reconstruction.
 
-        On the round-checkpoint path the whole ring's map comes from the
-        world manager's cached O(n) ``neighbor_map`` build (every library
-        of the same participant set shares one map) instead of the per-rank
-        O(n) :func:`neighbor_of` rescan; both yield the identical partner.
+        The whole ring's map comes from the world manager's cached O(n)
+        ``neighbor_map`` build: every library of the same participant set
+        shares one map.
         """
         # participants are interned: every library of one team shares the
         # sorted tuple, its set (O(1) membership below) and its hash (the
@@ -207,15 +196,10 @@ class CheckpointLib:
         members = _Members.intern(tuple(sorted(participants)))
         self.participants = members
         if self.ctx.rank in members.member_set() and len(members) > 1:
-            if self._round_kernels():
-                manager = CheckpointManager.of(self.ctx.world)
-                self.neighbor_rank = manager.neighbor_map_for(
-                    members
-                )[self.ctx.rank]
-            else:
-                self.neighbor_rank = neighbor_of(
-                    self.ctx.rank, self.participants, self.machine.node_of
-                )
+            manager = CheckpointManager.of(self.ctx.world)
+            self.neighbor_rank = manager.neighbor_map_for(
+                members
+            )[self.ctx.rank]
         else:
             self.neighbor_rank = None
         self._neighbor_node = (
@@ -234,42 +218,6 @@ class CheckpointLib:
     # ------------------------------------------------------------------
     # write path
     # ------------------------------------------------------------------
-    def _round_kernels(self) -> bool:
-        """Whether the active rankstate kernel set selects the round path."""
-        from repro.ft import rankstate
-
-        return bool(rankstate.kernels().round_checkpoint)
-
-    def _use_round_plane(self) -> bool:
-        """Whether this write's mirror rides the manager's round data plane.
-
-        Gated off under transfer jitter (the scalar path's per-op RNG draw
-        order cannot be reproduced from one round pricing call) and when
-        this library owes PFS copies (which stay on the helper thread) —
-        both fall back to the per-library helper, bit-identically.
-        """
-        if not self._round_kernels():
-            return False
-        if self.machine.network.jittered:
-            return False
-        if self.pfs is not None and self.config.pfs_every > 0:
-            return False
-        return True
-
-    def _pack_to_staging(self, payload: Dict[str, np.ndarray]) -> bytes:
-        """Pack through the reused staging buffer; return the stored copy.
-
-        The zero-copy pack writes straight into ``_staging`` (one byte
-        move + streaming CRC); the single ``bytes()`` at the end is the
-        immutable snapshot the node store keeps — it must not alias the
-        staging buffer, which the next checkpoint overwrites.
-        """
-        size = packed_size(payload)
-        if len(self._staging) < size:
-            self._staging = bytearray(max(size, 2 * len(self._staging)))
-        pack_checkpoint_into(payload, self._staging)
-        return bytes(memoryview(self._staging)[:size])
-
     def write_checkpoint(
         self, version: int, payload: Dict[str, np.ndarray],
         nominal_bytes: Optional[int] = None,
@@ -278,22 +226,14 @@ class CheckpointLib:
 
         Returns an :class:`Event` that fires once the background neighbor
         (and PFS, if due) copy finished — the application does *not* have
-        to wait on it.
-
-        The asynchronous mirror travels one of two bit-identical routes:
-        the per-library helper thread (the scalar reference, and the only
-        route under jitter or PFS duty), or the world-level
+        to wait on it.  The mirror rides the world-level
         :class:`CheckpointManager` round data plane, which coalesces every
         mirror signalled in the same tick into one vectorized-priced
         scatter round.
         """
         t0 = self.ctx.now
-        use_round = self._use_round_plane()
-        manager = CheckpointManager.of(self.ctx.world) if use_round else None
-        if manager is not None:
-            data = manager.pack_blob(payload)
-        else:
-            data = self._pack_to_staging(payload)
+        manager = CheckpointManager.of(self.ctx.world)
+        data = manager.pack_blob(payload)
         blob = StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
         yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
         key = (self.config.tag, self.logical_rank, version)
@@ -305,102 +245,8 @@ class CheckpointLib:
                         dur=self.ctx.now - t0, version=version,
                         bytes=blob.nominal_bytes)
         mirrored = Event(name=f"ckpt-mirrored-{self.ctx.rank}-v{version}")
-        if manager is not None:
-            manager.submit(self, key, blob, mirrored)
-        else:
-            self._jobs.put((key, blob, mirrored))
+        manager.submit(self, key, blob, mirrored)
         return mirrored
-
-    def _mirror_transfer(self, neighbor_rank: int, node_id: int,
-                         blob: StoredBlob):
-        """Generator: ship the blob to the neighbor's mirror window.
-
-        The copy travels as one ``gaspi_write_list`` on the dedicated
-        mirror queue (chunked entries, vectorized time model charging the
-        blob's full nominal size).  Returns whether the transfer was
-        delivered: a dead/unreachable neighbor leaves the operations stuck
-        on the queue, the flush times out and the queue is purged —
-        recovery hygiene identical to the worker comm path.  Falls back to
-        a plain timed transfer when the neighbor has no mirror segment
-        (e.g. a rank promoted mid-run before its library initialised).
-        """
-        ctx = self.ctx
-        seg_id = self.config.mirror_segment
-        expected = self.machine.network.transfer_time(
-            self.my_node, node_id, blob.nominal_bytes
-        )
-        remote_segments = ctx.world.contexts[neighbor_rank].segments
-        stage = min(len(blob.data), ctx.segment(seg_id).size)
-        if seg_id not in remote_segments or stage == 0:
-            yield Sleep(expected)
-            return True
-        view = ctx.segment_view(seg_id, np.uint8, 0, stage)
-        view[:] = np.frombuffer(blob.data, dtype=np.uint8, count=stage)
-        chunk = max(1, (stage + 7) // 8)
-        entries = []
-        off = 0
-        while off < stage:
-            n = min(chunk, stage - off)
-            entries.append((seg_id, off, n, seg_id, off))
-            off += n
-        ret = ctx.write_list(entries, neighbor_rank,
-                             queue_id=self._mirror_queue,
-                             modeled_bytes=blob.nominal_bytes)
-        if ret is not ReturnCode.SUCCESS:  # queue full: model the copy
-            yield Sleep(expected)
-            return True
-        ret = yield from ctx.wait(self._mirror_queue,
-                                  timeout=expected * 1.5 + 1.0)
-        if ret is ReturnCode.TIMEOUT:
-            ctx.queue_purge(self._mirror_queue)
-            return False
-        return True
-
-    def _helper_loop(self):
-        """The library thread of Fig. 2: waits for signals, mirrors blobs."""
-        while True:
-            _, job = yield from self._jobs.get()  # ftlint: disable=FT001 -- local in-process job channel; woken by the _SHUTDOWN sentinel, no remote peer involved
-            if job is _SHUTDOWN:
-                return
-            key, blob, mirrored = job
-            copied = False
-            neighbor_rank = self.neighbor_rank
-            node_id = self.neighbor_node
-            t0 = self.ctx.now
-            if node_id is not None:
-                delivered = yield from self._mirror_transfer(
-                    neighbor_rank, node_id, blob
-                )
-                # re-read placement: a recovery may have changed the neighbor
-                # while the copy was in flight; the blob still lands where
-                # the transfer was headed if that node survived.
-                store = self._store_of_node(node_id)
-                if (delivered and store.available
-                        and self.machine.network.reachable(self.my_node, node_id)):
-                    store.put_pruned(key, blob, self.config.keep_versions)
-                    self.stats["neighbor_copies"] += 1
-                    copied = True
-                    tracer = self._tracer
-                    if tracer.enabled:
-                        tracer.emit(self.ctx.now, self.ctx.rank,
-                                    "ckpt_mirror", dur=self.ctx.now - t0,
-                                    version=key[2], node=node_id)
-            if (
-                self.pfs is not None
-                and self.config.pfs_every > 0
-                and key[2] % self.config.pfs_every == 0
-            ):
-                yield from self.pfs.write(key, blob)
-                self.stats["pfs_copies"] += 1
-            mirrored.succeed(copied)
-
-    def _prune(self, store: NodeLocalStore) -> None:
-        store.prune(self.config.tag, self.logical_rank,
-                    self.config.keep_versions)
-
-    def shutdown(self) -> None:
-        """Stop the helper thread (flushes queued jobs first)."""
-        self._jobs.put(_SHUTDOWN)
 
     # ------------------------------------------------------------------
     # read path
@@ -444,7 +290,10 @@ class CheckpointLib:
         store = self._local_store()
         store.put_pruned(key, blob, self.config.keep_versions)
         self.stats["local_writes"] += 1
-        self._jobs.put((key, blob, Event(name=f"reprotect-{self.ctx.rank}")))
+        CheckpointManager.of(self.ctx.world).submit(
+            self, key, blob, Event(name=f"reprotect-{self.ctx.rank}"),
+            reprotect=True,
+        )
 
     def read_checkpoint(
         self, version: Optional[int] = None,
@@ -529,6 +378,9 @@ class _MirrorRequest:
     key: "Key"
     blob: StoredBlob
     mirrored: Event
+    #: a re-mirror after a remote restore: runs beside the library's FIFO
+    #: and stays out of the mirror phase totals
+    reprotect: bool = False
     t_start: float = 0.0
     neighbor_rank: Optional[int] = None
     node_id: Optional[int] = None
@@ -538,13 +390,12 @@ class _MirrorRequest:
     store: Optional[NodeLocalStore] = None
 
     def apply(self) -> None:
-        """Delivery callback: land the bytes, then the helper epilogue.
+        """Delivery callback: land the bytes, then the delivery epilogue.
 
         The remote window was resolved during flush classification; the
         blob snapshot is immutable, so slicing the staged prefix here is
         byte-identical to binding it at post time.  A writer that died
-        mid-flight takes no completion actions, like its dead helper
-        thread wouldn't.
+        mid-flight takes no completion actions.
         """
         stage = self.stage
         data = self.blob.data
@@ -555,8 +406,8 @@ class _MirrorRequest:
             self.manager._finish_delivery(self)
 
     def hang(self) -> None:
-        """Arm the scalar path's flush timeout lazily (only hung ops
-        ever need it): purge the queue and report the failed mirror."""
+        """Arm the flush timeout lazily (only hung ops ever need it):
+        purge the queue and report the failed mirror."""
         manager = self.manager
         manager.sim.schedule_at(
             self.t_start + (self.expected * 1.5 + 1.0),
@@ -621,9 +472,9 @@ class CheckpointManager:
     """World-level round-batched checkpoint mirror plane.
 
     One instance per :class:`~repro.gaspi.runtime.GaspiWorld` (attached
-    lazily via :meth:`of`).  It replaces the per-library helper thread's
-    per-neighbor work with whole-round batch operations while reproducing
-    the helper's observable behaviour bit-for-bit:
+    lazily via :meth:`of`).  It is the asynchronous copy path of every
+    checkpoint library — the paper's per-rank helper thread (Fig. 2) —
+    run as whole-round batch operations:
 
     * **shared staging arena** — every blob of a round packs through one
       grown-geometrically buffer (one ``packed_size`` prefix-sum, one
@@ -634,18 +485,14 @@ class CheckpointManager:
       the same instant) flush as *one* scatter round priced by a single
       vectorized :meth:`Network.transfer_time_round` call per direction
       (:meth:`Transport.post_rdma_scatter`), with per-op path re-checks at
-      delivery, per-op hang/timeout/purge semantics, and per-library FIFO
-      ordering of back-to-back mirrors;
+      delivery, per-op hang/timeout/purge semantics, per-library FIFO
+      ordering of back-to-back mirrors, and due PFS copies launched as
+      per-rank processes that die with their writer;
     * **cached neighbor maps** — the O(n) ``ring_neighbors`` kernel builds
       each participant set's full map once; every library refresh against
       the same set is a dict lookup;
     * **phase totals** — mirror and restore bytes/latency accumulated for
       the ``recovery_compare`` experiment's per-phase reporting.
-
-    The only intentional divergence from the scalar helper: the writer's
-    *own* staging-window copy (a local scratch write the scalar path makes
-    before posting) is skipped — remote bytes, store contents, stats,
-    events and virtual timestamps are identical.
     """
 
     _ATTR = "_checkpoint_manager"
@@ -722,9 +569,10 @@ class CheckpointManager:
     def pack_blob(self, payload: Dict[str, np.ndarray]) -> bytes:
         """Pack one payload through the shared arena (stored snapshot out).
 
-        Byte-identical to ``CheckpointLib._pack_to_staging`` — same wire
-        format, same streaming CRC — but every library of the world shares
-        one warm buffer instead of growing its own.
+        The zero-copy pack writes straight into the arena (one byte move +
+        streaming CRC); every library of the world shares one warm buffer.
+        The returned ``bytes`` is the immutable snapshot the node store
+        keeps — it must not alias the arena, which the next pack reuses.
         """
         size = packed_size(payload)
         arena = self._reserve(size)
@@ -832,23 +680,22 @@ class CheckpointManager:
     # round data plane
     # ------------------------------------------------------------------
     def submit(self, lib: CheckpointLib, key: "Key", blob: StoredBlob,
-               mirrored: Event) -> None:
+               mirrored: Event, reprotect: bool = False) -> None:
         """Register one rank's mirror request (the helper-signal analogue).
 
         Requests submitted in the same tick coalesce into one flush round;
         a request for a library whose previous mirror is still in flight
-        queues behind it (the job-channel FIFO of the scalar path).
+        queues behind it (per-library FIFO).  A ``reprotect`` request — a
+        re-mirror after a remote restore — runs beside that FIFO without
+        queuing and is not counted in the mirror phase totals.
         """
-        request = _MirrorRequest(self, lib, key, blob, mirrored)
-        if lib._round_inflight is not None:
-            lib._round_deferred.append(request)
-            return
-        lib._round_inflight = request
-        # _enqueue, inlined on the every-rank-every-round path
-        self._pending.append(request)
-        if not self._sealed:
-            self._sealed = True
-            self.sim.schedule(0.0, self._flush)
+        request = _MirrorRequest(self, lib, key, blob, mirrored, reprotect)
+        if not reprotect:
+            if lib._round_inflight is not None:
+                lib._round_deferred.append(request)
+                return
+            lib._round_inflight = request
+        self._enqueue(request)
 
     def _enqueue(self, request: _MirrorRequest) -> None:
         self._pending.append(request)
@@ -859,15 +706,14 @@ class CheckpointManager:
     def _flush(self) -> None:
         """Close the tick's round and drive every mirror to completion.
 
-        Reproduces the helper-loop timeline per request: neighborless
-        requests resolve immediately; requests whose transfer is only
-        modeled (missing remote mirror segment, empty staging window, or a
-        full mirror queue) complete after their expected transfer time;
-        the rest ship as one scatter round on each library's dedicated
-        mirror queue, land at delivery+ack with the path re-checked there,
-        and a severed path leaves the op hung until the scalar path's
-        flush timeout purges the queue.  A writer that died mid-flight
-        takes no completion actions — its helper would have died with it.
+        Neighborless requests resolve immediately; requests whose transfer
+        is only modeled (missing remote mirror segment, empty staging
+        window, or a full mirror queue) complete after their expected
+        transfer time; the rest ship as one scatter round on each
+        library's dedicated mirror queue, land at delivery+ack with the
+        path re-checked there, and a severed path leaves the op hung until
+        the flush timeout purges the queue.  A writer that died mid-flight
+        takes no completion actions.
         """
         requests, self._pending, self._sealed = self._pending, [], False
         sim = self.sim
@@ -911,8 +757,8 @@ class CheckpointManager:
             stage = min(len(request.blob.data), lib._mirror_seg_size)
             if (segment is None or stage == 0
                     or lib._mirror_queue_obj.full):
-                # the scalar fallback/QUEUE_FULL branches: Sleep(expected),
-                # count the copy as delivered without touching the wire
+                # nothing to ship into, or QUEUE_FULL: the copy is only
+                # modeled — delivered after its expected transfer time
                 modeled.append(request)
                 modeled_t.append(sim.now + request.expected)
                 continue
@@ -945,8 +791,8 @@ class CheckpointManager:
             srcs.append(request.lib.ctx.rank)
             dsts.append(request.neighbor_rank)
             sizes.append(request.blob.nominal_bytes)
-            # the scalar path chunks the staged prefix into <= 8 list
-            # entries; replicate the entry count for identical rdma stats
+            # the staged prefix travels as <= 8 list entries; rdma_writes
+            # counts the entries
             chunk = max(1, (request.stage + 7) // 8)
             write_counts.append(-(-request.stage // chunk))
             apply_fns.append(request.apply)
@@ -964,7 +810,7 @@ class CheckpointManager:
         self._finish(request, copied=False)
 
     def _finish_delivery(self, request: _MirrorRequest) -> None:
-        """Post-transfer bookkeeping, exactly the helper loop's epilogue."""
+        """Post-transfer bookkeeping: store the copy if it can land."""
         lib = request.lib
         node_id = request.node_id
         store = request.store
@@ -980,26 +826,42 @@ class CheckpointManager:
                 tracer.emit(now, lib.ctx.rank, "ckpt_mirror",
                             dur=now - request.t_start,
                             version=request.key[2], node=node_id)
-            totals = self.phase_totals
-            totals["mirror_ops"] += 1
-            totals["mirror_bytes"] += request.blob.nominal_bytes
-            totals["mirror_s"] += now - request.t_start
-        # _finish, inlined on the every-rank-every-round path
-        request.mirrored.succeed(copied)
-        lib._round_inflight = None
-        if lib._round_deferred:
-            nxt = lib._round_deferred.popleft()
-            lib._round_inflight = nxt
-            self._enqueue(nxt)
+            if not request.reprotect:
+                totals = self.phase_totals
+                totals["mirror_ops"] += 1
+                totals["mirror_bytes"] += request.blob.nominal_bytes
+                totals["mirror_s"] += now - request.t_start
+        self._finish(request, copied)
 
     def _finish(self, request: _MirrorRequest, copied: bool) -> None:
+        """Close a mirror: write the PFS copy first when the version is due."""
+        lib = request.lib
+        every = lib.config.pfs_every
+        if lib.pfs is not None and every > 0 and request.key[2] % every == 0:
+            lib.ctx.world.launch(lib.ctx.rank, self._pfs_copy(request, copied),
+                                 name=f"ckpt-pfs-{lib.ctx.rank}")
+            return
+        self._complete(request, copied)
+
+    def _pfs_copy(self, request: _MirrorRequest,
+                  copied: bool) -> Generator[Any, Any, None]:
+        """Generator: the due PFS copy, run as a process of the writer's
+        rank so a writer killed mid-copy leaves no PFS blob."""
+        lib = request.lib
+        yield from lib.pfs.write(request.key, request.blob)
+        lib.stats["pfs_copies"] += 1
+        self._complete(request, copied)
+
+    def _complete(self, request: _MirrorRequest, copied: bool) -> None:
+        """Fire ``mirrored`` and release the library's next queued mirror."""
         request.mirrored.succeed(copied)
         lib = request.lib
-        lib._round_inflight = None
-        if lib._round_deferred:
-            nxt = lib._round_deferred.popleft()
-            lib._round_inflight = nxt
-            self._enqueue(nxt)
+        if lib._round_inflight is request:
+            lib._round_inflight = None
+            if lib._round_deferred:
+                nxt = lib._round_deferred.popleft()
+                lib._round_inflight = nxt
+                self._enqueue(nxt)
 
     # ------------------------------------------------------------------
     # replica scatter plane (ReStore backend)
@@ -1206,9 +1068,9 @@ class CheckpointManager:
         grouped callback per distinct local-write duration, and the
         manager's round mirror plane.  Returns ``{rank: mirrored_event}``
         once the *synchronous* part (every rank's local write) finished;
-        the mirrors complete in the background like the scalar path.  A
-        rank that dies before its local write completes takes no actions,
-        like its killed generator wouldn't.
+        the mirrors complete in the background as for
+        ``write_checkpoint``.  A rank that dies before its local write
+        completes takes no actions, like its killed generator wouldn't.
         """
         ranks = sorted(payloads)
         sim = self.sim

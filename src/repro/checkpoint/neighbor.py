@@ -43,7 +43,7 @@ def neighbor_map(
     """Neighbor of every participant (``None`` where no mirror exists).
 
     Builds the sorted ring and its node lookup once and derives every
-    position's partner with the active :mod:`repro.ft.rankstate`
+    position's partner with the :mod:`repro.ft.rankstate`
     ``ring_neighbors`` kernel — O(n) for the whole map instead of the
     historical per-rank :func:`neighbor_of` rescan (O(n^2) total).  Each
     entry equals ``neighbor_of(r, participants, node_of)`` exactly; the
@@ -56,5 +56,5 @@ def neighbor_map(
         return {}
     nodes = np.fromiter((node_of(r) for r in ring), dtype=np.int64,
                         count=len(ring))
-    nbr = rankstate.kernels().ring_neighbors(nodes)
+    nbr = rankstate.ring_neighbors(nodes)
     return {r: (None if j < 0 else ring[int(j)]) for r, j in zip(ring, nbr)}

@@ -112,7 +112,7 @@ def replica_holder_map(
     node_of: Callable[[int], int],
     r: int,
 ) -> Dict[int, List[int]]:
-    """Replica holders of every participant, via the active kernel set.
+    """Replica holders of every participant, via the rankstate kernel.
 
     Builds the sorted ring and its node lookup once and derives every
     position's holder rows with the :mod:`repro.ft.rankstate`
@@ -126,7 +126,7 @@ def replica_holder_map(
         return {}
     nodes = np.fromiter((node_of(x) for x in ring), dtype=np.int64,
                         count=len(ring))
-    rows = rankstate.kernels().replica_ring_holders(nodes, r)
+    rows = rankstate.replica_ring_holders(nodes, r)
     return {
         rank: [ring[int(j)] for j in row if j >= 0]
         for rank, row in zip(ring, rows)
@@ -257,9 +257,6 @@ class ReplicatedCheckpointLib:
         protected = Event(name=f"ckpt-protected-{self.ctx.rank}-v{version}")
         manager.submit_scatter(self, key, blob, protected)
         return protected
-
-    def shutdown(self) -> None:
-        """Interface parity; the scatter plane has no helper thread."""
 
     # ------------------------------------------------------------------
     # read path
@@ -493,9 +490,6 @@ class PfsCheckpointLib:
         done = Event(name=f"ckpt-pfs-{self.ctx.rank}-v{version}")
         done.succeed(True)
         return done
-
-    def shutdown(self) -> None:
-        """Interface parity; the PFS path has no helper thread."""
 
     def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
         """Newest version on the PFS, or -1 (``extra_nodes`` ignored)."""

@@ -8,8 +8,7 @@ provides:
   storage (for the neighbor-level checkpoint library) and kill switches for
   processes, nodes and links.
 * :class:`Network` with pluggable :class:`Topology` — an alpha-beta
-  (latency + bandwidth) cost model with optional deterministic jitter and
-  link/partition state.
+  (latency + bandwidth) cost model with link/partition state.
 * :class:`Transport` — rank-to-rank operations with RDMA semantics: remote
   writes apply without target-CPU involvement; operations to dead processes
   hang (the sender only sees timeouts), while the explicit *ping* operation

@@ -97,7 +97,7 @@ class Machine:
         """Associate a running coroutine with its rank (runtime hook).
 
         A rank may have several coroutines bound (the main program plus
-        helper threads such as the checkpoint library's copy thread); a
+        background work such as the checkpoint library's PFS copies); a
         fail-stop kills them all.
         """
         self._procs.setdefault(rank, []).append(proc)

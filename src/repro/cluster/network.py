@@ -1,17 +1,16 @@
-"""Dynamic network state: transfer costs, jitter, partitions, dead links.
+"""Dynamic network state: transfer costs, partitions, dead links.
 
 :class:`Network` combines a static :class:`Topology` with mutable health
 state.  It answers two questions for the transport layer:
 
 * ``reachable(a, b)`` — is there currently a path between two *nodes*?
-* ``transfer_time(a, b, nbytes)`` — alpha-beta cost of moving ``nbytes``,
-  with optional deterministic jitter.
+* ``transfer_time(a, b, nbytes)`` — alpha-beta cost of moving ``nbytes``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Set, Tuple
+from typing import Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -20,14 +19,8 @@ from repro.cluster.topology import Topology, UniformTopology
 
 @dataclass
 class NetworkParams:
-    """Tunable knobs of the network model.
+    """Tunable knobs of the network model."""
 
-    ``jitter`` is the relative half-width of a uniform multiplicative noise
-    term on each transfer (0 disables it; draws come from a named RNG stream
-    so runs stay reproducible).
-    """
-
-    jitter: float = 0.0
     #: fixed per-message software/NIC overhead (seconds) added to every
     #: transfer on top of wire latency — models posting + completion cost.
     per_message_overhead: float = 0.5e-6
@@ -44,11 +37,9 @@ class Network:
         self,
         topology: Optional[Topology] = None,
         params: Optional[NetworkParams] = None,
-        rng: Optional[np.random.Generator] = None,
     ) -> None:
         self.topology = topology or UniformTopology()
         self.params = params or NetworkParams()
-        self._rng = rng
         self._broken_links: Set[Tuple[int, int]] = set()
         self._isolated_nodes: Set[int] = set()
 
@@ -77,7 +68,7 @@ class Network:
             return True
         if node_a == node_b:
             # loopback never traverses the fabric
-            return node_a not in self._isolated_nodes or True
+            return True
         if node_a in self._isolated_nodes or node_b in self._isolated_nodes:
             return False
         return _link_key(node_a, node_b) not in self._broken_links
@@ -95,27 +86,19 @@ class Network:
         """
         return bool(self._broken_links or self._isolated_nodes)
 
-    @property
-    def jittered(self) -> bool:
-        """Whether multiplicative transfer jitter is active (an RNG stream
-        is attached and ``params.jitter`` is nonzero)."""
-        return bool(self.params.jitter) and self._rng is not None
-
     # ------------------------------------------------------------------
     # cost model
     # ------------------------------------------------------------------
     def transfer_time(self, node_a: int, node_b: int, nbytes: int) -> float:
-        """Alpha-beta transfer cost: latency + size/bandwidth (+ jitter)."""
-        base = (
+        """Alpha-beta transfer cost: overhead + latency + size/bandwidth."""
+        return (
             self.params.per_message_overhead
             + self.topology.latency(node_a, node_b)
             + nbytes / self.topology.bandwidth(node_a, node_b)
         )
-        if self.params.jitter and self._rng is not None:
-            base *= 1.0 + self.params.jitter * (2.0 * self._rng.random() - 1.0)
-        return base
 
-    def transfer_time_list(self, node_a: int, node_b: int, sizes) -> float:
+    def transfer_time_list(self, node_a: int, node_b: int,
+                           sizes: Sequence[int]) -> float:
         """Vectorized cost of a batched (``write_list``-style) transfer.
 
         The batch moves as *one* fabric operation: a single per-message
@@ -123,14 +106,11 @@ class Network:
         This is the whole point of coalescing — N messages no longer pay N
         overheads and N latencies.
         """
-        base = (
+        return (
             self.params.per_message_overhead
             + self.topology.latency(node_a, node_b)
             + sum(sizes) / self.topology.bandwidth(node_a, node_b)
         )
-        if self.params.jitter and self._rng is not None:
-            base *= 1.0 + self.params.jitter * (2.0 * self._rng.random() - 1.0)
-        return base
 
     def transfer_time_round(self, node_a: int | np.ndarray,
                             nodes: np.ndarray,
@@ -144,22 +124,10 @@ class Network:
         per-pair array.  Element ``i`` is bit-identical to
         ``transfer_time(node_a[i], nodes[i], nbytes[i])`` — the float
         expression mirrors the scalar operation order exactly, so a
-        round-priced sweep lands on the same virtual timestamps as the
-        historical per-destination loop.  With jitter enabled the
-        per-destination draws come from the same RNG stream in destination
-        order (the scalar loop's draw order), via the loop fallback.
+        round-priced sweep lands on the same virtual timestamps as a
+        per-destination loop.
         """
         nodes = np.asarray(nodes, dtype=np.int64)
-        if self.params.jitter and self._rng is not None:
-            src = np.broadcast_to(np.asarray(node_a, dtype=np.int64),
-                                  nodes.shape)
-            size = np.broadcast_to(np.asarray(nbytes, dtype=np.int64),
-                                   nodes.shape)
-            return np.array(
-                [self.transfer_time(int(a), int(b), int(s))
-                 for a, b, s in zip(src, nodes, size)],
-                dtype=np.float64,
-            )
         lat = self.topology.latency_many(node_a, nodes)
         bw = self.topology.bandwidth_many(node_a, nodes)
         return (self.params.per_message_overhead + lat) + np.asarray(nbytes) / bw

@@ -2,7 +2,7 @@
 
 The paper's testbed uses Mellanox QDR InfiniBand (~1.3 us MPI-level latency,
 ~3.2 GB/s effective per-link bandwidth).  Topologies are purely geometric:
-dynamic state (partitions, jitter, dead links) lives in
+dynamic state (partitions, dead links) lives in
 :class:`repro.cluster.network.Network`.
 """
 

@@ -75,14 +75,13 @@ class Delivery:
 
 
 class SweepResults:
-    """Per-probe results of one batched ping sweep, materialized lazily.
+    """Per-probe results of one ping sweep, materialized lazily.
 
-    Behaves like the sequential sweep's list of ``(target, alive,
-    t_start, t_end)`` tuples, but keeps the per-probe data as the arrays
-    the batched path already computed: consumers that only need the
-    (usually empty) failure list — the FD's hot loop — never touch a
-    per-target Python object, while iteration and indexing still yield
-    the exact tuples the scalar reference produces.
+    Behaves like a list of ``(target, alive, t_start, t_end)`` tuples,
+    but keeps the per-probe data as the arrays the sweep computed:
+    consumers that only need the (usually empty) failure list — the FD's
+    hot loop — never touch a per-target Python object, while iteration
+    and indexing still yield the per-probe tuples.
     """
 
     __slots__ = ("_targets", "_alive", "_starts", "_ends")
@@ -394,8 +393,8 @@ class Transport:
         Virtual-time equivalent of posting :meth:`post_rdma` once per
         destination within one tick and waiting on all of them: data lands
         at destination ``i`` at ``t + lat_i`` (liveness/reachability
-        re-checked per destination at its delivery time, exactly like the
-        sequential path), and the returned event completes ``(True, None)``
+        re-checked per destination at its delivery time, exactly like
+        per-destination posts), and the returned event completes ``(True, None)``
         at ``max_i (t + lat_i) + ack_i`` iff *every* delivery succeeded.
         Any dead or unreachable destination makes the event never fire —
         the initiator's queue sees timeouts, just as a per-target broadcast
@@ -416,21 +415,12 @@ class Transport:
         t0 = self.sim.now
         net = self.network
         src_node = int(self._nodes_arr[src])
-        if net.jittered:
-            # interleaved per-destination draws: the exact RNG order of a
-            # sequential per-target post loop
-            lats = np.empty(n, dtype=np.float64)
-            acks = np.empty(n, dtype=np.float64)
-            for j, d in enumerate(dst_list):
-                lats[j] = self._latency(src, d, nbytes)
-                acks[j] = self._ack_latency(src, d)
-        else:
-            tgt_nodes = self._nodes_arr[np.asarray(dst_list, dtype=np.int64)]
-            lats = net.transfer_time_round(src_node, tgt_nodes, nbytes)
-            # symmetric-fabric ack pricing, see _post_ping_sweep_batched
-            acks = net.transfer_time_round(
-                src_node, tgt_nodes, self.params.small_message
-            )
+        tgt_nodes = self._nodes_arr[np.asarray(dst_list, dtype=np.int64)]
+        lats = net.transfer_time_round(src_node, tgt_nodes, nbytes)
+        # symmetric-fabric ack pricing, see post_ping_sweep
+        acks = net.transfer_time_round(
+            src_node, tgt_nodes, self.params.small_message
+        )
         t_done = float(((t0 + lats) + acks).max())
         state = {"hung": False}
 
@@ -492,26 +482,14 @@ class Transport:
             return events
         t0 = self.sim.now
         net = self.network
-        src_arr = np.asarray(srcs, dtype=np.int64)
-        dst_arr = np.asarray(dsts, dtype=np.int64)
-        if net.jittered:
-            # per-op RNG draws in op order, like a sequential post loop
-            lats = np.empty(n, dtype=np.float64)
-            acks = np.empty(n, dtype=np.float64)
-            for j in range(n):
-                lats[j] = self._latency(
-                    int(src_arr[j]), int(dst_arr[j]), int(sizes[j])
-                )
-                acks[j] = self._ack_latency(int(src_arr[j]), int(dst_arr[j]))
-        else:
-            src_nodes = self._nodes_arr[src_arr]
-            dst_nodes = self._nodes_arr[dst_arr]
-            lats = net.transfer_time_round(
-                src_nodes, dst_nodes, np.asarray(sizes, dtype=np.int64)
-            )
-            acks = net.transfer_time_round(
-                dst_nodes, src_nodes, self.params.small_message
-            )
+        src_nodes = self._nodes_arr[np.asarray(srcs, dtype=np.int64)]
+        dst_nodes = self._nodes_arr[np.asarray(dsts, dtype=np.int64)]
+        lats = net.transfer_time_round(
+            src_nodes, dst_nodes, np.asarray(sizes, dtype=np.int64)
+        )
+        acks = net.transfer_time_round(
+            dst_nodes, src_nodes, self.params.small_message
+        )
         t_done = t0 + (lats + acks)
 
         for t_val in np.unique(t_done).tolist():
@@ -572,59 +550,46 @@ class Transport:
         src: int,
         targets: Sequence[int],
         width: int = 1,
-        batched: bool = True,
     ) -> Event:
         """Probe a whole round of targets as one batched sweep.
 
         Semantically identical to issuing :meth:`post_ping` per target with
         at most ``width`` probes in flight (the FD's ``fd_threads`` knob),
-        but the entire sweep is driven by transport-internal callbacks: the
-        caller blocks once on the returned event instead of once per probe.
+        but the whole round is priced in one vectorized alpha-beta call
+        (:meth:`Network.transfer_time_round`) and driven by a *single*
+        finalize callback — O(1) simulator events per sweep instead of
+        O(n) — while the caller blocks once on the returned event.
 
-        With ``batched=True`` (default) the whole round is priced in one
-        vectorized alpha-beta call (:meth:`Network.transfer_time_round`)
-        and driven by a *single* finalize callback — O(1) simulator events
-        per sweep instead of O(n) — reconstructing the exact per-probe
-        virtual times of the callback-chained path.  Jittered networks fall
-        back to the sequential path automatically (per-probe RNG draw order
-        cannot be reproduced from one post-time pricing call).
+        Completes ``(True, results)`` where ``results`` is a
+        :class:`SweepResults` of ``(target, alive, t_start, t_end)`` tuples
+        in ``targets`` order — the virtual start/resolve times each probe
+        would have seen as a :meth:`post_ping` (known-broken fast-fails,
+        live-target RTTs, and the ``error_timeout`` wait for newly dead
+        targets all preserved).
 
-        Completes ``(True, results)`` where ``results`` is a list, in
-        ``targets`` order, of ``(target, alive, t_start, t_end)`` tuples —
-        the virtual start/resolve times each probe would have seen on the
-        sequential path (known-broken fast-fails, live-target RTTs, and the
-        ``error_timeout`` wait for newly dead targets all preserved).
-        """
-        self.stats["ping"] += len(targets)
-        if batched and not self.network.jittered:
-            return self._post_ping_sweep_batched(
-                src, list(targets), max(1, int(width))
-            )
-        return self._post_ping_sweep_seq(src, list(targets), max(1, int(width)))
-
-    def _post_ping_sweep_batched(
-        self, src: int, targets: List[int], width: int
-    ) -> Event:
-        """Whole-round sweep: one pricing call, one finalize callback.
-
-        The sequential timeline is reconstructed in closed form: groups of
+        The per-probe timeline is reconstructed in closed form: groups of
         ``width`` probes start together, each group at the previous group's
         max resolve time; a probe resolves after its RTT (or ``fast_fail``
         for known-broken channels) and a newly-dead target adds
         ``max(0, error_timeout - rtt)``.  Deaths *during* the sweep only
         lengthen it, so a fixed-point iteration over the dead set (recomputed
         from the rank death-time array at each callback, with re-arming when
-        the sweep end moves past ``now``) converges to the exact sequential
-        schedule.  A target is dead for a probe iff its death time is <= the
-        probe's resolve time (kills scheduled at equal virtual time carry
-        earlier sequence numbers and win the tie, matching the event order
-        of the sequential path).  Duplicate targets in one sweep are priced
+        the sweep end moves past ``now``) converges to the exact schedule of
+        chained per-probe pings.  A target is dead for a probe iff its death
+        time is <= the probe's resolve time (kills scheduled at equal virtual
+        time carry earlier sequence numbers and win the tie, matching the
+        event order of chained pings).  Duplicate targets in one sweep are priced
         off the post-time broken-set snapshot.
         """
+        self.stats["ping"] += len(targets)
+        targets = list(targets)
+        width = max(1, int(width))
         done = Event(name=f"pingsweep:{src}")
         n = len(targets)
         if n == 0:
-            done.succeed((True, []))
+            empty = np.zeros(0, dtype=np.float64)
+            done.succeed((True, SweepResults(
+                [], np.zeros(0, dtype=bool), empty, empty)))
             return done
         p = self.params
         t_post = self.sim.now
@@ -730,76 +695,6 @@ class Transport:
         _, estimate = compute()
         self.sim.schedule_at(estimate, check)
         return done
-
-    def _post_ping_sweep_seq(
-        self, src: int, targets: List[int], width: int
-    ) -> Event:
-        """Callback-chained sweep (scalar reference; exercised for jittered
-        networks and by the vectorized-vs-scalar identity tests)."""
-        done = Event(name=f"pingsweep:{src}")
-        n = len(targets)
-        out: List[Optional[Tuple[int, bool, float, float]]] = [None] * n
-        p = self.params
-
-        def start_group(idx: int) -> None:
-            if idx >= n:
-                done.succeed((True, out))
-                return
-            group_end = min(idx + width, n)
-            remaining = group_end - idx
-
-            def finish_one() -> None:
-                nonlocal remaining
-                remaining -= 1
-                if remaining == 0:
-                    start_group(group_end)
-
-            t0 = self.sim.now
-            for i in range(idx, group_end):
-                self._sweep_probe(src, targets[i], i, t0, out, finish_one)
-
-        start_group(0)
-        return done
-
-    def _sweep_probe(
-        self,
-        src: int,
-        dst: int,
-        i: int,
-        t0: float,
-        out: List[Optional[Tuple[int, bool, float, float]]],
-        finish: Callable[[], None],
-    ) -> None:
-        """One probe of a sweep; mirrors :meth:`post_ping` exactly."""
-        p = self.params
-        broken = self._broken.get(src)
-        if broken is not None and dst in broken:
-            def fast_fail() -> None:
-                out[i] = (dst, False, t0, self.sim.now)
-                finish()
-
-            self.sim.schedule(p.fast_fail, fast_fail)
-            return
-        rtt = (
-            p.ping_overhead
-            + self._latency(src, dst, p.small_message)
-            + self._ack_latency(src, dst)
-        )
-
-        def resolve() -> None:
-            if self._path_up(src, dst):
-                out[i] = (dst, True, t0, self.sim.now)
-                finish()
-            else:
-                self._broken.setdefault(src, set()).add(dst)
-
-                def fail() -> None:
-                    out[i] = (dst, False, t0, self.sim.now)
-                    finish()
-
-                self.sim.schedule(max(0.0, p.error_timeout - rtt), fail)
-
-        self.sim.schedule(rtt, resolve)
 
     def forget_broken(self, src: int, dst: Optional[int] = None) -> None:
         """Clear the broken-channel cache (e.g. after link repair)."""

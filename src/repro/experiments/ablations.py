@@ -223,7 +223,6 @@ def _destination_outcome(dest: str, n_ranks: int, n_checkpoints: int,
                                   bytes_per_rank)
                 yield from pfs.write(("abl", ctx.rank, version), blob)
             blocked += ctx.now - t0
-        lib.shutdown()
         return blocked
 
     run = run_gaspi(main, machine_spec=MachineSpec(n_nodes=n_ranks), sim=sim)

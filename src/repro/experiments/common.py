@@ -56,8 +56,7 @@ class ScenarioOutcome:
     result: Optional[FTRunResult] = field(default=None, repr=False)
     #: checkpoint-plane per-phase totals (mirror/restore ops, bytes,
     #: virtual seconds) from the world's :class:`CheckpointManager` —
-    #: empty when the run never attached one (e.g. scalar kernels with no
-    #: restore)
+    #: empty when the run never attached one
     ckpt_phases: Dict[str, float] = field(default_factory=dict, repr=False)
 
     @property
@@ -134,8 +133,7 @@ def run_ft_scenario(
     """Run the model kernel under the FT stack with optional kills.
 
     ``kill_times`` are ``(time, physical rank)`` pairs.  ``gaspi_config``
-    overrides the GASPI world knobs (e.g. ``eager_world=True`` for the
-    flyweight-vs-eager equivalence tests).
+    overrides the GASPI world knobs (e.g. ``sanitize=True``).
     """
     cfg = ft_config_for(spec, n_spares=n_spares, fd_threads=fd_threads,
                         **cfg_overrides)

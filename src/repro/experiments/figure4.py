@@ -107,8 +107,6 @@ def run_bare(spec: WorkloadSpec, checkpoints: bool) -> float:
                     {"step": np.int64(step)},
                     nominal_bytes=spec.checkpoint_bytes_per_worker,
                 )
-        if lib is not None:
-            lib.shutdown()
         return ctx.now
 
     run = run_gaspi(main, machine_spec=MachineSpec(n_nodes=spec.n_workers))

@@ -106,10 +106,6 @@ class FTContext:
         """Record a timeline event (read back by the benchmarks)."""
         self.timeline.append((self.now, label, info))
 
-    def shutdown(self) -> None:
-        self.state_ckpt.shutdown()
-        self.setup_ckpt.shutdown()
-
     # ------------------------------------------------------------------
     # checkpoint services
     # ------------------------------------------------------------------
@@ -213,10 +209,9 @@ def _announce_done(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock):
     """
     block.mark_done_local()
     statuses = block.statuses()
-    ks = rankstate.kernels()
-    targets = ks.ranks_with_roles(statuses, (Role.IDLE, Role.FD))
+    targets = rankstate.ranks_with_roles(statuses, (Role.IDLE, Role.FD))
     yield from block.broadcast(targets, timeout=cfg.comm_timeout)
-    for rank in ks.ranks_with_roles(statuses, (Role.FD,)):
+    for rank in rankstate.ranks_with_roles(statuses, (Role.FD,)):
         yield from ctx.passive_send(rank, FD_STOP, timeout=cfg.comm_timeout)
 
 
@@ -276,7 +271,6 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 if ret is ReturnCode.SUCCESS:
                     break
             yield from _announce_done(ctx, cfg, block)
-            ftx.shutdown()
             return {
                 "status": "done",
                 "logical_rank": ftx.team.logical_rank,
@@ -290,7 +284,6 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             ftx.mark("failure-ack", epoch=notice.epoch, failed=notice.failed)
             if not notice.recoverable:
                 yield from _announce_done(ctx, cfg, block)
-                ftx.shutdown()
                 return {
                     "status": "unrecoverable",
                     "logical_rank": ftx.team.logical_rank,
@@ -383,7 +376,7 @@ def ft_main(cfg: FTConfig, program: FTProgram,
 
 def _initial_group(ctx: GaspiContext, cfg: FTConfig):
     group = ctx.group_create(tag=0)
-    rankstate.kernels().group_fill(group, range(cfg.n_workers))
+    rankstate.group_fill(group, range(cfg.n_workers))
     return group
 
 

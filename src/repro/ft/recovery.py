@@ -90,11 +90,10 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     tracer = ctx.tracer
     t_start = ctx.now
     while True:
-        ks = rankstate.kernels()
         # the notice's map is shared (epoch-cached, never mutated) — using
         # it directly avoids one O(n_workers) dict copy per recovering rank
         rank_map = notice.rank_map
-        my_logical = ks.logical_in_map(rank_map, ctx.rank)
+        my_logical = rankstate.logical_in_map(rank_map, ctx.rank)
         if my_logical is None:
             raise RuntimeError(
                 f"rank {ctx.rank} performed recovery but is not in the new "
@@ -121,7 +120,7 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
 
         t_rebuild = ctx.now
         group = ctx.group_create(tag=notice.epoch)
-        ks.group_fill(group, ks.map_members(rank_map))
+        rankstate.group_fill(group, rankstate.map_members(rank_map))
 
         superseded = False
         while True:

@@ -29,9 +29,3 @@ class GaspiConfig:
     #: ``QUEUE_FULL`` without drain, and segment use-after-free/OOB at
     #: the moment they happen, raising ``SanitizerError``.
     sanitize: bool = False
-    #: force the historical eager construction path: every context
-    #: materialises its queue table, state vector, private ``group_all``
-    #: membership and segment buffers at build time instead of on first
-    #: touch.  Only useful as the reference side of equivalence tests —
-    #: virtual-time behaviour is identical either way.
-    eager_world: bool = False

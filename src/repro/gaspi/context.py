@@ -32,6 +32,7 @@ from repro.gaspi.segments import Segment, SegmentTable
 from repro.gaspi.state import StateVector
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.cluster.transport import SweepResults
     from repro.gaspi.runtime import GaspiWorld
     from repro.obs.tracer import TracerLike
     from repro.sim import Event
@@ -67,14 +68,6 @@ class GaspiContext:
         #: flyweight: every context shares the world's interned all-ranks
         #: membership; only the collective sequence number is private
         self.group_all = Group.from_members(tag=-1, members=world.members_all)
-        if world.config.eager_world:
-            # reference construction path: materialise everything the
-            # flyweight scheme defers (equivalence-test baseline)
-            self.group_all = Group(tag=-1)
-            self.group_all.add_many(range(world.n_ranks))
-            self.group_all.committed = True
-            self._queue_table()
-            self.state_vector.snapshot()
 
     # ------------------------------------------------------------------
     # identity / environment
@@ -129,9 +122,7 @@ class GaspiContext:
         if san is not None:
             san.on_segment_create(self.rank, segment_id)
         return self.segments.create(
-            segment_id, size, self.world.config.n_notifications,
-            eager=self.world.config.eager_world,
-        )
+            segment_id, size, self.world.config.n_notifications)
 
     def segment_create_pooled(self, segment_id: int, size: int) -> Segment:
         """Create a segment backed by the world's shared arena.
@@ -143,8 +134,6 @@ class GaspiContext:
         rank.  Semantics match :meth:`segment_create` exactly.
         """
         world = self.world
-        if world.config.eager_world:
-            return self.segment_create(segment_id, size)
         arena = world.arena
         n_slots = world.n_ranks
         index = self.rank
@@ -797,38 +786,28 @@ class GaspiContext:
 
     def proc_ping_sweep(
         self, targets: Sequence[int], width: int = 1,
-        timeout: float = GASPI_BLOCK, batched: bool = True,
-    ) -> Generator[
-        Any, Any,
-        Tuple[ReturnCode, Optional[List[Tuple[int, bool, float, float]]]],
-    ]:
+        timeout: float = GASPI_BLOCK,
+    ) -> Generator[Any, Any, Tuple[ReturnCode, Optional["SweepResults"]]]:
         """Batched ``gaspi_proc_ping`` over a whole round (generator).
 
         Probes ``targets`` with at most ``width`` pings in flight (the FD's
         ``fd_threads`` knob) but blocks the caller **once** for the entire
         sweep rather than once per probe.  Returns ``(ReturnCode, results)``
-        with ``results`` a list of ``(target, alive, t_start, t_end)``
+        with ``results`` a sequence of ``(target, alive, t_start, t_end)``
         tuples in ``targets`` order; dead targets are marked ``CORRUPT`` in
         the state vector exactly as :meth:`proc_ping` would have.  On
         ``TIMEOUT`` the results are ``None`` and no state is updated.
-        ``batched=False`` forces the callback-chained scalar sweep (the
-        retained reference implementation).
         """
         if targets and not (0 <= min(targets)
                             and max(targets) < self.world.n_ranks):
             for dst_rank in targets:  # reuse _remote's exact error text
                 self._remote(dst_rank)
-        done = self.world.transport.post_ping_sweep(
-            self.rank, targets, width, batched=batched
-        )
+        done = self.world.transport.post_ping_sweep(self.rank, targets, width)
         ok, res = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
             return (ReturnCode.TIMEOUT, None)
         _ok, results = res
-        failed = getattr(results, "failed", None)
-        if failed is None:  # plain tuple list from the sequential sweep
-            failed = [r for r, alive, _t0, _t1 in results if not alive]
-        for dst_rank in failed:
+        for dst_rank in results.failed:
             self.state_vector.mark_corrupt(dst_rank)
         return (ReturnCode.SUCCESS, results)
 

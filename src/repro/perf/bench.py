@@ -536,10 +536,9 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "committed 'current' values")
     parser.add_argument("--scaling", action="store_true",
                         help="run the weak-scaling suite instead of the "
-                             "micro suite: the rank ladder in both rankstate "
-                             "modes, recording the vectorized path as "
-                             "'current' and the scalar reference as the "
-                             "measured 'seed' equivalent")
+                             "micro suite, recording the rank ladder as "
+                             "'current' (the pre-vectorization 'seed' ladder "
+                             "stays frozen in the report)")
     parser.add_argument("--ranks", type=int, nargs="+", default=None,
                         metavar="N",
                         help="override the weak-scaling rank ladder "
@@ -611,16 +610,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             summary_metrics
 
         ladder = args.ranks or RANKS_LADDER
-        print(f"# weak scaling, ranks {list(ladder)} (vectorized ...)")
-        current_scaling = run_scaling("vectorized", ladder)
-        print("# ... and the scalar seed-equivalent")
-        seed_scaling = run_scaling("scalar", ladder)
+        print(f"# weak scaling, ranks {list(ladder)}")
+        current_scaling = run_scaling(ladder)
         metrics = summary_metrics(current_scaling)
-        seed_metrics = summary_metrics(seed_scaling)
-        report["scaling"] = {"current": current_scaling,
-                             "seed": seed_scaling}
-        report["seed"] = {**_strip_env(report.get("seed")), **seed_metrics,
-                          "environment": _environment()}
+        report.setdefault("scaling", {})["current"] = current_scaling
         report["current"] = {**committed, **metrics,
                              "environment": _environment()}
     else:

@@ -1,8 +1,8 @@
 """Named, reproducible random-number streams.
 
-Every stochastic component (fault injection, network jitter, workload
-generation) draws from its own named stream derived from a single root seed,
-so adding a consumer never perturbs the draws seen by existing ones.
+Every stochastic component (fault injection, workload generation) draws
+from its own named stream derived from a single root seed, so adding a
+consumer never perturbs the draws seen by existing ones.
 """
 
 from __future__ import annotations

@@ -1,14 +1,13 @@
 """Property test: ``CheckpointManager.commit_round`` is observably
-identical to every rank committing sequentially through the scalar
-per-neighbor helper pipeline.
+identical to every rank calling its own library's ``write_checkpoint``.
 
 For a random scenario — rank count, payload shapes, nominal sizes,
 mid-round process/node kills, pre-filled (QUEUE_FULL) mirror queues and a
-partitioned neighbor link — the round-batched plane must reproduce the
-scalar reference bit-for-bit in every observable: per-rank stats, node
+partitioned neighbor link — the single-coordinator round must reproduce
+the per-rank writes bit-for-bit in every observable: per-rank stats, node
 store contents (keys, blob bytes, nominal sizes), and the virtual fire
-time and value of every mirrored event.  Event *names* and the writer's
-own staging-window copy are the only documented non-observables.
+time and value of every mirrored event.  Event *names* are the only
+documented non-observable.
 """
 
 import numpy as np
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import CheckpointLib, CheckpointManager
 from repro.cluster import FaultPlan
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Event, Sleep
 
@@ -70,9 +68,9 @@ def _apply_faults(ctx, n_ranks, partitions, qfull_ranks, libs):
             _prefill(libs[r])
 
 
-def run_sequential_scalar(n_ranks, sizes, n_rounds, nominal, kills,
-                          partitions, qfull_ranks):
-    """Every rank drives its own ``write_checkpoint`` (scalar helper)."""
+def run_per_rank(n_ranks, sizes, n_rounds, nominal, kills, partitions,
+                 qfull_ranks):
+    """Every rank drives its own ``write_checkpoint``."""
     stats, fires = {}, {}
 
     def main(ctx):
@@ -90,11 +88,8 @@ def run_sequential_scalar(n_ranks, sizes, n_rounds, nominal, kills,
                 lambda ev, r=r, k=k:
                 fires.setdefault((r, k), (sim.now, ev.value)))
         yield Sleep(DRAIN_S)
-        lib.shutdown()
 
-    with rankstate.use("scalar"):
-        run = run_gaspi(main, n_ranks=n_ranks,
-                        fault_plan=_build_plan(kills))
+    run = run_gaspi(main, n_ranks=n_ranks, fault_plan=_build_plan(kills))
     return ({r: dict(s) for r, s in stats.items()}, fires,
             _snapshot_stores(run.machine, n_ranks))
 
@@ -126,25 +121,21 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
                     lambda fired_ev, r=r, k=k:
                     fires.setdefault((r, k), (sim.now, fired_ev.value)))
         yield Sleep(DRAIN_S)
-        for lib in libs.values():
-            lib.shutdown()
 
-    with rankstate.use("vectorized"):
-        run = run_gaspi(main, n_ranks=n_ranks,
-                        fault_plan=_build_plan(kills))
+    run = run_gaspi(main, n_ranks=n_ranks, fault_plan=_build_plan(kills))
     return ({r: dict(s) for r, s in stats.items()}, fires,
             _snapshot_stores(run.machine, n_ranks))
 
 
 def assert_equivalent(n_ranks, sizes, n_rounds, nominal, kills,
                       partitions, qfull_ranks):
-    scalar = run_sequential_scalar(n_ranks, sizes, n_rounds, nominal,
-                                   kills, partitions, qfull_ranks)
+    per_rank = run_per_rank(n_ranks, sizes, n_rounds, nominal, kills,
+                            partitions, qfull_ranks)
     batched = run_commit_round(n_ranks, sizes, n_rounds, nominal,
                                kills, partitions, qfull_ranks)
-    assert batched[0] == scalar[0], "per-rank stats diverged"
-    assert batched[1] == scalar[1], "mirror fire times/values diverged"
-    assert batched[2] == scalar[2], "node store contents diverged"
+    assert batched[0] == per_rank[0], "per-rank stats diverged"
+    assert batched[1] == per_rank[1], "mirror fire times/values diverged"
+    assert batched[2] == per_rank[2], "node store contents diverged"
 
 
 @st.composite

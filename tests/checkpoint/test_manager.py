@@ -9,11 +9,11 @@ from repro.checkpoint import (
     CheckpointLib,
     CheckpointManager,
     CheckpointNotFound,
+    NodeLocalStore,
     ParallelFileSystem,
 )
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
-from repro.sim import Sleep, WaitEvent
+from repro.sim import Simulator, Sleep, WaitEvent
 
 
 def test_write_then_local_restore():
@@ -23,7 +23,6 @@ def test_write_then_local_restore():
         mirrored = yield from lib.write_checkpoint(0, payload)
         yield WaitEvent(mirrored, 10.0)
         version, out = yield from lib.read_checkpoint()
-        lib.shutdown()
         return (version, list(out["v"]), int(out["it"]))
 
     run = run_gaspi(main, n_ranks=2)
@@ -36,7 +35,6 @@ def test_neighbor_copy_lands_on_other_node():
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2])
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(8)})
         ok, copied = yield WaitEvent(mirrored, 10.0)
-        lib.shutdown()
         return (ok, copied, lib.neighbor_rank, lib.stats["neighbor_copies"])
 
     run = run_gaspi(main, n_ranks=3)
@@ -62,7 +60,6 @@ def test_restore_from_neighbor_after_node_loss():
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 1, 2])
             mirrored = yield from lib.write_checkpoint(0, {"x": np.full(4, 7.0)})
             yield WaitEvent(mirrored, 10.0)
-            lib.shutdown()
             yield Sleep(100.0)  # stays up until killed at t=20
             return None
         if ctx.rank == 3:  # the rescue: adopts logical rank 1 after failure
@@ -70,7 +67,6 @@ def test_restore_from_neighbor_after_node_loss():
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
             # candidates: failed rank's node (1, dead) and its old neighbor (2)
             version, out = yield from lib.read_checkpoint(extra_nodes=[1, 2])
-            lib.shutdown()
             return (version, float(out["x"][0]), lib.stats["remote_reads"])
         yield Sleep(40.0)
         return None
@@ -87,7 +83,6 @@ def test_restore_prefers_local_after_process_only_failure():
         if ctx.rank == 0:
             lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
             yield from lib.write_checkpoint(0, {"x": np.arange(3.0)})
-            lib.shutdown()
             yield Sleep(100.0)
             return None
         # rank 1 plays "rescue restarted on the failed process's node 0"?
@@ -95,7 +90,6 @@ def test_restore_prefers_local_after_process_only_failure():
         yield Sleep(10.0)
         lib = CheckpointLib(ctx, logical_rank=0, participants=[1])
         version, out = yield from lib.read_checkpoint(extra_nodes=[0])
-        lib.shutdown()
         return (version, list(out["x"]))
 
     plan = FaultPlan().kill_process(5.0, 0)
@@ -115,9 +109,7 @@ def test_version_pruning_keeps_last_k():
             from repro.checkpoint import NodeLocalStore
             store = NodeLocalStore(ctx.world.machine.node(0))
             versions = store.versions("ckpt", 0)
-            lib.shutdown()
             return versions
-        lib.shutdown()
         if False:
             yield
 
@@ -129,7 +121,6 @@ def test_restorable_latest_reports_minus_one_when_empty():
     def main(ctx):
         lib = CheckpointLib(ctx, logical_rank=0, participants=[0])
         latest = lib.restorable_latest()
-        lib.shutdown()
         if False:
             yield
         return latest
@@ -144,7 +135,6 @@ def test_read_missing_version_raises():
         try:
             yield from lib.read_checkpoint(version=9)
         except CheckpointNotFound:
-            lib.shutdown()
             return "not-found"
 
     run = run_gaspi(main, n_ranks=1)
@@ -162,10 +152,8 @@ def test_pfs_copies_every_kth_version():
             for v in range(4):
                 last = yield from lib.write_checkpoint(v, {"x": np.array([v])})
             yield WaitEvent(last, 10.0)
-            lib.shutdown()
             return (lib.stats["pfs_copies"], pfs.has(("ckpt", 0, 0)),
                     pfs.has(("ckpt", 0, 1)), pfs.has(("ckpt", 0, 2)))
-        lib.shutdown()
         if False:
             yield
 
@@ -179,7 +167,6 @@ def test_refresh_changes_neighbor_after_failure():
         before = lib.neighbor_rank
         lib.refresh([0, 2, 3])  # rank 1 failed and left the ring
         after = lib.neighbor_rank
-        lib.shutdown()
         if False:
             yield
         return (before, after)
@@ -195,7 +182,6 @@ def test_checkpoint_write_cost_scales_with_nominal_bytes():
         lib.config = cfg
         t0 = ctx.now
         yield from lib.write_checkpoint(0, {"x": np.zeros(2)}, nominal_bytes=10**9)
-        lib.shutdown()
         return ctx.now - t0
 
     run = run_gaspi(main, n_ranks=1)
@@ -203,14 +189,9 @@ def test_checkpoint_write_cost_scales_with_nominal_bytes():
 
 
 def test_staging_buffer_reused_and_old_versions_stay_intact():
-    """The pack staging arena is reused across writes, and stored blobs
-    must be immutable snapshots — overwriting the staging arena with a
-    later checkpoint must not corrupt earlier stored versions.
-
-    On the (default) round-checkpoint path the arena is the world
-    manager's shared one; the scalar per-library buffer is covered by
-    ``test_staging_buffer_reused_scalar_path``.
-    """
+    """The world manager's shared pack arena is reused across writes, and
+    stored blobs must be immutable snapshots — overwriting the arena with
+    a later checkpoint must not corrupt earlier stored versions."""
 
     def main(ctx):
         manager = CheckpointManager.of(ctx.world)
@@ -224,45 +205,101 @@ def test_staging_buffer_reused_and_old_versions_stay_intact():
         grew = len(manager._arena) >= 128 * 8
         _, v0 = yield from lib.read_checkpoint(version=0)
         _, v2 = yield from lib.read_checkpoint(version=2)
-        lib.shutdown()
         return (same_buffer, grew, float(v0["x"][0]), float(v2["x"][0]))
 
     run = run_gaspi(main, n_ranks=1)
     assert run.result(0) == (True, True, 1.0, 3.0)
 
 
-def test_staging_buffer_reused_scalar_path():
-    """The per-library staging buffer behaves the same on the scalar
-    (helper-thread) path."""
+def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
+    """A remote restore re-mirrors the blob to the rescue's new neighbor;
+    the re-mirror is not a checkpoint mirror, so the phase totals keep
+    counting only the original write."""
+    key = ("ckpt", 1, 0)
 
     def main(ctx):
-        cfg = CheckpointConfig(keep_versions=4)
-        lib = CheckpointLib(ctx, logical_rank=0, participants=[0], config=cfg)
-        yield from lib.write_checkpoint(0, {"x": np.full(64, 1.0)})
-        staging = lib._staging
-        yield from lib.write_checkpoint(1, {"x": np.full(64, 2.0)})
-        same_buffer = lib._staging is staging  # equal size -> reused
-        yield from lib.write_checkpoint(2, {"x": np.full(128, 3.0)})
-        grew = len(lib._staging) >= 128 * 8
-        _, v0 = yield from lib.read_checkpoint(version=0)
-        _, v2 = yield from lib.read_checkpoint(version=2)
-        lib.shutdown()
-        return (same_buffer, grew, float(v0["x"][0]), float(v2["x"][0]))
+        if ctx.rank == 1:
+            lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 1, 2])
+            mirrored = yield from lib.write_checkpoint(0, {"x": np.full(4, 7.0)})
+            yield WaitEvent(mirrored, 10.0)
+            yield Sleep(100.0)  # stays up until its node dies at t=20
+            return None
+        if ctx.rank == 3:  # the rescue adopts logical rank 1
+            yield Sleep(30.0)
+            totals = CheckpointManager.of(ctx.world).phase_totals
+            before = dict(totals)
+            lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
+            version, _ = yield from lib.read_checkpoint(extra_nodes=[1, 2])
+            yield Sleep(1.0)  # the re-mirror completes in the background
+            new_neighbor_store = NodeLocalStore(
+                ctx.world.machine.node(lib.neighbor_node))
+            return (version, lib.neighbor_rank, new_neighbor_store.has(key),
+                    lib.stats["neighbor_copies"], before, dict(totals))
+        yield Sleep(40.0)
+        return None
 
-    with rankstate.use("scalar"):
-        run = run_gaspi(main, n_ranks=1)
-    assert run.result(0) == (True, True, 1.0, 3.0)
+    plan = FaultPlan().kill_node(20.0, 1)
+    run = run_gaspi(main, n_ranks=4, fault_plan=plan)
+    version, neighbor, landed, copies, before, after = run.result(3)
+    assert (version, neighbor, landed, copies) == (0, 0, True, 1)
+    assert before["mirror_ops"] == after["mirror_ops"] == 1
+    assert before["mirror_bytes"] == after["mirror_bytes"]
+    assert after["restore_neighbor_ops"] == 1
+
+
+def _pfs_duty_run(n_versions, nominal_bytes=None, kill_at=None):
+    """Rank 0 writes ``n_versions`` back to back with ``pfs_every=2``;
+    returns (fire log, PFS, run).  Each log entry is (version, fire time,
+    whether the PFS held the version at that moment)."""
+    sim = Simulator()
+    pfs = ParallelFileSystem(sim)
+    log = []
+
+    def main(ctx):
+        cfg = CheckpointConfig(pfs_every=2, keep_versions=10)
+        lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1],
+                            config=cfg, pfs=pfs if ctx.rank == 0 else None)
+        if ctx.rank != 0:
+            yield Sleep(10.0)
+            return None
+        for v in range(n_versions):
+            mirrored = yield from lib.write_checkpoint(
+                v, {"x": np.array([v])}, nominal_bytes=nominal_bytes)
+            mirrored.add_callback(lambda ev, v=v: log.append(
+                (v, sim.now, pfs.has(("ckpt", 0, v)))))
+        yield Sleep(10.0)
+        return lib.stats["pfs_copies"]
+
+    plan = FaultPlan().kill_process(kill_at, 0) if kill_at else None
+    run = run_gaspi(main, n_ranks=2, sim=sim, fault_plan=plan)
+    return log, pfs, run
+
+
+def test_pfs_copy_precedes_mirrored_in_fifo_order():
+    log, pfs, run = _pfs_duty_run(4)
+    assert [v for v, _, _ in log] == [0, 1, 2, 3]
+    times = [t for _, t, _ in log]
+    assert times == sorted(times)
+    # due versions fire only once their PFS copy exists
+    assert [(v, on_pfs) for v, _, on_pfs in log if v % 2 == 0] == [
+        (0, True), (2, True)]
+    assert run.result(0) == 2
+    assert [pfs.has(("ckpt", 0, v)) for v in range(4)] == [
+        True, False, True, False]
 
 
 def test_helper_dies_with_rank():
-    """The helper thread is bound to the rank and must not outlive it."""
-
-    def main(ctx):
-        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
-        yield Sleep(100.0)
-
-    plan = FaultPlan().kill_process(1.0, 0)
-    run = run_gaspi(main, n_ranks=2, fault_plan=plan, until=50.0)
-    helpers = [p for p in run.sim.processes if p.name.startswith("ckpt-helper-0")]
-    assert len(helpers) == 1
-    assert not helpers[0].alive
+    """The PFS-copy helper process is bound to the writer's rank: a writer
+    killed mid-copy takes the copy with it, leaving no PFS blob and never
+    firing ``mirrored``."""
+    # a 10 GB blob takes ~1 s of the PFS's 10 GB/s, so killing the writer
+    # half a second before the undisturbed run's fire time lands mid-copy
+    [(_, t_fire, _)], _, _ = _pfs_duty_run(1, nominal_bytes=10**10)
+    log, pfs, run = _pfs_duty_run(1, nominal_bytes=10**10,
+                                  kill_at=t_fire - 0.5)
+    helpers = [p for p in run.sim.processes if p.name == "ckpt-pfs-0"]
+    assert len(helpers) == 1 and not helpers[0].alive
+    # the neighbor mirror landed before the PFS copy started
+    assert NodeLocalStore(run.machine.node(1)).has(("ckpt", 0, 0))
+    assert not pfs.has(("ckpt", 0, 0))
+    assert log == []

@@ -24,7 +24,6 @@ from repro.checkpoint import (
     replica_holders,
 )
 from repro.cluster import FaultPlan
-from repro.ft import rankstate
 from repro.gaspi import run_gaspi
 from repro.sim import Sleep, WaitEvent
 
@@ -49,28 +48,26 @@ def test_placement_invariants_and_kernel_identity(participants, r,
 
     ring = sorted(participants)
     n = len(ring)
-    for mode in ("vectorized", "scalar"):
-        with rankstate.use(mode):
-            holder_map = replica_holder_map(participants, node_of, r)
-        assert sorted(holder_map) == ring
-        for idx, rank in enumerate(ring):
-            holders = holder_map[rank]
-            # the active kernel must agree with the scalar oracle
-            assert holders == replica_holders(rank, participants,
-                                              node_of, r)
-            assert len(holders) <= r
-            assert rank not in holders
-            # never on the owner's node
-            assert all(node_of(h) != node_of(rank) for h in holders)
-            # never on the mirror neighbor's node (the first forward
-            # participant on a different node)
-            mirror_node = next(
-                (node_of(ring[(idx + s) % n]) for s in range(1, n)
-                 if node_of(ring[(idx + s) % n]) != node_of(rank)), -1)
-            assert all(node_of(h) != mirror_node for h in holders)
-            # pairwise-distinct holder nodes
-            nodes = [node_of(h) for h in holders]
-            assert len(set(nodes)) == len(nodes)
+    holder_map = replica_holder_map(participants, node_of, r)
+    assert sorted(holder_map) == ring
+    for idx, rank in enumerate(ring):
+        holders = holder_map[rank]
+        # the placement kernel must agree with the scalar oracle
+        assert holders == replica_holders(rank, participants,
+                                          node_of, r)
+        assert len(holders) <= r
+        assert rank not in holders
+        # never on the owner's node
+        assert all(node_of(h) != node_of(rank) for h in holders)
+        # never on the mirror neighbor's node (the first forward
+        # participant on a different node)
+        mirror_node = next(
+            (node_of(ring[(idx + s) % n]) for s in range(1, n)
+             if node_of(ring[(idx + s) % n]) != node_of(rank)), -1)
+        assert all(node_of(h) != mirror_node for h in holders)
+        # pairwise-distinct holder nodes
+        nodes = [node_of(h) for h in holders]
+        assert len(set(nodes)) == len(nodes)
 
 
 @settings(max_examples=40, deadline=None,
@@ -174,7 +171,7 @@ def test_owner_death_alone_loses_nothing():
 
 
 # ----------------------------------------------------------------------
-# factory + mode identity
+# factory
 # ----------------------------------------------------------------------
 def test_factory_dispatch_and_unknown_backend():
     def main(ctx):
@@ -188,18 +185,3 @@ def test_factory_dispatch_and_unknown_backend():
         yield  # pragma: no cover - makes main a generator
 
     run_gaspi(main, n_ranks=2)
-
-
-def test_experiment_rows_identical_across_rankstate_modes():
-    """The 16-rank replicated-backend scenario measures identically in
-    scalar and vectorized modes: the fast path changes wall cost only,
-    never virtual timestamps or restore accounting."""
-    from repro.experiments.recovery_compare import measure_backend
-
-    rows = {}
-    for mode in ("scalar", "vectorized"):
-        with rankstate.use(mode):
-            rows[mode] = measure_backend(16, "replicated")
-    assert rows["scalar"] == rows["vectorized"]
-    det, reinit, restore_ops, restore_bytes, restore_s = rows["scalar"]
-    assert restore_ops > 0 and restore_bytes > 0 and restore_s > 0

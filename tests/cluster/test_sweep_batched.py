@@ -1,8 +1,9 @@
-"""Batched ping-sweep equivalence: the single-callback round-priced path
-must reproduce the sequential callback-chained sweep exactly — same
-per-probe timings, same dead sets, same completion time — including when
-targets die mid-sweep, and its lazy result sequence must behave like the
-reference tuple list."""
+"""Batched ping-sweep equivalence: the single-callback round-priced sweep
+must reproduce a sequential oracle — ``post_ping`` probes in groups of
+``width``, each group posted when the previous one resolved — exactly:
+same per-probe timings, same dead sets, same completion time, including
+when targets die mid-sweep; and its lazy result sequence must behave
+like the oracle's tuple list."""
 
 import pytest
 
@@ -21,9 +22,33 @@ def make_machine(n_nodes=8, error_timeout=3.5):
     return sim, Machine(sim, spec)
 
 
-def run_sweep(batched, n_nodes=8, width=1, kills=(), pre_broken=(),
+def sequential_sweep(sim, transport, src, targets, width):
+    """Generator: the reference sweep built from single pings.
+
+    Returns ``(True, [(target, alive, t_start, t_end), ...])`` like the
+    batched sweep's completion value.
+    """
+    out = []
+    for g0 in range(0, len(targets), width):
+        t_start = sim.now
+        group = targets[g0:g0 + width]
+        resolved = {}
+        events = [transport.post_ping(src, dst) for dst in group]
+        for dst, ev in zip(group, events):
+            ev.add_callback(lambda e, dst=dst: resolved.__setitem__(
+                dst, (dst, e.value[0], t_start, sim.now)))
+        for ev in events:
+            ok, _ = yield WaitEvent(ev, timeout=120.0)
+            assert ok
+        out.extend(resolved[dst] for dst in group)
+    return True, out
+
+
+def run_sweep(batched=True, n_nodes=8, width=1, kills=(), pre_broken=(),
               targets=None):
-    """One sweep from rank 0; returns (ok, [tuples], end_time)."""
+    """One sweep from rank 0 — the batched transport sweep, or the
+    sequential oracle with ``batched=False``; returns (ok, [tuples],
+    end_time)."""
     sim, m = make_machine(n_nodes=n_nodes)
     for rank in pre_broken:
         m.kill_process(rank)
@@ -39,8 +64,11 @@ def run_sweep(batched, n_nodes=8, width=1, kills=(), pre_broken=(),
             for rank in pre_broken:
                 ev = m.transport.post_ping(0, rank)
                 yield WaitEvent(ev, timeout=10.0)
-        ev = m.transport.post_ping_sweep(0, targets, width=width,
-                                         batched=batched)
+        if not batched:
+            success, results = yield from sequential_sweep(
+                sim, m.transport, 0, targets, width)
+            return success, results, sim.now
+        ev = m.transport.post_ping_sweep(0, targets, width=width)
         ok, (success, results) = yield WaitEvent(ev, timeout=120.0)
         return ok and success, list(results), sim.now
 
@@ -91,7 +119,7 @@ def test_partitioned_target_counts_as_dead():
     m.network.isolate_node(4)
 
     def prober():
-        ev = m.transport.post_ping_sweep(0, [1, 4, 6], batched=True)
+        ev = m.transport.post_ping_sweep(0, [1, 4, 6])
         ok, (success, results) = yield WaitEvent(ev, timeout=60.0)
         return ok and success, [(r, alive) for r, alive, _, _ in results]
 
@@ -102,18 +130,17 @@ def test_partitioned_target_counts_as_dead():
 
 
 def test_empty_sweep_succeeds_immediately():
-    ok, results, end = run_sweep(batched=True, targets=[])
+    ok, results, end = run_sweep(targets=[])
     assert ok and results == [] and end == 0.0
 
 
 def test_sweep_results_sequence_protocol():
-    ok, _, _ = run_sweep(batched=True)
     sim, m = make_machine()
     sim.schedule(0.0, lambda: m.kill_process(2))
     holder = []
 
     def prober():
-        ev = m.transport.post_ping_sweep(0, [1, 2, 3], batched=True)
+        ev = m.transport.post_ping_sweep(0, [1, 2, 3])
         _ok, (_success, results) = yield WaitEvent(ev, timeout=60.0)
         holder.append(results)
 

@@ -1,21 +1,64 @@
-"""Property tests: the vectorized rankstate kernels equal the scalar
-reference on every input — randomized failure patterns, rank counts from
-16 to 512, degenerate and truncated rescue batches — and the end-to-end
-scenario rows are byte-identical under either mode."""
+"""Property tests: the rankstate kernels equal compact scalar loops on
+every input — randomized failure patterns, rank counts from 16 to 512,
+degenerate and truncated rescue batches, shared-node rings."""
 
 import numpy as np
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ft import rankstate
-from repro.ft.rankstate import ScalarKernels, VectorizedKernels
 from repro.ft.roles import Role
 from repro.gaspi.groups import Group
 
 ROLE_VALUES = [int(r) for r in Role]
 
 
+# ----------------------------------------------------------------------
+# scalar oracles: the per-rank loops the kernels replace
+# ----------------------------------------------------------------------
+def avoid_mask(statuses):
+    return np.array([s == Role.FAILED for s in statuses], dtype=bool)
+
+
+def scan_targets(avoid, self_rank):
+    return [r for r in range(len(avoid)) if r != self_rank and not avoid[r]]
+
+
+def healthy_targets(avoid, statuses):
+    return [r for r in range(len(avoid))
+            if not avoid[r] and statuses[r] != Role.FAILED]
+
+
+def ranks_with_roles(statuses, roles):
+    wanted = {int(role) for role in roles}
+    return [r for r in range(len(statuses)) if int(statuses[r]) in wanted]
+
+
+def split_failed(failed_now, rank_map_arr):
+    values = {int(p) for p in rank_map_arr}
+    workers = sorted(int(r) for r in failed_now if int(r) in values)
+    return workers, [int(r) for r in failed_now if int(r) not in values]
+
+
+def apply_rescues(rank_map_arr, failed, rescues):
+    replacement = dict(zip(failed, rescues))
+    return np.array([replacement.get(int(p), int(p)) for p in rank_map_arr],
+                    dtype=np.int64)
+
+
+def logical_in_map(rank_map, phys):
+    return next((lg for lg, p in rank_map.items() if p == phys), None)
+
+
+def ring_neighbors(ring_nodes):
+    d = [int(x) for x in ring_nodes]
+    n = len(d)
+    return np.array([next((j % n for j in range(i + 1, i + n)
+                           if d[j % n] != d[i]), -1) for i in range(n)],
+                    dtype=np.int64)
+
+
+# ----------------------------------------------------------------------
 @st.composite
 def rank_world(draw):
     """(statuses array, a random subset of ranks, a worker rank map)."""
@@ -38,24 +81,22 @@ def _plain_ints(values):
 @given(rank_world())
 def test_detector_state_kernels_identical(world):
     statuses, subset, _ = world
-    n = len(statuses)
-    self_rank = n - 1
+    self_rank = len(statuses) - 1
 
-    avoid_v = VectorizedKernels.avoid_mask(statuses)
-    avoid_s = ScalarKernels.avoid_mask(statuses)
-    assert np.array_equal(avoid_v, avoid_s)
+    avoid = rankstate.avoid_mask(statuses)
+    assert np.array_equal(avoid, avoid_mask(statuses))
 
-    VectorizedKernels.mark_avoided(avoid_v, subset)
-    ScalarKernels.mark_avoided(avoid_s, subset)
-    assert np.array_equal(avoid_v, avoid_s)
+    rankstate.mark_avoided(avoid, subset)
+    expected = avoid_mask(statuses)
+    expected[subset] = True
+    assert np.array_equal(avoid, expected)
 
-    tv = VectorizedKernels.scan_targets(avoid_v, self_rank)
-    ts = ScalarKernels.scan_targets(avoid_s, self_rank)
-    assert tv == ts and _plain_ints(tv)
+    targets = rankstate.scan_targets(avoid, self_rank)
+    assert targets == scan_targets(avoid, self_rank) and _plain_ints(targets)
 
-    hv = VectorizedKernels.healthy_targets(avoid_v, statuses)
-    hs = ScalarKernels.healthy_targets(avoid_s, statuses)
-    assert hv == hs and _plain_ints(hv)
+    healthy = rankstate.healthy_targets(avoid, statuses)
+    assert healthy == healthy_targets(avoid, statuses)
+    assert _plain_ints(healthy)
 
 
 @settings(max_examples=40, deadline=None,
@@ -63,17 +104,16 @@ def test_detector_state_kernels_identical(world):
 @given(rank_world())
 def test_role_and_split_kernels_identical(world):
     statuses, subset, rank_map_arr = world
-    assert (VectorizedKernels.idle_ranks(statuses)
-            == ScalarKernels.idle_ranks(statuses))
+    assert (rankstate.idle_ranks(statuses)
+            == ranks_with_roles(statuses, (Role.IDLE,)))
     for roles in ((Role.IDLE,), (Role.IDLE, Role.FD), (Role.WORKING,)):
-        rv = VectorizedKernels.ranks_with_roles(statuses, roles)
-        rs = ScalarKernels.ranks_with_roles(statuses, roles)
-        assert rv == rs and _plain_ints(rv)
+        ranks = rankstate.ranks_with_roles(statuses, roles)
+        assert ranks == ranks_with_roles(statuses, roles)
+        assert _plain_ints(ranks)
 
-    wv, ov = VectorizedKernels.split_failed(subset, rank_map_arr)
-    ws, os_ = ScalarKernels.split_failed(subset, rank_map_arr)
-    assert (wv, ov) == (ws, os_)
-    assert _plain_ints(wv) and _plain_ints(ov)
+    workers, others = rankstate.split_failed(subset, rank_map_arr)
+    assert (workers, others) == split_failed(subset, rank_map_arr)
+    assert _plain_ints(workers) and _plain_ints(others)
 
 
 @settings(max_examples=40, deadline=None,
@@ -88,16 +128,14 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
     # pairing must truncate like dict(zip(...)))
     failed = rng.permutation(rank_map_arr)[:n_failed].tolist()
     rescues = rng.permutation(n)[:n_rescues].tolist()
-    out_v = VectorizedKernels.apply_rescues(rank_map_arr, failed, rescues)
-    out_s = ScalarKernels.apply_rescues(rank_map_arr, failed, rescues)
-    assert np.array_equal(out_v, out_s)
+    out = rankstate.apply_rescues(rank_map_arr, failed, rescues)
+    assert np.array_equal(out, apply_rescues(rank_map_arr, failed, rescues))
 
-    rank_map = {i: int(p) for i, p in enumerate(out_v)}
-    assert (VectorizedKernels.map_members(rank_map)
-            == ScalarKernels.map_members(rank_map))
-    for phys in (int(out_v[0]), n + 7):  # present and absent
-        assert (VectorizedKernels.logical_in_map(rank_map, phys)
-                == ScalarKernels.logical_in_map(rank_map, phys))
+    rank_map = {i: int(p) for i, p in enumerate(out)}
+    assert rankstate.map_members(rank_map) == sorted(rank_map.values())
+    for phys in (int(out[0]), n + 7):  # present and absent
+        assert (rankstate.logical_in_map(rank_map, phys)
+                == logical_in_map(rank_map, phys))
 
 
 @settings(max_examples=20, deadline=None,
@@ -105,43 +143,18 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
 @given(st.integers(16, 512), st.integers(0, 2**32 - 1))
 def test_group_fill_kernels_identical(n, seed):
     members = np.random.default_rng(seed).permutation(n).tolist()
-    gv, gs = Group(tag=1), Group(tag=1)
-    VectorizedKernels.group_fill(gv, members)
-    ScalarKernels.group_fill(gs, members)
-    assert gv.members == gs.members
-    assert gv.identity() == gs.identity()
+    filled, added = Group(tag=1), Group(tag=1)
+    rankstate.group_fill(filled, members)
+    for rank in sorted(members):
+        added.add(rank)
+    assert filled.members == added.members
+    assert filled.identity() == added.identity()
 
 
-def test_mode_machinery():
-    assert rankstate.mode() == "vectorized"
-    assert rankstate.kernels() is VectorizedKernels
-    with rankstate.use("scalar"):
-        assert rankstate.kernels() is ScalarKernels
-        assert rankstate.mode() == "scalar"
-    assert rankstate.mode() == "vectorized"
-    with pytest.raises(ValueError):
-        rankstate.set_mode("simd")
-    # a failing body must still restore the previous mode
-    with pytest.raises(RuntimeError):
-        with rankstate.use("scalar"):
-            raise RuntimeError("boom")
-    assert rankstate.mode() == "vectorized"
-
-
-def test_end_to_end_scenario_byte_identical_across_modes():
-    """The acceptance gate: identical experiment rows at 16 ranks."""
-    from repro.experiments.common import run_ft_scenario
-    from repro.workloads.spec import scaled_spec
-
-    spec = scaled_spec(workers=12, iterations=140, name="ident-16")
-    fields = ("total_runtime", "computation_time", "redo_work_time",
-              "reinit_time", "detection_time", "n_recoveries")
-    rows = {}
-    for mode in rankstate.MODES:
-        with rankstate.use(mode):
-            outcome = run_ft_scenario(
-                "ident", spec, kill_times=[(12.5, 2), (31.0, 7)],
-                n_spares=4)
-        rows[mode] = tuple(getattr(outcome, f) for f in fields)
-    assert rows["vectorized"] == rows["scalar"]
-    assert rows["vectorized"][-1] == 2  # both kills recovered
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=40))
+def test_ring_neighbor_kernel_identical(ring_nodes):
+    nodes = np.asarray(ring_nodes, dtype=np.int64)
+    assert np.array_equal(rankstate.ring_neighbors(nodes),
+                          ring_neighbors(nodes))

@@ -1,88 +1,27 @@
-"""Flyweight world construction: equivalence and cost regression.
+"""Flyweight world construction: cost regression.
 
 The flyweight build path (interned group memberships, arena-pooled
 segments, lazy queue tables and notification boards, template-COW
-control blocks) must be *observationally identical* to the historical
-eager path — ``GaspiConfig(eager_world=True)`` forces the latter — and
-must keep world construction O(world), never O(ranks), in allocations.
+control blocks) must keep world construction O(world), never O(ranks),
+in allocations.  Its observable behaviour is pinned by the golden
+fixture in ``tests/golden``.
 """
-
-import json
-
-from hypothesis import HealthCheck, given, settings
-from hypothesis import strategies as st
 
 from repro.cluster import Machine, MachineSpec, TransportParams
 from repro.experiments.common import run_ft_scenario
-from repro.gaspi.config import GaspiConfig
 from repro.gaspi.runtime import GaspiWorld
-from repro.obs.tracer import deactivate, install
 from repro.sim import Simulator
 from repro.workloads.spec import scaled_spec
 
 
 # ----------------------------------------------------------------------
-# equivalence: eager reference vs default flyweight path
-# ----------------------------------------------------------------------
-def _rows_and_trace(workers, kill, eager):
-    """(experiment-row JSON blob, tracer event tuple) for one scenario."""
-    spec = scaled_spec(workers=workers, iterations=80,
-                       name=f"equiv-{workers}")
-    tracer = install(capacity=8192, bulk_capacity=8192)
-    try:
-        out = run_ft_scenario(
-            f"equiv-{workers}", spec, kill_times=[kill], n_spares=4,
-            gaspi_config=GaspiConfig(eager_world=eager))
-    finally:
-        deactivate()
-    worker_rows = out.result.worker_results()
-    rows = {
-        "total_runtime": out.total_runtime,
-        "computation_time": out.computation_time,
-        "redo_work_time": out.redo_work_time,
-        "reinit_time": out.reinit_time,
-        "detection_time": out.detection_time,
-        "n_recoveries": out.n_recoveries,
-        "ckpt_phases": out.ckpt_phases,
-        "timelines": {str(k): w.get("timeline", [])
-                      for k, w in sorted(worker_rows.items())},
-        "counters": {str(k): w.get("counters", {})
-                     for k, w in sorted(worker_rows.items())},
-    }
-    blob = json.dumps(rows, sort_keys=True, default=repr).encode()
-    return blob, tuple(tracer.events())
-
-
-@settings(max_examples=6, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.sampled_from([16, 64]), st.data())
-def test_eager_and_flyweight_worlds_equivalent(workers, data):
-    """Byte-identical rows and identical tracer streams at 16/64 ranks."""
-    kill_rank = data.draw(st.integers(0, workers - 1), label="kill_rank")
-    kill_t = data.draw(st.sampled_from([8.5, 12.5, 24.0]), label="kill_t")
-    flyweight = _rows_and_trace(workers, (kill_t, kill_rank), eager=False)
-    eager = _rows_and_trace(workers, (kill_t, kill_rank), eager=True)
-    assert flyweight[0] == eager[0]
-    assert flyweight[1] == eager[1]
-
-
-def test_eager_world_materialises_up_front():
-    """The reference path really is eager (else the test above is vacuous)."""
-    world = _fresh_world(8, eager=True)
-    ctx = world.contexts[0]
-    assert ctx._queues is not None
-    # a private membership container, not the world's shared interned one
-    assert ctx.group_all._members is not world.members_all
-
-
-# ----------------------------------------------------------------------
 # construction cost: O(world), not O(ranks)
 # ----------------------------------------------------------------------
-def _fresh_world(n_ranks, eager=False):
+def _fresh_world(n_ranks):
     sim = Simulator()
     machine = Machine(sim, MachineSpec(n_nodes=n_ranks, procs_per_node=1,
                                        transport_params=TransportParams()))
-    return GaspiWorld(sim, machine, config=GaspiConfig(eager_world=eager))
+    return GaspiWorld(sim, machine)
 
 
 def test_group_all_membership_interned_across_contexts():
