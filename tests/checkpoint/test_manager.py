@@ -303,3 +303,31 @@ def test_helper_dies_with_rank():
     assert NodeLocalStore(run.machine.node(1)).has(("ckpt", 0, 0))
     assert not pfs.has(("ckpt", 0, 0))
     assert log == []
+
+
+def test_severed_neighbor_times_out_and_releases_the_fifo():
+    """A mirror whose path to the neighbor is cut hangs until the flush
+    timeout purges the writer's queue: it fires with nothing landed, and
+    the next queued write starts only then (and hangs the same way)."""
+
+    def main(ctx):
+        # every rank holds a library, so the neighbor has a landing window
+        lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=range(8))
+        if ctx.rank != 0:
+            yield Sleep(10.0)
+            return None
+        ctx.world.machine.network.break_link(lib.my_node, lib.neighbor_node)
+        first = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
+        second = yield from lib.write_checkpoint(1, {"x": np.ones(4)})
+        fires = []
+        for ev in (first, second):
+            ok, copied = yield WaitEvent(ev, 10.0)
+            fires.append((ok, copied, ctx.now))
+        return fires, lib.stats["neighbor_copies"]
+
+    run = run_gaspi(main, n_ranks=8)
+    (ok0, copied0, t0), (ok1, copied1, t1) = run.result(0)[0]
+    assert (ok0, copied0, ok1, copied1) == (True, 0, True, 0)
+    assert t0 == pytest.approx(1.0, abs=0.01)
+    assert t1 == pytest.approx(2.0, abs=0.02)
+    assert run.result(0)[1] == 0

@@ -185,3 +185,35 @@ def test_factory_dispatch_and_unknown_backend():
         yield  # pragma: no cover - makes main a generator
 
     run_gaspi(main, n_ranks=2)
+
+
+def test_severed_holder_times_out_and_releases_the_fifo():
+    """A copy whose path to its holder is cut hangs until the flush
+    timeout purges the owner's queue: the scatter fires with the landed
+    count, the copy counts as failed, and the next queued write starts
+    only then (and hangs the same way)."""
+    cfg = CheckpointConfig(backend="replicated", replication=R)
+
+    def main(ctx):
+        # every rank holds a library, so every holder has a landing window
+        lib = ReplicatedCheckpointLib(ctx, ctx.rank, range(8), config=cfg)
+        if ctx.rank != 0:
+            yield Sleep(10.0)
+            return None
+        machine = ctx.world.machine
+        machine.network.break_link(
+            lib.my_node, machine.node_of(lib.replica_ranks[0]))
+        first = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
+        second = yield from lib.write_checkpoint(1, {"x": np.ones(4)})
+        fires = []
+        for ev in (first, second):
+            ok, landed = yield WaitEvent(ev, 10.0)
+            fires.append((ok, landed, ctx.now))
+        return fires, lib.stats["failed_copies"]
+
+    run = run_gaspi(main, n_ranks=8)
+    (ok0, landed0, t0), (ok1, landed1, t1) = run.result(0)[0]
+    assert (ok0, landed0, ok1, landed1) == (True, R - 1, True, R - 1)
+    assert t0 == pytest.approx(1.0, abs=0.01)
+    assert t1 == pytest.approx(2.0, abs=0.02)
+    assert run.result(0)[1] == 2
