@@ -44,7 +44,6 @@ from repro.checkpoint.replicated import (
     ReplicatedCheckpointLib,
     make_checkpoint_lib,
     replica_holder_map,
-    replica_holders,
 )
 
 __all__ = [
@@ -67,6 +66,5 @@ __all__ = [
     "PfsCheckpointLib",
     "ReplicatedCheckpointLib",
     "make_checkpoint_lib",
-    "replica_holders",
     "replica_holder_map",
 ]

@@ -17,20 +17,19 @@ that neither the owner's failure nor its neighbor-mirror's failure can
 take down, and ``r`` copies on ``r`` distinct nodes tolerate any
 ``r - 1`` concurrent rank losses.
 
-Three classes live here rather than in :mod:`repro.checkpoint.manager`:
-the placement reference/kernel wrappers, :class:`ReplicatedCheckpointLib`
-(the ReStore backend), and :class:`PfsCheckpointLib` (the classical
-PFS-only baseline the paper argues against) — plus the
+Three things live here rather than in :mod:`repro.checkpoint.manager`:
+the placement kernel wrapper, :class:`ReplicatedCheckpointLib` (the
+ReStore backend: an ``r``-holder placement over the manager's copy
+pipeline), and :class:`PfsCheckpointLib` (the classical PFS-only
+baseline the paper argues against) — plus the
 :func:`make_checkpoint_lib` factory the FT driver dispatches through.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import (
     Any,
     Callable,
-    Deque,
     Dict,
     Generator,
     Iterable,
@@ -48,65 +47,22 @@ from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.manager import (
+    COPY_SEGMENT,
+    COPY_WINDOW,
     CheckpointConfig,
     CheckpointLib,
     CheckpointManager,
+    _Copy,
+    _CopySource,
 )
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import unpack_checkpoint
-from repro.checkpoint.store import (
-    CheckpointNotFound,
-    Key,
-    NodeLocalStore,
-    StoredBlob,
-)
+from repro.checkpoint.store import CheckpointNotFound, Key
 
 
 # ----------------------------------------------------------------------
 # placement
 # ----------------------------------------------------------------------
-def replica_holders(
-    rank: int,
-    participants: Sequence[int],
-    node_of: Callable[[int], int],
-    r: int,
-) -> List[int]:
-    """The ``r`` replica holders of ``rank`` (scalar reference).
-
-    Walks the sorted participant ring forward from ``rank``, excluding
-    the rank's own node and its mirror neighbor's node, and collects the
-    first ``r`` ranks on pairwise-distinct nodes.  Returns fewer than
-    ``r`` holders (possibly none) when the cluster layout cannot supply
-    them — e.g. every participant shares two nodes.  Each entry equals
-    the corresponding row of the vectorized ``replica_ring_holders``
-    rankstate kernel; this function stays as the property-test oracle.
-    """
-    ring = sorted(participants)
-    if rank not in ring:
-        raise ValueError(f"rank {rank} not among participants {ring}")
-    n = len(ring)
-    my_node = node_of(rank)
-    idx = ring.index(rank)
-    mirror_node = -1
-    for step in range(1, n):
-        candidate_node = node_of(ring[(idx + step) % n])
-        if candidate_node != my_node:
-            mirror_node = candidate_node
-            break
-    excluded = {my_node, mirror_node}
-    holders: List[int] = []
-    for step in range(1, n):
-        if len(holders) == r:
-            break
-        candidate = ring[(idx + step) % n]
-        candidate_node = node_of(candidate)
-        if candidate_node in excluded:
-            continue
-        holders.append(candidate)
-        excluded.add(candidate_node)
-    return holders
-
-
 def replica_holder_map(
     participants: Sequence[int],
     node_of: Callable[[int], int],
@@ -116,8 +72,8 @@ def replica_holder_map(
 
     Builds the sorted ring and its node lookup once and derives every
     position's holder rows with the :mod:`repro.ft.rankstate`
-    ``replica_ring_holders`` kernel — O(n·r) for the whole map.  Each
-    entry equals ``replica_holders(rank, participants, node_of, r)``.
+    ``replica_ring_holders`` kernel — O(n·r) for the whole map.  The
+    scalar placement oracle lives in ``tests/checkpoint/test_replicated.py``.
     """
     from repro.ft import rankstate
 
@@ -136,7 +92,7 @@ def replica_holder_map(
 # ----------------------------------------------------------------------
 # the ReStore backend
 # ----------------------------------------------------------------------
-class ReplicatedCheckpointLib:
+class ReplicatedCheckpointLib(_CopySource):
     """Per-rank instance of the ReStore-style replicated C/R backend.
 
     Same interface as :class:`CheckpointLib` (the neighbor backend), but
@@ -144,10 +100,10 @@ class ReplicatedCheckpointLib:
     other ranks instead of one neighbor-node mirror:
 
     * **commit** — pack through the world manager's shared arena, charge
-      the staging cost, then hand the blob to the manager's round scatter
-      plane (one ``transfer_time_round``-priced scatter per tick for all
-      ranks' copies together).  The returned event fires with the number
-      of copies that actually landed.
+      the staging cost, then hand the blob to the manager's copy pipeline
+      with ``r`` holders (one ``transfer_time_round``-priced scatter per
+      tick for all ranks' copies together).  The returned event fires
+      with the number of copies that actually landed.
     * **recovery** — look up where replicas *actually* landed (the
       manager's location index), fetch the surviving set with one batched
       ``read_list`` per holder (each priced as its share of the blob),
@@ -170,45 +126,18 @@ class ReplicatedCheckpointLib:
         config: Optional[CheckpointConfig] = None,
         pfs: Optional[ParallelFileSystem] = None,
     ) -> None:
-        self.ctx = ctx
-        self.machine = ctx.world.machine
-        self._my_node: int = self.machine.node_of(ctx.rank)
-        self._endpoint_obj = ctx.world.transport.endpoint(ctx.rank)
-        self._tracer = ctx.tracer
-        self.logical_rank = logical_rank
-        self.config = config or CheckpointConfig(backend="replicated")
-        #: accepted for interface parity with the neighbor backend; the
-        #: replicated backend never touches the PFS (that is its point)
-        self.pfs = pfs
-        self.participants: Sequence[int] = _Members.intern(
-            tuple(sorted(participants)))
-        #: current replica holders (placement, not location — reads use
-        #: the manager's location index instead)
-        self.replica_ranks: List[int] = []
-        self.refresh(self.participants)
-        # GASPI data plane: a block landing window plus two dedicated
-        # queues, so scatters and fetches never contend with queue 0.
-        # Same-shaped landing windows share one pooled arena allocation.
-        if self.config.replica_segment not in ctx.segments:
-            ctx.segment_create_pooled(self.config.replica_segment,
-                                      self.config.mirror_window)
-        self._scatter_queue = ctx.queue_create()
-        self._scatter_queue_obj = ctx.queue(self._scatter_queue)
+        # the replicated backend never touches the PFS (that is its point):
+        # ``pfs`` is accepted for interface parity only
+        super().__init__(ctx, logical_rank, participants,
+                         config or CheckpointConfig(backend="replicated"),
+                         None)
         self._fetch_queue = ctx.queue_create()
-        self._replica_seg_size = ctx.segment(self.config.replica_segment).size
-        #: round-scatter FIFO bookkeeping (the manager's per-lib queue)
-        self._repl_inflight: Optional[Any] = None
-        self._repl_deferred: Deque[Any] = deque()
         self.stats = {"local_writes": 0, "replica_copies": 0,
                       "failed_copies": 0, "replica_reads": 0}
 
     # ------------------------------------------------------------------
     # placement
     # ------------------------------------------------------------------
-    @property
-    def my_node(self) -> int:
-        return self._my_node
-
     def refresh(self, participants: Iterable[int]) -> None:
         """Fault-aware placement update after group reconstruction.
 
@@ -218,15 +147,49 @@ class ReplicatedCheckpointLib:
         never orphans live copies.
         """
         members = _Members.intern(tuple(sorted(participants)))
-        self.participants = members
-        if (self.ctx.rank in members.member_set()
-                and len(members) > 1):
-            manager = CheckpointManager.of(self.ctx.world)
-            self.replica_ranks = list(manager.replica_map_for(
-                members, self.config.replication
-            ).get(self.ctx.rank, ()))
-        else:
-            self.replica_ranks = []
+        self.participants: Sequence[int] = members
+        self.holders = []
+        if self.ctx.rank in members.member_set() and len(members) > 1:
+            node_of = self.machine.node_of
+            self.holders = [(holder, node_of(holder)) for holder in
+                            self._manager.replica_map_for(
+                                members, self.config.replication
+                            ).get(self.ctx.rank, ())]
+
+    @property
+    def replica_ranks(self) -> List[int]:
+        """Current replica holders (placement, not location — reads use
+        the manager's location index instead)."""
+        return [holder for holder, _ in self.holders]
+
+    def land(self, copy: _Copy) -> bool:
+        """Landing rule: ReStore's in-memory-of-another-process semantics.
+
+        The copy lands only when the holder *process* is alive, its node
+        is up, and the path from the owner is intact — a dead holder
+        process loses the replica even if its node survived.  A landed
+        copy is stored under ``"repl:" + tag`` and indexed by location.
+        """
+        manager = self._manager
+        store = manager.store(copy.node_id)
+        if not (manager.transport.endpoint(copy.holder).alive
+                and store.available
+                and manager.reachable(self._my_node, copy.node_id)):
+            return False
+        request = copy.request
+        key = request.key
+        store.put_pruned(("repl:" + key[0], key[1], key[2]), request.blob,
+                         self.config.keep_versions)
+        manager.record_replica(key, copy.holder)
+        self.stats["replica_copies"] += 1
+        now = manager.sim.now
+        tracer = self._tracer
+        if tracer.enabled:
+            tracer.emit(now, self.ctx.rank, "ckpt_scatter",
+                        dur=now - request.t_start, version=key[2],
+                        holder=copy.holder, node=copy.node_id)
+        manager.count_copy("scatter", request, now)
+        return True
 
     # ------------------------------------------------------------------
     # write path
@@ -243,19 +206,12 @@ class ReplicatedCheckpointLib:
         resolved every holder.
         """
         t0 = self.ctx.now
-        manager = CheckpointManager.of(self.ctx.world)
-        data = manager.pack_blob(payload)
-        blob = StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
+        manager = self._manager
+        blob = manager.pack_blob(payload, nominal_bytes)
         yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
         key: Key = (self.config.tag, self.logical_rank, version)
-        self.stats["local_writes"] += 1
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(self.ctx.now, self.ctx.rank, "ckpt_write",
-                        dur=self.ctx.now - t0, version=version,
-                        bytes=blob.nominal_bytes)
         protected = Event(name=f"ckpt-protected-{self.ctx.rank}-v{version}")
-        manager.submit_scatter(self, key, blob, protected)
+        manager.local_written(self, key, blob, t0, protected)
         return protected
 
     # ------------------------------------------------------------------
@@ -264,22 +220,15 @@ class ReplicatedCheckpointLib:
     def _usable_holders(self, key: Key) -> List[int]:
         """Recorded holders whose replica of ``key`` is fetchable now:
         live endpoint, live node actually holding the blob, intact path."""
-        manager = CheckpointManager.of(self.ctx.world)
+        manager = self._manager
         repl_key: Key = ("repl:" + key[0], key[1], key[2])
-        transport = self.ctx.world.transport
-        network = self.machine.network
-        usable: List[int] = []
-        for holder in manager.replica_holders_of(key):
-            if not transport.endpoint(holder).alive:
-                continue
-            node_id = self.machine.node_of(holder)
-            store = NodeLocalStore(self.machine.node(node_id))
-            if not store.has(repl_key):
-                continue
-            if not network.reachable(self._my_node, node_id):
-                continue
-            usable.append(holder)
-        return usable
+        node_of = self.machine.node_of
+        return [
+            holder for holder in manager.replica_holders_of(key)
+            if manager.transport.endpoint(holder).alive
+            and manager.store(node_of(holder)).has(repl_key)
+            and manager.reachable(self._my_node, node_of(holder))
+        ]
 
     def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
         """Newest version with at least one fetchable replica, or -1.
@@ -288,11 +237,8 @@ class ReplicatedCheckpointLib:
         replica locations come from the manager's index, not from node
         hints.
         """
-        manager = CheckpointManager.maybe_of(self.ctx.world)
-        if manager is None:
-            return -1
-        versions = manager.replica_versions(self.config.tag,
-                                            self.logical_rank)
+        versions = self._manager.replica_versions(self.config.tag,
+                                                  self.logical_rank)
         for version in reversed(versions):
             if self._usable_holders(
                 (self.config.tag, self.logical_rank, version)
@@ -345,9 +291,9 @@ class ReplicatedCheckpointLib:
         repl_key: Key = ("repl:" + key[0], key[1], key[2])
         t0 = self.ctx.now
         ctx = self.ctx
-        manager = CheckpointManager.of(ctx.world)
+        manager = self._manager
         network = self.machine.network
-        seg_id = self.config.replica_segment
+        seg_id = COPY_SEGMENT
         recorded = manager.replica_holders_of(key)
         for _ in range(len(recorded) + 1):
             usable = self._usable_holders(key)
@@ -362,9 +308,7 @@ class ReplicatedCheckpointLib:
                     f"{self.config.replication}, dead holders {dead}) — "
                     f"concurrent losses exceeded the r-1 tolerance"
                 )
-            blob = NodeLocalStore(
-                self.machine.node(self.machine.node_of(usable[0]))
-            ).get(repl_key)
+            blob = manager.store(self.machine.node_of(usable[0])).get(repl_key)
             share = -(-blob.nominal_bytes // len(usable))
             t_wait = 0.0
             posted = 0
@@ -373,7 +317,7 @@ class ReplicatedCheckpointLib:
                 t_wait = max(t_wait, network.transfer_time(
                     self._my_node, node_id, share
                 ))
-                stage = min(len(blob.data), self._replica_seg_size)
+                stage = min(len(blob.data), COPY_WINDOW)
                 remote = ctx.world.contexts[holder].segments.find(seg_id)
                 if stage == 0 or remote is None:
                     continue  # modeled share; its time is in t_wait
@@ -412,7 +356,7 @@ class ReplicatedCheckpointLib:
             payload = unpack_checkpoint(blob.data)
             if reprotect:
                 yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
-                manager.submit_scatter(
+                manager.submit(
                     self, key, blob,
                     Event(name=f"reprotect-{ctx.rank}-v{version}"),
                 )
@@ -475,9 +419,8 @@ class PfsCheckpointLib:
         the returned event has already fired (nothing is asynchronous).
         """
         t0 = self.ctx.now
-        manager = CheckpointManager.of(self.ctx.world)
-        data = manager.pack_blob(payload)
-        blob = StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
+        blob = CheckpointManager.of(self.ctx.world).pack_blob(payload,
+                                                              nominal_bytes)
         key: Key = (self.config.tag, self.logical_rank, version)
         yield from self.pfs.write(key, blob)
         self.stats["local_writes"] += 1

@@ -32,7 +32,7 @@ def _payload(rank, rnd, sizes):
 
 
 def _prefill(lib):
-    queue = lib._mirror_queue_obj
+    queue = lib._copy_queue_obj
     for _ in range(queue.depth):
         queue.post(Event(name="prefill"))
 

@@ -331,3 +331,88 @@ def test_severed_neighbor_times_out_and_releases_the_fifo():
     assert t0 == pytest.approx(1.0, abs=0.01)
     assert t1 == pytest.approx(2.0, abs=0.02)
     assert run.result(0)[1] == 0
+
+
+def test_restorable_latest_skips_unreachable_nodes():
+    """``restorable_latest`` offers only what ``read_checkpoint`` can
+    read: a mirror on a node this rank cannot reach does not count, so the
+    allreduce-MIN never agrees on a version this rank would fail to read."""
+
+    def main(ctx):
+        if ctx.rank == 0:
+            lib = CheckpointLib(ctx, logical_rank=0, participants=range(4))
+            mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
+            yield WaitEvent(mirrored, 10.0)
+            yield Sleep(100.0)  # stays up until its node dies at t=20
+            return None
+        if ctx.rank == 3:  # the rescue adopts logical rank 0
+            yield Sleep(30.0)
+            ctx.world.machine.network.break_link(3, 1)
+            lib = CheckpointLib(ctx, logical_rank=0, participants=[1, 2, 3])
+            latest = lib.restorable_latest(extra_nodes=[0, 1])
+            try:
+                yield from lib.read_checkpoint(extra_nodes=[0, 1])
+            except CheckpointNotFound as exc:
+                return latest, str(exc)
+        yield Sleep(40.0)
+        return None
+
+    run = run_gaspi(main, n_ranks=4, fault_plan=FaultPlan().kill_node(20.0, 0))
+    assert run.result(3) == (-1, "no checkpoint for logical rank 0")
+
+
+def _pfs_reprotect_run(plan=None, nominal_bytes=None):
+    """Logical rank 1 writes version 0 with ``pfs_every=1``; after the
+    plan's faults, a rescue on rank 3 restores it.  Returns the PFS write
+    count before the rescue, the count and PFS presence once its reprotect
+    finished, the rescue's stats, and the fire time of the write's
+    ``mirrored`` event (``None`` if it never fired)."""
+    sim = Simulator()
+    pfs = ParallelFileSystem(sim)
+    cfg = CheckpointConfig(pfs_every=1)
+    fired = []
+
+    def main(ctx):
+        if ctx.rank == 1:
+            lib = CheckpointLib(ctx, 1, [0, 1, 2], config=cfg, pfs=pfs)
+            mirrored = yield from lib.write_checkpoint(
+                0, {"x": np.full(4, 7.0)}, nominal_bytes=nominal_bytes)
+            mirrored.add_callback(lambda ev: fired.append(sim.now))
+        elif ctx.rank == 3:
+            yield Sleep(30.0)
+            writes = pfs.stats["writes"]
+            lib = CheckpointLib(ctx, 1, [0, 2, 3], config=cfg, pfs=pfs)
+            yield from lib.read_checkpoint(extra_nodes=[1, 2])
+            yield Sleep(30.0)  # the reprotect finishes in the background
+            return (writes, pfs.stats["writes"], pfs.has(("ckpt", 1, 0)),
+                    lib.stats)
+        yield Sleep(100.0)
+        return None
+
+    run = run_gaspi(main, n_ranks=4, sim=sim, fault_plan=plan)
+    return run.result(3), (fired[0] if fired else None)
+
+
+def test_reprotect_after_neighbor_restore_skips_the_pfs_copy():
+    (before, after, on_pfs, stats), _ = _pfs_reprotect_run(
+        FaultPlan().kill_node(20.0, 1))
+    assert stats["remote_reads"] == 1
+    assert (before, after, on_pfs) == (1, 1, True)
+
+
+def test_reprotect_after_pfs_restore_does_not_rewrite_the_blob():
+    (before, after, on_pfs, stats), _ = _pfs_reprotect_run(
+        FaultPlan().kill_node(20.0, 1).kill_node(20.0, 2))
+    assert stats["pfs_reads"] == 1
+    assert (before, after, on_pfs) == (1, 1, True)
+
+
+def test_reprotect_writes_a_pfs_copy_that_died_with_its_writer():
+    # a 10 GB blob takes ~1 s of the PFS's 10 GB/s, so killing the writer
+    # half a second before the undisturbed run's fire time lands mid-copy
+    _, t_fire = _pfs_reprotect_run(nominal_bytes=10**10)
+    (before, after, on_pfs, stats), fired = _pfs_reprotect_run(
+        FaultPlan().kill_process(t_fire - 0.5, 1), nominal_bytes=10**10)
+    assert fired is None
+    assert stats["remote_reads"] == 1
+    assert (before, after, on_pfs) == (0, 1, True)

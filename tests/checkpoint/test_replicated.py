@@ -21,11 +21,39 @@ from repro.checkpoint import (
     ReplicatedCheckpointLib,
     make_checkpoint_lib,
     replica_holder_map,
-    replica_holders,
 )
 from repro.cluster import FaultPlan
 from repro.gaspi import run_gaspi
 from repro.sim import Sleep, WaitEvent
+
+
+def replica_holders(rank, participants, node_of, r):
+    """The ``r`` replica holders of ``rank`` (scalar placement oracle).
+
+    Walks the sorted participant ring forward from ``rank``, excluding
+    the rank's own node and its mirror neighbor's node, and collects the
+    first ``r`` ranks on pairwise-distinct nodes.  Returns fewer than
+    ``r`` holders (possibly none) when the cluster layout cannot supply
+    them — e.g. every participant shares two nodes.
+    """
+    ring = sorted(participants)
+    n = len(ring)
+    my_node = node_of(rank)
+    idx = ring.index(rank)
+    mirror_node = next((node_of(ring[(idx + step) % n])
+                        for step in range(1, n)
+                        if node_of(ring[(idx + step) % n]) != my_node), -1)
+    excluded = {my_node, mirror_node}
+    holders = []
+    for step in range(1, n):
+        if len(holders) == r:
+            break
+        candidate = ring[(idx + step) % n]
+        if node_of(candidate) not in excluded:
+            holders.append(candidate)
+            excluded.add(node_of(candidate))
+    return holders
+
 
 # ----------------------------------------------------------------------
 # placement properties
