@@ -1,6 +1,6 @@
 """Golden fixture: byte-identical experiment rows and trace streams.
 
-Two recorded outputs pin the simulator's observable behaviour:
+Recorded outputs pin the simulator's observable behaviour:
 
 * ``rows16.json`` — the 16-rank FT scenario's experiment rows (runtime
   decomposition, checkpoint phase totals, per-worker timelines and
@@ -10,7 +10,11 @@ Two recorded outputs pin the simulator's observable behaviour:
 * ``recovery_compare.json`` — the full-precision ``recovery_compare``
   backend rows (neighbor, pfs, replicated) at 16 and 64 ranks;
 * ``figure4_tiny.sha256`` — the digest of the ``figure4 --scale tiny
-  --trace`` JSONL file.
+  --trace`` JSONL file;
+* ``numeric16.json`` — a real FT Lanczos run (16 workers, 4 spares, two
+  kills) on a small disordered graphene sheet: status, elapsed time,
+  steps, the lowest eigenvalues as exact floats, the SHA-256 of the
+  alpha/beta bytes and the checkpoint phase totals.
 
 A refactor must keep all of them byte-identical.  After an intentional change of
 behaviour, regenerate them with
@@ -21,14 +25,20 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from repro.checkpoint import CheckpointConfig
+from repro.checkpoint.manager import CheckpointManager
+from repro.cluster import FaultPlan, MachineSpec
 from repro.experiments import figure4
 from repro.experiments.common import run_ft_scenario
 from repro.experiments.recovery_compare import measure_backend
+from repro.ft import FTConfig, run_ft_application
 from repro.obs.export import event_to_record
 from repro.obs.tracer import deactivate, install
+from repro.solvers.ft_lanczos import FTLanczos
+from repro.spmvm.matgen import GrapheneSheet
 from repro.workloads.spec import scaled_spec
 
 HERE = Path(__file__).parent
@@ -36,6 +46,7 @@ ROWS_FILES = {"neighbor": HERE / "rows16.json",
               "replicated": HERE / "rows16_replicated.json"}
 BACKENDS_FILE = HERE / "recovery_compare.json"
 FIGURE4_FILE = HERE / "figure4_tiny.sha256"
+NUMERIC_FILE = HERE / "numeric16.json"
 
 #: (kill time, kill rank): during setup, mid-run on rank 0, mid-run on an
 #: interior rank, and on the last worker
@@ -43,6 +54,9 @@ KILLS = [(8.5, 3), (12.5, 0), (24.0, 7), (12.5, 15)]
 #: (ranks, backend) cells of the recovery_compare backend table
 BACKEND_CELLS = [(n, b) for n in (16, 64)
                  for b in ("neighbor", "pfs", "replicated")]
+#: (kill time, kill rank) of the numeric run: both after the first
+#: checkpoint, one recovery apart
+NUMERIC_KILLS = [(8.0, 1), (14.0, 2)]
 
 
 def _sha256(lines) -> str:
@@ -84,6 +98,42 @@ def rows16(kill, backend="neighbor"):
     return json.loads(json.dumps(rows, sort_keys=True, default=repr))
 
 
+class _StepTime:
+    """0.05 s spMVM + 0.05 s vector ops per Lanczos step."""
+
+    def spmv_time(self, nnz: int, rows: int) -> float:
+        return 0.05
+
+    def vector_ops_time(self, rows: int) -> float:
+        return 0.05
+
+
+def numeric16():
+    """Outputs of a real FT Lanczos run through two kills."""
+    cfg = FTConfig(n_workers=16, n_spares=4, fd_scan_period=3.0,
+                   comm_timeout=1.0, checkpoint_interval=20)
+    plan = FaultPlan()
+    for t, rank in NUMERIC_KILLS:
+        plan.kill_process(t, rank)
+    program = FTLanczos(generator=GrapheneSheet(24, 24, disorder=1.0),
+                        n_steps=120, time_model=_StepTime())
+    result = run_ft_application(cfg, program,
+                                machine_spec=MachineSpec(n_nodes=cfg.n_ranks),
+                                fault_plan=plan)
+    out = result.worker_results()[0]["result"]
+    coefficients = (np.asarray(out["alpha"], dtype=np.float64).tobytes()
+                    + np.asarray(out["beta"], dtype=np.float64).tobytes())
+    rows = {
+        "status": result.status,
+        "elapsed": result.elapsed,
+        "steps": out["steps"],
+        "eigenvalues": out["eigenvalues"],
+        "alpha_beta_sha256": hashlib.sha256(coefficients).hexdigest(),
+        "ckpt_phases": CheckpointManager.of(result.run.world).phase_totals,
+    }
+    return json.loads(json.dumps(rows, sort_keys=True))
+
+
 def figure4_tiny_digest(tmp_dir: Path) -> str:
     path = tmp_dir / "figure4_tiny.jsonl"
     figure4.main(["--scale", "tiny", "--trace", str(path)])
@@ -118,6 +168,10 @@ def test_figure4_tiny_trace_digest_matches_golden(tmp_path, capsys):
     assert figure4_tiny_digest(tmp_path) == FIGURE4_FILE.read_text().strip()
 
 
+def test_numeric16_matches_golden():
+    assert numeric16() == json.loads(NUMERIC_FILE.read_text())
+
+
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     import tempfile
 
@@ -132,3 +186,5 @@ if __name__ == "__main__":  # pragma: no cover - fixture regeneration
         for n, b in BACKEND_CELLS) + "\n}\n")
     with tempfile.TemporaryDirectory() as tmp:
         FIGURE4_FILE.write_text(figure4_tiny_digest(Path(tmp)) + "\n")
+    NUMERIC_FILE.write_text(json.dumps(numeric16(), indent=1,
+                                       sort_keys=True) + "\n")
