@@ -22,9 +22,10 @@ calibration notes recommend.
 Metric naming convention: ``*_eps`` are events (or operations) per
 second, ``*_mflops`` are MFLOP/s, ``*_mb_s`` are MB/s,
 ``sweep_parallel_speedup`` is a dimensionless parallel-over-serial
-ratio, ``*_wall_s`` are wall-clock seconds and ``sim_events_per_spmv``
-is a simulated-event count per iteration (wall times and the metrics in
-``LOWER_IS_BETTER`` are the lower-is-better families).
+ratio, ``*_wall_s`` are wall-clock seconds, ``*_ms`` are milliseconds
+per kernel call and ``sim_events_per_spmv`` is a simulated-event count
+per iteration (wall times and the metrics in ``LOWER_IS_BETTER`` are the
+lower-is-better families).
 """
 
 from __future__ import annotations
@@ -77,6 +78,8 @@ LOWER_IS_BETTER = {
     "ckpt_replicated_restore_us_per_rank",
     "world_build_s",
     "world_peak_mb",
+    "ql_eigenvalues_ms",
+    "graphene_rows_ms",
 }
 
 #: ``--check`` fails when a metric regresses more than this fraction
@@ -94,6 +97,16 @@ WORLD_BUILD_ABS_SLACK_S = 0.05
 def _best(fn: Callable[[], float], repeats: int) -> float:
     """Run ``fn`` (returning a throughput / score) and keep the best."""
     return max(fn() for _ in range(repeats))
+
+
+def _best_ms(fn: Callable[[], object], repeats: int) -> float:
+    """Fastest of ``repeats`` calls of ``fn``, in milliseconds."""
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best * 1e3
 
 
 # ----------------------------------------------------------------------
@@ -326,6 +339,29 @@ def bench_lanczos_sequential(n_steps: int = 50) -> float:
 
 
 # ----------------------------------------------------------------------
+# numeric-path kernels: the host-side work of the FT Lanczos run
+# ----------------------------------------------------------------------
+def bench_ql_eigenvalues_ms(repeats: int = 5) -> float:
+    """QL eigenvalues of the 300-step Lanczos tridiagonal of a 100x100
+    disordered graphene sheet (ms per solve, best of ``repeats``)."""
+    from repro.solvers import lanczos_matrix_eigenvalues, lanczos_sequential
+    from repro.spmvm.matgen import GrapheneSheet
+
+    matrix = GrapheneSheet(100, 100, disorder=1.0).full()
+    alpha, beta = lanczos_sequential(matrix, 300)
+    return _best_ms(lambda: lanczos_matrix_eigenvalues(alpha, beta), repeats)
+
+
+def bench_graphene_rows_ms(repeats: int = 5) -> float:
+    """One worker's 20k-row block of a 400x400 disordered graphene sheet
+    (ms per block, best of ``repeats``)."""
+    from repro.spmvm.matgen import GrapheneSheet
+
+    gen = GrapheneSheet(400, 400, disorder=1.0)
+    return _best_ms(lambda: gen.generate_rows(0, 20_000), repeats)
+
+
+# ----------------------------------------------------------------------
 # checkpoint data-plane benches
 # ----------------------------------------------------------------------
 def _ckpt_payload(total_mib: int = 64):
@@ -430,6 +466,10 @@ def run_benches(quick: bool = False,
     metrics["lanczos_seq_wall_s"] = min(
         bench_lanczos_sequential() for _ in range(repeats)
     )
+    # cheap kernels: keep the full repeat count in --quick, so the CI
+    # regression gate compares like with like
+    metrics["ql_eigenvalues_ms"] = bench_ql_eigenvalues_ms(max(5, repeats))
+    metrics["graphene_rows_ms"] = bench_graphene_rows_ms(max(5, repeats))
     metrics["ckpt_pack_mb_s"] = _best(bench_ckpt_pack, repeats)
     metrics["ckpt_unpack_mb_s"] = _best(bench_ckpt_unpack, repeats)
     metrics["figure4_tiny_wall_s"] = min(
@@ -532,7 +572,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--check", action="store_true",
                         help="exit non-zero if a tracked speedup target is "
                              "missed, a floor is not met, or any metric "
-                             f"regresses >{REGRESSION_TOLERANCE:.0%} vs the "
+                             f"regresses >{REGRESSION_TOLERANCE:.0%}% vs the "
                              "committed 'current' values")
     parser.add_argument("--scaling", action="store_true",
                         help="run the weak-scaling suite instead of the "
@@ -548,7 +588,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                              "world once, print world_build_s and "
                              "world_peak_mb; with --check, fail if "
                              "world_build_s regresses more than "
-                             f"{REGRESSION_TOLERANCE:.0%} vs the committed "
+                             f"{REGRESSION_TOLERANCE:.0%}% vs the committed "
                              "scaling table (CI wall-capped step)")
     parser.add_argument("--smoke", action="store_true",
                         help="CI weak-scaling smoke: one traced scenario "

@@ -22,30 +22,33 @@ def ql_eigenvalues(diag: np.ndarray, offdiag: np.ndarray,
     """Eigenvalues of the symmetric tridiagonal matrix, ascending.
 
     ``diag`` has ``n`` entries, ``offdiag`` the ``n-1`` sub-diagonal ones.
+    The sweep runs on Python floats: element-wise indexing of NumPy arrays
+    would box every read into a NumPy scalar, and both are IEEE-754
+    doubles, so the arithmetic (and the result) is the same bit for bit.
     """
-    d = np.asarray(diag, dtype=np.float64).copy()
-    n = len(d)
+    diag = np.asarray(diag, dtype=np.float64)
+    n = len(diag)
     if n == 0:
-        return d
-    e = np.zeros(n)
+        return diag.copy()
     off = np.asarray(offdiag, dtype=np.float64)
     if len(off) not in (max(n - 1, 0), n):
         raise ValueError(
             f"offdiag must have n-1 (={n - 1}) entries, got {len(off)}"
         )
-    e[: n - 1] = off[: n - 1]
+    d = diag.tolist()
+    e = off[: n - 1].tolist() + [0.0]
 
-    eps = np.finfo(np.float64).eps
+    eps = float(np.finfo(np.float64).eps)
+    hypot, copysign = math.hypot, math.copysign
     for l in range(n):
         sweeps = 0
         while True:
             # find the first deflatable sub-block boundary m >= l
-            m = l
-            while m < n - 1:
-                dd = abs(d[m]) + abs(d[m + 1])
-                if abs(e[m]) <= eps * dd:
+            for m in range(l, n - 1):
+                if abs(e[m]) <= eps * (abs(d[m]) + abs(d[m + 1])):
                     break
-                m += 1
+            else:
+                m = n - 1
             if m == l:
                 break  # d[l] converged
             sweeps += 1
@@ -55,15 +58,16 @@ def ql_eigenvalues(diag: np.ndarray, offdiag: np.ndarray,
                 )
             # implicit Wilkinson shift from the leading 2x2
             g = (d[l + 1] - d[l]) / (2.0 * e[l])
-            r = math.hypot(g, 1.0)
-            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            r = hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + copysign(r, g))
             s = c = 1.0
             p = 0.0
             underflow = False
             for i in range(m - 1, l - 1, -1):
-                f = s * e[i]
-                b = c * e[i]
-                r = math.hypot(f, g)
+                ei = e[i]
+                f = s * ei
+                b = c * ei
+                r = hypot(f, g)
                 e[i + 1] = r
                 if r == 0.0:
                     # recover from underflow: skip the rotation
@@ -83,7 +87,7 @@ def ql_eigenvalues(diag: np.ndarray, offdiag: np.ndarray,
             d[l] -= p
             e[l] = g
             e[m] = 0.0
-    return np.sort(d)
+    return np.sort(np.array(d))
 
 
 def lanczos_matrix_eigenvalues(alpha: np.ndarray, beta: np.ndarray) -> np.ndarray:

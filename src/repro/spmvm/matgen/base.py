@@ -5,6 +5,7 @@ from __future__ import annotations
 import abc
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.spmvm.csr import CSRMatrix
 
@@ -35,6 +36,18 @@ class RowGenerator(abc.ABC):
     def _check_range(self, r0: int, r1: int) -> None:
         if not (0 <= r0 <= r1 <= self.n_rows):
             raise ValueError(f"bad row range [{r0}, {r1}) for {self.n_rows} rows")
+
+
+def stencil_block(cols: np.ndarray, vals: ArrayLike, keep: np.ndarray,
+                  n_cols: int) -> CSRMatrix:
+    """CSR block from a padded ``(rows, width)`` stencil: row ``r`` keeps
+    ``cols[r, k]``/``vals[r, k]`` where ``keep[r, k]``, in slot order — the
+    COO order of a per-row loop, so ``from_coo`` (stable sort, duplicates
+    summed in input order) returns the same bytes.  ``vals`` broadcasts."""
+    rows = np.broadcast_to(np.arange(len(cols))[:, None], cols.shape)
+    vals = np.broadcast_to(vals, cols.shape)
+    return CSRMatrix.from_coo(rows[keep], cols[keep], vals[keep],
+                              (len(cols), n_cols))
 
 
 def hash_uniform(index: np.ndarray, seed: int, stream: int = 0) -> np.ndarray:

@@ -17,12 +17,10 @@ resulting matrix is real symmetric, as the Lanczos solver requires.
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.spmvm.csr import CSRMatrix
-from repro.spmvm.matgen.base import RowGenerator, hash_uniform
+from repro.spmvm.matgen.base import RowGenerator, hash_uniform, stencil_block
 
 
 class GrapheneSheet(RowGenerator):
@@ -51,24 +49,6 @@ class GrapheneSheet(RowGenerator):
         """Global index of sublattice-``a`` atom in unit cell ``(i, j)``."""
         return 2 * (i * self.ny + j) + a
 
-    def _neighbors(self, i: int, j: int, a: int) -> List[int]:
-        """Global indices of the (up to 3) nearest neighbours of a site."""
-        out: List[int] = []
-        if a == 0:  # A couples to B in cells (i,j), (i-1,j), (i,j-1)
-            cells = [(i, j), (i - 1, j), (i, j - 1)]
-            b = 1
-        else:       # B couples to A in cells (i,j), (i+1,j), (i,j+1)
-            cells = [(i, j), (i + 1, j), (i, j + 1)]
-            b = 0
-        for ci, cj in cells:
-            if self.periodic:
-                ci %= self.nx
-                cj %= self.ny
-            elif not (0 <= ci < self.nx and 0 <= cj < self.ny):
-                continue
-            out.append(self.site(ci, cj, b))
-        return out
-
     def onsite_energy(self, sites: np.ndarray) -> np.ndarray:
         """Deterministic per-site on-site energies (Anderson disorder)."""
         eps = np.full(len(sites), self.onsite)
@@ -78,22 +58,25 @@ class GrapheneSheet(RowGenerator):
 
     # ------------------------------------------------------------------
     def generate_rows(self, r0: int, r1: int) -> CSRMatrix:
+        """Rows ``[r0, r1)``: per row the on-site term (dropped when zero)
+        and the three neighbour couplings, built as one padded block."""
         self._check_range(r0, r1)
-        rows: List[int] = []
-        cols: List[int] = []
-        vals: List[float] = []
         sites = np.arange(r0, r1, dtype=np.int64)
+        cell, a = np.divmod(sites, 2)
+        i, j = np.divmod(cell, self.ny)
+        # A couples to B in cells (i,j), (i-1,j), (i,j-1);
+        # B couples to A in cells (i,j), (i+1,j), (i,j+1)
+        step = 2 * a - 1
+        ci = np.stack([i, i + step, i], axis=1)
+        cj = np.stack([j, j, j + step], axis=1)
+        if self.periodic:
+            ci %= self.nx
+            cj %= self.ny
+            in_range = np.ones(ci.shape, dtype=bool)
+        else:
+            in_range = (0 <= ci) & (ci < self.nx) & (0 <= cj) & (cj < self.ny)
         energies = self.onsite_energy(sites)
-        for local, s in enumerate(range(r0, r1)):
-            cell, a = divmod(s, 2)
-            i, j = divmod(cell, self.ny)
-            if energies[local] != 0.0:  # do not store explicit zeros
-                rows.append(local)
-                cols.append(s)
-                vals.append(float(energies[local]))
-            for nb in self._neighbors(i, j, a):
-                rows.append(local)
-                cols.append(nb)
-                vals.append(-self.t)
-        return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, self.n_rows),
-                                  sum_duplicates=True)
+        cols = np.column_stack([sites, 2 * (ci * self.ny + cj) + (1 - a)[:, None]])
+        vals = np.column_stack([energies, np.full(ci.shape, -self.t)])
+        keep = np.column_stack([energies != 0.0, in_range])
+        return stencil_block(cols, vals, keep, self.n_rows)

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.spmvm.csr import CSRMatrix
-from repro.spmvm.matgen.base import RowGenerator
+from repro.spmvm.matgen.base import RowGenerator, stencil_block
 
 
 class Laplacian1D(RowGenerator):
@@ -22,15 +22,9 @@ class Laplacian1D(RowGenerator):
 
     def generate_rows(self, r0: int, r1: int) -> CSRMatrix:
         self._check_range(r0, r1)
-        rows, cols, vals = [], [], []
-        for local, r in enumerate(range(r0, r1)):
-            for c, v in ((r - 1, -1.0), (r, 2.0), (r + 1, -1.0)):
-                if 0 <= c < self.n:
-                    rows.append(local)
-                    cols.append(c)
-                    vals.append(v)
-        return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, self.n),
-                                  sum_duplicates=False)
+        cols = np.arange(r0, r1, dtype=np.int64)[:, None] + np.arange(-1, 2)
+        keep = (0 <= cols) & (cols < self.n)
+        return stencil_block(cols, [-1.0, 2.0, -1.0], keep, self.n)
 
 
 class Laplacian2D(RowGenerator):
@@ -53,19 +47,14 @@ class Laplacian2D(RowGenerator):
     def generate_rows(self, r0: int, r1: int) -> CSRMatrix:
         self._check_range(r0, r1)
         ny = self.ny_grid
-        rows, cols, vals = [], [], []
-        for local, r in enumerate(range(r0, r1)):
-            x, y = divmod(r, ny)
-            rows.append(local)
-            cols.append(r)
-            vals.append(4.0)
-            for cx, cy in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
-                if 0 <= cx < self.nx_grid and 0 <= cy < ny:
-                    rows.append(local)
-                    cols.append(cx * ny + cy)
-                    vals.append(-1.0)
-        return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, self.n_rows),
-                                  sum_duplicates=False)
+        r = np.arange(r0, r1, dtype=np.int64)
+        x, y = np.divmod(r, ny)
+        # centre, then the (x-1,y), (x+1,y), (x,y-1), (x,y+1) neighbours
+        cols = np.stack([r, r - ny, r + ny, r - 1, r + 1], axis=1)
+        keep = np.stack([np.ones_like(r, dtype=bool), x > 0,
+                         x < self.nx_grid - 1, y > 0, y < ny - 1], axis=1)
+        return stencil_block(cols, [4.0, -1.0, -1.0, -1.0, -1.0], keep,
+                             self.n_rows)
 
     def exact_eigenvalues(self) -> np.ndarray:
         """All eigenvalues in ascending order (for validation)."""

@@ -98,6 +98,14 @@ def test_sweep_parallel_speedup_null_on_single_core(monkeypatch):
     assert bench.bench_sweep_scaling() is None
 
 
+def test_numeric_kernel_benches_run_and_are_lower_is_better():
+    from repro.perf import bench
+
+    assert {"ql_eigenvalues_ms", "graphene_rows_ms"} <= LOWER_IS_BETTER
+    assert bench.bench_ql_eigenvalues_ms(repeats=1) > 0.0
+    assert bench.bench_graphene_rows_ms(repeats=1) > 0.0
+
+
 def test_scenario_ladder_runs_a_recovery_at_small_scale():
     wall = scaling.scenario_wall_s(16)
     assert wall > 0.0

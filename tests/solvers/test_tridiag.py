@@ -1,5 +1,7 @@
 """Tests for the QL tridiagonal eigensolver (vs LAPACK reference)."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -7,10 +9,109 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.solvers import ql_eigenvalues, lanczos_matrix_eigenvalues
+from repro.solvers.tridiag import QLConvergenceError
 
 
 def reference(diag, off):
     return np.sort(sla.eigh_tridiagonal(diag, off, eigvals_only=True))
+
+
+def ql_eigenvalues_numpy(diag, offdiag, max_sweeps=64):
+    """Oracle: the same ``tql1`` sweep indexing NumPy arrays element-wise
+    (every read a NumPy scalar, every operation NumPy scalar arithmetic)."""
+    d = np.asarray(diag, dtype=np.float64).copy()
+    n = len(d)
+    if n == 0:
+        return d
+    e = np.zeros(n)
+    off = np.asarray(offdiag, dtype=np.float64)
+    if len(off) not in (max(n - 1, 0), n):
+        raise ValueError("offdiag must have n-1 entries")
+    e[: n - 1] = off[: n - 1]
+    eps = np.finfo(np.float64).eps
+    for l in range(n):
+        sweeps = 0
+        while True:
+            m = l
+            while m < n - 1:
+                dd = abs(d[m]) + abs(d[m + 1])
+                if abs(e[m]) <= eps * dd:
+                    break
+                m += 1
+            if m == l:
+                break
+            sweeps += 1
+            if sweeps > max_sweeps:
+                raise QLConvergenceError(f"eigenvalue {l} not converged")
+            g = (d[l + 1] - d[l]) / (2.0 * e[l])
+            r = math.hypot(g, 1.0)
+            g = d[m] - d[l] + e[l] / (g + math.copysign(r, g))
+            s = c = 1.0
+            p = 0.0
+            underflow = False
+            for i in range(m - 1, l - 1, -1):
+                f = s * e[i]
+                b = c * e[i]
+                r = math.hypot(f, g)
+                e[i + 1] = r
+                if r == 0.0:
+                    d[i + 1] -= p
+                    e[m] = 0.0
+                    underflow = True
+                    break
+                s = f / r
+                c = g / r
+                g = d[i + 1] - p
+                r = (d[i] - g) * s + 2.0 * c * b
+                p = s * r
+                d[i + 1] = g + p
+                g = c * r - b
+            if underflow:
+                continue
+            d[l] -= p
+            e[l] = g
+            e[m] = 0.0
+    return np.sort(d)
+
+
+@st.composite
+def tridiagonals(draw):
+    """``(diag, offdiag)`` pairs: random entries at a random scale, with
+    optional runs of zeroed couplings, a tight diagonal cluster and the
+    Lanczos trailing-beta form (``offdiag`` of length ``n``)."""
+    n = draw(st.integers(0, 80))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.floats(1e-3, 1e3))
+    if draw(st.booleans()):
+        d = 1.0 + rng.standard_normal(n) * 1e-10  # tight cluster
+    else:
+        d = rng.standard_normal(n)
+    d *= scale
+    e = rng.standard_normal(max(n - 1, 0)) * scale
+    if n > 1 and draw(st.booleans()):
+        lo = draw(st.integers(0, n - 2))
+        hi = draw(st.integers(lo, n - 1))
+        e[lo:hi] = 0.0
+    if n and draw(st.booleans()):
+        e = np.append(e, rng.standard_normal() * scale)  # trailing beta
+    return d, e
+
+
+@settings(max_examples=200, deadline=None)
+@given(tridiagonals())
+def test_native_float_sweep_is_bit_identical_to_numpy_scalars(case):
+    d, e = case
+    ours = ql_eigenvalues(d, e)
+    oracle = ql_eigenvalues_numpy(d, e)
+    assert ours.dtype == oracle.dtype and ours.shape == oracle.shape
+    assert ours.tobytes() == oracle.tobytes()
+
+
+@pytest.mark.parametrize("solver", [ql_eigenvalues, ql_eigenvalues_numpy])
+def test_sweep_budget_exhaustion_raises(solver):
+    rng = np.random.default_rng(3)
+    with pytest.raises(QLConvergenceError):
+        solver(rng.standard_normal(20), rng.standard_normal(19), max_sweeps=1)
 
 
 def test_single_element():

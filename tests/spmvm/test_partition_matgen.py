@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spmvm import RowPartition
+from repro.spmvm import CSRMatrix, RowPartition
 from repro.spmvm.matgen import (
     GrapheneSheet,
     Laplacian1D,
@@ -13,6 +13,129 @@ from repro.spmvm.matgen import (
     RandomSparse,
     hash_uniform,
 )
+
+
+# ----------------------------------------------------------------------
+# oracles: the per-row loops the padded-block generators replaced
+# ----------------------------------------------------------------------
+def graphene_rows_loop(gen, r0, r1):
+    """Per-row COO appends: on-site term (if non-zero), then the up to
+    three neighbours of each site in cell order."""
+    rows, cols, vals = [], [], []
+    energies = gen.onsite_energy(np.arange(r0, r1, dtype=np.int64))
+    for local, s in enumerate(range(r0, r1)):
+        cell, a = divmod(s, 2)
+        i, j = divmod(cell, gen.ny)
+        if energies[local] != 0.0:
+            rows.append(local)
+            cols.append(s)
+            vals.append(float(energies[local]))
+        step, b = (-1, 1) if a == 0 else (1, 0)
+        for ci, cj in ((i, j), (i + step, j), (i, j + step)):
+            if gen.periodic:
+                ci %= gen.nx
+                cj %= gen.ny
+            elif not (0 <= ci < gen.nx and 0 <= cj < gen.ny):
+                continue
+            rows.append(local)
+            cols.append(gen.site(ci, cj, b))
+            vals.append(-gen.t)
+    return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, gen.n_rows),
+                              sum_duplicates=True)
+
+
+def laplacian1d_rows_loop(gen, r0, r1):
+    rows, cols, vals = [], [], []
+    for local, r in enumerate(range(r0, r1)):
+        for c, v in ((r - 1, -1.0), (r, 2.0), (r + 1, -1.0)):
+            if 0 <= c < gen.n:
+                rows.append(local)
+                cols.append(c)
+                vals.append(v)
+    return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, gen.n),
+                              sum_duplicates=False)
+
+
+def laplacian2d_rows_loop(gen, r0, r1):
+    ny = gen.ny_grid
+    rows, cols, vals = [], [], []
+    for local, r in enumerate(range(r0, r1)):
+        x, y = divmod(r, ny)
+        rows.append(local)
+        cols.append(r)
+        vals.append(4.0)
+        for cx, cy in ((x - 1, y), (x + 1, y), (x, y - 1), (x, y + 1)):
+            if 0 <= cx < gen.nx_grid and 0 <= cy < ny:
+                rows.append(local)
+                cols.append(cx * ny + cy)
+                vals.append(-1.0)
+    return CSRMatrix.from_coo(rows, cols, vals, (r1 - r0, gen.n_rows),
+                              sum_duplicates=False)
+
+
+def assert_same_bytes(got, want):
+    assert got.shape == want.shape
+    for field in ("row_ptr", "col_idx", "values"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), field
+
+
+@st.composite
+def row_ranges(draw, n_rows):
+    """``[r0, r1)`` inside ``[0, n_rows]``, empty ranges included."""
+    r0 = draw(st.integers(0, n_rows))
+    return r0, draw(st.integers(r0, n_rows))
+
+
+@st.composite
+def graphene_blocks(draw):
+    periodic = draw(st.booleans())
+    lo = 2 if periodic else 1
+    gen = GrapheneSheet(
+        draw(st.integers(lo, 7)), draw(st.integers(lo, 7)),
+        t=draw(st.sampled_from([1.0, 0.5, -2.75, 1e-3])),
+        onsite=draw(st.sampled_from([0.0, 0.3, -1.5])),
+        disorder=draw(st.sampled_from([0.0, 1.0, 2.5])),
+        seed=draw(st.integers(0, 2**16)), periodic=periodic)
+    return gen, draw(row_ranges(gen.n_rows))
+
+
+@settings(max_examples=200, deadline=None)
+@given(graphene_blocks())
+def test_graphene_block_matches_per_row_loop(case):
+    gen, (r0, r1) = case
+    assert_same_bytes(gen.generate_rows(r0, r1), graphene_rows_loop(gen, r0, r1))
+
+
+@pytest.mark.parametrize("nx,ny", [(2, 2), (2, 5), (6, 2)])
+def test_graphene_periodic_extent_two_matches_per_row_loop(nx, ny):
+    """At the smallest periodic extent a wrapped neighbour cell is also
+    the unwrapped one on the other side; every site still keeps its
+    on-site term and three distinct couplings."""
+    gen = GrapheneSheet(nx, ny, disorder=1.0, seed=3, periodic=True)
+    block = gen.generate_rows(0, gen.n_rows)
+    assert_same_bytes(block, graphene_rows_loop(gen, 0, gen.n_rows))
+    assert np.all(block.row_nnz() == 4)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 60).flatmap(
+    lambda n: st.tuples(st.just(n), row_ranges(n))))
+def test_laplacian1d_block_matches_per_row_loop(case):
+    n, (r0, r1) = case
+    gen = Laplacian1D(n)
+    assert_same_bytes(gen.generate_rows(r0, r1),
+                      laplacian1d_rows_loop(gen, r0, r1))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.tuples(st.integers(1, 9), st.integers(1, 9)).flatmap(
+    lambda shape: st.tuples(st.just(shape), row_ranges(shape[0] * shape[1]))))
+def test_laplacian2d_block_matches_per_row_loop(case):
+    (nx, ny), (r0, r1) = case
+    gen = Laplacian2D(nx, ny)
+    assert_same_bytes(gen.generate_rows(r0, r1),
+                      laplacian2d_rows_loop(gen, r0, r1))
 
 
 class TestRowPartition:
