@@ -302,11 +302,6 @@ class CheckpointLib(_CopySource):
                 best = max(best, latest)
         return best
 
-    def has_local(self, version: int) -> bool:
-        """Whether this rank's own node holds the version."""
-        return self._local_store_obj.has(
-            (self.config.tag, self.logical_rank, version))
-
     def _reprotect(self, key: Key, blob: StoredBlob):
         """Generator: re-establish local + neighbor copies after a remote
         restore (otherwise the *next* failure would find no local data)."""

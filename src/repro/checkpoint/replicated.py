@@ -246,18 +246,6 @@ class ReplicatedCheckpointLib(_CopySource):
                 return version
         return -1
 
-    def has_local(self, version: int) -> bool:
-        """Whether the version is restorable from the current replica set.
-
-        The replicated backend keeps no owner-local copy (pure ReStore),
-        so "local" here means *in the memory of a live, reachable
-        holder* — the closest analogue of the neighbor backend's
-        own-node check.
-        """
-        return bool(self._usable_holders(
-            (self.config.tag, self.logical_rank, version)
-        ))
-
     def read_checkpoint(
         self, version: Optional[int] = None,
         extra_nodes: Sequence[int] = (),
@@ -438,10 +426,6 @@ class PfsCheckpointLib:
         """Newest version on the PFS, or -1 (``extra_nodes`` ignored)."""
         latest = self.pfs.latest_version(self.config.tag, self.logical_rank)
         return -1 if latest is None else latest
-
-    def has_local(self, version: int) -> bool:
-        """Whether the PFS holds the version (nothing is node-local)."""
-        return self.pfs.has((self.config.tag, self.logical_rank, version))
 
     def read_checkpoint(
         self, version: Optional[int] = None,

@@ -7,7 +7,7 @@ provides:
 * :class:`Node` / :class:`Machine` — nodes, rank placement, node-local
   storage (for the neighbor-level checkpoint library) and kill switches for
   processes, nodes and links.
-* :class:`Network` with pluggable :class:`Topology` — an alpha-beta
+* :class:`Network` — the one QDR InfiniBand fabric as an alpha-beta
   (latency + bandwidth) cost model with link/partition state.
 * :class:`Transport` — rank-to-rank operations with RDMA semantics: remote
   writes apply without target-CPU involvement; operations to dead processes
@@ -19,8 +19,7 @@ provides:
 """
 
 from repro.cluster.node import Node
-from repro.cluster.topology import Topology, UniformTopology, TwoLevelTopology
-from repro.cluster.network import Network, NetworkParams
+from repro.cluster.network import Network
 from repro.cluster.transport import Transport, TransportParams, Endpoint, Delivery
 from repro.cluster.faults import (
     FaultEvent,
@@ -36,11 +35,7 @@ from repro.cluster.machine import Machine, MachineSpec
 
 __all__ = [
     "Node",
-    "Topology",
-    "UniformTopology",
-    "TwoLevelTopology",
     "Network",
-    "NetworkParams",
     "Transport",
     "TransportParams",
     "Endpoint",

@@ -15,9 +15,8 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from repro.sim import Process, Simulator
-from repro.cluster.network import Network, NetworkParams
+from repro.cluster.network import Network
 from repro.cluster.node import Node
-from repro.cluster.topology import Topology, UniformTopology
 from repro.cluster.transport import Transport, TransportParams
 
 
@@ -32,8 +31,6 @@ class MachineSpec:
 
     n_nodes: int = 8
     procs_per_node: int = 1
-    topology: Optional[Topology] = None
-    network_params: NetworkParams = field(default_factory=NetworkParams)
     transport_params: TransportParams = field(default_factory=TransportParams)
 
     @property
@@ -48,10 +45,7 @@ class Machine:
         self.sim = sim
         self.spec = spec or MachineSpec()
         self.nodes: List[Node] = [Node(i) for i in range(self.spec.n_nodes)]
-        self.network = Network(
-            topology=self.spec.topology or UniformTopology(),
-            params=self.spec.network_params,
-        )
+        self.network = Network()
         self.transport = Transport(sim, self.network, self.spec.transport_params)
         self._procs: Dict[int, List[Process]] = {}
         self._death_listeners: List[Callable[[int], None]] = []

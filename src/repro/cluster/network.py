@@ -1,7 +1,10 @@
 """Dynamic network state: transfer costs, partitions, dead links.
 
-:class:`Network` combines a static :class:`Topology` with mutable health
-state.  It answers two questions for the transport layer:
+:class:`Network` models the paper's one fabric — Mellanox QDR InfiniBand
+on the LiMa cluster (Sect. V) — as a single big switch: every node pair
+sees the same α–β cost, and two ranks on one node go through shared
+memory instead.  On top of that it keeps mutable health state, and it
+answers two questions for the transport layer:
 
 * ``reachable(a, b)`` — is there currently a path between two *nodes*?
 * ``transfer_time(a, b, nbytes)`` — alpha-beta cost of moving ``nbytes``.
@@ -9,21 +12,20 @@ state.  It answers two questions for the transport layer:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence, Set, Tuple
+from typing import Set, Tuple
 
 import numpy as np
 
-from repro.cluster.topology import Topology, UniformTopology
-
-
-@dataclass
-class NetworkParams:
-    """Tunable knobs of the network model."""
-
-    #: fixed per-message software/NIC overhead (seconds) added to every
-    #: transfer on top of wire latency — models posting + completion cost.
-    per_message_overhead: float = 0.5e-6
+#: QDR InfiniBand one-way wire latency (seconds) and per-link bandwidth
+#: (bytes/second) between two distinct nodes.
+LATENCY = 1.3e-6
+BANDWIDTH = 3.2e9
+#: Loopback: two ranks on one node go through shared memory.
+LOOPBACK_LATENCY = 0.3e-6
+LOOPBACK_BANDWIDTH = 12.0e9
+#: Fixed software/NIC overhead added to every transfer on top of the wire
+#: latency — models posting + completion cost.
+PER_MESSAGE_OVERHEAD = 0.5e-6
 
 
 def _link_key(a: int, b: int) -> Tuple[int, int]:
@@ -33,13 +35,7 @@ def _link_key(a: int, b: int) -> Tuple[int, int]:
 class Network:
     """Mutable network health + transfer cost model."""
 
-    def __init__(
-        self,
-        topology: Optional[Topology] = None,
-        params: Optional[NetworkParams] = None,
-    ) -> None:
-        self.topology = topology or UniformTopology()
-        self.params = params or NetworkParams()
+    def __init__(self) -> None:
         self._broken_links: Set[Tuple[int, int]] = set()
         self._isolated_nodes: Set[int] = set()
 
@@ -90,27 +86,15 @@ class Network:
     # cost model
     # ------------------------------------------------------------------
     def transfer_time(self, node_a: int, node_b: int, nbytes: int) -> float:
-        """Alpha-beta transfer cost: overhead + latency + size/bandwidth."""
-        return (
-            self.params.per_message_overhead
-            + self.topology.latency(node_a, node_b)
-            + nbytes / self.topology.bandwidth(node_a, node_b)
-        )
+        """Alpha-beta transfer cost: overhead + latency + size/bandwidth.
 
-    def transfer_time_list(self, node_a: int, node_b: int,
-                           sizes: Sequence[int]) -> float:
-        """Vectorized cost of a batched (``write_list``-style) transfer.
-
-        The batch moves as *one* fabric operation: a single per-message
-        overhead, a single wire latency, and a sum-of-bytes bandwidth term.
-        This is the whole point of coalescing — N messages no longer pay N
-        overheads and N latencies.
+        A batched (``write_list``-style) transfer is priced with the sum
+        of its sizes: one overhead and one latency for the whole batch.
         """
-        return (
-            self.params.per_message_overhead
-            + self.topology.latency(node_a, node_b)
-            + sum(sizes) / self.topology.bandwidth(node_a, node_b)
-        )
+        if node_a == node_b:
+            return (PER_MESSAGE_OVERHEAD + LOOPBACK_LATENCY) \
+                + nbytes / LOOPBACK_BANDWIDTH
+        return (PER_MESSAGE_OVERHEAD + LATENCY) + nbytes / BANDWIDTH
 
     def transfer_time_round(self, node_a: int | np.ndarray,
                             nodes: np.ndarray,
@@ -127,7 +111,7 @@ class Network:
         round-priced sweep lands on the same virtual timestamps as a
         per-destination loop.
         """
-        nodes = np.asarray(nodes, dtype=np.int64)
-        lat = self.topology.latency_many(node_a, nodes)
-        bw = self.topology.bandwidth_many(node_a, nodes)
-        return (self.params.per_message_overhead + lat) + np.asarray(nbytes) / bw
+        loopback = np.asarray(nodes, dtype=np.int64) == node_a
+        lat = np.where(loopback, LOOPBACK_LATENCY, LATENCY)
+        bw = np.where(loopback, LOOPBACK_BANDWIDTH, BANDWIDTH)
+        return (PER_MESSAGE_OVERHEAD + lat) + np.asarray(nbytes) / bw

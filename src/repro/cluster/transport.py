@@ -317,41 +317,29 @@ class Transport:
         dst: int,
         sizes: Sequence[int],
         apply_fn: Callable[[], Any],
-        doorbell: Any = None,
+        doorbell: Any,
         n_writes: Optional[int] = None,
     ) -> Event:
         """Batched one-sided operation: N writes to one target as a single
         simulated transfer (``gaspi_write_list`` semantics).
 
-        The time model is vectorized — one latency plus a sum-of-bytes
-        bandwidth term (:meth:`Network.transfer_time_list`).  ``apply_fn``
-        applies *all* writes of the batch atomically; the wire guarantees no
+        The batch is priced as one transfer of the summed sizes — one
+        latency plus a sum-of-bytes bandwidth term.  ``apply_fn`` applies
+        *all* writes of the batch atomically; the wire guarantees no
         interleaving within one list operation.
 
-        With ``doorbell`` set (typically the GASPI queue id), ops posted by
-        ``src`` to the same doorbell key within the same simulated tick are
-        coalesced onto a single completion timer firing at the batch's max
-        completion time.  Data then lands at completion (latency + ack)
-        rather than at bare latency, and the path is re-checked per op at
-        that moment — slightly *more* conservative than the sequential
-        path: a target dying anywhere before completion hangs the op.
+        Ops posted by ``src`` to the same ``doorbell`` key (the GASPI queue
+        id) within the same simulated tick are coalesced onto a single
+        completion timer firing at the batch's max completion time.  Data
+        lands at completion (latency + ack), and the path is re-checked
+        per op at that moment: a target dying anywhere before completion
+        hangs the op.
         """
         self.stats["rdma"] += 1
         self.stats["rdma_writes"] += len(sizes) if n_writes is None else n_writes
         done = Event(name=f"rdma_list:{src}->{dst}")
-        nodes = self._nodes_arr
-        lat = self.network.transfer_time_list(int(nodes[src]), int(nodes[dst]), sizes)
+        lat = self._latency(src, dst, sum(sizes))
         ack = self._ack_latency(src, dst)
-
-        if doorbell is None:
-            def deliver() -> None:
-                if not self._path_up(src, dst):
-                    return  # hangs, like post_rdma
-                result = apply_fn()
-                self.sim.schedule(ack, lambda: done.succeed((True, result)))
-
-            self.sim.schedule(lat, deliver)
-            return done
 
         key = (src, doorbell)
         batch = self._doorbells.get(key)

@@ -20,9 +20,6 @@ class GaspiConfig:
     queue_depth: int = 4096
     n_notifications: int = 1024
     collective_costs: CollectiveCosts = field(default_factory=CollectiveCosts)
-    #: virtual seconds of local CPU time charged per posted one-sided op
-    #: (descriptor preparation); keeps million-op runs honest but cheap.
-    post_overhead: float = 0.2e-6
     #: attach the runtime protocol sanitizer (``repro.gaspi.sanitize``)
     #: to the world; also switched on globally by ``REPRO_SANITIZE=1``.
     #: Catches double-posted live notifications, posts after

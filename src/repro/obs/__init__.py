@@ -3,7 +3,7 @@
 * :mod:`repro.obs.tracer` — typed trace events in a ring buffer, the
   module-level active tracer (``install``/``deactivate``/``active_tracer``)
   and the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER` default.
-* :mod:`repro.obs.metrics` — counters/gauges/histograms and the standard
+* :mod:`repro.obs.metrics` — counters/histograms and the standard
   aggregation :func:`~repro.obs.metrics.registry_from_events`.
 * :mod:`repro.obs.timeline` — per-failure lifecycle reconstruction
   (detection → rebuild → promote → restore → rollback chains).
@@ -20,7 +20,7 @@ from .tracer import (  # noqa: F401
     Tracer, NullTracer, active_tracer, deactivate, install,
 )
 from .metrics import (  # noqa: F401
-    Counter, Gauge, Histogram, MetricsRegistry, registry_from_events,
+    Counter, Histogram, MetricsRegistry, registry_from_events,
     registry_from_traces,
 )
 from .timeline import (  # noqa: F401

@@ -1,8 +1,8 @@
-"""Counters, gauges and histograms aggregating the trace event stream.
+"""Counters and histograms aggregating the trace event stream.
 
 Where :mod:`repro.obs.tracer` records *what happened when*, this module
 answers *how much and how long on average*: a :class:`MetricsRegistry`
-holds named :class:`Counter`/:class:`Gauge`/:class:`Histogram` instruments,
+holds named :class:`Counter`/:class:`Histogram` instruments,
 and :func:`registry_from_events` derives the standard set — per-type event
 counts, checkpoint write/mirror duration histograms, and the per-phase
 failure-lifecycle latencies (detection / group rebuild / spare promotion /
@@ -16,7 +16,7 @@ post-processing; in-run aggregation only needs O(1) memory.
 from __future__ import annotations
 
 import math
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
 from .tracer import CKPT_MIRROR, CKPT_SCATTER, CKPT_WRITE, TraceEvent
 
@@ -32,30 +32,11 @@ class Counter:
 
     def inc(self, amount: int = 1) -> None:
         if amount < 0:
-            raise ValueError("counters only increase; use a Gauge")
+            raise ValueError("counters only increase")
         self.value += amount
 
     def snapshot(self) -> dict:
         return {"type": "counter", "value": self.value}
-
-
-class Gauge:
-    """A value that can move both ways (e.g. outstanding mirror jobs)."""
-
-    __slots__ = ("name", "value")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.value = 0.0
-
-    def set(self, value: float) -> None:
-        self.value = value
-
-    def add(self, delta: float) -> None:
-        self.value += delta
-
-    def snapshot(self) -> dict:
-        return {"type": "gauge", "value": self.value}
 
 
 class Histogram:
@@ -115,9 +96,6 @@ class MetricsRegistry:
     def counter(self, name: str) -> Counter:
         return self._get(name, Counter)
 
-    def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
-
     def histogram(self, name: str) -> Histogram:
         return self._get(name, Histogram)
 
@@ -130,18 +108,22 @@ class MetricsRegistry:
                 for name in self.names()}
 
 
-def registry_from_events(events: Iterable[TraceEvent]) -> MetricsRegistry:
+def registry_from_events(events: Iterable[TraceEvent],
+                         reg: Optional[MetricsRegistry] = None,
+                         ) -> MetricsRegistry:
     """Aggregate a trace into the standard metric set.
 
     Produces ``events.<etype>`` counters for every event type seen,
     duration histograms for checkpoint writes and mirrors, and per-phase
     latency histograms (``phase.detection_latency_s`` etc.) from the
-    reconstructed failure timelines.
+    reconstructed failure timelines.  With ``reg`` given, the metrics
+    are added to it instead of a fresh registry.
     """
     from .timeline import build_timelines  # local import: timeline uses tracer only
 
     events = list(events)
-    reg = MetricsRegistry()
+    if reg is None:
+        reg = MetricsRegistry()
     for ev in events:
         reg.counter(f"events.{ev.etype}").inc()
         if ev.etype == CKPT_WRITE:
@@ -169,23 +151,7 @@ def registry_from_traces(traces: Iterable[Any]) -> MetricsRegistry:
     are only unique within one simulation, so merging event streams first
     would collapse distinct failures that share an epoch number.
     """
-    from .timeline import build_timelines
-
     reg = MetricsRegistry()
     for trace in traces:
-        for ev in trace.events:
-            reg.counter(f"events.{ev.etype}").inc()
-            if ev.etype == CKPT_WRITE:
-                reg.histogram("ckpt.write_s").observe(ev.dur)
-                bytes_ = ev.fields.get("bytes")
-                if bytes_:
-                    reg.counter("ckpt.bytes_written").inc(bytes_)
-            elif ev.etype == CKPT_MIRROR:
-                reg.histogram("ckpt.mirror_s").observe(ev.dur)
-            elif ev.etype == CKPT_SCATTER:
-                reg.histogram("ckpt.scatter_s").observe(ev.dur)
-        for rec in build_timelines(trace.events):
-            for phase, value in rec.phases().items():
-                if value is not None:
-                    reg.histogram(f"phase.{phase}").observe(value)
+        registry_from_events(trace.events, reg)
     return reg

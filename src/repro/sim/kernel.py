@@ -422,45 +422,6 @@ class Simulator:
             self.now = until
         return self.now
 
-    def step_events(self, n: int = 1) -> int:
-        """Process up to ``n`` pending events; returns how many ran."""
-        ran = 0
-        heap = self._heap
-        runq = self._runq
-        while ran < n:
-            nxt = self._next
-            if runq:
-                timer = runq[0]
-                if nxt is not None:
-                    if nxt < timer:
-                        timer = nxt
-                        self._next = None
-                    else:
-                        runq.popleft()
-                elif heap and heap[0] < timer:
-                    timer = heappop(heap)
-                else:
-                    runq.popleft()
-            elif nxt is not None:
-                timer = nxt
-                self._next = None
-            elif heap:
-                timer = heappop(heap)
-            else:
-                break
-            fn = timer[2]
-            if fn is not None:
-                self.now = timer[0]
-                fn()
-                ran += 1
-            elif timer[3] is not None:
-                self.now = timer[0]
-                self._step(timer[3], timer[4])
-                ran += 1
-            else:
-                self._drop_dead()
-        return ran
-
     # ------------------------------------------------------------------
     # process stepping (kernel-internal, used by Process as well)
     # ------------------------------------------------------------------

@@ -9,12 +9,11 @@ seconds of wall time.
 """
 
 from repro.workloads.spec import WorkloadSpec, PAPER_GRAPHENE, scaled_spec
-from repro.workloads.kernels import ModelLanczosProgram, numeric_lanczos_program
+from repro.workloads.kernels import ModelLanczosProgram
 
 __all__ = [
     "WorkloadSpec",
     "PAPER_GRAPHENE",
     "scaled_spec",
     "ModelLanczosProgram",
-    "numeric_lanczos_program",
 ]

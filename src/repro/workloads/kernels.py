@@ -74,16 +74,3 @@ class ModelLanczosProgram(FTProgram):
                 )
         return {"steps": step, "iterations_executed": iterations_executed}
 
-
-def numeric_lanczos_program(generator, n_steps: int, checkpoint_interval: int,
-                            time_model=None, **kwargs):
-    """Convenience constructor for the numeric kernel (same call shape)."""
-    from repro.solvers.ft_lanczos import FTLanczos
-
-    return FTLanczos(
-        generator=generator,
-        n_steps=n_steps,
-        checkpoint_interval=checkpoint_interval,
-        time_model=time_model,
-        **kwargs,
-    )

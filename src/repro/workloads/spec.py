@@ -1,18 +1,27 @@
-"""Workload specifications (the paper's benchmark case and scaled variants)."""
+"""Workload specifications (the paper's benchmark case and scaled variants).
+
+The paper's measured workload anchors (Sect. V-VI) live here as plain
+constants: the model kernel sleeps ``iteration_time`` per step, so the
+3500-iteration baseline reproduces the measured 1450 s by construction.
+"""
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
 
-from repro.perfmodel.calibration import (
-    PAPER_CHECKPOINT_BYTES,
-    PAPER_ITERATION_TIME,
-    PAPER_ITERATIONS,
-    PAPER_MATRIX_NNZ,
-    PAPER_MATRIX_ROWS,
-    PAPER_WORKERS,
-)
+#: Figure 4 baseline ('w/o HC, w/o CP'), seconds
+PAPER_BASELINE_RUNTIME = 1450.0
+#: fixed iteration count used for benchmarking (paper Sect. VI)
+PAPER_ITERATIONS = 3500
+#: derived per-iteration anchor (~0.414 s)
+PAPER_ITERATION_TIME = PAPER_BASELINE_RUNTIME / PAPER_ITERATIONS
+#: paper workload dimensions: graphene matrix on 256 worker processes
+PAPER_WORKERS = 256
+PAPER_MATRIX_ROWS = 120_000_000
+PAPER_MATRIX_NNZ = 1_500_000_000
+#: paper's global checkpoint volume (two Lanczos vectors + coefficients)
+PAPER_CHECKPOINT_BYTES = int(1.9e9)
 
 
 @dataclass(frozen=True)

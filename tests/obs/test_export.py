@@ -1,6 +1,7 @@
 """JSONL round-trip and chrome://tracing export structure."""
 
 import json
+from types import SimpleNamespace
 
 from repro.obs.export import (
     chrome_trace,
@@ -9,7 +10,11 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import MetricsRegistry, registry_from_events
+from repro.obs.metrics import (
+    MetricsRegistry,
+    registry_from_events,
+    registry_from_traces,
+)
 from repro.obs.tracer import TraceEvent
 
 
@@ -96,6 +101,14 @@ def test_registry_from_events_counts_and_histograms():
     assert snap["ckpt.write_s"]["count"] == 1
     assert snap["ckpt.write_s"]["mean"] == 0.5
     assert snap["ckpt.bytes_written"]["value"] == 1000
+
+
+def test_registry_from_traces_aggregates_across_traces():
+    traces = [SimpleNamespace(events=events) for _, events in TRACES]
+    merged = registry_from_traces(traces).snapshot()
+    assert merged == registry_from_events(
+        TRACES[0][1] + TRACES[1][1]).snapshot()
+    assert merged["events.solver_iter"]["value"] == 1
 
 
 def test_registry_type_conflicts_rejected():

@@ -92,16 +92,6 @@ def test_nested_scheduling_from_callback():
     assert seen == [("outer", 1.0), ("inner", 3.0)]
 
 
-def test_step_events_runs_bounded_number():
-    sim = Simulator()
-    seen = []
-    for i in range(5):
-        sim.schedule(float(i), lambda i=i: seen.append(i))
-    ran = sim.step_events(3)
-    assert ran == 3
-    assert seen == [0, 1, 2]
-
-
 def test_process_sleep_advances_time():
     sim = Simulator()
 

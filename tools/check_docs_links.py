@@ -7,7 +7,9 @@ Checks, for each markdown file given (default: the top-level docs):
   external URL or a pure anchor must point at an existing file or
   directory (relative to the doc's location);
 * inline-code references to markdown files (`` `SOMETHING.md` ``) must
-  exist — the docs cross-reference each other this way.
+  exist — the docs cross-reference each other this way;
+* in DESIGN.md's module-map table, every `` `*.py` `` named in a row must
+  exist under ``src/repro/<that row's package>/``.
 
 Fenced code blocks are ignored.  Exit status 0 when everything
 resolves, 1 otherwise (one line per broken reference).
@@ -32,6 +34,9 @@ DEFAULT_DOCS = [
 
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 CODE_MD_RE = re.compile(r"`([A-Za-z0-9_./-]+\.md)`")
+CODE_PY_RE = re.compile(r"`([A-Za-z0-9_/]+\.py)`")
+MODULE_MAP_RE = re.compile(r"^## .*module map.*$", re.IGNORECASE | re.MULTILINE)
+PACKAGE_ROOT = REPO_ROOT / "src" / "repro"
 EXTERNAL = ("http://", "https://", "mailto:")
 
 
@@ -62,6 +67,31 @@ def check_file(path: Path) -> list:
         if not resolved.exists():
             errors.append(f"{path.relative_to(REPO_ROOT)}: broken reference "
                           f"-> {target}")
+    if path.name == "DESIGN.md":
+        errors.extend(check_module_map(path, text))
+    return errors
+
+
+def check_module_map(path: Path, text: str) -> list:
+    """Each module a module-map row names must exist in its package."""
+    name = path.relative_to(REPO_ROOT)
+    heading = MODULE_MAP_RE.search(text)
+    if heading is None:
+        return [f"{name}: no '## ... module map' section"]
+    section = text[heading.end():]
+    end = section.find("\n## ")
+    if end != -1:
+        section = section[:end]
+    errors = []
+    for line in section.splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) < 2 or not cells[0].startswith("`"):
+            continue  # not a table row, or the header/separator row
+        package = cells[0].strip("`")
+        for module in CODE_PY_RE.findall(cells[1]):
+            if not (PACKAGE_ROOT / package / module).is_file():
+                errors.append(f"{name}: module map lists missing module "
+                              f"-> src/repro/{package}/{module}")
     return errors
 
 
