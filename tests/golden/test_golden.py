@@ -7,6 +7,10 @@ Recorded outputs pin the simulator's observable behaviour:
   counters) plus the SHA-256 of its tracer stream, for a few kills;
 * ``rows16_replicated.json`` — the same rows with the replicated
   checkpoint backend (``r = 2``);
+* ``rows64_retry.json`` — the same rows at 64 workers, whose group
+  commit (0.05 + 0.027·64 = 1.778 s) outlasts the 1 s ``comm_timeout``,
+  so every commit retries: one kill, and a second kill while the team
+  recommits after the first (the superseded-commit path of recovery);
 * ``recovery_compare.json`` — the full-precision ``recovery_compare``
   backend rows (neighbor, pfs, replicated) at 16 and 64 ranks;
 * ``figure4_tiny.sha256`` — the digest of the ``figure4 --scale tiny
@@ -34,7 +38,10 @@ from repro.cluster import FaultPlan, MachineSpec
 from repro.experiments import figure4
 from repro.experiments.common import run_ft_scenario
 from repro.experiments.recovery_compare import measure_backend
+from repro.experiments.sweep import SweepTrace
+from repro.experiments.trace import validate_trace
 from repro.ft import FTConfig, run_ft_application
+from repro.gaspi.context import GaspiContext
 from repro.obs.export import event_to_record
 from repro.obs.tracer import deactivate, install
 from repro.solvers.ft_lanczos import FTLanczos
@@ -44,6 +51,7 @@ from repro.workloads.spec import scaled_spec
 HERE = Path(__file__).parent
 ROWS_FILES = {"neighbor": HERE / "rows16.json",
               "replicated": HERE / "rows16_replicated.json"}
+ROWS64_FILE = HERE / "rows64_retry.json"
 BACKENDS_FILE = HERE / "recovery_compare.json"
 FIGURE4_FILE = HERE / "figure4_tiny.sha256"
 NUMERIC_FILE = HERE / "numeric16.json"
@@ -51,6 +59,9 @@ NUMERIC_FILE = HERE / "numeric16.json"
 #: (kill time, kill rank): during setup, mid-run on rank 0, mid-run on an
 #: interior rank, and on the last worker
 KILLS = [(8.5, 3), (12.5, 0), (24.0, 7), (12.5, 15)]
+#: kill plans of the 64-worker fixture: one kill after setup, and the
+#: same kill plus a second one that lands while the team recommits
+RETRY_PLANS = [((10.5, 3),), ((10.5, 3), (18.0, 5))]
 #: (ranks, backend) cells of the recovery_compare backend table
 BACKEND_CELLS = [(n, b) for n in (16, 64)
                  for b in ("neighbor", "pfs", "replicated")]
@@ -67,17 +78,17 @@ def _sha256(lines) -> str:
     return digest.hexdigest()
 
 
-def rows16(kill, backend="neighbor"):
-    """Experiment rows of the 16-rank scenario with one kill."""
-    spec = scaled_spec(workers=16, iterations=80, name="golden-16")
+def scenario_rows(spec, kills, backend="neighbor"):
+    """Experiment rows and the captured trace of one traced scenario."""
     tracer = install(capacity=8192, bulk_capacity=8192)
     try:
         out = run_ft_scenario(
-            "golden-16", spec, kill_times=[kill], n_spares=4,
+            spec.name, spec, kill_times=list(kills), n_spares=4,
             checkpoint=CheckpointConfig(backend=backend, replication=2))
     finally:
         deactivate()
     workers = out.result.worker_results()
+    events = tuple(tracer.events())
     rows = {
         "total_runtime": out.total_runtime,
         "computation_time": out.computation_time,
@@ -92,10 +103,25 @@ def rows16(kill, backend="neighbor"):
                      for k, w in sorted(workers.items())},
         "trace_sha256": _sha256(
             json.dumps(event_to_record(ev), sort_keys=True, default=repr)
-            for ev in tracer.events()),
+            for ev in events),
     }
+    trace = SweepTrace(experiment="golden", scenario=spec.name, k=0,
+                       events=events, dropped=tracer.dropped,
+                       dropped_bulk=tracer.dropped_bulk)
     # one JSON round trip: tuples become lists, as in the stored file
-    return json.loads(json.dumps(rows, sort_keys=True, default=repr))
+    return json.loads(json.dumps(rows, sort_keys=True, default=repr)), trace
+
+
+def rows16(kill, backend="neighbor"):
+    """Experiment rows of the 16-rank scenario with one kill."""
+    spec = scaled_spec(workers=16, iterations=80, name="golden-16")
+    return scenario_rows(spec, [kill], backend)[0]
+
+
+def rows64(kills):
+    """Rows and trace of the 64-worker scenario, where commits retry."""
+    spec = scaled_spec(workers=64, iterations=25, name="golden-64")
+    return scenario_rows(spec, kills)
 
 
 class _StepTime:
@@ -144,6 +170,10 @@ def _key(kill) -> str:
     return f"{kill[0]}@{kill[1]}"
 
 
+def _plan_key(kills) -> str:
+    return "+".join(_key(kill) for kill in kills)
+
+
 @pytest.mark.parametrize("kill", KILLS, ids=_key)
 def test_rows16_match_golden(kill):
     golden = json.loads(ROWS_FILES["neighbor"].read_text())
@@ -154,6 +184,34 @@ def test_rows16_match_golden(kill):
 def test_rows16_replicated_match_golden(kill):
     golden = json.loads(ROWS_FILES["replicated"].read_text())
     assert rows16(kill, "replicated") == golden[_key(kill)]
+
+
+@pytest.mark.parametrize("kills", RETRY_PLANS, ids=_plan_key)
+def test_rows64_retry_match_golden(kills):
+    golden = json.loads(ROWS64_FILE.read_text())
+    assert rows64(kills)[0] == golden[_plan_key(kills)]
+
+
+def test_rows64_second_kill_supersedes_the_pending_commit(monkeypatch):
+    """The second kill lands while the 63 live members commit epoch 1's
+    group: each of them retires that uncommitted group and restarts with
+    the newer notice.  The fixture is only worth keeping while it takes
+    this branch.  It also pins today's semantics of the case: one
+    recovery absorbs both kills, and the trace leaves rank 3's chain
+    incomplete (deciding those semantics is separate work)."""
+    deleted = []
+    delete = GaspiContext.group_delete
+
+    def spy(group):
+        deleted.append((group.tag, group.committed))
+        delete(group)
+
+    monkeypatch.setattr(GaspiContext, "group_delete", staticmethod(spy))
+    rows, trace = rows64(RETRY_PLANS[1])
+    assert deleted.count((1, False)) == 63
+    assert rows["n_recoveries"] == 1
+    errors = validate_trace(trace)
+    assert any("rank 3 has no complete lifecycle chain" in e for e in errors)
 
 
 @pytest.mark.parametrize("cell", BACKEND_CELLS, ids=lambda c: f"{c[0]}-{c[1]}")
@@ -181,6 +239,10 @@ if __name__ == "__main__":  # pragma: no cover - fixture regeneration
             f"{json.dumps(_key(k))}: "
             f"{json.dumps(rows16(k, backend), sort_keys=True)}"
             for k in KILLS) + "\n}\n")
+    ROWS64_FILE.write_text("{\n" + ",\n".join(
+        f"{json.dumps(_plan_key(k))}: "
+        f"{json.dumps(rows64(k)[0], sort_keys=True)}"
+        for k in RETRY_PLANS) + "\n}\n")
     BACKENDS_FILE.write_text("{\n" + ",\n".join(
         f"{json.dumps(f'{n}-{b}')}: {json.dumps(measure_backend(n, b))}"
         for n, b in BACKEND_CELLS) + "\n}\n")
