@@ -208,8 +208,9 @@ class CheckpointLib(_CopySource):
         """
         # participants are interned: every library of one team shares the
         # sorted tuple, its set (O(1) membership below) and its hash (the
-        # manager's neighbor-map cache key)
-        members = _Members.intern(tuple(sorted(participants)))
+        # manager's neighbor-map cache key); a team's membership already
+        # is one, so only other callers pay for the sort
+        members = _Members.of(participants)
         self.participants: Sequence[int] = members
         neighbor = None
         if self.ctx.rank in members.member_set() and len(members) > 1:

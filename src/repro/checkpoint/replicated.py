@@ -146,7 +146,7 @@ class ReplicatedCheckpointLib(_CopySource):
         reads consult the manager's *location* index, so holder-map drift
         never orphans live copies.
         """
-        members = _Members.intern(tuple(sorted(participants)))
+        members = _Members.of(participants)
         self.participants: Sequence[int] = members
         self.holders = []
         if self.ctx.rank in members.member_set() and len(members) > 1:
@@ -385,8 +385,7 @@ class PfsCheckpointLib:
         self.logical_rank = logical_rank
         self.config = config or CheckpointConfig(backend="pfs")
         self.pfs = pfs
-        self.participants: Sequence[int] = _Members.intern(
-            tuple(sorted(participants)))
+        self.participants: Sequence[int] = _Members.of(participants)
         self.stats = {"local_writes": 0, "pfs_copies": 0, "pfs_reads": 0}
 
     @property
@@ -395,7 +394,7 @@ class PfsCheckpointLib:
 
     def refresh(self, participants: Iterable[int]) -> None:
         """The PFS is location-independent; only the roster updates."""
-        self.participants = _Members.intern(tuple(sorted(participants)))
+        self.participants = _Members.of(participants)
 
     def write_checkpoint(
         self, version: int, payload: Dict[str, np.ndarray],

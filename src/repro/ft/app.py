@@ -25,6 +25,7 @@ from repro.cluster import FaultPlan, MachineSpec
 from repro.gaspi.config import GaspiConfig
 from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
 from repro.gaspi.context import GaspiContext
+from repro.gaspi.groups import _Members
 from repro.gaspi.runtime import GaspiRun, run_gaspi
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.replicated import CheckpointBackend, make_checkpoint_lib
@@ -70,7 +71,8 @@ class FTContext:
               pfs: Optional[ParallelFileSystem] = None,
               old: Optional["FTContext"] = None) -> "FTContext":
         """Create (or refresh, for survivors) the per-rank FT services."""
-        participants = team.rank_map.values()
+        # the team's interned membership: the libraries adopt it as-is
+        participants = team.group.members
         if old is not None:
             old.state_ckpt.refresh(participants)
             old.setup_ckpt.refresh(participants)
@@ -345,7 +347,9 @@ def ft_main(cfg: FTConfig, program: FTProgram,
     pfs_cache: Dict[int, ParallelFileSystem] = {}
     # the identity map is the same on every worker and never mutated
     # (recoveries build fresh maps), so all initial Teams share one dict
+    # and one interned membership
     initial_map = ActiveRankMap.initial(cfg.n_workers).logical_to_physical
+    initial_members = _Members.intern(tuple(range(cfg.n_workers)))
 
     def main(ctx: GaspiContext):
         pfs = None
@@ -360,9 +364,11 @@ def ft_main(cfg: FTConfig, program: FTProgram,
             return (yield from _fd_role(ctx, cfg, block, program, pfs))
         if role is Role.IDLE:
             return (yield from idle_loop(ctx, cfg, block, program, pfs))
+        group = ctx.group_create(tag=0)
+        group.adopt_members(initial_members)
         team = Team(
             ctx=ctx,
-            group=_initial_group(ctx, cfg),
+            group=group,
             logical_rank=ctx.rank,
             rank_map=initial_map,
         )
@@ -374,24 +380,20 @@ def ft_main(cfg: FTConfig, program: FTProgram,
     return main
 
 
-def _initial_group(ctx: GaspiContext, cfg: FTConfig):
-    group = ctx.group_create(tag=0)
-    rankstate.group_fill(group, range(cfg.n_workers))
-    return group
-
-
 def _commit_initial_group(ctx: GaspiContext, cfg: FTConfig, ftx: FTContext):
     """Generator: guarded commit of the initial worker group.
 
     Honours the paper's pre-communication discipline: the local failure
-    flag is read before every commit attempt, so a failure during startup
-    acknowledges instead of retrying the commit forever.
+    flag is read before every commit attempt — here by the kernel, at
+    each ``comm_timeout`` of the one re-armed commit wait — so a failure
+    during startup acknowledges instead of retrying the commit forever.
     """
-    while True:
-        ftx.guard.assert_healthy()
-        ret = yield from ctx.group_commit(ftx.team.group, cfg.comm_timeout)
-        if ret is ReturnCode.SUCCESS:
-            return
+    guard = ftx.guard
+    guard.assert_healthy()
+    ret = yield from ctx.group_commit(ftx.team.group, cfg.comm_timeout,
+                                      recheck=guard.check)
+    if ret is not ReturnCode.SUCCESS:
+        guard.assert_healthy()  # the check tripped: acknowledge
 
 
 # ----------------------------------------------------------------------

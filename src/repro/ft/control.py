@@ -27,11 +27,14 @@ takeover, so rescues and survivors cannot disagree about the new mapping.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Dict, Generator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.gaspi.context import GaspiContext
+from repro.gaspi.groups import _Members
+from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.roles import Role
 
@@ -43,7 +46,12 @@ _I8 = 8
 
 @dataclass(frozen=True)
 class FailureNotice:
-    """One epoch's failure notice, as read from the local control block."""
+    """One epoch's failure notice, as read from the local control block.
+
+    :meth:`ControlBlock.read_notice` shares one notice per epoch across a
+    world, so whatever is a pure function of it is derived lazily, once,
+    on the notice itself, and every rebuilding rank adopts the result.
+    """
 
     epoch: int
     failed: Tuple[int, ...]
@@ -54,6 +62,19 @@ class FailureNotice:
     @property
     def recoverable(self) -> bool:
         return len(self.rescues) >= len(self.failed)
+
+    @cached_property
+    def members(self) -> _Members:
+        """The new worker group: ``rank_map``'s physical ranks, sorted and
+        interned."""
+        return _Members.intern(tuple(rankstate.map_members(self.rank_map)))
+
+    @cached_property
+    def logical_of(self) -> Dict[int, int]:
+        """Physical -> logical inverse of ``rank_map`` (the first entry
+        wins should a physical rank repeat, as a forward scan would)."""
+        return {phys: logical
+                for logical, phys in reversed(self.rank_map.items())}
 
 
 class ControlBlock:

@@ -14,11 +14,10 @@ they are property-tested against.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
-from repro.gaspi.groups import _Members
 from repro.ft.roles import Role
 
 
@@ -143,16 +142,6 @@ def map_members(rank_map: Dict[int, int]) -> List[int]:
     return members
 
 
-def logical_in_map(rank_map: Dict[int, int], phys: int) -> Optional[int]:
-    """The logical rank mapped to ``phys`` (None when absent)."""
-    arr = np.fromiter(rank_map.values(), dtype=np.int64, count=len(rank_map))
-    hits = np.flatnonzero(arr == phys)
-    if hits.size == 0:
-        return None
-    keys = list(rank_map.keys())
-    return keys[int(hits[0])]
-
-
 # ----------------------------------------------------------------------
 # checkpoint neighbor ring
 # ----------------------------------------------------------------------
@@ -213,17 +202,3 @@ def replica_ring_holders(ring_nodes: np.ndarray, r: int) -> np.ndarray:
         return out
     return _replica_ring_holders_scalar(d, r)
 
-
-# ----------------------------------------------------------------------
-# group rebuild
-# ----------------------------------------------------------------------
-def group_fill(group: "object", members: Sequence[int]) -> None:
-    """Populate a fresh group with sorted ``members`` (flyweight).
-
-    Every rebuilding rank computes the same sorted member list, so
-    the membership is interned once per distinct list and *adopted*
-    — the group shares the tuple and its set instead of building a
-    private list/set per rank (the historical ``add_many`` path).
-    """
-    group.adopt_members(  # type: ignore[attr-defined]
-        _Members.intern(tuple(sorted(members))))

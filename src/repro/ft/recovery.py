@@ -19,6 +19,10 @@ rescues — executes :func:`perform_recovery`:
    ~10 s at 256 workers).  If yet another failure notice arrives while
    committing, the whole procedure restarts with the newer notice.
 
+A rank's identity and the new membership come from the shared notice,
+which derives them once per epoch, so a rank's rebuild work does not
+grow with the group.
+
 Parameter ↔ paper-symbol mapping: ``cfg.comm_timeout`` is the GASPI
 timeout bounding each blocking step (``gaspi_proc_kill``,
 ``gaspi_group_commit``); ``notice.epoch`` numbers recovery rounds and is
@@ -34,13 +38,13 @@ span on each rescue covering its whole identity-adoption.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Generator, List, Optional
 
 from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
 from repro.checkpoint.neighbor import neighbor_of
-from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
 from repro.ft.rankmap import ActiveRankMap
@@ -90,10 +94,10 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     tracer = ctx.tracer
     t_start = ctx.now
     while True:
-        # the notice's map is shared (epoch-cached, never mutated) — using
-        # it directly avoids one O(n_workers) dict copy per recovering rank
+        # the notice is shared (epoch-cached, never mutated): its map and
+        # the derived lookups are built once per epoch, not per rank
         rank_map = notice.rank_map
-        my_logical = rankstate.logical_in_map(rank_map, ctx.rank)
+        my_logical = notice.logical_of.get(ctx.rank)
         if my_logical is None:
             raise RuntimeError(
                 f"rank {ctx.rank} performed recovery but is not in the new "
@@ -120,19 +124,20 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
 
         t_rebuild = ctx.now
         group = ctx.group_create(tag=notice.epoch)
-        rankstate.group_fill(group, rankstate.map_members(rank_map))
+        group.adopt_members(notice.members)
 
-        superseded = False
-        while True:
-            newer = block.check_failure(notice.epoch)
-            if newer is not None:
-                notice = newer
-                superseded = True
-                break
-            ret = yield from ctx.group_commit(group, cfg.comm_timeout)
-            if ret is ReturnCode.SUCCESS:
-                break
-        if superseded:
+        # commit, retrying every comm_timeout until it succeeds or a newer
+        # notice supersedes this one; the retry runs in the kernel, which
+        # reads the failure flag at each timeout, so TIMEOUT means it tripped
+        newer = block.check_failure(notice.epoch)
+        if newer is None:
+            ret = yield from ctx.group_commit(
+                group, cfg.comm_timeout,
+                recheck=partial(block.check_failure, notice.epoch))
+            if ret is not ReturnCode.SUCCESS:
+                newer = block.check_failure(notice.epoch)
+        if newer is not None:
+            notice = newer
             # retire the half-built group before the next round rebinds
             # the handle — an uncommitted group left behind would keep
             # the runtime's group table growing across recovery storms

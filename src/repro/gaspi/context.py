@@ -14,7 +14,8 @@ the paper's listings, e.g.::
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Any, Generator, List, Optional, Sequence, Tuple, Union
+from typing import (TYPE_CHECKING, Any, Callable, Generator, List, Optional,
+                    Sequence, Tuple, Union)
 
 import numpy as np
 
@@ -681,11 +682,18 @@ class GaspiContext:
         group.add_many(ranks)
 
     def group_commit(self, group: Group, timeout: float = GASPI_BLOCK,
+                     recheck: Optional[Callable[[], Any]] = None,
                      ) -> Generator[Any, Any, ReturnCode]:
         """``gaspi_group_commit`` (generator): blocking collective.
 
         Its cost is linear in group size (connection establishment) — the
         dominant part of the paper's OHF2 rebuild overhead.
+
+        With ``recheck``, each timeout runs the check and, while it
+        returns ``None``, retries the commit with the same parameters
+        inside the kernel instead of returning ``TIMEOUT`` to the caller
+        (see :class:`repro.sim.WaitEvent`).  ``TIMEOUT`` then means the
+        check tripped.
         """
         if self.rank not in group:
             raise GaspiUsageError(f"rank {self.rank} commits group it is not part of")
@@ -694,7 +702,7 @@ class GaspiContext:
             "commit", group.identity(), group.coll_seq, self.rank,
             group.members, cost=costs.commit(group.size),
         )
-        ok, _ = yield WaitEvent(event, _clip_timeout(timeout))
+        ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
             return ReturnCode.TIMEOUT
         group.coll_seq += 1

@@ -35,7 +35,8 @@ class _Members(tuple):
     every subsequent key hash O(1).  Content equality with plain tuples
     is inherited from ``tuple``, so group identities still compare by
     value (and matching degrades gracefully to content equality if an
-    interned instance is ever dropped from the table).
+    interned instance is ever dropped from the table).  Every instance is
+    in ascending rank order: producers intern sorted tuples only.
     """
 
     _hash: int
@@ -62,6 +63,13 @@ class _Members(tuple):
         if cached is None:
             cached = self._set = frozenset(self)
         return cached
+
+    @classmethod
+    def of(cls, ranks: Iterable[int]) -> "_Members":
+        """``ranks`` as an interned membership; as-is when it is one."""
+        if isinstance(ranks, cls):
+            return ranks
+        return cls.intern(tuple(sorted(ranks)))
 
     @classmethod
     def intern(cls, ranks: Tuple[int, ...]) -> "_Members":

@@ -15,10 +15,14 @@ Metrics (all lower-is-better except the ladder maximum):
   scan round, measured over full ``scan_once`` rounds inside a live
   simulation at the reference scale (256 ranks): the cached target list
   and one single-callback batched sweep per round.
-* ``group_rebuild_us_per_rank`` — wall microseconds per member of one
-  recovery-side group rebuild: ``map_members`` + ``group_create`` +
-  ``group_fill`` + ``logical_in_map``.  The collective commit is
-  excluded — its virtual cost is fixed and would only add noise.
+* ``group_rebuild_us_per_rank`` — wall microseconds per (rebuilding
+  rank, group member) pair of one recovery-side group rebuild: the
+  epoch's shared notice derives the sorted membership and the inverse
+  rank map once, then every member looks up its logical rank and adopts
+  the membership into a fresh group.  The pair normalisation is the one
+  the frozen seed used for its per-rank O(n) loops.  The collective
+  commit is excluded — its virtual cost is fixed and would only add
+  noise.
 * ``ckpt_mirror_us_per_rank`` — wall microseconds per rank per
   checkpoint write+mirror round, committing whole rounds via
   ``CheckpointManager.commit_round`` (shared staging arena, one cached
@@ -103,14 +107,17 @@ def bench_fd_scan_us_per_rank(n_ranks: int = REFERENCE_RANKS,
 # ----------------------------------------------------------------------
 def bench_group_rebuild_us_per_rank(n_ranks: int = REFERENCE_RANKS,
                                     rounds: Optional[int] = None) -> float:
-    """Wall microseconds per member of one recovery group rebuild.
+    """Wall microseconds per (rebuilding rank, group member) pair.
 
-    Measures the Python-side rebuild work each member performs in
-    :func:`repro.ft.recovery.perform_recovery`: sorted member extraction
-    from the rank map, group creation and population, and the rank's own
-    logical-identity lookup.  The collective commit is excluded.
+    Measures the Python-side rebuild work of one epoch in
+    :func:`repro.ft.recovery.perform_recovery`: a fresh notice derives
+    its sorted membership and inverse rank map once, then each member
+    looks up its logical identity, creates a group and adopts the
+    membership.  Dividing by ranks × members keeps the normalisation of
+    the per-rank O(n) rebuild this path replaced.  The collective commit
+    is excluded.
     """
-    from repro.ft import rankstate
+    from repro.ft.control import FailureNotice
     from repro.gaspi.groups import Group
 
     if rounds is None:
@@ -119,13 +126,15 @@ def bench_group_rebuild_us_per_rank(n_ranks: int = REFERENCE_RANKS,
 
     t0 = time.perf_counter()
     for k in range(rounds):
-        members = rankstate.map_members(rank_map)
-        group = Group(tag=k)
-        rankstate.group_fill(group, members)
-        assert rankstate.logical_in_map(rank_map, n_ranks - 1) == n_ranks - 1
-        assert len(group.members) == n_ranks
+        notice = FailureNotice(epoch=k + 1, failed=(), rescues=(),
+                               status=(), rank_map=rank_map)
+        for rank in range(n_ranks):
+            logical = notice.logical_of[rank]
+            group = Group(tag=notice.epoch)
+            group.adopt_members(notice.members)
+        assert logical == n_ranks - 1 and len(group.members) == n_ranks
     wall = time.perf_counter() - t0
-    return wall / (rounds * n_ranks) * 1e6
+    return wall / (rounds * n_ranks * n_ranks) * 1e6
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +387,7 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
         world_build[str(n)] = build["world_build_s"]
         world_peak[str(n)] = build["world_peak_mb"]
         fd_scan[str(n)] = round(bench_fd_scan_us_per_rank(n), 3)
-        rebuild[str(n)] = round(bench_group_rebuild_us_per_rank(n), 3)
+        rebuild[str(n)] = round(bench_group_rebuild_us_per_rank(n), 4)
         ckpt_mirror[str(n)] = round(bench_ckpt_mirror_us_per_rank(n), 3)
         ckpt_replicated[str(n)] = round(
             bench_ckpt_replicated_restore_us_per_rank(n), 3)

@@ -5,7 +5,9 @@ Processes communicate with the kernel by yielding request objects:
 * :class:`Sleep` — advance virtual time by ``dt`` and resume.
 * :class:`WaitEvent` — block until an :class:`Event` fires or a timeout
   elapses; the process is resumed with the tuple ``(ok, value)`` where
-  ``ok`` is ``False`` exactly when the timeout won the race.
+  ``ok`` is ``False`` exactly when the timeout won the race.  With a
+  ``recheck`` callable the timeout re-arms inside the kernel until the
+  check trips.
 
 Events are one-shot: they fire at most once, carry an optional value, and
 notify their registered callbacks in registration order.
@@ -91,15 +93,28 @@ class WaitEvent:
     ``None`` waits forever.  Ties (event firing exactly at the deadline) are
     resolved deterministically in favour of whichever was scheduled first in
     the kernel's event heap.
+
+    ``recheck`` turns the wait into a retry loop that never leaves the
+    kernel: each time the timeout elapses the kernel calls ``recheck()``,
+    and while it returns ``None`` the same wait is re-armed for another
+    ``timeout`` from that instant.  The process resumes with
+    ``(False, None)`` only once the check returns something else.  This
+    is observably the loop ``while check() is None: wait again``, with
+    the same timer entries, minus one process resumption per period.
     """
 
-    __slots__ = ("event", "timeout")
+    __slots__ = ("event", "timeout", "recheck")
 
-    def __init__(self, event: Event, timeout: Optional[float] = None) -> None:
+    def __init__(self, event: Event, timeout: Optional[float] = None,
+                 recheck: Optional[Callable[[], Any]] = None) -> None:
         if timeout is not None and timeout < 0:
             raise SimError(f"negative timeout: {timeout}")
+        if recheck is not None and timeout == 0:
+            # would re-arm forever without time advancing
+            raise SimError("a rechecked wait needs a positive timeout")
         self.event = event
         self.timeout = timeout
+        self.recheck = recheck
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"WaitEvent({self.event!r}, timeout={self.timeout})"

@@ -36,6 +36,9 @@ every paper-scale experiment replays millions of events through it):
   the entry itself (``fn is None`` → resume ``proc`` with ``value``), so
   stepping a process allocates one small list — no lambda, no bound
   method.  Event waits register a single :class:`_EventWaiter` record.
+* **Re-armed waits.**  A :class:`WaitEvent` with a ``recheck`` gets a
+  :class:`_RecheckWaiter`: a long wait costs one timer per timeout
+  period, not one generator re-entry.  Plain waits are unaffected.
 * **Lazy-cancel compaction.**  Cancellation only flags the entry; a
   counter of dead entries triggers an O(n) rebuild of the heap once the
   dead fraction reaches one half, so long FD-scan runs do not accumulate
@@ -144,6 +147,28 @@ class _EventWaiter:
         timer = self.timer
         if timer is not None:
             self.sim._cancel_entry(timer)
+
+
+class _RecheckWaiter(_EventWaiter):
+    """An event wait whose timeout re-arms while ``recheck()`` is None
+    (see :class:`WaitEvent`).  The event callback stays registered, and
+    ``timer`` always holds the live entry, so a kill cancels the current
+    one."""
+
+    __slots__ = ("timeout", "recheck")
+
+    def __init__(self, sim: "Simulator", proc: Process, event: Event,
+                 timeout: Optional[float],
+                 recheck: Callable[[], Any]) -> None:
+        _EventWaiter.__init__(self, sim, proc, event)
+        self.timeout = timeout
+        self.recheck = recheck
+
+    def _on_timeout(self) -> None:
+        if self.recheck() is None:
+            self.timer = self.sim.schedule(self.timeout, self._on_timeout)
+        else:
+            _EventWaiter._on_timeout(self)
 
 
 class Simulator:
@@ -446,7 +471,8 @@ class Simulator:
             proc.state = ProcessState.WAITING
             proc._cleanup = self._schedule_step(request.dt, proc, None)
         elif cls is WaitEvent:
-            self._wait_event(proc, request.event, request.timeout)
+            self._wait_event(proc, request.event, request.timeout,
+                             request.recheck)
         elif cls is ChannelGet:
             self._wait_channel(proc, request.channel, request.timeout)
         elif cls is Event:
@@ -455,7 +481,8 @@ class Simulator:
             proc.state = ProcessState.WAITING
             proc._cleanup = self._schedule_step(request.dt, proc, None)
         elif isinstance(request, WaitEvent):
-            self._wait_event(proc, request.event, request.timeout)
+            self._wait_event(proc, request.event, request.timeout,
+                             request.recheck)
         elif isinstance(request, Event):
             self._wait_event(proc, request, None)
         else:
@@ -464,13 +491,17 @@ class Simulator:
                 "did you forget 'yield from' on a blocking call?"
             )
 
-    def _wait_event(self, proc: Process, event: Event, timeout: Optional[float]) -> None:
+    def _wait_event(self, proc: Process, event: Event, timeout: Optional[float],
+                    recheck: Optional[Callable[[], Any]] = None) -> None:
         proc.state = ProcessState.WAITING
         if event.fired:
             # Resume via the run-queue (not inline) to keep ordering uniform.
             proc._cleanup = self._schedule_step(0.0, proc, (True, event.value))
             return
-        waiter = _EventWaiter(self, proc, event)
+        if recheck is None:
+            waiter = _EventWaiter(self, proc, event)
+        else:
+            waiter = _RecheckWaiter(self, proc, event, timeout, recheck)
         event.add_callback(waiter)
         if timeout is not None:
             waiter.timer = self.schedule(timeout, waiter._on_timeout)

@@ -33,6 +33,11 @@ class CommGuard:
     def __init__(self, check: Optional[Callable[[], Any]] = None) -> None:
         self._check = check
 
+    def check(self) -> Any:
+        """The posted failure notice, or ``None`` — the non-raising form
+        of :meth:`assert_healthy`, for waits that re-check in the kernel."""
+        return None if self._check is None else self._check()
+
     def assert_healthy(self) -> None:
         """Raise :class:`FailureAcknowledged` if a failure notice is posted.
 

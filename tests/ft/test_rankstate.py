@@ -7,8 +7,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.ft import rankstate
+from repro.ft.control import FailureNotice
 from repro.ft.roles import Role
-from repro.gaspi.groups import Group
+from repro.gaspi.groups import Group, _Members
 
 ROLE_VALUES = [int(r) for r in Role]
 
@@ -133,22 +134,28 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
 
     rank_map = {i: int(p) for i, p in enumerate(out)}
     assert rankstate.map_members(rank_map) == sorted(rank_map.values())
+    # recovery's per-epoch view of the map: membership and inverse lookup
+    notice = FailureNotice(epoch=1, failed=(), rescues=(), status=(),
+                           rank_map=rank_map)
+    assert list(notice.members) == sorted(rank_map.values())
     for phys in (int(out[0]), n + 7):  # present and absent
-        assert (rankstate.logical_in_map(rank_map, phys)
-                == logical_in_map(rank_map, phys))
+        assert notice.logical_of.get(phys) == logical_in_map(rank_map, phys)
 
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(st.integers(16, 512), st.integers(0, 2**32 - 1))
 def test_group_fill_kernels_identical(n, seed):
+    """Adopting an interned membership equals adding ranks one by one."""
     members = np.random.default_rng(seed).permutation(n).tolist()
     filled, added = Group(tag=1), Group(tag=1)
-    rankstate.group_fill(filled, members)
+    filled.adopt_members(_Members.of(members))
     for rank in sorted(members):
         added.add(rank)
     assert filled.members == added.members
     assert filled.identity() == added.identity()
+    # an interned membership passes through as-is, without a re-sort
+    assert _Members.of(filled.members) is filled.members
 
 
 @settings(max_examples=40, deadline=None,

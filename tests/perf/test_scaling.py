@@ -13,18 +13,11 @@ from repro.perf.bench import (LOWER_IS_BETTER, TARGET_FLOOR, TARGET_SPEEDUP,
 from tests.ft import test_rankstate as oracle
 
 
-def _scalar_group_fill(group, members):
-    for rank in sorted(members):
-        group.add(rank)
-
-
 # the per-rank loops the benches' rankstate kernels replace
 SCALAR_KERNELS = {
     "avoid_mask": oracle.avoid_mask,
     "scan_targets": oracle.scan_targets,
-    "logical_in_map": oracle.logical_in_map,
     "map_members": lambda rank_map: sorted(rank_map.values()),
-    "group_fill": _scalar_group_fill,
 }
 
 

@@ -107,6 +107,49 @@ def test_negative_timeout_rejected():
         WaitEvent(ev, timeout=-1.0)
 
 
+def test_rechecked_wait_rearms_until_the_check_trips():
+    sim = Simulator()
+    ev = Event()
+    checks = []
+
+    def check():
+        checks.append(sim.now)
+        return "tripped" if sim.now >= 3.0 else None
+
+    def waiter():
+        ok, val = yield WaitEvent(ev, timeout=1.0, recheck=check)
+        return (ok, val, sim.now)
+
+    p = sim.spawn(waiter())
+    sim.run()
+    assert p.result == (False, None, 3.0)
+    assert checks == [1.0, 2.0, 3.0]
+    # one resume entry, then one timer per period: no re-entries
+    assert sim.scheduled_count == 4
+
+
+def test_rechecked_wait_resumes_when_the_event_fires():
+    sim = Simulator()
+    ev = Event()
+    checks = []
+
+    def waiter():
+        ok, val = yield WaitEvent(ev, timeout=1.0,
+                                  recheck=lambda: checks.append(sim.now))
+        return (ok, val, sim.now)
+
+    p = sim.spawn(waiter())
+    sim.schedule(2.5, lambda: ev.succeed("done"))
+    sim.run()
+    assert p.result == (True, "done", 2.5)
+    assert checks == [1.0, 2.0]
+
+
+def test_rechecked_wait_needs_a_positive_timeout():
+    with pytest.raises(SimError):
+        WaitEvent(Event(), timeout=0.0, recheck=lambda: None)
+
+
 def test_kill_while_sleeping_never_resumes():
     sim = Simulator()
     stages = []
