@@ -310,7 +310,7 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         notice = block.check_failure(seen_epoch)
         if notice is not None:
             seen_epoch = notice.epoch
-            if ctx.rank in notice.rescues and ctx.rank in notice.rank_map.values():
+            if ctx.rank in notice.rescues and ctx.rank in notice.logical_of:
                 ftx = yield from _rebuild_context(ctx, cfg, block, notice,
                                                   None, pfs)
                 return (yield from worker_loop(ctx, cfg, block, program, ftx,

@@ -689,11 +689,9 @@ class GaspiContext:
         Its cost is linear in group size (connection establishment) — the
         dominant part of the paper's OHF2 rebuild overhead.
 
-        With ``recheck``, each timeout runs the check and, while it
-        returns ``None``, retries the commit with the same parameters
-        inside the kernel instead of returning ``TIMEOUT`` to the caller
-        (see :class:`repro.sim.WaitEvent`).  ``TIMEOUT`` then means the
-        check tripped.
+        With ``recheck``, a timeout retries the commit inside the kernel
+        while the check returns ``None`` (see :class:`repro.sim.WaitEvent`),
+        so ``TIMEOUT`` means the check tripped.
         """
         if self.rank not in group:
             raise GaspiUsageError(f"rank {self.rank} commits group it is not part of")
