@@ -18,7 +18,12 @@ Recorded outputs pin the simulator's observable behaviour:
 * ``numeric16.json`` — a real FT Lanczos run (16 workers, 4 spares, two
   kills) on a small disordered graphene sheet: status, elapsed time,
   steps, the lowest eigenvalues as exact floats, the SHA-256 of the
-  alpha/beta bytes and the checkpoint phase totals.
+  alpha/beta bytes and the checkpoint phase totals;
+* ``numeric48_late_kill.json`` — the same solver at 48 workers, 60 steps,
+  with rank 1 killed at 8.5 s, after the 7.354 s finish: status, elapsed
+  time, the FD's detection count, the alpha/beta SHA-256 and the trace
+  digest.  It is the one run in which a notice lands on control blocks
+  that already hold the done flag.
 
 A refactor must keep all of them byte-identical.  After an intentional change of
 behaviour, regenerate them with
@@ -55,6 +60,7 @@ ROWS64_FILE = HERE / "rows64_retry.json"
 BACKENDS_FILE = HERE / "recovery_compare.json"
 FIGURE4_FILE = HERE / "figure4_tiny.sha256"
 NUMERIC_FILE = HERE / "numeric16.json"
+LATE_KILL_FILE = HERE / "numeric48_late_kill.json"
 
 #: (kill time, kill rank): during setup, mid-run on rank 0, mid-run on an
 #: interior rank, and on the last worker
@@ -68,6 +74,8 @@ BACKEND_CELLS = [(n, b) for n in (16, 64)
 #: (kill time, kill rank) of the numeric run: both after the first
 #: checkpoint, one recovery apart
 NUMERIC_KILLS = [(8.0, 1), (14.0, 2)]
+#: (kill time, kill rank) of the 48-worker run, after its 7.354 s finish
+LATE_KILL = (8.5, 1)
 
 
 def _sha256(lines) -> str:
@@ -134,30 +142,66 @@ class _StepTime:
         return 0.05
 
 
-def numeric16():
-    """Outputs of a real FT Lanczos run through two kills."""
-    cfg = FTConfig(n_workers=16, n_spares=4, fd_scan_period=3.0,
+def _numeric_run(n_workers, n_steps, kills):
+    """A real FT Lanczos run on a small disordered graphene sheet."""
+    cfg = FTConfig(n_workers=n_workers, n_spares=4, fd_scan_period=3.0,
                    comm_timeout=1.0, checkpoint_interval=20)
     plan = FaultPlan()
-    for t, rank in NUMERIC_KILLS:
+    for t, rank in kills:
         plan.kill_process(t, rank)
     program = FTLanczos(generator=GrapheneSheet(24, 24, disorder=1.0),
-                        n_steps=120, time_model=_StepTime())
-    result = run_ft_application(cfg, program,
-                                machine_spec=MachineSpec(n_nodes=cfg.n_ranks),
-                                fault_plan=plan)
-    out = result.worker_results()[0]["result"]
+                        n_steps=n_steps, time_model=_StepTime())
+    return run_ft_application(cfg, program,
+                              machine_spec=MachineSpec(n_nodes=cfg.n_ranks),
+                              fault_plan=plan)
+
+
+def _coefficients_sha256(out) -> str:
     coefficients = (np.asarray(out["alpha"], dtype=np.float64).tobytes()
                     + np.asarray(out["beta"], dtype=np.float64).tobytes())
+    return hashlib.sha256(coefficients).hexdigest()
+
+
+def numeric16():
+    """Outputs of a real FT Lanczos run through two kills."""
+    result = _numeric_run(16, 120, NUMERIC_KILLS)
+    out = result.worker_results()[0]["result"]
     rows = {
         "status": result.status,
         "elapsed": result.elapsed,
         "steps": out["steps"],
         "eigenvalues": out["eigenvalues"],
-        "alpha_beta_sha256": hashlib.sha256(coefficients).hexdigest(),
+        "alpha_beta_sha256": _coefficients_sha256(out),
         "ckpt_phases": CheckpointManager.of(result.run.world).phase_totals,
     }
     return json.loads(json.dumps(rows, sort_keys=True))
+
+
+def numeric48_late_kill():
+    """Outputs and trace of a 48-worker FT Lanczos run whose only kill
+    lands after every worker finished."""
+    tracer = install(capacity=8192, bulk_capacity=8192)
+    try:
+        result = _numeric_run(48, 60, [LATE_KILL])
+    finally:
+        deactivate()
+    events = tuple(tracer.events())
+    out = result.worker_results()[0]["result"]
+    fd = result.rank_result(result.cfg.fd_rank)
+    rows = {
+        "status": result.status,
+        "elapsed": result.elapsed,
+        "steps": out["steps"],
+        "fd_detections": len(fd["fd_stats"].detections),
+        "alpha_beta_sha256": _coefficients_sha256(out),
+        "trace_sha256": _sha256(
+            json.dumps(event_to_record(ev), sort_keys=True, default=repr)
+            for ev in events),
+    }
+    trace = SweepTrace(experiment="golden", scenario="numeric48-late-kill",
+                       k=0, events=events, dropped=tracer.dropped,
+                       dropped_bulk=tracer.dropped_bulk)
+    return json.loads(json.dumps(rows, sort_keys=True)), trace
 
 
 def figure4_tiny_digest(tmp_dir: Path) -> str:
@@ -230,6 +274,21 @@ def test_numeric16_matches_golden():
     assert numeric16() == json.loads(NUMERIC_FILE.read_text())
 
 
+def test_numeric48_late_kill_matches_golden():
+    """Pins today's semantics of a kill after completion: the FD scans
+    once more after the done signal, detects the kill and broadcasts a
+    notice onto blocks that hold the done flag, and the trace leaves
+    rank 1's chain incomplete (deciding those semantics is separate
+    work)."""
+    rows, trace = numeric48_late_kill()
+    assert rows == json.loads(LATE_KILL_FILE.read_text())
+    assert rows["fd_detections"] == 1
+    errors = validate_trace(trace)
+    assert any("epoch 1 chain incomplete" in e for e in errors)
+    assert any("rank 1 has no complete lifecycle chain" in e
+               for e in errors)
+
+
 if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     import tempfile
 
@@ -250,3 +309,5 @@ if __name__ == "__main__":  # pragma: no cover - fixture regeneration
         FIGURE4_FILE.write_text(figure4_tiny_digest(Path(tmp)) + "\n")
     NUMERIC_FILE.write_text(json.dumps(numeric16(), indent=1,
                                        sort_keys=True) + "\n")
+    LATE_KILL_FILE.write_text(json.dumps(numeric48_late_kill()[0], indent=1,
+                                         sort_keys=True) + "\n")
