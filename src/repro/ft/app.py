@@ -210,10 +210,11 @@ def _announce_done(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock):
     run.  The writes and the stop are idempotent.
     """
     block.mark_done_local()
-    statuses = block.statuses()
-    targets = rankstate.ranks_with_roles(statuses, (Role.IDLE, Role.FD))
+    targets = rankstate.ranks_with_roles(block.statuses(),
+                                         (Role.IDLE, Role.FD))
     yield from block.broadcast(targets, timeout=cfg.comm_timeout)
-    for rank in rankstate.ranks_with_roles(statuses, (Role.FD,)):
+    # re-read: a notice may have landed during the broadcast
+    for rank in rankstate.ranks_with_roles(block.statuses(), (Role.FD,)):
         yield from ctx.passive_send(rank, FD_STOP, timeout=cfg.comm_timeout)
 
 

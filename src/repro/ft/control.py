@@ -80,12 +80,15 @@ class FailureNotice:
 class ControlBlock:
     """Typed view over one rank's FT control segment.
 
-    The segment is copy-on-write: every rank's block starts byte-identical
-    (a pure function of the layout parameters), so all pristine blocks of
-    one world read through a single shared template array —
-    :meth:`init_local` costs nothing per rank — and a block only gets a
-    private buffer when something actually writes it (the FD staging a
-    notice, a broadcast landing, the done flag).
+    The segment is copy-on-write over shared, immutable images (see
+    :mod:`repro.gaspi.segments`).  Every rank's block starts
+    byte-identical (a pure function of the layout parameters), so all
+    blocks of one world start on a single shared image — :meth:`init_local`
+    costs nothing per rank.  Whole-block writes keep it that way: a
+    broadcast notice lands as the FD's one snapshot, adopted by every
+    healthy rank, and :meth:`mark_done_local` swaps in the world's one
+    done image derived from the image the block holds.  Only the FD's
+    block, whose status array it mutates in place, gets a private buffer.
     """
 
     def __init__(self, ctx: GaspiContext, cfg: FTConfig) -> None:
@@ -99,29 +102,31 @@ class ControlBlock:
         self._off_status = self._off_rescues + max_failed
         self._off_map = self._off_status + cfg.n_ranks
         self.n_cells = self._off_map + cfg.n_workers
-        if FT_SEGMENT not in ctx.segments:
-            ctx.segment_create(FT_SEGMENT, self.n_cells * _I8)
-        seg = ctx.segments.get(FT_SEGMENT)
-        self._seg = seg
-        if seg.pristine:
-            seg.adopt_template(self._shared_template())
+        if FT_SEGMENT in ctx.segments:
+            self._seg = ctx.segments.get(FT_SEGMENT)
+        else:
+            self._seg = ctx.segment_create(FT_SEGMENT, self.n_cells * _I8)
+            self._seg.write_bytes(0, self._shared_template())
 
-    def _shared_template(self) -> np.ndarray:
-        """The world's one read-only copy of the initial block content."""
+    def _world_cache(self, name: str) -> Dict[Any, Any]:
+        """The dict named ``name`` that all blocks of this world share."""
         world = self.ctx.world
-        cache = getattr(world, "_ft_control_templates", None)
+        cache = getattr(world, name, None)
         if cache is None:
             cache = {}
-            world._ft_control_templates = cache  # type: ignore[attr-defined]
+            setattr(world, name, cache)
+        return cache
+
+    def _shared_template(self) -> bytes:
+        """The world's one image of the initial block content."""
         cfg = self.cfg
         key = (self.n_cells, cfg.n_ranks, cfg.n_workers, cfg.fd_rank)
+        cache = self._world_cache("_ft_control_templates")
         template = cache.get(key)
         if template is None:
             cells = np.zeros(self.n_cells, dtype=np.int64)
             self._fill_initial(cells)
-            template = cells.view(np.uint8)
-            template.setflags(write=False)
-            cache[key] = template
+            template = cache[key] = cells.tobytes()
         return template
 
     @property
@@ -189,13 +194,11 @@ class ControlBlock:
     def init_local(self) -> None:
         """Fill the block with the initial roles and identity mapping.
 
-        A pristine block already reads the shared template (which holds
-        exactly this content), so the per-rank fill is skipped entirely;
-        only an already-written block is explicitly re-initialised.
+        A pristine block adopts the world's shared initial image, so the
+        per-rank fill costs nothing; a materialised block is re-filled in
+        place.
         """
-        if self._seg.pristine:
-            return
-        self._fill_initial(self._cells_rw())
+        self._seg.write_bytes(0, self._shared_template())
 
     def _fill_initial(self, cells: np.ndarray) -> None:
         """Write the initial roles and identity map into ``cells``.
@@ -233,11 +236,7 @@ class ControlBlock:
         the shared, never-mutated :class:`FailureNotice`.
         """
         epoch = self.epoch
-        world = self.ctx.world
-        cache = getattr(world, "_ft_notice_cache", None)
-        if cache is None:
-            cache = {}
-            world._ft_notice_cache = cache  # type: ignore[attr-defined]
+        cache = self._world_cache("_ft_notice_cache")
         notice = cache.get(epoch)
         if notice is None:
             notice = FailureNotice(
@@ -287,7 +286,26 @@ class ControlBlock:
             cache.pop(epoch, None)
 
     def mark_done_local(self) -> None:
-        self._cells_rw()[2] = 1
+        """Set the done flag.
+
+        A pristine block swaps in the done image of the image it holds —
+        the same cells with ``done = 1``, derived once per world and
+        image — so every worker announces completion with one shared
+        object.  A materialised block sets the flag in place.
+        """
+        seg = self._seg
+        if not seg.pristine:
+            seg.cells64()[2] = 1
+            return
+        image = seg.read_bytes(0, seg.size)
+        cache = self._world_cache("_ft_done_images")
+        entry = cache.get(id(image))
+        if entry is None:
+            cells = np.frombuffer(image, dtype=np.int64).copy()
+            cells[2] = 1
+            # the entry keeps ``image`` alive, so its id cannot be reused
+            entry = cache[id(image)] = (image, cells.tobytes())
+        seg.write_bytes(0, entry[1])
 
     def broadcast(self, targets: List[int], queue_id: int = 0,
                   timeout: float = 1.0) -> Generator[Any, Any, None]:

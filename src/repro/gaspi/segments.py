@@ -15,9 +15,12 @@ O(ranks):
 * an **arena** (:class:`SegmentArena`, one per :class:`GaspiWorld`) backs
   all same-shaped per-rank segments — e.g. every rank's checkpoint mirror
   window — with one pooled allocation grown in a single pass;
-* a **template** (read-only array adopted via :meth:`Segment.adopt_template`)
-  serves reads of a segment whose initial content is identical on every
-  rank — e.g. the FT control block — and is copied on first write.
+* an **image** — immutable ``bytes`` that a pristine segment adopts when
+  a write covers it whole — serves reads until a partial write (or a
+  writable view) needs a private buffer.  Every rank whose segment
+  receives the same whole-segment payload shares one object: the FT
+  control block's initial content, each broadcast failure notice and
+  the done flag.
 """
 
 from __future__ import annotations
@@ -87,12 +90,15 @@ class Segment:
     """One registered memory block owned by one rank.
 
     The buffer materialises on first touch: reads of a pristine segment
-    are served from the (shared, read-only) template when one was
-    adopted, or synthesised as zeros; the first write — local or via a
-    remote one-sided delivery — allocates/copies the private buffer.
+    are served from its image — the last whole-segment ``bytes`` payload
+    written into it, shared with whoever else holds that object — or
+    synthesised as zeros.  A whole-segment ``bytes`` write into a
+    pristine segment adopts the payload as the new image, with no copy;
+    any other write, local or via a remote one-sided delivery, and any
+    writable view, copies the image into the private buffer first.
     """
 
-    __slots__ = ("segment_id", "size", "_buf", "_backing", "_template",
+    __slots__ = ("segment_id", "size", "_buf", "_backing", "_image",
                  "_n_notifications", "_notifications", "_cells64")
 
     def __init__(self, segment_id: int, size: int,
@@ -104,7 +110,7 @@ class Segment:
         self.size = int(size)
         self._buf: Optional[np.ndarray] = None
         self._backing = backing
-        self._template: Optional[np.ndarray] = None
+        self._image: Optional[bytes] = None
         self._n_notifications = n_notifications
         self._notifications: Optional[NotificationBoard] = None
         self._cells64: Optional[np.ndarray] = None
@@ -124,12 +130,13 @@ class Segment:
             raise GaspiUsageError(
                 f"segment {self.segment_id} backing has {buf.nbytes} bytes, "
                 f"expected {self.size}")
-        template = self._template
-        if template is not None:
-            buf[:] = template.view(np.uint8)
+        image = self._image
+        if image is not None:
+            buf[:] = np.frombuffer(image, dtype=np.uint8)
+            self._image = None
         self._buf = buf
         self._backing = None
-        self._cells64 = None  # template views must not outlive pristinity
+        self._cells64 = None  # image views must not outlive pristinity
         return buf
 
     @property
@@ -142,42 +149,23 @@ class Segment:
 
     @property
     def pristine(self) -> bool:
-        """True while no buffer was materialised (no write ever landed)."""
+        """True while no private buffer was materialised (reads are served
+        from the image, if one landed, or as zeros)."""
         return self._buf is None
-
-    def adopt_template(self, template: np.ndarray) -> None:
-        """Serve reads from a shared read-only array until first write.
-
-        The template must hold the segment's initial content; every rank
-        whose segment content starts identical can adopt the *same*
-        array, so a 4096-rank world holds one copy instead of 4096.
-        """
-        if self._buf is not None:
-            raise GaspiUsageError(
-                f"segment {self.segment_id} already materialised")
-        if template.nbytes != self.size:
-            raise GaspiUsageError(
-                f"template has {template.nbytes} bytes, expected {self.size}")
-        self._template = template
-        self._cells64 = None
 
     def cells64(self) -> np.ndarray:
         """Cached whole-segment ``int64`` view (control-block fast path).
 
-        Pristine segments return a **read-only** view of the shared
-        template; writers must go through :attr:`buf` (or any write
-        method), which materialises and invalidates this cache.
+        Pristine segments return a **read-only** view of the image;
+        writers must go through :attr:`buf` (or any write method), which
+        materialises, or replaces the image, and invalidates this cache.
         """
         cells = self._cells64
         if cells is None:
-            base: np.ndarray
-            if self._buf is not None:
-                base = self._buf
-            elif self._template is not None:
-                base = self._template.view(np.uint8)
+            if self._buf is None and self._image is not None:
+                cells = np.frombuffer(self._image, dtype=np.int64)
             else:
-                base = self.buf
-            cells = base.view(np.int64)
+                cells = self.buf.view(np.int64)
             self._cells64 = cells
         return cells
 
@@ -202,18 +190,20 @@ class Segment:
     def read_bytes(self, offset: int, nbytes: int) -> bytes:
         """Snapshot ``nbytes`` at ``offset`` (bounds-checked).
 
-        Returns an immutable copy — the right call when the bytes must
-        survive later segment writes (e.g. an in-flight RDMA payload).
-        For a zero-copy window consumed immediately, use
-        :meth:`read_view`.
+        Returns immutable bytes, shared for a whole pristine segment (its
+        image object itself) — the right call when the bytes must survive
+        later segment writes (e.g. an in-flight RDMA payload).  For a
+        zero-copy window consumed immediately, use :meth:`read_view`.
         """
         self.check_range(offset, nbytes)
         buf = self._buf
         if buf is None:
-            template = self._template
-            if template is None:
+            image = self._image
+            if image is None:
                 return bytes(nbytes)
-            return template.view(np.uint8)[offset:offset + nbytes].tobytes()
+            if nbytes == self.size:
+                return image
+            return image[offset:offset + nbytes]
         return buf[offset:offset + nbytes].tobytes()
 
     def read_view(self, offset: int, nbytes: int) -> memoryview:
@@ -245,7 +235,17 @@ class Segment:
         ``data`` is any C-contiguous buffer — ``bytes``, ``bytearray``,
         ``memoryview`` or numpy array — written without intermediate
         conversion copies, so a caller-staged buffer moves bytes once.
+        A pristine segment adopts a whole-segment ``bytes`` payload as its
+        image instead: immutable, so sharing it needs no copy at all.
+        Mutable buffers are always copied (their owner may still change
+        them), and so is every write into a materialised segment, whose
+        buffer may back live views.
         """
+        if (type(data) is bytes and offset == 0 and len(data) == self.size
+                and self._buf is None):
+            self._image = data
+            self._cells64 = None
+            return
         src = np.frombuffer(data, dtype=np.uint8)
         self.check_range(offset, src.nbytes)
         self.buf[offset:offset + src.nbytes] = src

@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.gaspi import GaspiUsageError, NotificationBoard, Segment, SegmentTable
+from repro.gaspi.segments import SegmentArena
 
 
 class TestSegment:
@@ -70,6 +73,133 @@ class TestSegment:
         snap = seg.read_bytes(0, 6)
         seg.write_bytes(0, b"after!")
         assert snap == b"before"
+
+
+#: the mutable buffer kinds a payload can arrive as (each is copied)
+MUTABLE_KINDS = {
+    "bytearray": bytearray,
+    "memoryview": lambda b: memoryview(bytearray(b)),
+    "ndarray": lambda b: np.frombuffer(b, dtype=np.uint8).copy(),
+}
+KINDS = {"bytes": bytes, **MUTABLE_KINDS}
+
+
+class TestImageAdoption:
+    """A whole-segment ``bytes`` write into a pristine segment adopts the
+    payload as the segment's image, without allocating or copying."""
+
+    def test_whole_bytes_write_stays_pristine_and_is_shared(self):
+        seg = Segment(0, 16)
+        image = bytes(range(16))
+        seg.write_bytes(0, image)
+        assert seg.pristine
+        assert seg.read_bytes(0, 16) is image
+        assert seg.read_bytes(4, 4) == image[4:8]  # partial reads slice it
+        cells = seg.cells64()
+        assert not cells.flags.writeable
+        assert cells.tobytes() == image
+
+    def test_later_whole_bytes_write_replaces_the_image(self):
+        seg = Segment(0, 16)
+        seg.write_bytes(0, bytes(16))
+        stale = seg.cells64()
+        again = b"\x07" * 16
+        seg.write_bytes(0, again)
+        assert seg.pristine and seg.read_bytes(0, 16) is again
+        assert seg.cells64().tobytes() == again
+        assert not stale.any()  # a pristine view never sees later landings
+
+    def test_partial_bytes_write_materialises(self):
+        seg = Segment(0, 16)
+        seg.write_bytes(0, b"\x01" * 16)
+        seg.write_bytes(4, b"ab")
+        assert not seg.pristine
+        assert seg.read_bytes(0, 16) == b"\x01" * 4 + b"ab" + b"\x01" * 10
+
+    @pytest.mark.parametrize("kind", sorted(MUTABLE_KINDS))
+    def test_whole_mutable_write_materialises_a_copy(self, kind):
+        seg = Segment(0, 16)
+        payload = MUTABLE_KINDS[kind](bytes(range(16)))
+        seg.write_bytes(0, payload)
+        assert not seg.pristine
+        payload[0] = 99  # the sender may still change its buffer
+        assert seg.read_bytes(0, 16) == bytes(range(16))
+
+    def test_whole_bytes_write_into_materialised_segment_is_in_place(self):
+        seg = Segment(0, 16)
+        view = seg.view(np.uint8)
+        window = seg.read_view(8, 8)
+        buf = seg.buf
+        image = bytes(range(16, 32))
+        seg.write_bytes(0, image)
+        assert seg.buf is buf and not seg.pristine
+        assert view.tobytes() == image
+        assert bytes(window) == image[8:]
+        assert seg.read_bytes(0, 16) is not image
+
+    def test_pooled_segment_materialises_into_its_arena_slot(self):
+        arena = SegmentArena()
+        seg = Segment(7, 64, backing=lambda: arena.slot(7, 64, 4, 1))
+        image = bytes(range(64))
+        seg.write_bytes(0, image)
+        assert seg.pristine and arena.allocations == 0
+        seg.write_bytes(0, b"Z")  # partial: materialise into the slot
+        pool = arena._pools[(7, 64)]
+        assert np.shares_memory(seg.buf, pool)
+        assert seg.read_bytes(0, 64) == b"Z" + image[1:]
+        assert pool[64:128].tobytes() == b"Z" + image[1:]
+
+
+_SIZE = 32
+
+_write = st.tuples(
+    st.just("write"), st.sampled_from(sorted(KINDS)), st.booleans(),
+    st.integers(0, _SIZE - 1), st.binary(min_size=1, max_size=_SIZE))
+_window = st.integers(0, _SIZE).flatmap(
+    lambda off: st.tuples(st.just(off), st.integers(0, _SIZE - off)))
+_read = st.tuples(st.sampled_from(["read_bytes", "read_view", "view"]),
+                  _window)
+_cells = st.tuples(st.just("cells64"))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ops=st.lists(st.one_of(_write, _read, _cells), max_size=25))
+def test_segment_matches_a_bytearray_model(ops):
+    """Any interleaving of whole/partial writes from any buffer kind and
+    every read path reads exactly what a plain ``bytearray`` holds; live
+    views keep tracking it, and snapshots never change."""
+    seg = Segment(0, _SIZE)
+    model = bytearray(_SIZE)
+    live = []       # (offset, view) pairs that alias the segment memory
+    snapshots = []  # (bytes, expected) pairs that must never change
+    for op in ops:
+        if op[0] == "write":
+            _, kind, whole, offset, payload = op
+            if whole:
+                offset, payload = 0, (payload * _SIZE)[:_SIZE]
+            payload = payload[:_SIZE - offset]
+            data = KINDS[kind](payload)
+            seg.write_bytes(offset, data)
+            model[offset:offset + len(payload)] = payload
+            if kind != "bytes":
+                data[0] ^= 0xFF  # mutating the source must not show
+        elif op[0] == "cells64":
+            assert seg.cells64().tobytes() == model
+        else:
+            name, (offset, nbytes) = op
+            if name == "read_bytes":
+                snap = seg.read_bytes(offset, nbytes)
+                assert type(snap) is bytes
+                snapshots.append((snap, bytes(model[offset:offset + nbytes])))
+            elif name == "read_view":
+                live.append((offset, seg.read_view(offset, nbytes)))
+            else:
+                live.append((offset, seg.view(np.uint8, offset, nbytes)))
+        assert seg.read_bytes(0, _SIZE) == model
+        for offset, view in live:
+            assert bytes(view) == model[offset:offset + len(view)]
+    for snap, expected in snapshots:
+        assert snap == expected
 
 
 class TestSegmentTable:
