@@ -37,6 +37,8 @@ import platform
 import time
 from typing import Callable, Dict, List, Optional
 
+from repro.perf.scaling import RANKS_LADDER
+
 BENCH_FILE = "BENCH_core.json"
 SCHEMA_VERSION = 1
 
@@ -63,9 +65,12 @@ TARGET_FLOOR = {
 
 #: absolute ceilings checked by ``--check`` — lower-is-better metrics
 #: whose gate is a maximum, not a minimum (the replicated restore round
-#: must stay cheap enough that in-memory recovery beats the PFS path)
+#: must stay cheap enough that in-memory recovery beats the PFS path;
+#: the ladder-top scenario must not hold a control-block copy per rank,
+#: which took the 4096-rank rung to ~1.4 GB)
 TARGET_CEILING = {
     "ckpt_replicated_restore_us_per_rank": 500.0,
+    "scenario_peak_mb": 900.0,
 }
 
 #: metrics where smaller numbers are better (besides ``*_wall_s``);
@@ -78,6 +83,7 @@ LOWER_IS_BETTER = {
     "ckpt_replicated_restore_us_per_rank",
     "world_build_s",
     "world_peak_mb",
+    "scenario_peak_mb",
     "ql_eigenvalues_ms",
     "graphene_rows_ms",
 }
@@ -582,7 +588,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument("--ranks", type=int, nargs="+", default=None,
                         metavar="N",
                         help="override the weak-scaling rank ladder "
-                             "(default: 16 64 256 1024 2048 4096)")
+                             "(default: "
+                             f"{' '.join(map(str, RANKS_LADDER))})")
     parser.add_argument("--world-build", type=int, default=None, metavar="N",
                         help="construction-only probe: build the N-rank "
                              "world once, print world_build_s and "
@@ -646,8 +653,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     if args.scaling:
-        from repro.perf.scaling import RANKS_LADDER, run_scaling, \
-            summary_metrics
+        from repro.perf.scaling import run_scaling, summary_metrics
 
         ladder = args.ranks or RANKS_LADDER
         print(f"# weak scaling, ranks {list(ladder)}")

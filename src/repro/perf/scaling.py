@@ -1,8 +1,8 @@
 """Weak-scaling benches: per-rank FT costs across the rank ladder.
 
-The paper runs at 256 nodes (and ROADMAP item 1 asks for 1024–4096-rank
-sweeps); what must stay flat under weak scaling is the *per-rank* cost of
-the FT machinery — the FD's scan round and the recovery's group rebuild.
+The paper runs at 256 nodes; this ladder climbs from 16 to 8192 ranks.
+What must stay flat under weak scaling is the *per-rank* cost of the FT
+machinery — the FD's scan round and the recovery's group rebuild.
 This module measures those kernels plus an end-to-end
 fixed-per-rank-workload scenario ladder; ``python -m repro bench
 --scaling`` records the results as ``current`` in ``BENCH_core.json``.
@@ -30,6 +30,9 @@ Metrics (all lower-is-better except the ladder maximum):
 * ``ranks_max_at_60s`` — the largest ladder rung whose fixed
   per-rank-workload scenario (one mid-run failure, full detect →
   promote → rebuild → restore cycle) completes within the wall cap.
+* ``scenario_peak_mb`` — that scenario's peak resident memory at the
+  ladder top: each rung runs in a fresh child process, which reports
+  its ``ru_maxrss``.
 
 Run ``python -m repro bench --scaling`` to record the ladder, or
 ``python -m repro bench --smoke`` for the CI smoke variant (one traced
@@ -43,7 +46,7 @@ import time
 from typing import Dict, List, Optional, Sequence
 
 #: the weak-scaling rank ladder (workers; each rung adds n_spares + FD)
-RANKS_LADDER = (16, 64, 256, 1024, 2048, 4096)
+RANKS_LADDER = (16, 64, 256, 1024, 2048, 4096, 8192)
 
 #: reference scale for the per-rank kernel metrics (the paper's node count)
 REFERENCE_RANKS = 256
@@ -357,15 +360,43 @@ def scenario_wall_s(workers: int) -> float:
     return wall
 
 
+def _scenario_child(workers: int) -> Dict[str, float]:
+    """Body of :func:`scenario_rung`, run inside the child process."""
+    import resource
+
+    wall = scenario_wall_s(workers)
+    # ru_maxrss is in KiB on Linux
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    return {"wall_s": wall, "peak_mb": peak_mb}
+
+
+def scenario_rung(workers: int) -> Dict[str, float]:
+    """One scenario rung in a fresh child process: ``{"wall_s", "peak_mb"}``.
+
+    In-process, ``ru_maxrss`` would be the high-water mark of everything
+    that ran before (the kernel benches, the rungs below).  A spawned
+    child does not help: Linux carries the parent's peak across the fork
+    and exec into the child's ``ru_maxrss``.  The child is therefore
+    forked from the small fork-server process, so its peak is the rung's
+    own.
+    """
+    import multiprocessing as mp
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=1,
+                             mp_context=mp.get_context("forkserver")) as pool:
+        return pool.submit(_scenario_child, workers).result()
+
+
 def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
                 wall_cap_s: float = WALL_CAP_S,
                 scenarios: bool = True) -> Dict[str, object]:
     """The full weak-scaling suite.
 
-    Returns per-rung kernel measurements, the scenario ladder walls, and
-    ``ranks_max_at_60s``.  A rung predicted (from the previous rung,
-    assuming slightly superlinear growth) or measured to exceed the wall
-    cap stops the ladder; skipped rungs are listed explicitly, never
+    Returns per-rung kernel measurements, the scenario ladder walls and
+    peaks, and ``ranks_max_at_60s``.  A rung predicted (from the previous
+    rung, assuming slightly superlinear growth) or measured to exceed the
+    wall cap stops the ladder; skipped rungs are listed explicitly, never
     silently absent.
     """
     ladder = sorted(set(int(n) for n in ranks))
@@ -376,6 +407,7 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
     world_build: Dict[str, float] = {}
     world_peak: Dict[str, float] = {}
     walls: Dict[str, float] = {}
+    peaks: Dict[str, float] = {}
     skipped: List[str] = []
     ranks_max = 0
 
@@ -404,8 +436,10 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
                         f"{wall_cap_s:.0f}s cap (from weak-{prev_n} at "
                         f"{prev_wall:.1f}s)")
                     break
-            wall = scenario_wall_s(n)
+            rung = scenario_rung(n)
+            wall = rung["wall_s"]
             walls[str(n)] = round(wall, 3)
+            peaks[str(n)] = round(rung["peak_mb"], 1)
             prev_n, prev_wall = n, wall
             if wall > wall_cap_s:
                 skipped.append(f"ladder stopped: weak-{n} took "
@@ -423,6 +457,7 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
         "ckpt_mirror_us_per_rank": ckpt_mirror,
         "ckpt_replicated_restore_us_per_rank": ckpt_replicated,
         "scenario_wall_s": walls,
+        "scenario_peak_mb": peaks,
         "ranks_max_at_60s": ranks_max,
         "skipped": skipped,
     }
@@ -456,9 +491,9 @@ def summary_metrics(scaling: Dict[str, object]) -> Dict[str, float]:
     if ckpt_replicated:
         out["ckpt_replicated_restore_us_per_rank"] = at_reference(
             ckpt_replicated)
-    # construction metrics are reported at the ladder *top* — the rung
-    # the flyweight world-build work exists for, not the reference scale
-    for key in ("world_build_s", "world_peak_mb"):
+    # construction and memory metrics are reported at the ladder *top* —
+    # the rung the flyweight work exists for, not the reference scale
+    for key in ("world_build_s", "world_peak_mb", "scenario_peak_mb"):
         table = scaling.get(key, {})
         if isinstance(table, dict) and table:
             out[key] = table[max(table, key=int)]

@@ -8,8 +8,8 @@ import pytest
 
 from repro.ft import rankstate
 from repro.perf import scaling
-from repro.perf.bench import (LOWER_IS_BETTER, TARGET_FLOOR, TARGET_SPEEDUP,
-                              _speedup)
+from repro.perf.bench import (LOWER_IS_BETTER, TARGET_CEILING, TARGET_FLOOR,
+                              TARGET_SPEEDUP, _speedup)
 from tests.ft import test_rankstate as oracle
 
 
@@ -44,6 +44,7 @@ def test_run_scaling_structure_without_scenarios():
     assert set(out["world_build_s"]) == {"8", "16"}
     assert set(out["world_peak_mb"]) == {"8", "16"}
     assert out["scenario_wall_s"] == {}
+    assert out["scenario_peak_mb"] == {}
     assert out["ranks_max_at_60s"] == 0
     assert out["skipped"] == []
 
@@ -58,6 +59,7 @@ def test_summary_metrics_pick_reference_or_largest():
         "ranks_max_at_60s": 64,
         "world_build_s": {"16": 0.001, "1024": 0.03},
         "world_peak_mb": {"16": 0.02, "1024": 1.2},
+        "scenario_peak_mb": {"16": 60.0, "64": 70.0},
     })
     assert out["fd_scan_us_per_rank"] == 2.0      # the 256-rank reference
     assert out["group_rebuild_us_per_rank"] == 6.0  # largest measured rung
@@ -66,6 +68,7 @@ def test_summary_metrics_pick_reference_or_largest():
     # construction metrics surface at the ladder *top*, not the reference
     assert out["world_build_s"] == 0.03
     assert out["world_peak_mb"] == 1.2
+    assert out["scenario_peak_mb"] == 70.0
 
 
 def test_scaling_metrics_are_tracked_lower_is_better():
@@ -76,7 +79,9 @@ def test_scaling_metrics_are_tracked_lower_is_better():
     assert TARGET_SPEEDUP["ckpt_mirror_us_per_rank"] == 4.0
     assert "world_build_s" in LOWER_IS_BETTER
     assert "world_peak_mb" in LOWER_IS_BETTER
+    assert "scenario_peak_mb" in LOWER_IS_BETTER
     assert TARGET_FLOOR["ranks_max_at_60s"] == 1024
+    assert TARGET_CEILING["scenario_peak_mb"] == 900.0
     # the inversion: a drop from 4 us to 1 us must read as a 4x speedup
     ratios = _speedup({"fd_scan_us_per_rank": 4.0},
                       {"fd_scan_us_per_rank": 1.0})
@@ -102,6 +107,30 @@ def test_numeric_kernel_benches_run_and_are_lower_is_better():
 def test_scenario_ladder_runs_a_recovery_at_small_scale():
     wall = scaling.scenario_wall_s(16)
     assert wall > 0.0
+
+
+def test_scenario_rung_reports_its_own_peak_from_a_fresh_child():
+    """The rung runs in a fresh child, so its peak is its own: 100 MB
+    resident here must not show in the child's ``ru_maxrss``."""
+    import numpy as np
+
+    ballast = np.ones(100 << 20, dtype=np.uint8)
+    rung = scaling.scenario_rung(16)
+    assert set(rung) == {"wall_s", "peak_mb"}
+    assert rung["wall_s"] > 0.0
+    assert 0.0 < rung["peak_mb"] < 100.0
+    del ballast
+
+
+def test_ladder_reaches_8192_and_help_lists_it(capsys):
+    from repro.perf import bench
+
+    assert scaling.RANKS_LADDER[-1] == 8192
+    with pytest.raises(SystemExit):
+        bench.main(["--help"])
+    help_text = " ".join(capsys.readouterr().out.split())
+    ladder = " ".join(map(str, scaling.RANKS_LADDER))
+    assert f"(default: {ladder})" in help_text
 
 
 def test_smoke_passes_at_reduced_scale(capsys):
