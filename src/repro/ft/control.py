@@ -299,13 +299,12 @@ class ControlBlock:
             return
         image = seg.read_bytes(0, seg.size)
         cache = self._world_cache("_ft_done_images")
-        entry = cache.get(id(image))
-        if entry is None:
+        done = cache.get(image)  # blocks share the image: an identity hit
+        if done is None:
             cells = np.frombuffer(image, dtype=np.int64).copy()
             cells[2] = 1
-            # the entry keeps ``image`` alive, so its id cannot be reused
-            entry = cache[id(image)] = (image, cells.tobytes())
-        seg.write_bytes(0, entry[1])
+            done = cache[image] = cells.tobytes()
+        seg.write_bytes(0, done)
 
     def broadcast(self, targets: List[int], queue_id: int = 0,
                   timeout: float = 1.0) -> Generator[Any, Any, None]:
