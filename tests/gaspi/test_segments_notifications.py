@@ -1,5 +1,9 @@
 """Unit tests for segments and notification boards (no simulator needed)."""
 
+import ctypes
+import mmap
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -199,6 +203,33 @@ def test_segment_matches_a_bytearray_model(ops):
             assert bytes(view) == model[offset:offset + len(view)]
     for snap, expected in snapshots:
         assert snap == expected
+
+
+def _resident_pages(array: np.ndarray) -> int:
+    """Pages of ``array``'s memory that are resident, by ``mincore(2)``."""
+    libc = ctypes.CDLL(None, use_errno=True)
+    page = mmap.PAGESIZE
+    start = array.ctypes.data // page * page
+    n_pages = -(-(array.ctypes.data + array.nbytes - start) // page)
+    vec = (ctypes.c_ubyte * n_pages)()
+    assert libc.mincore(ctypes.c_void_p(start),
+                        ctypes.c_size_t(n_pages * page), vec) == 0
+    return sum(v & 1 for v in vec)
+
+
+class TestSegmentArena:
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="mincore(2) through the C library")
+    def test_pool_is_resident_only_where_written(self):
+        """One byte written into each 64 KiB slot of a 4 MiB pool makes
+        one page per slot resident: no 2 MB huge page, no zero fill."""
+        arena = SegmentArena()
+        n_slots, size = 64, 1 << 16
+        for index in range(n_slots):
+            arena.slot(60, size, n_slots, index)[0] = 1
+        pool = arena._pools[(60, size)]
+        assert pool.nbytes == n_slots * size and arena.allocations == 1
+        assert _resident_pages(pool) == n_slots
 
 
 class TestSegmentTable:
