@@ -18,6 +18,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 from dataclasses import dataclass
+from functools import partial
 from typing import Any, Callable, Dict, Generator, List, Optional
 
 from repro.sim import Sleep
@@ -57,7 +58,7 @@ class FTContext:
         self.extra_nodes = extra_nodes
         self.state_ckpt = state_ckpt
         self.setup_ckpt = setup_ckpt
-        self.guard = CommGuard(lambda: self.block.check_failure(self.epoch))
+        self.guard = CommGuard(partial(block.check_failure, epoch))
         #: bookkeeping the experiments read back
         self.timeline: List[tuple] = []
         #: free-form per-rank counters (e.g. iterations executed across
@@ -126,18 +127,17 @@ class FTContext:
         yield from self.setup_ckpt.write_checkpoint(SETUP_VERSION, payload,
                                                     nominal_bytes)
 
-    def agree_min(self, value: int) -> Any:
+    def agree_min(self, value: int) -> Generator[Any, Any, int]:
         """Generator: team-wide integer MIN (guarded retry loop)."""
-        import numpy as np
-
+        contribution = int(value)
         while True:
             self.guard.assert_healthy()
             ret, result = yield from self.ctx.allreduce(
-                np.array([value], dtype=np.int64), AllreduceOp.MIN,
-                self.team.group, self.cfg.comm_timeout,
+                contribution, AllreduceOp.MIN, self.team.group,
+                self.cfg.comm_timeout,
             )
             if ret is ReturnCode.SUCCESS:
-                return int(result[0])
+                return result
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -69,8 +69,21 @@ class CollectiveCosts:
         return self.commit_base + self.commit_per_rank * p
 
 
-def _reduce(op: AllreduceOp, contributions: List[np.ndarray]) -> np.ndarray:
-    stack = np.stack(contributions)
+#: exact reducers of plain ``int`` contributions (integer agreements)
+_INT_REDUCERS: Dict[AllreduceOp, Callable[[List[int]], int]] = {
+    AllreduceOp.MIN: min, AllreduceOp.MAX: max, AllreduceOp.SUM: sum,
+}
+
+
+def _reduce(op: AllreduceOp, contributions: List[Any]) -> Any:
+    """Reduce one instance's contributions (in member order).
+
+    All-``int`` contributions reduce with the builtins to an ``int``;
+    anything else is stacked into one array and reduced along axis 0.
+    """
+    if all(type(c) is int for c in contributions):
+        return _INT_REDUCERS[op](contributions)
+    stack = np.array(contributions)
     if op is AllreduceOp.MIN:
         return stack.min(axis=0)
     if op is AllreduceOp.MAX:
@@ -83,13 +96,12 @@ def _reduce(op: AllreduceOp, contributions: List[np.ndarray]) -> np.ndarray:
 class _Instance:
     """One in-flight collective instance."""
 
-    __slots__ = ("members", "arrived", "events", "finished")
+    __slots__ = ("members", "contributions", "events")
 
     def __init__(self, members: Tuple[int, ...]) -> None:
         self.members = members
-        self.arrived: Dict[int, Any] = {}
+        self.contributions: Dict[int, Any] = {}
         self.events: Dict[int, Event] = {}
-        self.finished = False
 
 
 class CollectiveEngine:
@@ -109,15 +121,17 @@ class CollectiveEngine:
         rank: int,
         members: Tuple[int, ...],
         contribution: Any = None,
-        finisher: Optional[Callable[[List[Any]], Any]] = None,
+        finisher: Union[AllreduceOp, Callable[[List[Any]], Any], None] = None,
         cost: float = 0.0,
     ) -> Event:
         """Join collective instance ``(kind, group_identity, seq)``.
 
-        Returns this rank's completion event (stable across retries).  When
-        the final member arrives, ``finisher`` combines the contributions
-        (in member order) into the shared result and every member's event
-        fires ``cost`` seconds later.
+        Returns this rank's completion event (stable across retries: only
+        the first arrival records its event and ``contribution``).  When
+        the final member arrives, the instance combines the contributions
+        (in member order) into the shared result once — ``finisher`` is
+        an :class:`AllreduceOp` to reduce them with, or a callable over
+        the list — and every member's event fires ``cost`` seconds later.
         """
         # interned memberships carry a shared set — O(1) instead of an
         # O(p) tuple scan, which a timed-out commit retries p times
@@ -140,27 +154,25 @@ class CollectiveEngine:
                 f"{inst.members} vs {members}"
             )
 
-        event = inst.events.get(rank)
-        if event is None:
-            # unnamed: formatting a per-arrival name is measurable on the
-            # once-per-iteration allreduce path and only aids debugging
-            event = Event()
-            inst.events[rank] = event
-        if rank not in inst.arrived:
-            inst.arrived[rank] = contribution
+        events = inst.events
+        event = events.get(rank)
+        if event is not None:
+            return event  # a retry re-joins the pending instance
+        # unnamed: formatting a per-arrival name is measurable on the
+        # once-per-iteration allreduce path and only aids debugging
+        event = events[rank] = Event()
+        inst.contributions[rank] = contribution
 
-        if not inst.finished and len(inst.arrived) == len(inst.members):
-            inst.finished = True
-            ordered = [inst.arrived[m] for m in inst.members]
-            result = finisher(ordered) if finisher is not None else None
+        if len(events) == len(inst.members):
+            ordered = [inst.contributions[m] for m in inst.members]
+            if isinstance(finisher, AllreduceOp):
+                result = _reduce(finisher, ordered)
+            else:
+                result = finisher(ordered) if finisher is not None else None
 
             def complete() -> None:
                 for member in inst.members:
-                    ev = inst.events.get(member)
-                    if ev is None:
-                        ev = Event()
-                        inst.events[member] = ev
-                    ev.succeed(result)
+                    events[member].succeed(result)
                 self._instances.pop(key, None)
 
             self.sim.schedule(cost, complete)
@@ -171,13 +183,3 @@ class CollectiveEngine:
     def pending(self) -> int:
         """Number of collective instances still waiting for members."""
         return len(self._instances)
-
-    _finishers: Dict[AllreduceOp, Callable] = {}
-
-    @staticmethod
-    def reduce_finisher(op: AllreduceOp) -> Callable[[List[np.ndarray]], np.ndarray]:
-        fin = CollectiveEngine._finishers.get(op)
-        if fin is None:
-            fin = lambda contributions: _reduce(op, contributions)
-            CollectiveEngine._finishers[op] = fin
-        return fin

@@ -718,12 +718,10 @@ class GaspiContext:
         """``gaspi_barrier`` (generator)."""
         group = group or self.group_all
         group.require_committed()
-        if self.rank not in group:
-            raise GaspiUsageError(f"rank {self.rank} not in group")
-        costs = self.world.engine.costs
-        event = self.world.engine.arrive(
+        engine = self.world.engine
+        event = engine.arrive(
             "barrier", group.identity(), group.coll_seq, self.rank,
-            group.members, cost=costs.barrier(group.size),
+            group.members, cost=engine.costs.barrier(group.size),
         )
         ok, _ = yield WaitEvent(event, _clip_timeout(timeout))
         if not ok:
@@ -734,19 +732,27 @@ class GaspiContext:
     def allreduce(
         self, values: Any, op: AllreduceOp, group: Optional[Group] = None,
         timeout: float = GASPI_BLOCK,
-    ) -> Generator[Any, Any, Tuple[ReturnCode, Optional[np.ndarray]]]:
-        """``gaspi_allreduce`` (generator): returns ``(ret, reduced array)``."""
+    ) -> Generator[Any, Any, Tuple[ReturnCode, Any]]:
+        """``gaspi_allreduce`` (generator): returns ``(ret, reduced)``.
+
+        An exact ``int`` (an integer agreement) contributes itself, is
+        priced as one int64 element and reduces to an ``int``.  Any other
+        ``values`` contributes an array copy and reduces to an ndarray.
+        """
         group = group or self.group_all
         group.require_committed()
-        if self.rank not in group:
-            raise GaspiUsageError(f"rank {self.rank} not in group")
-        contribution = np.array(values, copy=True)
-        costs = self.world.engine.costs
-        event = self.world.engine.arrive(
+        if type(values) is int:
+            # immutable, so no send-buffer copy; priced as one int64
+            contribution: Any = values
+            nbytes = 8
+        else:
+            contribution = np.array(values, copy=True)
+            nbytes = contribution.nbytes
+        engine = self.world.engine
+        event = engine.arrive(
             "allreduce", group.identity(), group.coll_seq, self.rank,
-            group.members, contribution=contribution,
-            finisher=self.world.engine.reduce_finisher(op),
-            cost=costs.allreduce(group.size, contribution.nbytes),
+            group.members, contribution=contribution, finisher=op,
+            cost=engine.costs.allreduce(group.size, nbytes),
         )
         ok, result = yield WaitEvent(event, _clip_timeout(timeout))
         if not ok:

@@ -482,9 +482,8 @@ def run_benches(quick: bool = False,
         bench_figure4("tiny") for _ in range(max(2, repeats - 2))
     )
     metrics["sweep_parallel_speedup"] = bench_sweep_scaling()
-    if not quick:
-        metrics["figure4_small_wall_s"] = min(bench_figure4("small")
-                                              for _ in range(2))
+    metrics["figure4_small_wall_s"] = min(bench_figure4("small")
+                                          for _ in range(2))
     return {k: round(v, 3) if v is not None else None
             for k, v in metrics.items()}
 
@@ -569,7 +568,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Hot-path microbenchmarks, tracked in BENCH_core.json.",
     )
     parser.add_argument("--quick", action="store_true",
-                        help="fewer repeats, skip the slow end-to-end bench")
+                        help="fewer repeats of the micro benches")
     parser.add_argument("--record-seed", action="store_true",
                         help="store this run as the 'seed' baseline "
                              "(run before an optimisation)")

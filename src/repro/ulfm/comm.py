@@ -219,8 +219,7 @@ class UlfmComm:
         contribution = np.array(values, copy=True)
         cost = self._engine().costs.allreduce(len(members), contribution.nbytes)
         return (yield from self._collective(
-            "allreduce", contribution,
-            self._engine().reduce_finisher(op), cost, members,
+            "allreduce", contribution, op, cost, members,
         ))
 
     # ------------------------------------------------------------------
@@ -258,12 +257,12 @@ class UlfmComm:
         engine = self._engine()
         event = engine.arrive(
             "agree", self._identity() + ("agree",), seq, self.ctx.rank,
-            members, contribution=np.array([flag], dtype=np.int64),
-            finisher=engine.reduce_finisher(AllreduceOp.MIN), cost=cost,
+            members, contribution=int(flag), finisher=AllreduceOp.MIN,
+            cost=cost,
         )
         ok, result = yield WaitEvent(event)
         self._coll_seq += 1
-        return (UlfmResult.SUCCESS, int(result[0]))
+        return (UlfmResult.SUCCESS, result)
 
     def shrink(self, new_comm_id: Optional[int] = None):
         """Generator: ``MPIX_Comm_shrink`` — consensus new communicator.

@@ -55,11 +55,12 @@ class ModelLanczosProgram(FTProgram):
         step = work["step"]
         iterations_executed = 0
         tracer = ftx.ctx.tracer
+        compute = Sleep(spec.iteration_time)
         while step < spec.n_iterations:
             # the alpha reduction: the iteration's (guarded) global sync
             t0 = ftx.now
             yield from ftx.agree_min(step)
-            yield Sleep(spec.iteration_time)
+            yield compute
             step += 1
             iterations_executed += 1
             ftx.count("iterations")

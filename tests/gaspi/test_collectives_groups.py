@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.cluster import FaultPlan
 from repro.gaspi import (
-    GASPI_BLOCK,
     AllreduceOp,
     GaspiUsageError,
     Group,
@@ -221,3 +223,94 @@ def test_barrier_rank_not_in_group_raises():
 
     with pytest.raises(GaspiUsageError):
         run_gaspi(main, n_ranks=2)
+
+
+# ----------------------------------------------------------------------
+# reductions: plain ints and arrays against their oracles
+# ----------------------------------------------------------------------
+_OPS = (AllreduceOp.MIN, AllreduceOp.MAX, AllreduceOp.SUM)
+_I64 = np.iinfo(np.int64)
+
+
+def _stack_reduce(op, contributions):
+    """The oracle: the array reduce before plain ints had their own path."""
+    stack = np.stack(contributions)
+    if op is AllreduceOp.MIN:
+        return stack.min(axis=0)
+    if op is AllreduceOp.MAX:
+        return stack.max(axis=0)
+    return stack.sum(axis=0)
+
+
+def _allreduce_each(contributions, op):
+    """Rank ``r`` contributes ``contributions[r]``; ``(result, now)`` per rank."""
+    def main(ctx):
+        ret, result = yield from ctx.allreduce(contributions[ctx.rank], op)
+        assert ret is ReturnCode.SUCCESS
+        return (result, ctx.now)
+
+    n = len(contributions)
+    run = run_gaspi(main, n_ranks=n)
+    return [run.result(r) for r in range(n)]
+
+
+@st.composite
+def _int_case(draw):
+    op = draw(st.sampled_from(_OPS))
+    n = draw(st.integers(1, 9))
+    # MIN/MAX over the whole int64 range; SUM totals stay inside it
+    bound = _I64.max // n if op is AllreduceOp.SUM else _I64.max
+    low = -bound if op is AllreduceOp.SUM else int(_I64.min)
+    values = draw(st.lists(st.integers(low, bound), min_size=n, max_size=n))
+    return op, values
+
+
+@settings(max_examples=40, deadline=None)
+@given(_int_case())
+def test_int_allreduce_matches_int64_array_allreduce(case):
+    op, values = case
+    plain = _allreduce_each(values, op)
+    boxed = _allreduce_each(
+        [np.array([v], dtype=np.int64) for v in values], op)
+    for (got, t_int), (ref, t_array) in zip(plain, boxed):
+        assert type(got) is int
+        assert got == int(ref[0])
+        # an int is priced as one int64 element
+        assert t_int == t_array
+
+
+@st.composite
+def _array_case(draw):
+    op = draw(st.sampled_from(_OPS))
+    n = draw(st.integers(1, 9))
+    dtype = draw(st.sampled_from([np.float64, np.int64]))
+    shape = draw(st.sampled_from([(1,), (3,), (2, 3)]))
+    if dtype is np.float64:
+        # finite sums: nine terms of at most 1e300 cannot overflow
+        elements = st.floats(-1e300, 1e300)
+    else:
+        elements = st.integers(-(_I64.max // n), _I64.max // n)
+    values = draw(st.lists(arrays(dtype, shape, elements=elements),
+                           min_size=n, max_size=n))
+    return op, values
+
+
+@settings(max_examples=60, deadline=None)
+@given(_array_case())
+def test_array_allreduce_is_bit_identical_to_stack_oracle(case):
+    op, values = case
+    expected = _stack_reduce(op, values)
+    for got, _ in _allreduce_each(values, op):
+        assert got.dtype == expected.dtype
+        assert got.tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("contributions", [
+    [np.zeros(2), np.zeros(3)],
+    [np.zeros((2, 3)), np.zeros((3, 2))],
+    [5, np.array([1], dtype=np.int64)],
+    [np.array([1], dtype=np.int64), 5],
+], ids=["lengths", "shapes", "int-then-array", "array-then-int"])
+def test_allreduce_of_mismatched_contributions_raises(contributions):
+    with pytest.raises(ValueError):
+        _allreduce_each(contributions, AllreduceOp.SUM)
