@@ -41,10 +41,6 @@ class FluidLink:
         self._last = 0.0
         self._timer = None
 
-    @property
-    def active_transfers(self) -> int:
-        return len(self._active)
-
     def start(self, nbytes: int) -> Event:
         """Begin a transfer; the returned event fires at completion."""
         self._advance()

@@ -96,9 +96,6 @@ class Machine:
         """
         self._procs.setdefault(rank, []).append(proc)
 
-    def processes_of(self, rank: int) -> List[Process]:
-        return list(self._procs.get(rank, []))
-
     def on_death(self, listener: Callable[[int], None]) -> None:
         """Register a callback invoked with the rank of each killed process."""
         self._death_listeners.append(listener)

@@ -70,10 +70,6 @@ class Network:
         return _link_key(node_a, node_b) not in self._broken_links
 
     @property
-    def broken_links(self) -> Set[Tuple[int, int]]:
-        return set(self._broken_links)
-
-    @property
     def partitioned(self) -> bool:
         """Whether any link cut or node isolation is currently active.
 

@@ -156,9 +156,6 @@ class ControlBlock:
     def done(self) -> bool:
         return bool(self.cells[2])
 
-    def status_of(self, rank: int) -> Role:
-        return Role(int(self.cells[self._off_status + rank]))
-
     def statuses(self) -> np.ndarray:
         """Status array view — read-only while the block is pristine."""
         return self.cells[self._off_status : self._off_status + self.cfg.n_ranks]

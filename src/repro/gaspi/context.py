@@ -783,19 +783,6 @@ class GaspiContext:
         self.state_vector.mark_corrupt(dst_rank)
         return ReturnCode.ERROR
 
-    def proc_ping_post(self, dst_rank: int) -> "Event":
-        """Post a ping without blocking; returns its completion event.
-
-        The event fires with ``(alive, None)`` once the transport resolves
-        the probe.  This is how the paper's *threaded* fault detector
-        monitors "one-sided pings in parallel on different communication
-        queues": post several, then harvest.  Unlike :meth:`proc_ping`, the
-        state vector is *not* updated automatically — call
-        :meth:`note_ping_result` with the outcome.
-        """
-        self._remote(dst_rank)
-        return self.world.transport.post_ping(self.rank, dst_rank)
-
     def proc_ping_sweep(
         self, targets: Sequence[int], width: int = 1,
         timeout: float = GASPI_BLOCK,
@@ -822,13 +809,6 @@ class GaspiContext:
         for dst_rank in results.failed:
             self.state_vector.mark_corrupt(dst_rank)
         return (ReturnCode.SUCCESS, results)
-
-    def note_ping_result(self, dst_rank: int, alive: bool) -> ReturnCode:
-        """Record a harvested ping outcome in the state vector."""
-        if alive:
-            return ReturnCode.SUCCESS
-        self.state_vector.mark_corrupt(dst_rank)
-        return ReturnCode.ERROR
 
     def proc_kill(self, dst_rank: int, timeout: float = GASPI_BLOCK,
                   ) -> Generator[Any, Any, ReturnCode]:

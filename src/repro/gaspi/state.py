@@ -55,11 +55,6 @@ class StateVector:
         """Copy of the vector (what ``gaspi_state_vec_get`` returns)."""
         return self._states.copy()
 
-    def corrupt_ranks(self) -> list:
-        if self._lazy_states is None:
-            return []
-        return [int(r) for r in np.nonzero(self._states != HealthState.HEALTHY)[0]]
-
     def _check(self, rank: int) -> None:
         if not (0 <= rank < self._n_ranks):
             raise GaspiUsageError(f"rank {rank} outside [0, {self._n_ranks})")

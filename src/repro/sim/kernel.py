@@ -338,11 +338,6 @@ class Simulator:
         """Read-only view of the recorded steps (no copy; O(1) access)."""
         return TraceView(self._trace if self._trace is not None else [])
 
-    @property
-    def trace_len(self) -> int:
-        """Number of recorded steps (0 when tracing is disabled)."""
-        return len(self._trace) if self._trace is not None else 0
-
     # ------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------

@@ -33,10 +33,6 @@ class RowPartition:
         self._check(part)
         return int(self.offsets[part]), int(self.offsets[part + 1])
 
-    def size_of(self, part: int) -> int:
-        r0, r1 = self.range_of(part)
-        return r1 - r0
-
     def owner(self, row) -> np.ndarray:
         """Owning logical rank(s) of global row index/array ``row``."""
         row = np.asarray(row, dtype=np.int64)

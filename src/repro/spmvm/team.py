@@ -11,7 +11,7 @@ it after each recovery and hands the fresh instance back to the solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
@@ -44,9 +44,6 @@ class Team:
 
     def to_physical(self, logical: int) -> int:
         return self.rank_map[logical]
-
-    def logical_ranks(self) -> List[int]:
-        return sorted(self.rank_map)
 
     @classmethod
     def trivial(cls, ctx: GaspiContext, n_workers: Optional[int] = None,

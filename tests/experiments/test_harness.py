@@ -42,6 +42,16 @@ class TestFigure4Shapes:
         with_cp, with_hc = tiny_figure4[1], tiny_figure4[2]
         assert with_hc.total_runtime <= with_cp.total_runtime * 1.005
 
+    def test_health_check_alone_triggers_no_recovery(self, tiny_figure4):
+        assert tiny_figure4[2].n_recoveries == 0
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_each_sequential_failure_is_recovered(self, tiny_figure4, k):
+        outcome = tiny_figure4[2 + k]
+        assert outcome.n_recoveries == k
+        assert outcome.redo_work_time > 0
+        assert outcome.detection_time > 0
+
     def test_each_failure_adds_roughly_constant_overhead(self, tiny_figure4):
         base = tiny_figure4[2].total_runtime
         o1 = tiny_figure4[3].total_runtime - base
