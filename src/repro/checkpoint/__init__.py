@@ -4,11 +4,10 @@ The core is the reproduction of the paper's third contribution
 (Sect. IV-C): an application-level C/R library where each rank
 checkpoints to its *local* node store and the world's round-batched
 mirror plane (the paper's helper thread) asynchronously copies the
-checkpoint to the neighboring node (optionally, every k-th
-checkpoint also goes to the parallel file system).  The library is
-fault-aware: after a recovery the neighbor map is refreshed from the
-failed-process list, and a restore transparently falls back from the
-local store to the neighbor copy to the PFS copy.
+checkpoint to the neighboring node.  The library is fault-aware: after
+a recovery the neighbor map is refreshed from the failed-process list,
+and a restore transparently falls back from the local store to the
+neighbor copy.
 
 Two alternative backends share the same interface (select with
 ``CheckpointConfig.backend`` via :func:`make_checkpoint_lib`): the

@@ -11,9 +11,8 @@ The write path is the paper's neighbor node-level checkpointing (§IV-C /
 Fig. 2; the C/R library of §V's overhead measurements): a synchronous
 local-node checkpoint, then a signal to the world's
 :class:`CheckpointManager`, whose copy pipeline mirrors the blob to its one
-holder, the neighbor node, in the background (and, optionally, every
-``pfs_every``-th version to the PFS) — the role of the paper's per-rank
-helper thread.
+holder, the neighbor node, in the background — the role of the paper's
+per-rank helper thread.
 Because the neighbor copy is asynchronous, the application only ever pays the local
 write — the paper's ≈0.01 % checkpointing overhead.  ``refresh``
 re-derives the neighbor after recovery (fault-aware placement);
@@ -31,7 +30,6 @@ parameter                   paper quantity
 ``config.keep_versions``    checkpoint versions retained per rank (2 in the
                             paper: current + previous, so a failure mid-write
                             always leaves a consistent older version)
-``config.pfs_every``        §IV-C's optional every-k-th PFS copy (0 = off)
 ``version``                 the checkpoint counter the solver increments every
                             ``FTConfig.checkpoint_interval`` iterations
 ==========================  ====================================================
@@ -67,7 +65,6 @@ from repro.sim import Event, Sleep, WaitEvent
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.neighbor import neighbor_map
-from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
     packed_size,
@@ -109,8 +106,6 @@ class CheckpointConfig:
     local_bandwidth: float = 5.0e9
     #: how many versions to keep per (tag, logical rank)
     keep_versions: int = 2
-    #: mirror every k-th version to the PFS (0 disables PFS copies)
-    pfs_every: int = 0
     #: which protection scheme backs the library (see :data:`BACKENDS`)
     backend: str = "neighbor"
     #: ReStore-style replication factor ``r``: how many replica holders
@@ -134,8 +129,8 @@ class _CopySource:
     stats: Dict[str, int]
 
     def __init__(self, ctx: GaspiContext, logical_rank: int,
-                 participants: Iterable[int], config: CheckpointConfig,
-                 pfs: Optional[ParallelFileSystem]) -> None:
+                 participants: Iterable[int],
+                 config: CheckpointConfig) -> None:
         self.ctx = ctx
         self.machine = ctx.world.machine
         #: a rank's node never changes (a failed rank is replaced by a new
@@ -150,7 +145,6 @@ class _CopySource:
         self._manager = CheckpointManager.of(ctx.world)
         self.logical_rank = logical_rank
         self.config = config
-        self.pfs = pfs
         self.refresh(participants)
         # the copy data plane: a landing window plus a dedicated queue, so
         # copies never contend with the application's queue 0 (the paper's
@@ -187,14 +181,13 @@ class CheckpointLib(_CopySource):
         logical_rank: int,
         participants: Sequence[int],
         config: Optional[CheckpointConfig] = None,
-        pfs: Optional[ParallelFileSystem] = None,
     ) -> None:
         super().__init__(ctx, logical_rank, participants,
-                         config or CheckpointConfig(), pfs)
+                         config or CheckpointConfig())
         self._local_store_obj = self._manager.store(self._my_node)
         self.stats = {"local_writes": 0, "neighbor_copies": 0,
-                      "failed_copies": 0, "pfs_copies": 0,
-                      "local_reads": 0, "remote_reads": 0, "pfs_reads": 0}
+                      "failed_copies": 0, "local_reads": 0,
+                      "remote_reads": 0}
 
     # ------------------------------------------------------------------
     # placement
@@ -257,11 +250,11 @@ class CheckpointLib(_CopySource):
         """Generator: synchronous local checkpoint + async neighbor signal.
 
         Returns an :class:`Event` that fires with the landed-copy count
-        (0 or 1) once the background neighbor (and PFS, if due) copy
-        finished — the application does *not* have to wait on it.  The
-        mirror rides the world-level :class:`CheckpointManager` copy
-        pipeline, which coalesces every copy signalled in the same tick
-        into one vectorized-priced scatter round.
+        (0 or 1) once the background neighbor copy finished — the
+        application does *not* have to wait on it.  The mirror rides the
+        world-level :class:`CheckpointManager` copy pipeline, which
+        coalesces every copy signalled in the same tick into one
+        vectorized-priced scatter round.
         """
         t0 = self.ctx.now
         manager = self._manager
@@ -297,10 +290,6 @@ class CheckpointLib(_CopySource):
             latest = self._manager.store(node_id).latest_version(tag, key_rank)
             if latest is not None:
                 best = max(best, latest)
-        if self.pfs is not None:
-            latest = self.pfs.latest_version(tag, key_rank)
-            if latest is not None:
-                best = max(best, latest)
         return best
 
     def _reprotect(self, key: Key, blob: StoredBlob):
@@ -323,7 +312,7 @@ class CheckpointLib(_CopySource):
 
         Sources are tried in locality order: own node, the ``extra_nodes``
         the caller knows about (e.g. the failed process's node and its old
-        neighbor), this rank's current neighbor, finally the PFS.  Raises
+        neighbor), then this rank's current neighbor.  Raises
         :class:`CheckpointNotFound` when no source has the version.
 
         With ``reprotect`` (default), a version restored from a *remote*
@@ -355,12 +344,6 @@ class CheckpointLib(_CopySource):
                     yield from self._reprotect(key, blob)
                 source = "neighbor"
             return self._restored(version, blob, source, t0)
-        if self.pfs is not None and self.pfs.has(key):
-            blob = yield from self.pfs.read(key)
-            self.stats["pfs_reads"] += 1
-            if reprotect:
-                yield from self._reprotect(key, blob)
-            return self._restored(version, blob, "pfs", t0)
         raise CheckpointNotFound(f"version {version} unavailable for {key}")
 
     def _restored(self, version: int, blob: StoredBlob, source: str,
@@ -454,9 +437,8 @@ class CheckpointManager:
       tick flush as *one* scatter round priced by a single vectorized
       :meth:`Network.transfer_time_round` call per direction
       (:meth:`Transport.post_rdma_scatter`), with per-copy path re-checks
-      at delivery, per-copy hang/timeout/purge semantics, per-library
-      FIFO ordering of back-to-back writes, and due PFS copies launched
-      as per-rank processes that die with their writer;
+      at delivery, per-copy hang/timeout/purge semantics, and per-library
+      FIFO ordering of back-to-back writes;
     * **cached placement maps** — the O(n) neighbor and replica kernels
       build each participant set's full map once; every library refresh
       against the same set is a dict lookup;
@@ -803,28 +785,8 @@ class CheckpointManager:
         totals[phase + "_s"] += now - request.t_start
 
     def _finish(self, request: _CopyRequest) -> None:
-        """Close a request: write the PFS copy first when the version is
-        due (a reprotect skips a version the PFS already holds)."""
-        lib = request.lib
-        pfs, every, key = lib.pfs, lib.config.pfs_every, request.key
-        if (pfs is not None and every > 0 and key[2] % every == 0
-                and not (request.reprotect and pfs.has(key))):
-            lib.ctx.world.launch(lib.ctx.rank, self._pfs_copy(request),
-                                 name=f"ckpt-pfs-{lib.ctx.rank}")
-            return
-        self._complete(request)
-
-    def _pfs_copy(self, request: _CopyRequest) -> Generator[Any, Any, None]:
-        """Generator: the due PFS copy, run as a process of the writer's
-        rank so a writer killed mid-copy leaves no PFS blob."""
-        lib = request.lib
-        yield from lib.pfs.write(request.key, request.blob)
-        lib.stats["pfs_copies"] += 1
-        self._complete(request)
-
-    def _complete(self, request: _CopyRequest) -> None:
-        """Fire ``done`` with the landed-copy count and release the
-        library's next queued request."""
+        """Close a request: fire ``done`` with the landed-copy count and
+        release the library's next queued request."""
         request.done.succeed(request.landed)
         lib = request.lib
         if lib._inflight is request:

@@ -1,8 +1,8 @@
 """Parallel file system model: one global store with shared bandwidth.
 
 PFS-level checkpoints are the expensive classical alternative the paper's
-neighbor-level scheme avoids; the library still supports "infrequent
-PFS-level copies ... for a higher degree of reliability" (Sect. IV-C).
+neighbor-level scheme avoids; this model backs the ``pfs`` checkpoint
+backend and the checkpoint-destination ablation.
 
 Bandwidth is modelled as processor sharing (fluid flow): at any instant the
 aggregate bandwidth is split equally among all in-flight transfers, and the

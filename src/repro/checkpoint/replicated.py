@@ -124,13 +124,9 @@ class ReplicatedCheckpointLib(_CopySource):
         logical_rank: int,
         participants: Sequence[int],
         config: Optional[CheckpointConfig] = None,
-        pfs: Optional[ParallelFileSystem] = None,
     ) -> None:
-        # the replicated backend never touches the PFS (that is its point):
-        # ``pfs`` is accepted for interface parity only
         super().__init__(ctx, logical_rank, participants,
-                         config or CheckpointConfig(backend="replicated"),
-                         None)
+                         config or CheckpointConfig(backend="replicated"))
         self._fetch_queue = ctx.queue_create()
         self.stats = {"local_writes": 0, "replica_copies": 0,
                       "failed_copies": 0, "replica_reads": 0}
@@ -478,17 +474,18 @@ def make_checkpoint_lib(
     mirroring, ``"pfs"`` the classical PFS-only baseline, and
     ``"replicated"`` the ReStore-style in-memory replication — all behind
     the same interface, so the FT driver is backend-agnostic.
+
+    Only the ``"pfs"`` backend uses ``pfs``.
     """
     cfg = config or CheckpointConfig()
     if cfg.backend == "neighbor":
-        return CheckpointLib(ctx, logical_rank, participants,
-                             config=cfg, pfs=pfs)
+        return CheckpointLib(ctx, logical_rank, participants, config=cfg)
     if cfg.backend == "pfs":
         return PfsCheckpointLib(ctx, logical_rank, participants,
                                 config=cfg, pfs=pfs)
     if cfg.backend == "replicated":
         return ReplicatedCheckpointLib(ctx, logical_rank, participants,
-                                       config=cfg, pfs=pfs)
+                                       config=cfg)
     raise ValueError(
         f"unknown checkpoint backend {cfg.backend!r} "
         f"(expected one of 'neighbor', 'pfs', 'replicated')"

@@ -205,7 +205,7 @@ def _destination_outcome(dest: str, n_ranks: int, n_checkpoints: int,
     def main(ctx):
         lib = CheckpointLib(
             ctx, ctx.rank, list(range(n_ranks)),
-            config=CheckpointConfig(tag="abl"), pfs=pfs,
+            config=CheckpointConfig(tag="abl"),
         )
         blocked = 0.0
         for version in range(n_checkpoints):

@@ -143,17 +143,15 @@ def run_ft_scenario(
         plan.kill_process(t, rank)
         injects.append(t)
     horizon = until or (spec.setup_time + spec.baseline_runtime) * 4 + 600
-    # the pfs backend (and pfs_every mirroring) needs an actual PFS model
-    needs_pfs = (cfg.checkpoint.backend == "pfs"
-                 or cfg.checkpoint.pfs_every > 0)
     result = run_ft_application(
         cfg, ModelLanczosProgram(spec),
         machine_spec=machine_for(cfg),
         gaspi_config=gaspi_config,
         fault_plan=plan if plan.events else None,
         until=horizon,
-        pfs_factory=(lambda sim: ParallelFileSystem(sim)) if needs_pfs
-        else None,
+        # the pfs backend needs an actual PFS model
+        pfs_factory=(ParallelFileSystem if cfg.checkpoint.backend == "pfs"
+                     else None),
     )
     workers = result.worker_results()
     if not workers or any(w["status"] != "done" for w in workers.values()):

@@ -81,7 +81,7 @@ class FTContext:
         else:
             state_cfg = dataclasses.replace(cfg.checkpoint, tag="state")
             setup_cfg = dataclasses.replace(cfg.checkpoint, tag="setup",
-                                            keep_versions=1, pfs_every=0)
+                                            keep_versions=1)
             state_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
                                              participants, config=state_cfg,
                                              pfs=pfs)

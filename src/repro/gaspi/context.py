@@ -270,8 +270,7 @@ class GaspiContext:
         return ReturnCode.SUCCESS
 
     def write_list(self, entries: Sequence[ListEntry], dst_rank: int,
-                   queue_id: int = 0,
-                   modeled_bytes: Optional[int] = None) -> ReturnCode:
+                   queue_id: int = 0) -> ReturnCode:
         """``gaspi_write_list``: several puts to one rank as one request.
 
         ``entries`` is a sequence of
@@ -279,9 +278,7 @@ class GaspiContext:
         tuples; data of all entries travels as a single transport operation
         with a vectorized time model — one latency, one per-message
         overhead, sum-of-bytes bandwidth (GPI-2 fuses list operations into
-        one work request).  ``modeled_bytes`` overrides the byte count the
-        time model charges (used by the checkpoint library, whose staged
-        payload is a placeholder for a nominally larger blob).
+        one work request).
         """
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
@@ -303,9 +300,8 @@ class GaspiContext:
             for remote_segment, remote_offset, data in snapshots:
                 target.get(remote_segment).write_bytes(remote_offset, data)
 
-        model = sizes if modeled_bytes is None else (modeled_bytes,)
         done = self.world.transport.post_rdma_list(
-            self.rank, dst_rank, model, apply,
+            self.rank, dst_rank, sizes, apply,
             doorbell=queue_id, n_writes=len(sizes),
         )
         queue.post(done)
@@ -315,8 +311,7 @@ class GaspiContext:
                           notify_segment: int,
                           notifications: Union[Tuple[int, int],
                                                Sequence[Tuple[int, int]]],
-                          queue_id: int = 0,
-                          modeled_bytes: Optional[int] = None) -> ReturnCode:
+                          queue_id: int = 0) -> ReturnCode:
         """``gaspi_write_list_notify``: batched puts + notifications, fused.
 
         All entry payloads and the notification flags travel as **one**
@@ -363,12 +358,8 @@ class GaspiContext:
                 target.get(remote_segment).write_bytes(remote_offset, data)
             target.get(notify_segment).notifications.post_many(notifications)
 
-        model = (
-            sizes if modeled_bytes is None
-            else (modeled_bytes, 8 * len(notifications))
-        )
         done = self.world.transport.post_rdma_list(
-            self.rank, dst_rank, model, apply,
+            self.rank, dst_rank, sizes, apply,
             doorbell=queue_id, n_writes=len(snapshots),
         )
         queue.post(done)
@@ -414,8 +405,8 @@ class GaspiContext:
         """``gaspi_read_list``: several gets from one rank as one request.
 
         ``modeled_bytes`` overrides the byte count the time model charges
-        (mirroring :meth:`write_list`; the replicated checkpoint backend
-        fetches a staged placeholder priced as its full replica share).
+        (the replicated checkpoint backend fetches a staged placeholder
+        priced as its full replica share).
         """
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):

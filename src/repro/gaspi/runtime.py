@@ -77,7 +77,7 @@ class GaspiWorld:
 
         The process is bound to the rank on the machine, so a fail-stop of
         the rank kills it.  Used for rank mains and for per-rank background
-        work (e.g. the checkpoint library's PFS copies).
+        work.
         """
         proc = self.sim.spawn(gen, name=name or f"rank{rank}")
         self.machine.bind_process(rank, proc)

@@ -1,4 +1,4 @@
-"""Eigensolvers and iterative methods on the distributed spMVM substrate.
+"""The Lanczos eigensolver on the distributed spMVM substrate.
 
 * :mod:`repro.solvers.tridiag` — the QL method with implicit shifts for the
   eigenvalues of the symmetric tridiagonal Lanczos matrix (the paper's
@@ -7,11 +7,6 @@
   Lanczos iteration (paper Algorithm 1).
 * :mod:`repro.solvers.ft_lanczos` — the paper's fault-tolerant Lanczos
   application (requires :mod:`repro.ft`).
-* :mod:`repro.solvers.ft_power`, :mod:`repro.solvers.ft_cg` — two more
-  fault-tolerant applications on the same machinery (the paper: "the
-  concept can be applied to other applications as well").
-* :mod:`repro.solvers.power`, :mod:`repro.solvers.cg` — the plain
-  (non-FT) iterative methods underlying them.
 """
 
 from repro.solvers.tridiag import ql_eigenvalues, lanczos_matrix_eigenvalues
@@ -20,8 +15,6 @@ from repro.solvers.lanczos import (
     lanczos_sequential,
     DistributedLanczos,
 )
-from repro.solvers.power import distributed_power_iteration
-from repro.solvers.cg import distributed_cg
 
 __all__ = [
     "ql_eigenvalues",
@@ -29,6 +22,4 @@ __all__ = [
     "LanczosState",
     "lanczos_sequential",
     "DistributedLanczos",
-    "distributed_power_iteration",
-    "distributed_cg",
 ]

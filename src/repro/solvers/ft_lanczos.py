@@ -8,7 +8,7 @@ Sect. V restructuring, item by item:
   communicating partners") — rescues restore it instead of redoing setup;
 * the periodic checkpoint holds "two consecutive Lanczos vectors, alpha,
   and beta" (plus, implicitly, the iteration count) every
-  ``checkpoint_interval`` iterations (paper: 500);
+  ``FTConfig.checkpoint_interval`` iterations (paper: 500);
 * every blocking communication call checks the failure-ack flag and backs
   off into recovery (handled by the guard plumbed through the spMVM
   library and the reductions);
@@ -30,27 +30,11 @@ from repro.solvers.lanczos import DistributedLanczos, LanczosState
 class FTLanczos(FTProgram):
     """Fault-tolerant Lanczos for the low-lying spectrum of a sparse matrix."""
 
-    def __init__(
-        self,
-        generator: RowGenerator,
-        n_steps: int,
-        checkpoint_interval: Optional[int] = None,
-        eig_check_interval: int = 0,
-        tol: float = 0.0,
-        time_model=None,
-        nominal_state_bytes: Optional[int] = None,
-        nominal_setup_bytes: Optional[int] = None,
-        n_eigenvalues: int = 5,
-    ) -> None:
+    def __init__(self, generator: RowGenerator, n_steps: int,
+                 time_model: Any = None) -> None:
         self.generator = generator
         self.n_steps = n_steps
-        self.checkpoint_interval = checkpoint_interval
-        self.eig_check_interval = eig_check_interval
-        self.tol = tol
         self.time_model = time_model
-        self.nominal_state_bytes = nominal_state_bytes
-        self.nominal_setup_bytes = nominal_setup_bytes
-        self.n_eigenvalues = n_eigenvalues
 
     # ------------------------------------------------------------------
     def _build_solver(self, ftx: FTContext, dmat: DistMatrix,
@@ -71,9 +55,7 @@ class FTLanczos(FTProgram):
             ftx.team, self.generator, guard=ftx.guard,
             comm_timeout=ftx.cfg.comm_timeout,
         )
-        yield from ftx.write_setup_checkpoint(
-            dmat.to_payload(), self.nominal_setup_bytes
-        )
+        yield from ftx.write_setup_checkpoint(dmat.to_payload())
         solver = yield from self._build_solver(ftx, dmat, None)
         ftx.mark("setup-done")
         return solver
@@ -87,9 +69,7 @@ class FTLanczos(FTProgram):
                 ftx.team, self.generator, guard=ftx.guard,
                 comm_timeout=ftx.cfg.comm_timeout,
             )
-            yield from ftx.write_setup_checkpoint(
-                dmat.to_payload(), self.nominal_setup_bytes
-            )
+            yield from ftx.write_setup_checkpoint(dmat.to_payload())
         else:
             dmat = DistMatrix.from_payload(setup_payload)
         state = None
@@ -100,8 +80,7 @@ class FTLanczos(FTProgram):
         return solver
 
     def run(self, ftx: FTContext, solver: DistributedLanczos):
-        interval = self.checkpoint_interval or ftx.cfg.checkpoint_interval
-        last_min: Optional[float] = None
+        interval = ftx.cfg.checkpoint_interval
         tracer = ftx.ctx.tracer
         while solver.state.step < self.n_steps:
             t0 = ftx.now
@@ -111,22 +90,15 @@ class FTLanczos(FTProgram):
                 tracer.emit(ftx.now, ftx.ctx.rank, "solver_iter",
                             dur=ftx.now - t0, step=step)
             if step % interval == 0:
-                yield from ftx.checkpoint(
-                    step // interval, solver.state.to_payload(),
-                    self.nominal_state_bytes,
-                )
+                yield from ftx.checkpoint(step // interval,
+                                          solver.state.to_payload())
             if solver.state.broke_down:
                 break
-            if self.eig_check_interval and step % self.eig_check_interval == 0:
-                current = solver.state.min_eigenvalue()
-                if last_min is not None and abs(current - last_min) <= self.tol:
-                    break
-                last_min = current
         estimates = solver.state.eigenvalue_estimates()
         return {
             "steps": solver.state.step,
             "min_eigenvalue": float(estimates[0]) if estimates.size else None,
-            "eigenvalues": [float(v) for v in estimates[: self.n_eigenvalues]],
+            "eigenvalues": [float(v) for v in estimates[:5]],
             "alpha": list(solver.state.alpha),
             "beta": list(solver.state.beta),
         }

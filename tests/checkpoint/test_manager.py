@@ -10,7 +10,6 @@ from repro.checkpoint import (
     CheckpointManager,
     CheckpointNotFound,
     NodeLocalStore,
-    ParallelFileSystem,
 )
 from repro.gaspi import run_gaspi
 from repro.sim import Simulator, Sleep, WaitEvent
@@ -141,26 +140,6 @@ def test_read_missing_version_raises():
     assert run.result(0) == "not-found"
 
 
-def test_pfs_copies_every_kth_version():
-    def main(ctx):
-        pfs = ParallelFileSystem(ctx.world.sim)
-        cfg = CheckpointConfig(pfs_every=2, keep_versions=10)
-        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1],
-                            config=cfg, pfs=pfs)
-        if ctx.rank == 0:
-            last = None
-            for v in range(4):
-                last = yield from lib.write_checkpoint(v, {"x": np.array([v])})
-            yield WaitEvent(last, 10.0)
-            return (lib.stats["pfs_copies"], pfs.has(("ckpt", 0, 0)),
-                    pfs.has(("ckpt", 0, 1)), pfs.has(("ckpt", 0, 2)))
-        if False:
-            yield
-
-    run = run_gaspi(main, n_ranks=2)
-    assert run.result(0) == (2, True, False, True)
-
-
 def test_refresh_changes_neighbor_after_failure():
     def main(ctx):
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2, 3])
@@ -247,62 +226,39 @@ def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
     assert after["restore_neighbor_ops"] == 1
 
 
-def _pfs_duty_run(n_versions, nominal_bytes=None, kill_at=None):
-    """Rank 0 writes ``n_versions`` back to back with ``pfs_every=2``;
-    returns (fire log, PFS, run).  Each log entry is (version, fire time,
-    whether the PFS held the version at that moment)."""
+def _mirror_run(kill_at=None):
+    """Rank 0 of two writes version 0 with a 10 GB nominal blob; returns
+    the fire times of its ``mirrored`` event and the run."""
     sim = Simulator()
-    pfs = ParallelFileSystem(sim)
-    log = []
+    fired = []
 
     def main(ctx):
-        cfg = CheckpointConfig(pfs_every=2, keep_versions=10)
-        lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1],
-                            config=cfg, pfs=pfs if ctx.rank == 0 else None)
-        if ctx.rank != 0:
-            yield Sleep(10.0)
-            return None
-        for v in range(n_versions):
+        # both ranks hold a library, so the neighbor has a landing window
+        lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1])
+        if ctx.rank == 0:
             mirrored = yield from lib.write_checkpoint(
-                v, {"x": np.array([v])}, nominal_bytes=nominal_bytes)
-            mirrored.add_callback(lambda ev, v=v: log.append(
-                (v, sim.now, pfs.has(("ckpt", 0, v)))))
+                0, {"x": np.ones(4)}, nominal_bytes=10**10)
+            mirrored.add_callback(lambda ev: fired.append(sim.now))
         yield Sleep(10.0)
-        return lib.stats["pfs_copies"]
 
     plan = FaultPlan().kill_process(kill_at, 0) if kill_at else None
     run = run_gaspi(main, n_ranks=2, sim=sim, fault_plan=plan)
-    return log, pfs, run
+    return fired, run
 
 
-def test_pfs_copy_precedes_mirrored_in_fifo_order():
-    log, pfs, run = _pfs_duty_run(4)
-    assert [v for v, _, _ in log] == [0, 1, 2, 3]
-    times = [t for _, t, _ in log]
-    assert times == sorted(times)
-    # due versions fire only once their PFS copy exists
-    assert [(v, on_pfs) for v, _, on_pfs in log if v % 2 == 0] == [
-        (0, True), (2, True)]
-    assert run.result(0) == 2
-    assert [pfs.has(("ckpt", 0, v)) for v in range(4)] == [
-        True, False, True, False]
-
-
-def test_helper_dies_with_rank():
-    """The PFS-copy helper process is bound to the writer's rank: a writer
-    killed mid-copy takes the copy with it, leaving no PFS blob and never
-    firing ``mirrored``."""
-    # a 10 GB blob takes ~1 s of the PFS's 10 GB/s, so killing the writer
-    # half a second before the undisturbed run's fire time lands mid-copy
-    [(_, t_fire, _)], _, _ = _pfs_duty_run(1, nominal_bytes=10**10)
-    log, pfs, run = _pfs_duty_run(1, nominal_bytes=10**10,
-                                  kill_at=t_fire - 0.5)
-    helpers = [p for p in run.sim.processes if p.name == "ckpt-pfs-0"]
-    assert len(helpers) == 1 and not helpers[0].alive
-    # the neighbor mirror landed before the PFS copy started
-    assert NodeLocalStore(run.machine.node(1)).has(("ckpt", 0, 0))
-    assert not pfs.has(("ckpt", 0, 0))
-    assert log == []
+def test_writer_killed_mid_mirror_takes_no_completion_actions():
+    """A writer killed while its neighbor mirror is in flight takes no
+    completion actions: ``mirrored`` never fires and the neighbor's store
+    never gets the blob, while the writer's node keeps its local copy."""
+    # the local write ends at 2.0 s and the undisturbed mirror lands at
+    # 5.125 s, so a kill at 3.5625 s strikes halfway through the copy
+    fired, _ = _mirror_run()
+    assert fired == [pytest.approx(5.125, abs=1e-3)]
+    fired, run = _mirror_run(kill_at=3.5625)
+    key = ("ckpt", 0, 0)
+    assert fired == []
+    assert not NodeLocalStore(run.machine.node(1)).has(key)
+    assert NodeLocalStore(run.machine.node(0)).has(key)
 
 
 def test_severed_neighbor_times_out_and_releases_the_fifo():
@@ -359,60 +315,3 @@ def test_restorable_latest_skips_unreachable_nodes():
 
     run = run_gaspi(main, n_ranks=4, fault_plan=FaultPlan().kill_node(20.0, 0))
     assert run.result(3) == (-1, "no checkpoint for logical rank 0")
-
-
-def _pfs_reprotect_run(plan=None, nominal_bytes=None):
-    """Logical rank 1 writes version 0 with ``pfs_every=1``; after the
-    plan's faults, a rescue on rank 3 restores it.  Returns the PFS write
-    count before the rescue, the count and PFS presence once its reprotect
-    finished, the rescue's stats, and the fire time of the write's
-    ``mirrored`` event (``None`` if it never fired)."""
-    sim = Simulator()
-    pfs = ParallelFileSystem(sim)
-    cfg = CheckpointConfig(pfs_every=1)
-    fired = []
-
-    def main(ctx):
-        if ctx.rank == 1:
-            lib = CheckpointLib(ctx, 1, [0, 1, 2], config=cfg, pfs=pfs)
-            mirrored = yield from lib.write_checkpoint(
-                0, {"x": np.full(4, 7.0)}, nominal_bytes=nominal_bytes)
-            mirrored.add_callback(lambda ev: fired.append(sim.now))
-        elif ctx.rank == 3:
-            yield Sleep(30.0)
-            writes = pfs.stats["writes"]
-            lib = CheckpointLib(ctx, 1, [0, 2, 3], config=cfg, pfs=pfs)
-            yield from lib.read_checkpoint(extra_nodes=[1, 2])
-            yield Sleep(30.0)  # the reprotect finishes in the background
-            return (writes, pfs.stats["writes"], pfs.has(("ckpt", 1, 0)),
-                    lib.stats)
-        yield Sleep(100.0)
-        return None
-
-    run = run_gaspi(main, n_ranks=4, sim=sim, fault_plan=plan)
-    return run.result(3), (fired[0] if fired else None)
-
-
-def test_reprotect_after_neighbor_restore_skips_the_pfs_copy():
-    (before, after, on_pfs, stats), _ = _pfs_reprotect_run(
-        FaultPlan().kill_node(20.0, 1))
-    assert stats["remote_reads"] == 1
-    assert (before, after, on_pfs) == (1, 1, True)
-
-
-def test_reprotect_after_pfs_restore_does_not_rewrite_the_blob():
-    (before, after, on_pfs, stats), _ = _pfs_reprotect_run(
-        FaultPlan().kill_node(20.0, 1).kill_node(20.0, 2))
-    assert stats["pfs_reads"] == 1
-    assert (before, after, on_pfs) == (1, 1, True)
-
-
-def test_reprotect_writes_a_pfs_copy_that_died_with_its_writer():
-    # a 10 GB blob takes ~1 s of the PFS's 10 GB/s, so killing the writer
-    # half a second before the undisturbed run's fire time lands mid-copy
-    _, t_fire = _pfs_reprotect_run(nominal_bytes=10**10)
-    (before, after, on_pfs, stats), fired = _pfs_reprotect_run(
-        FaultPlan().kill_process(t_fire - 0.5, 1), nominal_bytes=10**10)
-    assert fired is None
-    assert stats["remote_reads"] == 1
-    assert (before, after, on_pfs) == (0, 1, True)

@@ -1,13 +1,9 @@
-"""Tests for extensions: second FT application, multi-rank nodes, PFS tier."""
-
-import pytest
+"""Tests for extensions: multi-rank nodes."""
 
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
-from repro.checkpoint.pfs import ParallelFileSystem
 from repro.ft import FTConfig, run_ft_application
-from repro.solvers.ft_power import FTPowerIteration
 from repro.solvers.ft_lanczos import FTLanczos
-from repro.spmvm.matgen import GrapheneSheet, Laplacian2D
+from repro.spmvm.matgen import GrapheneSheet
 
 
 class StepTime:
@@ -27,39 +23,6 @@ def machine(cfg, procs_per_node=1):
     )
 
 
-class TestFTPowerIteration:
-    GEN = Laplacian2D(5, 5)
-
-    def reference(self):
-        return self.GEN.exact_eigenvalues()[-1]
-
-    def test_failure_free(self):
-        cfg = FTConfig(n_workers=4, n_spares=2, fd_scan_period=1.0,
-                       comm_timeout=0.5, checkpoint_interval=20)
-        program = FTPowerIteration(self.GEN, n_steps=400, tol=1e-12,
-                                   time_model=StepTime())
-        result = run_ft_application(cfg, program, machine_spec=machine(cfg))
-        assert result.status == "done"
-        lam = result.worker_results()[0]["result"]["eigenvalue"]
-        assert lam == pytest.approx(self.reference(), abs=1e-6)
-
-    def test_recovers_from_kill(self):
-        cfg = FTConfig(n_workers=4, n_spares=2, fd_scan_period=1.0,
-                       comm_timeout=0.5, idle_poll=0.05,
-                       checkpoint_interval=20)
-        program = FTPowerIteration(self.GEN, n_steps=300, tol=0.0,
-                                   time_model=StepTime())
-        plan = FaultPlan().kill_process(3.05, 2)
-        result = run_ft_application(cfg, program, machine_spec=machine(cfg),
-                                    fault_plan=plan, until=600.0)
-        workers = result.worker_results()
-        assert result.status == "done"
-        assert sorted(workers) == [0, 1, 2, 3]
-        lam = workers[2]["result"]["eigenvalue"]
-        assert lam == pytest.approx(self.reference(), abs=1e-6)
-        assert len(result.fd_stats.detections) == 1
-
-
 class TestMultiRankNodes:
     def test_node_crash_kills_two_ranks_two_rescues(self):
         """procs_per_node=2: a node crash is a *simultaneous* 2-rank loss."""
@@ -67,8 +30,7 @@ class TestMultiRankNodes:
         cfg = FTConfig(n_workers=4, n_spares=4, fd_scan_period=1.0,
                        comm_timeout=0.5, idle_poll=0.05,
                        checkpoint_interval=10, fd_threads=4)
-        program = FTLanczos(gen, n_steps=40, checkpoint_interval=10,
-                            time_model=StepTime())
+        program = FTLanczos(gen, n_steps=40, time_model=StepTime())
         # node 1 hosts ranks 2 and 3 (both workers)
         plan = FaultPlan().kill_node(2.05, 1)
         result = run_ft_application(
@@ -92,32 +54,3 @@ class TestMultiRankNodes:
         m = Machine(sim, MachineSpec(n_nodes=3, procs_per_node=2))
         assert neighbor_of(0, [0, 1, 2, 3, 4, 5], m.node_of) == 2
         assert neighbor_of(5, [0, 1, 2, 3, 4, 5], m.node_of) == 0
-
-
-class TestPFSTier:
-    def test_ft_run_with_pfs_copies(self):
-        """pfs_every creates the paper's 'infrequent PFS-level copies'."""
-        import dataclasses
-
-        gen = GrapheneSheet(3, 4, disorder=1.0, seed=1)
-        cfg = FTConfig(n_workers=4, n_spares=2, fd_scan_period=1.0,
-                       comm_timeout=0.5, checkpoint_interval=10)
-        cfg = dataclasses.replace(
-            cfg, checkpoint=dataclasses.replace(cfg.checkpoint, pfs_every=2)
-        )
-        program = FTLanczos(gen, n_steps=40, checkpoint_interval=10,
-                            time_model=StepTime())
-        holder = {}
-
-        def pfs_factory(sim):
-            holder["pfs"] = ParallelFileSystem(sim)
-            return holder["pfs"]
-
-        result = run_ft_application(cfg, program, machine_spec=machine(cfg),
-                                    pfs_factory=pfs_factory)
-        assert result.status == "done"
-        pfs = holder["pfs"]
-        assert pfs.stats["writes"] > 0
-        # versions 2 and 4 mirrored for every logical rank
-        assert pfs.has(("state", 0, 2))
-        assert pfs.has(("state", 3, 4))

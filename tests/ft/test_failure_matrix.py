@@ -59,8 +59,7 @@ PHASES = {"setup": 0.3, "after-cp": 1.05, "mid": 2.55, "late": 3.95}
 def test_failure_matrix(kind, phase, reference_min):
     c = cfg()
     plan = inject(kind, PHASES[phase], rank=2, c=c)
-    program = FTLanczos(GEN, n_steps=N_STEPS, checkpoint_interval=10,
-                        time_model=StepTime())
+    program = FTLanczos(GEN, n_steps=N_STEPS, time_model=StepTime())
     result = run_ft_application(
         c, program,
         machine_spec=MachineSpec(

@@ -66,8 +66,7 @@ def test_any_failure_schedule_recovers(schedule, reference_min):
     cfg = FTConfig(n_workers=N_WORKERS, n_spares=N_SPARES,
                    fd_scan_period=0.7, comm_timeout=0.4, idle_poll=0.05,
                    checkpoint_interval=5)
-    program = FTLanczos(GEN, n_steps=N_STEPS, checkpoint_interval=5,
-                        time_model=StepTime())
+    program = FTLanczos(GEN, n_steps=N_STEPS, time_model=StepTime())
     result = run_ft_application(
         cfg, program,
         machine_spec=MachineSpec(

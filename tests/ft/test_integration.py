@@ -6,6 +6,8 @@ worker group is rebuilt, state is restored from neighbor-level checkpoints
 and the final eigenvalues are *identical* to the failure-free run.
 """
 
+import dataclasses
+
 import pytest
 
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
@@ -24,11 +26,10 @@ class StepTime:
         return 0.05
 
 
-def make_program(n_steps=40, checkpoint_interval=10, gen=None):
+def make_program(n_steps=40, gen=None):
     return FTLanczos(
         generator=gen or GrapheneSheet(3, 4, disorder=1.0, seed=1),
         n_steps=n_steps,
-        checkpoint_interval=checkpoint_interval,
         time_model=StepTime(),
     )
 
@@ -133,7 +134,8 @@ class TestSingleFailure:
     def test_failure_before_first_checkpoint_restarts_from_scratch(self, cfg):
         gen = GrapheneSheet(3, 4, disorder=1.0, seed=1)
         # checkpoint every 30 steps; kill at step ~20 (t=2.05)
-        program = make_program(n_steps=40, checkpoint_interval=30, gen=gen)
+        cfg = dataclasses.replace(cfg, checkpoint_interval=30)
+        program = make_program(n_steps=40, gen=gen)
         plan = FaultPlan().kill_process(2.05, 0)
         result = run_case(cfg, program, plan)
         workers = result.worker_results()

@@ -1,4 +1,4 @@
-"""Tests for sequential and distributed Lanczos, power iteration and CG."""
+"""Tests for sequential and distributed Lanczos."""
 
 import numpy as np
 import pytest
@@ -8,15 +8,12 @@ from repro.gaspi import run_gaspi
 from repro.solvers import (
     DistributedLanczos,
     LanczosState,
-    distributed_cg,
-    distributed_power_iteration,
     lanczos_sequential,
 )
 from repro.solvers.lanczos import starting_vector
 from repro.solvers.tridiag import lanczos_matrix_eigenvalues
 from repro.spmvm import SpMVMEngine, Team, distribute_matrix
 from repro.spmvm.matgen import GrapheneSheet, Laplacian2D, RandomSparse
-from repro.spmvm.partition import RowPartition
 
 
 class TestSequentialLanczos:
@@ -149,62 +146,3 @@ class TestLanczosState:
     def test_min_eigenvalue_nan_before_first_step(self):
         state = LanczosState(v_prev=np.zeros(2), v_cur=np.ones(2))
         assert np.isnan(state.min_eigenvalue())
-
-
-class TestPowerIteration:
-    def test_dominant_eigenvalue_laplacian(self):
-        gen = Laplacian2D(4, 4)
-
-        def main(ctx):
-            team = Team.trivial(ctx)
-            dmat = yield from distribute_matrix(team, gen)
-            engine = yield from SpMVMEngine.create(team, dmat)
-            lam, steps = yield from distributed_power_iteration(
-                team, engine, n_steps=500, tol=1e-12
-            )
-            return (lam, steps)
-
-        run = run_gaspi(main, n_ranks=2)
-        lam, steps = run.result(0)
-        exact = gen.exact_eigenvalues()[-1]
-        assert lam == pytest.approx(exact, abs=1e-6)
-        assert steps < 500
-
-
-class TestCG:
-    def test_solves_spd_system(self):
-        gen = Laplacian2D(5, 5)
-        full = gen.full()
-        rng = np.random.default_rng(0)
-        x_true = rng.standard_normal(full.n_rows)
-        b = full.spmv(x_true)
-
-        def main(ctx):
-            team = Team.trivial(ctx)
-            dmat = yield from distribute_matrix(team, gen)
-            engine = yield from SpMVMEngine.create(team, dmat)
-            partition = RowPartition(gen.n_rows, team.n_workers)
-            r0, r1 = partition.range_of(ctx.rank)
-            x_local, res, steps = yield from distributed_cg(
-                team, engine, b[r0:r1], n_steps=300, tol=1e-12
-            )
-            return x_local
-
-        run = run_gaspi(main, n_ranks=3)
-        x = np.concatenate([run.result(r) for r in range(3)])
-        assert np.allclose(x, x_true, atol=1e-8)
-
-    def test_zero_rhs_returns_zero(self):
-        gen = Laplacian2D(3, 3)
-
-        def main(ctx):
-            team = Team.trivial(ctx)
-            dmat = yield from distribute_matrix(team, gen)
-            engine = yield from SpMVMEngine.create(team, dmat)
-            x_local, res, steps = yield from distributed_cg(
-                team, engine, np.zeros(engine.n_local)
-            )
-            return (float(np.abs(x_local).max()), res, steps)
-
-        run = run_gaspi(main, n_ranks=1)
-        assert run.result(0) == (0.0, 0.0, 0)
