@@ -63,12 +63,13 @@ def main():
     detection = stats.detections[0]
     print(f"\nFD detected failure of ranks {detection.failed} at "
           f"t={detection.t_detected:.2f} s; rescues: {detection.rescues}")
-    rescue = workers[3]
-    recovery_marks = [
-        (t, label) for t, label, _ in rescue["timeline"]
-        if label in ("recovered", "restore", "restored")
-    ]
-    print(f"Rescue timeline (logical rank 3): {recovery_marks}")
+    # the run's failure record: one FailureRecord per recovery epoch
+    record = result.failures()[0]
+    rescue = record.rescues[0]
+    print(f"Rescue timeline (rank {rescue} as logical rank 3): promoted in "
+          f"{record.promote_dur:.3f} s, restore version agreed "
+          f"{record.reinit[rescue] * 1e3:.3f} ms later, solver resumed at "
+          f"t={record.t_rollback:.3f} s")
 
     got = workers[0]["result"]["eigenvalues"]
 

@@ -27,18 +27,6 @@ def expected_failures(n_nodes: int, duration: float, mttf_node: float) -> float:
     return n_nodes * duration / mttf_node
 
 
-def poisson_cdf(k: int, mean: float) -> float:
-    """P[X <= k] for X ~ Poisson(mean)."""
-    if k < 0:
-        return 0.0
-    term = math.exp(-mean)
-    total = term
-    for i in range(1, k + 1):
-        term *= mean / i
-        total += term
-    return min(1.0, total)
-
-
 def binomial_cdf(k: int, n: int, p: float) -> float:
     """P[X <= k] for X ~ Binomial(n, p)."""
     if k < 0:

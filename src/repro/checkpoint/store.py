@@ -50,15 +50,6 @@ class NodeLocalStore:
     def available(self) -> bool:
         return self.node.alive
 
-    def put(self, key: Key, blob: StoredBlob) -> None:
-        if not self.node.alive:
-            raise CheckpointNotFound(f"node {self.node.node_id} is down")
-        store = self.node.local_store
-        full = (self._PREFIX, *key)
-        if full not in store:
-            insort(self.node.ckpt_index.setdefault(key[:2], []), key[2])
-        store[full] = blob
-
     def get(self, key: Key) -> StoredBlob:
         if not self.node.alive:
             raise CheckpointNotFound(f"node {self.node.node_id} is down")
@@ -70,21 +61,13 @@ class NodeLocalStore:
     def has(self, key: Key) -> bool:
         return self.node.alive and (self._PREFIX, *key) in self.node.local_store
 
-    def delete(self, key: Key) -> None:
-        if self.node.local_store.pop((self._PREFIX, *key), None) is not None:
-            held = self.node.ckpt_index.get(key[:2])
-            if held is not None:
-                try:
-                    held.remove(key[2])
-                except ValueError:  # pragma: no cover - index is exact
-                    pass
-
     def put_pruned(self, key: Key, blob: StoredBlob, keep: int) -> None:
-        """:meth:`put` then :meth:`prune` of the same owner, fused.
+        """Store ``blob`` under ``key``, then drop all but the owner's
+        newest ``keep`` versions.
 
         The hot write path (every local write and every landed mirror)
-        always prunes right after storing; fusing shares the aliveness
-        check and the single index lookup between the two halves.
+        always prunes right after storing, so both share one aliveness
+        check and one index lookup.
         """
         if not self.node.alive:
             raise CheckpointNotFound(f"node {self.node.node_id} is down")
@@ -112,21 +95,6 @@ class NodeLocalStore:
             for stale_version in stale:
                 store.pop((self._PREFIX, tag, logical_rank, stale_version),
                           None)
-
-    def prune(self, tag: str, logical_rank: int, keep: int) -> None:
-        """Delete all but the newest ``keep`` held versions.
-
-        Same outcome as deleting ``versions(tag, logical_rank)[:-keep]``
-        one by one, done in one pass over the version index (the hot
-        write path prunes after every checkpoint).
-        """
-        held = self.node.ckpt_index.get((tag, logical_rank))
-        if not held or len(held) <= keep:
-            return
-        stale, held[:] = held[:-keep], held[-keep:]
-        store = self.node.local_store
-        for version in stale:
-            store.pop((self._PREFIX, tag, logical_rank, version), None)
 
     # ------------------------------------------------------------------
     def versions(self, tag: str, logical_rank: int) -> List[int]:

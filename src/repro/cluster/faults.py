@@ -134,11 +134,15 @@ class FaultInjector:
 
     def _make_thunk(self, event: FaultEvent) -> Callable[[], None]:
         def thunk() -> None:
-            tracer = self.sim.tracer
+            sim = self.sim
+            # rank attribution must be read before the kill lands
+            ranks = _affected_ranks(event, self.machine)
+            for rank in ranks:
+                sim.failure_log.fold(sim.now, rank, "failure_injected")
+            tracer = sim.tracer
             if tracer.enabled:
-                # rank attribution must be read before the kill lands
-                for rank in _affected_ranks(event, self.machine):
-                    tracer.emit(self.sim.now, rank, "failure_injected",
+                for rank in ranks:
+                    tracer.emit(sim.now, rank, "failure_injected",
                                 kind=type(event).__name__)
             event.apply(self.machine)
             self.injected.append(event)

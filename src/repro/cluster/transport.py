@@ -684,16 +684,6 @@ class Transport:
         self.sim.schedule_at(estimate, check)
         return done
 
-    def forget_broken(self, src: int, dst: Optional[int] = None) -> None:
-        """Clear the broken-channel cache (e.g. after link repair)."""
-        broken = self._broken.get(src)
-        if broken is None:
-            return
-        if dst is None:
-            broken.clear()
-        else:
-            broken.discard(dst)
-
     # ------------------------------------------------------------------
     # control plane
     # ------------------------------------------------------------------

@@ -72,52 +72,44 @@ class ScenarioOutcome:
         }
 
 
-def _recovery_decomposition(result: FTRunResult, injects: List[float],
+def _recovery_decomposition(result: FTRunResult,
                             spec: WorkloadSpec) -> Tuple[float, float, float, int]:
     """(detection, reinit, redo, n_recoveries) summed over all recoveries.
 
-    * detection: fault injection -> earliest worker failure-ack, per epoch;
-    * reinit: failure-ack -> restore completed, averaged over the new
-      team's members, per epoch (group rebuild + checkpoint read);
-    * redo: re-executed iterations (beyond the nominal count) x anchored
-      iteration time, maximum over workers.
-    """
-    workers = result.worker_results()
-    acks: Dict[int, List[float]] = {}
-    restores: Dict[int, List[float]] = {}
-    for w in workers.values():
-        pending_epoch = None
-        ack_t = None
-        for t, label, info in w.get("timeline", []):
-            if label == "failure-ack":
-                pending_epoch = info.get("epoch")
-                ack_t = t
-                acks.setdefault(pending_epoch, []).append(t)
-            elif label == "recovered" and info.get("rescue"):
-                # a rescue has no failure-ack; its span starts at recovery
-                pending_epoch = info.get("epoch")
-                ack_t = t
-            elif label == "restore" and pending_epoch is not None:
-                restores.setdefault(pending_epoch, []).append(t - ack_t)
-                pending_epoch = None
+    Folds the run's failure records (:meth:`FTRunResult.failures`),
+    counting only the ranks that finished as workers (DESIGN.md §7):
 
+    * detection: the epoch's injection -> earliest failure-ack;
+    * reinit: per rank, its failure-ack (survivor) or promotion (rescue)
+      -> the agreed restore version, averaged over the epoch's ranks:
+      group rebuild and version agreement, not the checkpoint read;
+    * redo: re-executed iterations (beyond the nominal count) x anchored
+      iteration time, maximum over workers;
+    * n_recoveries: the epochs those ranks acknowledged.
+    """
+    finished = set(result.worker_ranks())
     detection = 0.0
     reinit = 0.0
-    epochs = sorted(acks)
-    for idx, epoch in enumerate(epochs):
-        first_ack = min(acks[epoch])
-        inject = injects[idx] if idx < len(injects) else first_ack
+    n_recoveries = 0
+    for rec in result.failures():
+        acks = [t for rank, t in rec.acks.items() if rank in finished]
+        if not acks:
+            continue
+        n_recoveries += 1
+        first_ack = min(acks)
+        inject = first_ack if rec.t_injected is None else rec.t_injected
         detection += max(0.0, first_ack - inject)
-        spans = restores.get(epoch, [])
+        spans = [span for rank, span in sorted(rec.reinit.items())
+                 if rank in finished]
         if spans:
             reinit += sum(spans) / len(spans)
 
     redo_iters = 0
-    for w in workers.values():
+    for w in result.worker_results().values():
         executed = w.get("counters", {}).get("iterations", 0)
         redo_iters = max(redo_iters, int(executed) - spec.n_iterations)
     redo = max(0, redo_iters) * spec.iteration_time
-    return detection, reinit, redo, len(epochs)
+    return detection, reinit, redo, n_recoveries
 
 
 def run_ft_scenario(
@@ -138,10 +130,8 @@ def run_ft_scenario(
     cfg = ft_config_for(spec, n_spares=n_spares, fd_threads=fd_threads,
                         **cfg_overrides)
     plan = FaultPlan()
-    injects: List[float] = []
     for t, rank in (kill_times or []):
         plan.kill_process(t, rank)
-        injects.append(t)
     horizon = until or (spec.setup_time + spec.baseline_runtime) * 4 + 600
     result = run_ft_application(
         cfg, ModelLanczosProgram(spec),
@@ -160,11 +150,7 @@ def run_ft_scenario(
             f"{ {k: w['status'] for k, w in workers.items()} }"
         )
     total = max(w["t_done"] for w in workers.values())
-    # deduplicate simultaneous injections per detection epoch
-    unique_injects = sorted(set(injects))
-    detection, reinit, redo, n_rec = _recovery_decomposition(
-        result, unique_injects, spec
-    )
+    detection, reinit, redo, n_rec = _recovery_decomposition(result, spec)
     computation = total - redo - reinit - detection
     manager = CheckpointManager.maybe_of(result.run.world)
     return ScenarioOutcome(

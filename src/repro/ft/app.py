@@ -39,6 +39,7 @@ from repro.ft.detector import FD_STOP, fd_process
 from repro.ft.rankmap import ActiveRankMap
 from repro.ft.recovery import perform_recovery
 from repro.ft.roles import Role
+from repro.obs.timeline import FailureRecord
 
 SETUP_VERSION = 0
 
@@ -59,10 +60,8 @@ class FTContext:
         self.state_ckpt = state_ckpt
         self.setup_ckpt = setup_ckpt
         self.guard = CommGuard(partial(block.check_failure, epoch))
-        #: bookkeeping the experiments read back
-        self.timeline: List[tuple] = []
         #: free-form per-rank counters (e.g. iterations executed across
-        #: recoveries); carried over rebuilds like the timeline
+        #: recoveries); carried over rebuilds
         self.counters: Dict[str, float] = {}
 
     # ------------------------------------------------------------------
@@ -94,7 +93,6 @@ class FTContext:
         built = cls(ctx, cfg, block, team, epoch, sorted(merged_extra),
                     state_ckpt, setup_ckpt)
         if old is not None:
-            built.timeline = old.timeline
             built.counters = old.counters
         return built
 
@@ -105,10 +103,6 @@ class FTContext:
     def now(self) -> float:
         return self.ctx.now
 
-    def mark(self, label: str, **info: Any) -> None:
-        """Record a timeline event (read back by the benchmarks)."""
-        self.timeline.append((self.now, label, info))
-
     # ------------------------------------------------------------------
     # checkpoint services
     # ------------------------------------------------------------------
@@ -116,14 +110,12 @@ class FTContext:
                    nominal_bytes: Optional[int] = None,
                    ) -> Generator[Any, Any, None]:
         """Generator: periodic state checkpoint (local + async neighbor)."""
-        self.mark("checkpoint", version=version)
         yield from self.state_ckpt.write_checkpoint(version, payload, nominal_bytes)
 
     def write_setup_checkpoint(self, payload: Dict[str, Any],
                                nominal_bytes: Optional[int] = None,
                                ) -> Generator[Any, Any, None]:
         """Generator: the one-time post-pre-processing checkpoint."""
-        self.mark("setup-checkpoint")
         yield from self.setup_ckpt.write_checkpoint(SETUP_VERSION, payload,
                                                     nominal_bytes)
 
@@ -226,20 +218,25 @@ def _rebuild_context(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         ctx, cfg, block, notice,
         old_group=old.team.group if old is not None else None,
     )
-    ftx = FTContext.build(
+    return FTContext.build(
         ctx, cfg, block, recovery.team, recovery.notice.epoch,
         recovery.extra_nodes, pfs=pfs, old=old,
     )
-    ftx.mark("recovered", epoch=recovery.notice.epoch,
-             failed=recovery.notice.failed, rescue=recovery.is_rescue)
-    return ftx
 
 
 def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 program: FTProgram, ftx: FTContext, mode: str,
                 pfs: Optional[ParallelFileSystem] = None,
                 ) -> Generator[Any, Any, Dict[str, Any]]:
-    """Generator: compute / recover until completion (worker side of Fig. 3)."""
+    """Generator: compute / recover until completion (worker side of Fig. 3).
+
+    Folds the worker's lifecycle milestones into the run's failure log:
+    ``failure_ack`` when a notice unwinds it, ``version_agreed`` when the
+    team agreed the version to restore (before reading it), and the
+    epoch-tagged ``restore`` and ``rollback`` once the program resumed.
+    """
+    failures = ctx.world.sim.failure_log
+    tracer = ctx.tracer
     while True:
         try:
             if mode == "fresh":
@@ -251,12 +248,17 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             else:
                 t_restore = ctx.now
                 version = yield from ftx.agree_restore_version()
-                ftx.mark("restore", version=version)
+                failures.fold(ctx.now, ctx.rank, "version_agreed")
+                if tracer.enabled:
+                    tracer.emit(ctx.now, ctx.rank, "version_agreed",
+                                epoch=ftx.epoch, version=version)
                 payload = None
                 if version >= 0:
                     payload = yield from ftx.read_state_checkpoint(version)
                 work = yield from program.restore(ftx, payload)
-                tracer = ctx.tracer
+                failures.fold(ctx.now, ctx.rank, "restore", epoch=ftx.epoch,
+                              version=version)
+                failures.fold(ctx.now, ctx.rank, "rollback", epoch=ftx.epoch)
                 if tracer.enabled:
                     tracer.emit(ctx.now, ctx.rank, "restore",
                                 dur=ctx.now - t_restore, epoch=ftx.epoch,
@@ -278,19 +280,20 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 "status": "done",
                 "logical_rank": ftx.team.logical_rank,
                 "result": result,
-                "timeline": ftx.timeline,
                 "counters": dict(ftx.counters),
                 "t_done": ctx.now,
             }
         except FailureAcknowledged as ack:
             notice: FailureNotice = ack.notice
-            ftx.mark("failure-ack", epoch=notice.epoch, failed=notice.failed)
+            failures.fold(ctx.now, ctx.rank, "failure_ack", epoch=notice.epoch)
+            if tracer.enabled:
+                tracer.emit(ctx.now, ctx.rank, "failure_ack",
+                            epoch=notice.epoch)
             if not notice.recoverable:
                 yield from _announce_done(ctx, cfg, block)
                 return {
                     "status": "unrecoverable",
                     "logical_rank": ftx.team.logical_rank,
-                    "timeline": ftx.timeline,
                     "counters": dict(ftx.counters),
                     "t_done": ctx.now,
                 }
@@ -414,6 +417,12 @@ class FTRunResult:
     def rank_result(self, rank: int) -> Any:
         return self.run.result(rank)
 
+    def worker_ranks(self) -> List[int]:
+        """Physical ranks that finished as workers, ascending."""
+        return [rank for rank, proc in self.run.procs.items()
+                if isinstance(proc.result, dict)
+                and "logical_rank" in proc.result]
+
     def worker_results(self) -> Dict[int, Dict]:
         """Results of every rank that finished as a worker, by logical rank."""
         out = {}
@@ -422,6 +431,10 @@ class FTRunResult:
             if isinstance(result, dict) and "logical_rank" in result:
                 out[result["logical_rank"]] = result
         return out
+
+    def failures(self) -> List[FailureRecord]:
+        """The run's failure record: one entry per recovery epoch."""
+        return self.run.sim.failure_log.records()
 
     @property
     def fd_stats(self) -> Optional[Dict[str, Any]]:

@@ -34,9 +34,11 @@ Detection latency as measured in Figure 4/Table I therefore decomposes as
 ``fd_scan_period/2`` (expected wait for the next scan) + scan time +
 error timeout — the flat-in-node-count sum the paper reports.
 
-Every lifecycle milestone is mirrored into the structured tracer
-(``repro.obs``): per-ping ``ping`` events, a ``detection`` event at scan
-resolution and a ``broadcast_flags`` span covering the notice broadcast.
+Observability (``repro.obs``): the ``detection`` instant at scan
+resolution and the end of the notice broadcast are folded into the run's
+failure log (``sim.failure_log``); the tracer mirrors them as a
+``detection`` event and a ``broadcast_flags`` span, next to per-ping
+``ping`` events.
 """
 
 from __future__ import annotations
@@ -184,6 +186,9 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
         block.compose_notice(epoch, assignment.failed, assignment.rescues,
                              statuses, rank_map_arr)
         healthy = rankstate.healthy_targets(avoid, statuses)
+        failures = ctx.world.sim.failure_log
+        failures.fold(t_detected, ctx.rank, "detection", epoch=epoch,
+                      failed=assignment.failed, rescues=assignment.rescues)
         tracer = ctx.tracer
         if tracer.enabled:
             tracer.emit(t_detected, ctx.rank, "detection", epoch=epoch,
@@ -191,6 +196,7 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
                         rescues=list(assignment.rescues),
                         fd_joined=assignment.fd_joined)
         yield from block.broadcast(healthy, timeout=cfg.comm_timeout)
+        failures.fold(ctx.now, ctx.rank, "broadcast_flags", epoch=epoch)
         if tracer.enabled:
             tracer.emit(ctx.now, ctx.rank, "broadcast_flags",
                         dur=ctx.now - t_detected, epoch=epoch,

@@ -32,7 +32,8 @@ redone iterations are OHF4.
 
 Tracer events (``repro.obs``): a ``proc_kill`` span per enforced kill, a
 ``group_rebuild`` span ending at commit success, and a ``spare_promote``
-span on each rescue covering its whole identity-adoption.
+span on each rescue covering its whole identity-adoption.  The last two
+are also folded into the run's failure log (``sim.failure_log``).
 """
 
 from __future__ import annotations
@@ -144,6 +145,11 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             ctx.group_delete(group)
             continue
 
+        failures = ctx.world.sim.failure_log
+        failures.fold(ctx.now, ctx.rank, "group_rebuild", epoch=notice.epoch)
+        if was_rescue:
+            failures.fold(ctx.now, ctx.rank, "spare_promote",
+                          dur=ctx.now - t_start, epoch=notice.epoch)
         if tracer.enabled:
             tracer.emit(ctx.now, ctx.rank, "group_rebuild",
                         dur=ctx.now - t_rebuild, epoch=notice.epoch,

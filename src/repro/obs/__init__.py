@@ -6,7 +6,9 @@
 * :mod:`repro.obs.metrics` — counters/histograms and the standard
   aggregation :func:`~repro.obs.metrics.registry_from_events`.
 * :mod:`repro.obs.timeline` — per-failure lifecycle reconstruction
-  (detection → rebuild → promote → restore → rollback chains).
+  (detection → rebuild → promote → restore → rollback chains), folded
+  online by each run's always-on :class:`~repro.obs.timeline.FailureLog`
+  or replayed over a stored trace.
 * :mod:`repro.obs.export` — JSONL and ``chrome://tracing`` serialisation.
 
 See ``OBSERVABILITY.md`` for the guide and ``python -m repro trace`` for
@@ -15,16 +17,17 @@ the CLI entry point.
 
 from .tracer import (  # noqa: F401
     BROADCAST_FLAGS, CKPT_MIRROR, CKPT_WRITE, DETECTION, EVENT_TYPES,
-    FAILURE_INJECTED, GROUP_REBUILD, NULL_TRACER, PING, PROC_KILL, RESTORE,
-    ROLLBACK, SANITIZER_VIOLATION, SOLVER_ITER, SPARE_PROMOTE, TraceEvent,
-    Tracer, NullTracer, active_tracer, deactivate, install,
+    FAILURE_ACK, FAILURE_INJECTED, GROUP_REBUILD, LIFECYCLE_ETYPES,
+    NULL_TRACER, PING, PROC_KILL, RESTORE, ROLLBACK, SANITIZER_VIOLATION,
+    SOLVER_ITER, SPARE_PROMOTE, VERSION_AGREED, TraceEvent, Tracer,
+    NullTracer, active_tracer, deactivate, install,
 )
 from .metrics import (  # noqa: F401
     Counter, Histogram, MetricsRegistry, registry_from_events,
     registry_from_traces,
 )
 from .timeline import (  # noqa: F401
-    FailureRecord, build_timelines, phase_stats, timeline_report,
+    FailureLog, FailureRecord, build_timelines, phase_stats, timeline_report,
 )
 from .export import (  # noqa: F401
     chrome_trace, events_from_jsonl, write_chrome_trace, write_jsonl,

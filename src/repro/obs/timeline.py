@@ -1,19 +1,25 @@
 """Failure-timeline reconstruction: events → per-failure lifecycle chains.
 
-This is the paper's Figure 4 decomposition derived from *any* traced run:
-each injected failure becomes one :class:`FailureRecord` carrying the
-timestamps of its lifecycle milestones
+This is the paper's Figure 4 decomposition derived from the lifecycle
+events: each injected failure becomes one :class:`FailureRecord`
+carrying the timestamps of its lifecycle milestones
 
     inject → detection → broadcast → group rebuild → spare promotion
            → restore → rollback
 
 and per-phase latencies between them.  Records are keyed on the recovery
 ``epoch`` the FD assigns at detection time: every downstream event
-(``group_rebuild``, ``spare_promote``, ``restore``, ``rollback``) carries
-an ``epoch`` field, so correlation is exact even when failures overlap.
-Checkpoint-manager ``restore`` events without an ``epoch`` field (e.g.
-reads outside a recovery) are deliberately ignored here — they stay in
-the raw trace but belong to no failure chain.
+(``group_rebuild``, ``spare_promote``, ``failure_ack``, ``restore``,
+``rollback``) carries an ``epoch`` field, so correlation is exact even
+when failures overlap.  Checkpoint-manager ``restore`` events without an
+``epoch`` field (e.g. reads outside a recovery) are deliberately ignored
+here — they stay in the raw trace but belong to no failure chain.
+
+One fold, two feeds.  :class:`FailureLog` folds milestones online: every
+simulator keeps one (``sim.failure_log``) that the emission sites feed
+whether or not a tracer is installed, and Figure 4's decomposition reads
+its records.  :func:`build_timelines` replays a stored trace through the
+same fold, so a traced run's records equal its log's.
 
 Phase durations are non-negative by construction of the protocol: the
 group commit is a collective (all members finish together, after the
@@ -24,11 +30,12 @@ success, and restore/rollback happen after re-initialisation.  The
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from .tracer import (BROADCAST_FLAGS, DETECTION, FAILURE_INJECTED,
-                     GROUP_REBUILD, RESTORE, ROLLBACK, SPARE_PROMOTE,
+from .tracer import (BROADCAST_FLAGS, DETECTION, FAILURE_ACK,
+                     FAILURE_INJECTED, GROUP_REBUILD, LIFECYCLE_ETYPES,
+                     RESTORE, ROLLBACK, SPARE_PROMOTE, VERSION_AGREED,
                      TraceEvent)
 
 #: phase names in lifecycle order, mapping to FailureRecord properties
@@ -58,6 +65,12 @@ class FailureRecord:
     t_restored: Optional[float] = None
     t_rollback: Optional[float] = None
     restore_version: Optional[int] = None
+    #: physical rank -> the instant it acknowledged this epoch's notice
+    acks: Dict[int, float] = field(default_factory=dict)
+    #: physical rank -> its re-initialisation span, from its own
+    #: ``failure_ack`` (survivor) or ``spare_promote`` (rescue) to its
+    #: next ``version_agreed``, credited to the epoch it started in
+    reinit: Dict[int, float] = field(default_factory=dict)
 
     # -- per-phase latencies (None when an endpoint is missing) --------
     @staticmethod
@@ -110,60 +123,99 @@ class FailureRecord:
         return all(v is None or v >= -1e-9 for v in self.phases().values())
 
 
-def build_timelines(events: Iterable[TraceEvent],
-                    scenario: str = "") -> List[FailureRecord]:
-    """Reconstruct one :class:`FailureRecord` per detected failure epoch."""
-    events = sorted(events, key=lambda e: e.t)
-    injected: Dict[int, List[float]] = {}  # rank -> inject times, ascending
-    records: Dict[int, FailureRecord] = {}
+class FailureLog:
+    """Online fold of lifecycle milestones into failure records.
 
-    for ev in events:
-        etype, fields = ev.etype, ev.fields
+    :meth:`fold` takes the arguments of ``Tracer.emit`` and must see one
+    run's milestones in time order.  It keeps no event list: injection
+    times, one record per epoch and each rank's open reinit span.
+    """
+
+    __slots__ = ("scenario", "folded", "_injected", "_records", "_open")
+
+    def __init__(self, scenario: str = "") -> None:
+        self.scenario = scenario
+        #: milestones folded so far (none on a failure-free run)
+        self.folded = 0
+        self._injected: Dict[int, List[float]] = {}  # rank -> times, ascending
+        self._records: Dict[int, FailureRecord] = {}
+        #: rank -> (epoch, start instant) of its open reinit span
+        self._open: Dict[int, Tuple[int, float]] = {}
+
+    def _record(self, epoch: int) -> FailureRecord:
+        rec = self._records.get(epoch)
+        if rec is None:
+            rec = self._records[epoch] = FailureRecord(
+                epoch=epoch, scenario=self.scenario)
+        return rec
+
+    def fold(self, t: float, rank: int, etype: str, dur: float = 0.0,
+             **fields: Any) -> None:
+        """Fold one lifecycle milestone (see :data:`LIFECYCLE_ETYPES`)."""
+        self.folded += 1
         if etype == FAILURE_INJECTED:
-            injected.setdefault(ev.rank, []).append(ev.t)
-            continue
+            self._injected.setdefault(rank, []).append(t)
+            return
+        if etype == VERSION_AGREED:
+            # closes the rank's span, whichever epoch the team is in now
+            opened = self._open.pop(rank, None)
+            if opened is not None:
+                epoch, t_start = opened
+                self._record(epoch).reinit[rank] = t - t_start
+            return
+        epoch = fields.get("epoch")
+        if epoch is None:
+            return  # e.g. manager-level restore outside recovery
+        rec = self._record(epoch)
         if etype == DETECTION:
-            epoch = fields["epoch"]
-            rec = records.setdefault(epoch, FailureRecord(epoch=epoch,
-                                                          scenario=scenario))
             rec.failed = tuple(fields.get("failed", ()))
             rec.rescues = tuple(fields.get("rescues", ()))
-            rec.t_detected = ev.t
+            rec.t_detected = t
             # the failure this scan caught: for each failed rank, the
             # latest injection at or before detection; the record's
             # t_injected is the earliest of those (first unserved fault)
             times = []
-            for rank in rec.failed:
-                cands = [t for t in injected.get(rank, ()) if t <= ev.t + 1e-9]
+            for failed in rec.failed:
+                cands = [ti for ti in self._injected.get(failed, ())
+                         if ti <= t + 1e-9]
                 if cands:
                     times.append(cands[-1])
             rec.t_injected = min(times) if times else None
-            continue
-
-        epoch = fields.get("epoch")
-        if epoch is None:
-            continue  # e.g. manager-level restore outside recovery
-        rec = records.setdefault(epoch, FailureRecord(epoch=epoch,
-                                                      scenario=scenario))
-        if etype == BROADCAST_FLAGS:
-            rec.t_broadcast = (ev.t if rec.t_broadcast is None
-                               else max(rec.t_broadcast, ev.t))
+        elif etype == BROADCAST_FLAGS:
+            rec.t_broadcast = (t if rec.t_broadcast is None
+                               else max(rec.t_broadcast, t))
         elif etype == GROUP_REBUILD:
             # all members commit collectively; keep the last to finish
-            rec.t_rebuilt = (ev.t if rec.t_rebuilt is None
-                             else max(rec.t_rebuilt, ev.t))
+            rec.t_rebuilt = (t if rec.t_rebuilt is None
+                             else max(rec.t_rebuilt, t))
         elif etype == SPARE_PROMOTE:
-            rec.promote_dur = max(rec.promote_dur or 0.0, ev.dur)
+            rec.promote_dur = max(rec.promote_dur or 0.0, dur)
+            self._open[rank] = (epoch, t)
+        elif etype == FAILURE_ACK:
+            rec.acks[rank] = t
+            self._open[rank] = (epoch, t)
         elif etype == RESTORE:
-            rec.t_restored = (ev.t if rec.t_restored is None
-                              else max(rec.t_restored, ev.t))
+            rec.t_restored = (t if rec.t_restored is None
+                              else max(rec.t_restored, t))
             if "version" in fields:
                 rec.restore_version = fields["version"]
         elif etype == ROLLBACK:
-            rec.t_rollback = (ev.t if rec.t_rollback is None
-                              else max(rec.t_rollback, ev.t))
+            rec.t_rollback = (t if rec.t_rollback is None
+                              else max(rec.t_rollback, t))
 
-    return [records[e] for e in sorted(records)]
+    def records(self) -> List[FailureRecord]:
+        """One record per epoch, ascending."""
+        return [self._records[e] for e in sorted(self._records)]
+
+
+def build_timelines(events: Iterable[TraceEvent],
+                    scenario: str = "") -> List[FailureRecord]:
+    """Replay a stored trace's lifecycle milestones through :class:`FailureLog`."""
+    log = FailureLog(scenario)
+    for ev in sorted(events, key=lambda e: e.t):
+        if ev.etype in LIFECYCLE_ETYPES:
+            log.fold(ev.t, ev.rank, ev.etype, ev.dur, **ev.fields)
+    return log.records()
 
 
 def injected_ranks(events: Iterable[TraceEvent]) -> List[int]:

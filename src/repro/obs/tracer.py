@@ -28,6 +28,8 @@ Event taxonomy (see ``OBSERVABILITY.md`` for the full glossary)::
     broadcast_flags   failure notice written to ranks    (detector)
     group_rebuild     new group created + committed      (recovery)
     spare_promote     a rescue adopted a failed identity (recovery)
+    failure_ack       a worker acknowledged a notice     (app)
+    version_agreed    the team agreed a restore version  (app)
     proc_kill         gaspi_proc_kill of a suspect       (recovery)
     ckpt_write        local checkpoint written           (checkpoint)
     ckpt_mirror       neighbor copy landed               (checkpoint)
@@ -35,6 +37,11 @@ Event taxonomy (see ``OBSERVABILITY.md`` for the full glossary)::
     restore           checkpoint state restored          (checkpoint/app)
     solver_iter       one solver iteration finished      (solvers)
     rollback          app resumed from restored state    (app)
+
+The lifecycle milestones (:data:`LIFECYCLE_ETYPES`) also feed the
+always-on per-run failure log (``sim.failure_log``,
+:class:`repro.obs.timeline.FailureLog`), whatever the tracer: their
+sites run only on failure paths, so a failure-free run folds nothing.
 """
 
 from __future__ import annotations
@@ -51,6 +58,8 @@ DETECTION = "detection"
 BROADCAST_FLAGS = "broadcast_flags"
 GROUP_REBUILD = "group_rebuild"
 SPARE_PROMOTE = "spare_promote"
+FAILURE_ACK = "failure_ack"
+VERSION_AGREED = "version_agreed"
 PROC_KILL = "proc_kill"
 CKPT_WRITE = "ckpt_write"
 CKPT_MIRROR = "ckpt_mirror"
@@ -66,8 +75,16 @@ SANITIZER_VIOLATION = "sanitizer_violation"
 
 EVENT_TYPES = frozenset({
     PING, FAILURE_INJECTED, DETECTION, BROADCAST_FLAGS, GROUP_REBUILD,
-    SPARE_PROMOTE, PROC_KILL, CKPT_WRITE, CKPT_MIRROR, CKPT_SCATTER,
-    RESTORE, SOLVER_ITER, ROLLBACK, SANITIZER_VIOLATION,
+    SPARE_PROMOTE, FAILURE_ACK, VERSION_AGREED, PROC_KILL, CKPT_WRITE,
+    CKPT_MIRROR, CKPT_SCATTER, RESTORE, SOLVER_ITER, ROLLBACK,
+    SANITIZER_VIOLATION,
+})
+
+#: the milestones a failure record is folded from (the app-level,
+#: epoch-tagged ``restore`` only; manager reads carry no epoch)
+LIFECYCLE_ETYPES = frozenset({
+    FAILURE_INJECTED, DETECTION, BROADCAST_FLAGS, GROUP_REBUILD,
+    SPARE_PROMOTE, FAILURE_ACK, VERSION_AGREED, RESTORE, ROLLBACK,
 })
 
 #: one trace record: end timestamp (virtual s), emitting physical rank

@@ -49,8 +49,9 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
-from typing import Any, Callable, Generator, Iterator, List, Optional, Union
+from typing import Any, Callable, Generator, List, Optional
 
+from repro.obs.timeline import FailureLog
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.sim.channel import Channel, ChannelGet, _ChannelWaiter
 from repro.sim.errors import SimDeadlock, SimError
@@ -66,50 +67,6 @@ _COMPACT_MIN_DEAD = 64
 #: the dispatch fields and leaves the entry for the kernel to skip (or
 #: compact away) later.  The alias exists for annotations and imports.
 Timer = list
-
-
-class TraceView:
-    """Read-only, O(1) view of the kernel's step trace.
-
-    The previous ``trace`` property copied the whole list on every access,
-    which made trace-comparing determinism tests O(n²).  This view indexes
-    the live list directly; it compares equal to lists, tuples and other
-    views with the same ``(time, name, kind)`` records.
-    """
-
-    __slots__ = ("_items",)
-
-    def __init__(self, items: List[tuple]) -> None:
-        self._items = items
-
-    def __len__(self) -> int:
-        return len(self._items)
-
-    def __getitem__(self, index: Union[int, slice]) -> Union[tuple, List[tuple]]:
-        return self._items[index]
-
-    def __iter__(self) -> Iterator[tuple]:
-        return iter(self._items)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, TraceView):
-            return self._items == other._items
-        if isinstance(other, list):
-            return self._items == other
-        if isinstance(other, tuple):
-            return len(self._items) == len(other) and all(
-                a == b for a, b in zip(self._items, other)
-            )
-        return NotImplemented
-
-    def __ne__(self, other: object) -> bool:
-        result = self.__eq__(other)
-        return result if result is NotImplemented else not result
-
-    __hash__ = None  # mutable underlying list
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"TraceView({self._items!r})"
 
 
 class _EventWaiter:
@@ -183,11 +140,13 @@ class Simulator:
         self._seq: int = 0
         self._n_cancelled: int = 0
         self._processes: List[Process] = []
-        self._trace: Optional[List[tuple]] = None
         # structured observability (repro.obs): the per-simulation tracer.
         # Defaults to the shared no-op; instrumented sites guard emission
         # with ``tracer.enabled`` so the dispatch loop stays untouched.
         self.tracer: TracerLike = NULL_TRACER
+        #: the run's failure record, fed by the lifecycle sites whatever
+        #: the tracer; they run only on failure paths
+        self.failure_log = FailureLog()
 
     # ------------------------------------------------------------------
     # scheduling
@@ -327,18 +286,6 @@ class Simulator:
         return list(self._processes)
 
     # ------------------------------------------------------------------
-    # tracing (used by determinism tests)
-    # ------------------------------------------------------------------
-    def enable_trace(self) -> None:
-        """Record ``(time, process-name, kind)`` tuples for every step."""
-        self._trace = []
-
-    @property
-    def trace(self) -> TraceView:
-        """Read-only view of the recorded steps (no copy; O(1) access)."""
-        return TraceView(self._trace if self._trace is not None else [])
-
-    # ------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------
     def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> float:
@@ -452,9 +399,6 @@ class Simulator:
             return
         proc.state = ProcessState.RUNNING
         proc._cleanup = None
-        trace = self._trace
-        if trace is not None:
-            trace.append((self.now, proc.name, "step"))
         try:
             request = proc.gen.send(send_value)
         except StopIteration as stop:

@@ -50,21 +50,18 @@ class FTLanczos(FTProgram):
         )
 
     def setup(self, ftx: FTContext):
-        ftx.mark("setup-start")
         dmat = yield from distribute_matrix(
             ftx.team, self.generator, guard=ftx.guard,
             comm_timeout=ftx.cfg.comm_timeout,
         )
         yield from ftx.write_setup_checkpoint(dmat.to_payload())
         solver = yield from self._build_solver(ftx, dmat, None)
-        ftx.mark("setup-done")
         return solver
 
     def restore(self, ftx: FTContext, state_payload: Optional[Dict[str, Any]]):
         setup_payload = yield from ftx.read_setup_checkpoint()
         if setup_payload is None:
             # no consistent setup checkpoint: redo the pre-processing
-            ftx.mark("setup-redo")
             dmat = yield from distribute_matrix(
                 ftx.team, self.generator, guard=ftx.guard,
                 comm_timeout=ftx.cfg.comm_timeout,
@@ -76,7 +73,6 @@ class FTLanczos(FTProgram):
         if state_payload is not None:
             state = LanczosState.from_payload(state_payload)
         solver = yield from self._build_solver(ftx, dmat, state)
-        ftx.mark("restored", step=state.step if state else 0)
         return solver
 
     def run(self, ftx: FTContext, solver: DistributedLanczos):

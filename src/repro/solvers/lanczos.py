@@ -15,7 +15,7 @@ Lanczos vectors, alpha, and beta".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -190,24 +190,13 @@ class DistributedLanczos:
             st.v_cur = w.local
         return (float(a), float(b))
 
-    def run(self, n_steps: int, eig_check_interval: int = 0,
-            tol: float = 0.0):
-        """Generator: iterate; optionally stop on min-eigenvalue stagnation.
+    def run(self, n_steps: int) -> Generator[Any, Any, LanczosState]:
+        """Generator: iterate up to ``n_steps`` (or to breakdown).
 
-        Returns the final :class:`LanczosState`.  With
-        ``eig_check_interval > 0`` the QL method runs every that many steps
-        and iteration stops early once the smallest eigenvalue moved less
-        than ``tol``.
+        Returns the final :class:`LanczosState`.
         """
-        last_min: Optional[float] = None
         while self.state.step < n_steps:
             yield from self.step()
             if self.state.broke_down:
                 break
-            j = self.state.step
-            if eig_check_interval and j % eig_check_interval == 0:
-                current = self.state.min_eigenvalue()
-                if last_min is not None and abs(current - last_min) <= tol:
-                    break
-                last_min = current
         return self.state

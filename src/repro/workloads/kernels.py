@@ -28,26 +28,22 @@ class ModelLanczosProgram(FTProgram):
 
     # ------------------------------------------------------------------
     def setup(self, ftx: FTContext):
-        ftx.mark("setup-start")
         yield Sleep(self.spec.setup_time)
         yield from ftx.write_setup_checkpoint(
             {"spec": np.int64(self.spec.n_rows)},
             nominal_bytes=self.spec.setup_bytes_per_worker,
         )
-        ftx.mark("setup-done")
         return {"step": 0}
 
     def restore(self, ftx: FTContext, state_payload: Optional[Dict[str, Any]]):
         setup_payload = yield from ftx.read_setup_checkpoint()
         if setup_payload is None:
-            ftx.mark("setup-redo")
             yield Sleep(self.spec.setup_time)
             yield from ftx.write_setup_checkpoint(
                 {"spec": np.int64(self.spec.n_rows)},
                 nominal_bytes=self.spec.setup_bytes_per_worker,
             )
         step = int(state_payload["step"]) if state_payload is not None else 0
-        ftx.mark("restored", step=step)
         return {"step": step}
 
     def run(self, ftx: FTContext, work: Dict[str, int]):

@@ -18,10 +18,14 @@ def blob(data=b"x", nominal=None):
     return StoredBlob(data=data, nominal_bytes=nominal or len(data))
 
 
+#: a version budget none of the store tests reaches
+KEEP = 10
+
+
 class TestNodeLocalStore:
     def test_put_get_roundtrip(self):
         store = NodeLocalStore(Node(0))
-        store.put(("t", 1, 0), blob(b"abc"))
+        store.put_pruned(("t", 1, 0), blob(b"abc"), KEEP)
         assert store.get(("t", 1, 0)).data == b"abc"
         assert store.has(("t", 1, 0))
 
@@ -33,42 +37,35 @@ class TestNodeLocalStore:
     def test_dead_node_loses_everything(self):
         node = Node(0)
         store = NodeLocalStore(node)
-        store.put(("t", 1, 0), blob())
+        store.put_pruned(("t", 1, 0), blob(), KEEP)
         node.wipe()
         assert not store.available
         assert not store.has(("t", 1, 0))
         with pytest.raises(CheckpointNotFound):
             store.get(("t", 1, 0))
         with pytest.raises(CheckpointNotFound):
-            store.put(("t", 1, 1), blob())
+            store.put_pruned(("t", 1, 1), blob(), KEEP)
         assert store.versions("t", 1) == []
 
     def test_versions_sorted_and_latest(self):
         store = NodeLocalStore(Node(0))
         for v in (3, 1, 2):
-            store.put(("t", 7, v), blob())
+            store.put_pruned(("t", 7, v), blob(), KEEP)
         assert store.versions("t", 7) == [1, 2, 3]
         assert store.latest_version("t", 7) == 3
         assert store.latest_version("t", 8) is None
 
     def test_versions_isolated_by_tag_and_rank(self):
         store = NodeLocalStore(Node(0))
-        store.put(("a", 1, 0), blob())
-        store.put(("b", 1, 5), blob())
-        store.put(("a", 2, 9), blob())
+        store.put_pruned(("a", 1, 0), blob(), KEEP)
+        store.put_pruned(("b", 1, 5), blob(), KEEP)
+        store.put_pruned(("a", 2, 9), blob(), KEEP)
         assert store.versions("a", 1) == [0]
 
     def test_used_bytes_uses_nominal(self):
         store = NodeLocalStore(Node(0))
-        store.put(("t", 1, 0), blob(b"xy", nominal=1000))
+        store.put_pruned(("t", 1, 0), blob(b"xy", nominal=1000), KEEP)
         assert store.used_bytes() == 1000
-
-    def test_delete_is_idempotent(self):
-        store = NodeLocalStore(Node(0))
-        store.put(("t", 1, 0), blob())
-        store.delete(("t", 1, 0))
-        store.delete(("t", 1, 0))
-        assert not store.has(("t", 1, 0))
 
 
 class TestParallelFileSystem:

@@ -110,26 +110,6 @@ def test_second_ping_to_broken_target_fails_fast():
     assert times[1] < 0.01
 
 
-def test_forget_broken_restores_full_ping():
-    sim, m = make_machine()
-    m.kill_process(2)
-
-    def pinger():
-        ev = m.transport.post_ping(0, 2)
-        yield WaitEvent(ev, timeout=10.0)
-        m.transport.forget_broken(0, 2)
-        t0 = sim.now
-        ev = m.transport.post_ping(0, 2)
-        ok, (alive, _) = yield WaitEvent(ev, timeout=10.0)
-        return (alive, sim.now - t0)
-
-    p = sim.spawn(pinger())
-    sim.run()
-    alive, dt = p.result
-    assert not alive
-    assert dt == pytest.approx(3.5, abs=0.1)
-
-
 def test_ping_across_broken_link_errors_false_positive_case():
     """A healthy process behind a cut link looks failed to the pinger."""
     sim, m = make_machine()

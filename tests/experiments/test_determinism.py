@@ -15,6 +15,7 @@ from repro.ft.app import ft_main
 from repro.gaspi import run_gaspi
 from repro.sim import Simulator
 from repro.workloads.kernels import ModelLanczosProgram
+from tests.sim.step_trace import record_steps
 
 
 def _traced_run(spec):
@@ -24,7 +25,7 @@ def _traced_run(spec):
     for t, rank in kill_schedule(spec, 1):
         plan.kill_process(t, rank)
     sim = Simulator()
-    sim.enable_trace()
+    trace = record_steps(sim)
     run = run_gaspi(
         ft_main(cfg, ModelLanczosProgram(spec)),
         machine_spec=machine_for(cfg),
@@ -35,7 +36,7 @@ def _traced_run(spec):
     workers = {r: p.result for r, p in run.procs.items()
                if isinstance(p.result, dict) and "logical_rank" in p.result}
     assert workers and all(w["status"] == "done" for w in workers.values())
-    return list(sim.trace), sim.now
+    return trace, sim.now
 
 
 def test_identically_seeded_runs_are_byte_identical():

@@ -87,6 +87,14 @@ class TestFailureFree:
         for rank in cfg.idle_ranks:
             assert result.rank_result(rank) == {"status": "idle-exit"}
 
+    def test_failure_log_stays_empty(self, cfg):
+        """The lifecycle sites run only on failure paths: a failure-free
+        run folds nothing into its failure log."""
+        result = run_case(cfg, make_program())
+        log = result.run.sim.failure_log
+        assert log.folded == 0
+        assert result.failures() == []
+
 
 class TestSingleFailure:
     def test_process_kill_recovered(self, cfg):
@@ -126,10 +134,13 @@ class TestSingleFailure:
     def test_rescue_timeline_shows_restore(self, cfg):
         plan = FaultPlan().kill_process(2.05, 1)
         result = run_case(cfg, make_program(), plan)
-        rescue = result.worker_results()[1]
-        labels = [label for _, label, _ in rescue["timeline"]]
-        assert "recovered" in labels
-        assert "restore" in labels
+        (record,) = result.failures()
+        (rescue,) = record.rescues
+        assert rescue in result.worker_ranks()
+        # promoted, then its reinit span closed at the agreed version
+        assert record.promote_dur is not None
+        assert rescue in record.reinit and rescue not in record.acks
+        assert record.t_restored is not None and record.complete
 
     def test_failure_before_first_checkpoint_restarts_from_scratch(self, cfg):
         gen = GrapheneSheet(3, 4, disorder=1.0, seed=1)

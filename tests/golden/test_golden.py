@@ -3,8 +3,8 @@
 Recorded outputs pin the simulator's observable behaviour:
 
 * ``rows16.json`` — the 16-rank FT scenario's experiment rows (runtime
-  decomposition, checkpoint phase totals, per-worker timelines and
-  counters) plus the SHA-256 of its tracer stream, for a few kills;
+  decomposition, checkpoint phase totals and per-worker counters) plus
+  the SHA-256 of its tracer stream, for a few kills;
 * ``rows16_replicated.json`` — the same rows with the replicated
   checkpoint backend (``r = 2``);
 * ``rows64_retry.json`` — the same rows at 64 workers, whose group
@@ -48,6 +48,7 @@ from repro.experiments.trace import validate_trace
 from repro.ft import FTConfig, run_ft_application
 from repro.gaspi.context import GaspiContext
 from repro.obs.export import event_to_record
+from repro.obs.timeline import build_timelines
 from repro.obs.tracer import deactivate, install
 from repro.solvers.ft_lanczos import FTLanczos
 from repro.spmvm.matgen import GrapheneSheet
@@ -87,7 +88,8 @@ def _sha256(lines) -> str:
 
 
 def scenario_rows(spec, kills, backend="neighbor"):
-    """Experiment rows and the captured trace of one traced scenario."""
+    """Experiment rows, the captured trace and the run's own failure
+    records of one traced scenario."""
     tracer = install(capacity=8192, bulk_capacity=8192)
     try:
         out = run_ft_scenario(
@@ -105,8 +107,6 @@ def scenario_rows(spec, kills, backend="neighbor"):
         "detection_time": out.detection_time,
         "n_recoveries": out.n_recoveries,
         "ckpt_phases": out.ckpt_phases,
-        "timelines": {str(k): w.get("timeline", [])
-                      for k, w in sorted(workers.items())},
         "counters": {str(k): w.get("counters", {})
                      for k, w in sorted(workers.items())},
         "trace_sha256": _sha256(
@@ -117,17 +117,20 @@ def scenario_rows(spec, kills, backend="neighbor"):
                        events=events, dropped=tracer.dropped,
                        dropped_bulk=tracer.dropped_bulk)
     # one JSON round trip: tuples become lists, as in the stored file
-    return json.loads(json.dumps(rows, sort_keys=True, default=repr)), trace
+    rows = json.loads(json.dumps(rows, sort_keys=True, default=repr))
+    return rows, trace, out.result.failures()
 
 
 def rows16(kill, backend="neighbor"):
-    """Experiment rows of the 16-rank scenario with one kill."""
+    """Rows, trace and failure records of the 16-rank scenario with one
+    kill."""
     spec = scaled_spec(workers=16, iterations=80, name="golden-16")
-    return scenario_rows(spec, [kill], backend)[0]
+    return scenario_rows(spec, [kill], backend)
 
 
 def rows64(kills):
-    """Rows and trace of the 64-worker scenario, where commits retry."""
+    """Rows, trace and failure records of the 64-worker scenario, where
+    commits retry."""
     spec = scaled_spec(workers=64, iterations=25, name="golden-64")
     return scenario_rows(spec, kills)
 
@@ -218,22 +221,34 @@ def _plan_key(kills) -> str:
     return "+".join(_key(kill) for kill in kills)
 
 
+def _assert_one_failure_record(trace, records):
+    """The run's failure log holds exactly what the trace folds to."""
+    assert records
+    assert build_timelines(trace.events) == records
+
+
 @pytest.mark.parametrize("kill", KILLS, ids=_key)
 def test_rows16_match_golden(kill):
     golden = json.loads(ROWS_FILES["neighbor"].read_text())
-    assert rows16(kill) == golden[_key(kill)]
+    rows, trace, records = rows16(kill)
+    assert rows == golden[_key(kill)]
+    _assert_one_failure_record(trace, records)
 
 
 @pytest.mark.parametrize("kill", KILLS, ids=_key)
 def test_rows16_replicated_match_golden(kill):
     golden = json.loads(ROWS_FILES["replicated"].read_text())
-    assert rows16(kill, "replicated") == golden[_key(kill)]
+    rows, trace, records = rows16(kill, "replicated")
+    assert rows == golden[_key(kill)]
+    _assert_one_failure_record(trace, records)
 
 
 @pytest.mark.parametrize("kills", RETRY_PLANS, ids=_plan_key)
 def test_rows64_retry_match_golden(kills):
     golden = json.loads(ROWS64_FILE.read_text())
-    assert rows64(kills)[0] == golden[_plan_key(kills)]
+    rows, trace, records = rows64(kills)
+    assert rows == golden[_plan_key(kills)]
+    _assert_one_failure_record(trace, records)
 
 
 def test_rows64_second_kill_supersedes_the_pending_commit(monkeypatch):
@@ -241,8 +256,10 @@ def test_rows64_second_kill_supersedes_the_pending_commit(monkeypatch):
     group: each of them retires that uncommitted group and restarts with
     the newer notice.  The fixture is only worth keeping while it takes
     this branch.  It also pins today's semantics of the case: one
-    recovery absorbs both kills, and the trace leaves rank 3's chain
-    incomplete (deciding those semantics is separate work)."""
+    recovery absorbs both kills, so the failure record holds two
+    detected epochs of which Figure 4 counts only the acknowledged one,
+    and the trace leaves rank 3's chain incomplete (deciding those
+    semantics is separate work)."""
     deleted = []
     delete = GaspiContext.group_delete
 
@@ -251,9 +268,12 @@ def test_rows64_second_kill_supersedes_the_pending_commit(monkeypatch):
         delete(group)
 
     monkeypatch.setattr(GaspiContext, "group_delete", staticmethod(spy))
-    rows, trace = rows64(RETRY_PLANS[1])
+    rows, trace, records = rows64(RETRY_PLANS[1])
     assert deleted.count((1, False)) == 63
     assert rows["n_recoveries"] == 1
+    assert [rec.epoch for rec in records] == [1, 2]
+    assert records[0].acks and not records[1].acks
+    assert build_timelines(trace.events) == records
     errors = validate_trace(trace)
     assert any("rank 3 has no complete lifecycle chain" in e for e in errors)
 
@@ -296,7 +316,7 @@ if __name__ == "__main__":  # pragma: no cover - fixture regeneration
     for backend, path in ROWS_FILES.items():
         path.write_text("{\n" + ",\n".join(
             f"{json.dumps(_key(k))}: "
-            f"{json.dumps(rows16(k, backend), sort_keys=True)}"
+            f"{json.dumps(rows16(k, backend)[0], sort_keys=True)}"
             for k in KILLS) + "\n}\n")
     ROWS64_FILE.write_text("{\n" + ",\n".join(
         f"{json.dumps(_plan_key(k))}: "

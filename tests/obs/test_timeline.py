@@ -3,6 +3,7 @@
 import pytest
 
 from repro.obs.timeline import (
+    FailureLog,
     FailureRecord,
     build_timelines,
     injected_ranks,
@@ -108,6 +109,39 @@ def test_latest_injection_before_detection_wins():
     recs = build_timelines(events)
     assert recs[0].t_injected == 10.0
     assert recs[1].t_injected == 40.0
+
+
+def test_reinit_spans_credit_the_epoch_they_started_in():
+    """A survivor's span starts at its failure_ack, a rescue's at its
+    spare_promote timestamp; each ends at the rank's next version_agreed
+    and stays with the epoch it started in, even when a newer notice
+    superseded that epoch during the rebuild."""
+    events = [
+        ev(10.0, 1, "failure_injected", kind="KillProcess"),
+        ev(16.0, 9, "detection", epoch=1, failed=[1], rescues=[7]),
+        ev(16.25, 0, "failure_ack", epoch=1),
+        ev(17.0, 2, "failure_injected", kind="KillProcess"),
+        ev(19.0, 9, "detection", epoch=2, failed=[2], rescues=[8]),
+        ev(21.0, 7, "spare_promote", dur=4.0, epoch=2, logical=1),
+        ev(21.0, 8, "spare_promote", dur=1.5, epoch=2, logical=2),
+        ev(21.5, 0, "version_agreed", epoch=2, version=3),
+        ev(21.5, 7, "version_agreed", epoch=2, version=3),
+        ev(21.5, 8, "version_agreed", epoch=2, version=3),
+        ev(22.0, 0, "version_agreed", epoch=2, version=3),  # no open span
+    ]
+    first, second = build_timelines(events)
+    assert first.acks == {0: 16.25} and first.reinit == {0: 5.25}
+    assert second.acks == {} and second.reinit == {7: 0.5, 8: 0.5}
+    assert second.promote_dur == 4.0
+
+
+def test_failure_log_folds_online_what_build_timelines_replays():
+    log = FailureLog("synthetic")
+    for e in _one_failure_events():
+        log.fold(e.t, e.rank, e.etype, e.dur, **e.fields)
+    assert log.folded == len(_one_failure_events())
+    assert log.records() == build_timelines(_one_failure_events(),
+                                            scenario="synthetic")
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.sim import Simulator, Sleep, SimError
+from tests.sim.step_trace import record_steps
 
 
 def test_clock_starts_at_zero():
@@ -149,7 +150,7 @@ def test_negative_sleep_rejected():
 def test_determinism_same_program_same_trace():
     def build():
         sim = Simulator()
-        sim.enable_trace()
+        trace = record_steps(sim)
 
         def worker(i):
             for _ in range(3):
@@ -158,6 +159,6 @@ def test_determinism_same_program_same_trace():
         for i in range(4):
             sim.spawn(worker(i), name=f"w{i}")
         sim.run()
-        return sim.trace
+        return trace
 
     assert build() == build()

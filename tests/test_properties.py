@@ -10,6 +10,7 @@ from repro.ft import ActiveRankMap
 from repro.sim import Simulator, Sleep, RngStreams
 from repro.solvers import ql_eigenvalues
 from repro.spmvm import CSRMatrix
+from tests.sim.step_trace import record_steps
 
 
 # ----------------------------------------------------------------------
@@ -144,7 +145,7 @@ def test_csr_row_block_partition_reconstructs_spmv(n, seed):
 def test_simulator_determinism_property(seed, n_procs):
     def build():
         sim = Simulator()
-        sim.enable_trace()
+        trace = record_steps(sim)
         streams = RngStreams(seed)
 
         def worker(i):
@@ -155,7 +156,7 @@ def test_simulator_determinism_property(seed, n_procs):
         for i in range(n_procs):
             sim.spawn(worker(i), name=f"w{i}")
         sim.run()
-        return sim.trace, sim.now
+        return trace, sim.now
 
     t1, now1 = build()
     t2, now2 = build()
