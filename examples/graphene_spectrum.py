@@ -27,7 +27,7 @@ def distributed_low_eigenvalues(generator, n_ranks, n_steps, k=6):
         team = Team.trivial(ctx)
         dmat = yield from distribute_matrix(team, generator)
         engine = yield from SpMVMEngine.create(team, dmat)
-        solver = DistributedLanczos(team, engine)
+        solver = DistributedLanczos(engine)
         state = yield from solver.run(n_steps)
         return state.eigenvalue_estimates()[:k]
 

@@ -111,6 +111,20 @@ _BLOCKING_REQUESTS = {
 }
 
 
+#: collectives a :class:`~repro.spmvm.team.Team` guards itself
+_TEAM_GUARDED = {"barrier", "allreduce"}
+
+
+def _self_guarded(call: ast.Call, name: str) -> bool:
+    """Does the call read the health flag by itself?  A ``recheck=`` wait
+    is re-read by the kernel at every timeout; a team's ``barrier`` or
+    ``allreduce`` reads its guard before the wait and rechecks it."""
+    if any(kw.arg == "recheck" for kw in call.keywords):
+        return True
+    return (name in _TEAM_GUARDED
+            and _receiver_chain(call.func).rpartition(".")[2] == "team")
+
+
 def _explicit_timeout(call: ast.Call, pos: Optional[int]) -> Optional[ast.AST]:
     for kw in call.keywords:
         if kw.arg == "timeout":
@@ -167,7 +181,7 @@ class FT001PreCommCheck(Rule):
                 continue
             call, name, timeout_pos = found
             func = ctx.enclosing_function(node)
-            if func is None:
+            if func is None or _self_guarded(call, name):
                 continue
             # innermost enclosing loop within the function
             loop: Optional[ast.AST] = None
@@ -198,7 +212,7 @@ class FT001PreCommCheck(Rule):
         where = "inside a retry loop " if isinstance(loop, ast.While) else ""
         return (
             f"blocking '{name}' {where}without a health-flag check "
-            f"(guard.assert_healthy()/block.check_failure()) "
+            f"(guard.assert_healthy()/block.check_failure()/recheck=) "
             f"{'in the loop body' if loop is not None else 'or a finite timeout'}"
         )
 

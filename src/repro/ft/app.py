@@ -2,7 +2,7 @@
 
 At startup the physical ranks split into workers, idle spares and the FD.
 Workers run the application's compute loop; every blocking communication
-checks the local failure-ack flag (via :class:`CommGuard`), and a posted
+checks the local failure-ack flag (its :class:`Team`'s guard), and a posted
 notice unwinds the loop into the recovery stage: rebuild the worker group
 (rescues adopt failed identities), agree on the newest globally consistent
 checkpoint version, restore, redo the lost work and continue.  Idles poll
@@ -59,7 +59,6 @@ class FTContext:
         self.extra_nodes = extra_nodes
         self.state_ckpt = state_ckpt
         self.setup_ckpt = setup_ckpt
-        self.guard = CommGuard(partial(block.check_failure, epoch))
         #: free-form per-rank counters (e.g. iterations executed across
         #: recoveries); carried over rebuilds
         self.counters: Dict[str, float] = {}
@@ -120,16 +119,8 @@ class FTContext:
                                                     nominal_bytes)
 
     def agree_min(self, value: int) -> Generator[Any, Any, int]:
-        """Generator: team-wide integer MIN (guarded retry loop)."""
-        contribution = int(value)
-        while True:
-            self.guard.assert_healthy()
-            ret, result = yield from self.ctx.allreduce(
-                contribution, AllreduceOp.MIN, self.team.group,
-                self.cfg.comm_timeout,
-            )
-            if ret is ReturnCode.SUCCESS:
-                return result
+        """Generator: team-wide integer MIN (a guarded team allreduce)."""
+        return self.team.allreduce(int(value), AllreduceOp.MIN)
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""
@@ -243,7 +234,7 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 # the initial group commit runs inside the recovery scope:
                 # a rank dying during startup unwinds the survivors into a
                 # regular recovery instead of spinning on commit timeouts
-                yield from _commit_initial_group(ctx, cfg, ftx)
+                yield from ftx.team.commit()
                 work = yield from program.setup(ftx)
             else:
                 t_restore = ctx.now
@@ -270,11 +261,7 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             # whole team reached this point — a member dying in its final
             # iterations unwinds everyone into a regular recovery instead
             # of silently losing its share of the result
-            while True:
-                ftx.guard.assert_healthy()
-                ret = yield from ctx.barrier(ftx.team.group, cfg.comm_timeout)
-                if ret is ReturnCode.SUCCESS:
-                    break
+            yield from ftx.team.barrier()
             yield from _announce_done(ctx, cfg, block)
             return {
                 "status": "done",
@@ -375,6 +362,8 @@ def ft_main(cfg: FTConfig, program: FTProgram,
             group=group,
             logical_rank=ctx.rank,
             rank_map=initial_map,
+            guard=CommGuard(partial(block.check_failure, 0)),
+            comm_timeout=cfg.comm_timeout,
         )
         ftx = FTContext.build(ctx, cfg, block, team, epoch=0, extra_nodes=[],
                               pfs=pfs)
@@ -382,22 +371,6 @@ def ft_main(cfg: FTConfig, program: FTProgram,
                                        mode="fresh", pfs=pfs))
 
     return main
-
-
-def _commit_initial_group(ctx: GaspiContext, cfg: FTConfig, ftx: FTContext):
-    """Generator: guarded commit of the initial worker group.
-
-    Honours the paper's pre-communication discipline: the local failure
-    flag is read before every commit attempt — here by the kernel, at
-    each ``comm_timeout`` of the one re-armed commit wait — so a failure
-    during startup acknowledges instead of retrying the commit forever.
-    """
-    guard = ftx.guard
-    guard.assert_healthy()
-    ret = yield from ctx.group_commit(ftx.team.group, cfg.comm_timeout,
-                                      recheck=guard.check)
-    if ret is not ReturnCode.SUCCESS:
-        guard.assert_healthy()  # the check tripped: acknowledge
 
 
 # ----------------------------------------------------------------------

@@ -49,6 +49,7 @@ from repro.checkpoint.neighbor import neighbor_of
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
 from repro.ft.rankmap import ActiveRankMap
+from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.team import Team
 
 
@@ -159,7 +160,8 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                             dur=ctx.now - t_start, epoch=notice.epoch,
                             logical=my_logical)
         team = Team(ctx=ctx, group=group, logical_rank=my_logical,
-                    rank_map=rank_map)
+                    rank_map=rank_map, comm_timeout=cfg.comm_timeout,
+                    guard=CommGuard(partial(block.check_failure, notice.epoch)))
         return RecoveryResult(
             notice=notice,
             team=team,

@@ -456,12 +456,14 @@ class GaspiContext:
             san.on_segment_delete(self.rank, segment_id)
 
     def wait(self, queue_id: int = 0, timeout: float = GASPI_BLOCK,
+             recheck: Optional[Callable[[], Any]] = None,
              ) -> Generator[Any, Any, ReturnCode]:
         """``gaspi_wait``: flush the queue (generator).
 
         Blocks until every operation outstanding at call time completed;
         returns ``TIMEOUT`` otherwise — operations stuck on dead targets
         stay queued (purge them in recovery with :meth:`queue_purge`).
+        ``recheck`` re-arms the timeout as in :meth:`group_commit`.
 
         Fast path: an already-drained queue returns without yielding to
         the kernel at all, and a non-empty one blocks exactly **once** on
@@ -473,7 +475,7 @@ class GaspiContext:
         drained = self._queue(queue_id).drain_event()
         if drained is None:
             return ReturnCode.SUCCESS
-        ok, _ = yield WaitEvent(drained, _clip_timeout(timeout))
+        ok, _ = yield WaitEvent(drained, _clip_timeout(timeout), recheck)
         return ReturnCode.SUCCESS if ok else ReturnCode.TIMEOUT
 
     def queue_purge(self, queue_id: int = 0) -> int:
@@ -705,8 +707,9 @@ class GaspiContext:
 
     def barrier(self, group: Optional[Group] = None,
                 timeout: float = GASPI_BLOCK,
+                recheck: Optional[Callable[[], Any]] = None,
                 ) -> Generator[Any, Any, ReturnCode]:
-        """``gaspi_barrier`` (generator)."""
+        """``gaspi_barrier`` (generator); ``recheck`` as in :meth:`group_commit`."""
         group = group or self.group_all
         group.require_committed()
         engine = self.world.engine
@@ -714,7 +717,7 @@ class GaspiContext:
             "barrier", group.identity(), group.coll_seq, self.rank,
             group.members, cost=engine.costs.barrier(group.size),
         )
-        ok, _ = yield WaitEvent(event, _clip_timeout(timeout))
+        ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
             return ReturnCode.TIMEOUT
         group.coll_seq += 1
@@ -723,12 +726,14 @@ class GaspiContext:
     def allreduce(
         self, values: Any, op: AllreduceOp, group: Optional[Group] = None,
         timeout: float = GASPI_BLOCK,
+        recheck: Optional[Callable[[], Any]] = None,
     ) -> Generator[Any, Any, Tuple[ReturnCode, Any]]:
         """``gaspi_allreduce`` (generator): returns ``(ret, reduced)``.
 
         An exact ``int`` (an integer agreement) contributes itself, is
         priced as one int64 element and reduces to an ``int``.  Any other
         ``values`` contributes an array copy and reduces to an ndarray.
+        ``recheck`` re-arms the timeout as in :meth:`group_commit`.
         """
         group = group or self.group_all
         group.require_committed()
@@ -745,7 +750,7 @@ class GaspiContext:
             group.members, contribution=contribution, finisher=op,
             cost=engine.costs.allreduce(group.size, nbytes),
         )
-        ok, result = yield WaitEvent(event, _clip_timeout(timeout))
+        ok, result = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
             return (ReturnCode.TIMEOUT, None)
         group.coll_seq += 1

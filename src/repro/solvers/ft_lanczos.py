@@ -10,15 +10,15 @@ Sect. V restructuring, item by item:
   and beta" (plus, implicitly, the iteration count) every
   ``FTConfig.checkpoint_interval`` iterations (paper: 500);
 * every blocking communication call checks the failure-ack flag and backs
-  off into recovery (handled by the guard plumbed through the spMVM
-  library and the reductions);
+  off into recovery (handled by the guard the FT layer installs on the
+  team, which the spMVM library and the reductions read);
 * after recovery, the program resumes from the agreed checkpoint version
   and redoes the lost iterations.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Generator, Optional
 
 from repro.ft.app import FTContext, FTProgram
 from repro.spmvm.dist_matrix import DistMatrix, distribute_matrix
@@ -39,33 +39,21 @@ class FTLanczos(FTProgram):
     # ------------------------------------------------------------------
     def _build_solver(self, ftx: FTContext, dmat: DistMatrix,
                       state: Optional[LanczosState]):
-        engine = yield from SpMVMEngine.create(
-            ftx.team, dmat, guard=ftx.guard,
-            comm_timeout=ftx.cfg.comm_timeout,
-            time_model=self.time_model,
-        )
-        return DistributedLanczos(
-            ftx.team, engine, state=state, guard=ftx.guard,
-            comm_timeout=ftx.cfg.comm_timeout, time_model=self.time_model,
-        )
+        engine = yield from SpMVMEngine.create(ftx.team, dmat, self.time_model)
+        return DistributedLanczos(engine, state=state, time_model=self.time_model)
 
-    def setup(self, ftx: FTContext):
-        dmat = yield from distribute_matrix(
-            ftx.team, self.generator, guard=ftx.guard,
-            comm_timeout=ftx.cfg.comm_timeout,
-        )
+    def setup(self, ftx: FTContext) -> Generator[Any, Any, DistributedLanczos]:
+        dmat = yield from distribute_matrix(ftx.team, self.generator)
         yield from ftx.write_setup_checkpoint(dmat.to_payload())
         solver = yield from self._build_solver(ftx, dmat, None)
         return solver
 
-    def restore(self, ftx: FTContext, state_payload: Optional[Dict[str, Any]]):
+    def restore(self, ftx: FTContext, state_payload: Optional[Dict[str, Any]],
+                ) -> Generator[Any, Any, DistributedLanczos]:
         setup_payload = yield from ftx.read_setup_checkpoint()
         if setup_payload is None:
             # no consistent setup checkpoint: redo the pre-processing
-            dmat = yield from distribute_matrix(
-                ftx.team, self.generator, guard=ftx.guard,
-                comm_timeout=ftx.cfg.comm_timeout,
-            )
+            dmat = yield from distribute_matrix(ftx.team, self.generator)
             yield from ftx.write_setup_checkpoint(dmat.to_payload())
         else:
             dmat = DistMatrix.from_payload(setup_payload)
@@ -75,7 +63,8 @@ class FTLanczos(FTProgram):
         solver = yield from self._build_solver(ftx, dmat, state)
         return solver
 
-    def run(self, ftx: FTContext, solver: DistributedLanczos):
+    def run(self, ftx: FTContext, solver: DistributedLanczos,
+            ) -> Generator[Any, Any, Dict[str, Any]]:
         interval = ftx.cfg.checkpoint_interval
         tracer = ftx.ctx.tracer
         while solver.state.step < self.n_steps:

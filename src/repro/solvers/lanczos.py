@@ -19,12 +19,9 @@ from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.gaspi.constants import GASPI_BLOCK
 from repro.spmvm.csr import CSRMatrix
 from repro.spmvm.dist_vector import DistVector
-from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.spmv import SpMVMEngine
-from repro.spmvm.team import Team
 from repro.solvers.tridiag import lanczos_matrix_eigenvalues
 
 #: below this norm the Krylov space is exhausted (lucky breakdown)
@@ -126,19 +123,14 @@ class LanczosState:
 class DistributedLanczos:
     """One rank's executor of the distributed Lanczos recurrence."""
 
-    def __init__(self, team: Team, engine: SpMVMEngine,
+    def __init__(self, engine: SpMVMEngine,
                  state: Optional[LanczosState] = None,
-                 guard: Optional[CommGuard] = None,
-                 comm_timeout: float = GASPI_BLOCK,
-                 time_model=None) -> None:
-        self.team = team
+                 time_model: Any = None) -> None:
         self.engine = engine
-        self.guard = guard or CommGuard()
-        self.comm_timeout = comm_timeout
         self.time_model = time_model
         if state is None:
             n_local = engine.n_local
-            offset, _ = engine.matrix.partition().range_of(team.logical_rank)
+            offset, _ = engine.matrix.partition().range_of(engine.team.logical_rank)
             state = LanczosState(
                 v_prev=np.zeros(n_local),
                 v_cur=starting_vector(n_local, offset),
@@ -152,10 +144,10 @@ class DistributedLanczos:
         self._w: Optional[np.ndarray] = None
 
     def _vec(self, data: np.ndarray) -> DistVector:
-        return DistVector(self.team, data, self.guard, self.comm_timeout)
+        return DistVector(self.engine.team, data)
 
     # ------------------------------------------------------------------
-    def step(self):
+    def step(self) -> Generator[Any, Any, Tuple[float, float]]:
         """Generator: one Lanczos step (Algorithm 1's LANCZOS-STEP)."""
         from repro.sim import Sleep
 

@@ -14,14 +14,13 @@ instead of re-running this stage (Sect. V).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Generator, Optional
 
 import numpy as np
 
-from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
+from repro.gaspi.constants import AllreduceOp, ReturnCode
 from repro.spmvm.comm_setup import CommPlan, SendSpec, split_columns
 from repro.spmvm.csr import CSRMatrix
-from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.matgen.base import RowGenerator
 from repro.spmvm.partition import RowPartition
 from repro.spmvm.team import Team
@@ -90,14 +89,14 @@ class DistMatrix:
 
 
 def distribute_matrix(team: Team, generator: RowGenerator,
-                      guard: Optional[CommGuard] = None,
-                      comm_timeout: float = GASPI_BLOCK):
+                      ) -> Generator[Any, Any, DistMatrix]:
     """Generator: the distributed pre-processing stage for one rank.
 
     Must be called collectively by every team member.  Returns this rank's
     :class:`DistMatrix`.
     """
-    guard = guard or CommGuard()
+    guard = team.guard
+    timeout = team.comm_timeout
     ctx = team.ctx
     n_workers = team.n_workers
     partition = RowPartition(generator.n_rows, n_workers)
@@ -109,18 +108,13 @@ def distribute_matrix(team: Team, generator: RowGenerator,
     requests = np.zeros(n_workers, dtype=np.int64)
     for provider in plan.providers():
         requests[provider] = 1
-    while True:
-        guard.assert_healthy()
-        ret, counts = yield from ctx.allreduce(
-            requests, AllreduceOp.SUM, team.group, comm_timeout
-        )
-        if ret is ReturnCode.SUCCESS:
-            break
+    counts = yield from team.allreduce(requests, AllreduceOp.SUM)
     n_requesters = int(counts[team.logical_rank])
 
     # 2. tell each provider which of its columns we need, and where
     for provider in plan.providers():
         spec = plan.recv[provider]
+        # a retry must re-post: a message dropped on a down link is gone
         while True:
             guard.assert_healthy()
             ret = yield from ctx.passive_send(
@@ -128,16 +122,17 @@ def distribute_matrix(team: Team, generator: RowGenerator,
                 ("halo-request", team.logical_rank, spec.cols,
                  plan.n_local + spec.halo_start),  # absolute x-segment slot
                 nbytes=8 * (spec.count + 4),
-                timeout=comm_timeout,
+                timeout=timeout,
             )
             if ret is ReturnCode.SUCCESS:
                 break
 
-    # 3. collect our requesters and build the send plan
+    # 3. collect our requesters and build the send plan; a channel take
+    # has no recheck, so the flag is read before each one
     got = 0
     while got < n_requesters:
         guard.assert_healthy()
-        ret, _, payload = yield from ctx.passive_receive(comm_timeout)
+        ret, _, payload = yield from ctx.passive_receive(timeout)
         if ret is not ReturnCode.SUCCESS:
             continue
         kind, requester, cols, dest_slot = payload

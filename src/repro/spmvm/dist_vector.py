@@ -1,34 +1,28 @@
 """Distributed vectors: local NumPy blocks + team-wide reductions.
 
 Local operations (axpy, scale, copy) are plain vectorised NumPy; global
-reductions (dot, norm) go through the team's group allreduce with the
-library's standard retry-until-success-or-failure-acknowledged loop.
+reductions (dot, norm) are the team's guarded allreduce.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Generator
 
 import numpy as np
 
-from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
-from repro.spmvm.ft_hooks import CommGuard
+from repro.gaspi.constants import AllreduceOp
 from repro.spmvm.team import Team
 
 
 class DistVector:
     """One rank's block of a globally distributed vector."""
 
-    __slots__ = ("team", "local", "guard", "comm_timeout")
+    __slots__ = ("team", "local")
 
-    def __init__(self, team: Team, local: np.ndarray,
-                 guard: Optional[CommGuard] = None,
-                 comm_timeout: float = GASPI_BLOCK) -> None:
+    def __init__(self, team: Team, local: np.ndarray) -> None:
         self.team = team
         self.local = np.asarray(local, dtype=np.float64)
-        self.guard = guard or CommGuard()
-        self.comm_timeout = comm_timeout
 
     # ------------------------------------------------------------------
     # local (embarrassingly parallel) operations
@@ -53,24 +47,18 @@ class DistVector:
     # ------------------------------------------------------------------
     # global reductions (generators)
     # ------------------------------------------------------------------
-    def _allreduce_sum(self, partial: float):
-        ctx = self.team.ctx
-        while True:
-            self.guard.assert_healthy()
-            ret, total = yield from ctx.allreduce(
-                np.array([partial]), AllreduceOp.SUM, self.team.group,
-                self.comm_timeout,
-            )
-            if ret is ReturnCode.SUCCESS:
-                return float(total[0])
+    def _allreduce_sum(self, partial: float) -> Generator[Any, Any, float]:
+        total = yield from self.team.allreduce(np.array([partial]),
+                                               AllreduceOp.SUM)
+        return float(total[0])
 
-    def dot(self, other: "DistVector"):
+    def dot(self, other: "DistVector") -> Generator[Any, Any, float]:
         """Generator: global inner product."""
         partial = float(self.local @ other.local)
         total = yield from self._allreduce_sum(partial)
         return total
 
-    def norm(self):
+    def norm(self) -> Generator[Any, Any, float]:
         """Generator: global 2-norm."""
         partial = float(self.local @ self.local)
         total = yield from self._allreduce_sum(partial)

@@ -8,8 +8,9 @@ queue with a single aggregate wait, then drains its providers'
 notifications in batches and runs the local CSR kernel on
 ``[own block | halo]``.
 
-Every blocking step is guarded: the failure-acknowledgment hook is checked
-before each attempt and timed-out attempts are retried — the exact
+Every blocking step is guarded by the team's failure-acknowledgment hook:
+it is read before each blocking call, and a timed-out wait is retried in
+the kernel, which re-reads it at every ``comm_timeout`` — the exact
 restructuring the paper applies to the underlying spMVM library.
 
 Recovery hygiene: a (re)built engine purges its queue and clears stale
@@ -20,18 +21,19 @@ bit-identical and harmless.
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Any, Generator, Optional
 
 import numpy as np
 
 from repro.sim import Sleep, WaitEvent
-from repro.gaspi.constants import GASPI_BLOCK, ReturnCode
+from repro.gaspi.constants import ReturnCode
 from repro.gaspi.errors import GaspiUsageError
 from repro.spmvm.dist_matrix import DistMatrix
-from repro.spmvm.ft_hooks import CommGuard
+from repro.spmvm.ft_hooks import FailureAcknowledged
 from repro.spmvm.team import Team
 
-#: default segment ids used by the engine (application segments live below)
+#: segment ids used by the engine (application segments live below); its
+#: halo pushes and flushes use queue 0
 X_SEGMENT = 40
 STAGE_SEGMENT = 41
 _F8 = 8  # bytes per float64
@@ -40,44 +42,30 @@ _F8 = 8  # bytes per float64
 class SpMVMEngine:
     """Executes ``y = A @ x`` for one rank of a team."""
 
-    def __init__(
-        self,
-        team: Team,
-        matrix: DistMatrix,
-        guard: Optional[CommGuard] = None,
-        comm_timeout: float = GASPI_BLOCK,
-        queue_id: int = 0,
-        x_segment: int = X_SEGMENT,
-        stage_segment: int = STAGE_SEGMENT,
-        time_model=None,
-    ) -> None:
+    def __init__(self, team: Team, matrix: DistMatrix,
+                 time_model: Any = None) -> None:
         self.team = team
         self.matrix = matrix
-        self.guard = guard or CommGuard()
-        self.comm_timeout = comm_timeout
-        self.queue_id = queue_id
-        self.x_segment = x_segment
-        self.stage_segment = stage_segment
         self.time_model = time_model
         self._tag = 0
 
         ctx = team.ctx
         x_bytes = max(_F8, (matrix.n_local + matrix.halo_size) * _F8)
         stage_bytes = max(_F8, matrix.plan.total_send * _F8)
-        self._ensure_segment(ctx, x_segment, x_bytes)
-        self._ensure_segment(ctx, stage_segment, stage_bytes)
+        self._ensure_segment(ctx, X_SEGMENT, x_bytes)
+        self._ensure_segment(ctx, STAGE_SEGMENT, stage_bytes)
 
         # recovery hygiene (no-ops on a fresh world)
-        ctx.queue_purge(queue_id)
-        board = ctx.segment(x_segment).notifications
+        ctx.queue_purge(0)
+        board = ctx.segment(X_SEGMENT).notifications
         for provider in matrix.plan.providers():
             board.reset(provider)
 
         self._x_full = ctx.segment_view(
-            x_segment, np.float64, 0, matrix.n_local + matrix.halo_size
+            X_SEGMENT, np.float64, 0, matrix.n_local + matrix.halo_size
         ) if matrix.n_local + matrix.halo_size else np.zeros(0)
         self._stage = ctx.segment_view(
-            stage_segment, np.float64, 0, matrix.plan.total_send
+            STAGE_SEGMENT, np.float64, 0, matrix.plan.total_send
         ) if matrix.plan.total_send else np.zeros(0)
         # precompute contiguous staging offsets per requester (sorted order)
         self._stage_offsets = {}
@@ -99,7 +87,8 @@ class SpMVMEngine:
 
     # ------------------------------------------------------------------
     @classmethod
-    def create(cls, team: Team, matrix: DistMatrix, **kwargs):
+    def create(cls, team: Team, matrix: DistMatrix, time_model: Any = None,
+               ) -> Generator[Any, Any, "SpMVMEngine"]:
         """Generator: collective construction.
 
         Registers the engine's segments and synchronises the team before
@@ -107,34 +96,27 @@ class SpMVMEngine:
         remote segment.  Use this instead of the constructor in application
         code: ``engine = yield from SpMVMEngine.create(team, dmat)``.
         """
-        engine = cls(team, matrix, **kwargs)
-        yield from engine.sync()
+        engine = cls(team, matrix, time_model)
+        yield from team.barrier()
         return engine
-
-    def sync(self):
-        """Generator: guarded team barrier (setup/epoch boundary)."""
-        ctx = self.team.ctx
-        while True:
-            self.guard.assert_healthy()
-            ret = yield from ctx.barrier(self.team.group, self.comm_timeout)
-            if ret is ReturnCode.SUCCESS:
-                return
 
     @property
     def n_local(self) -> int:
         return self.matrix.n_local
 
-    def _flush(self):
-        """Flush the queue, retrying on timeout, honouring failure acks."""
-        ctx = self.team.ctx
-        while True:
-            self.guard.assert_healthy()
-            ret = yield from ctx.wait(self.queue_id, self.comm_timeout)
-            if ret is ReturnCode.SUCCESS:
-                return
+    def _flush(self) -> Generator[Any, Any, None]:
+        """Generator: guarded flush of the engine's queue."""
+        team = self.team
+        guard = team.guard
+        guard.assert_healthy()
+        ret = yield from team.ctx.wait(0, team.comm_timeout,
+                                       recheck=guard.check)
+        if ret is not ReturnCode.SUCCESS:
+            raise FailureAcknowledged(guard.check())
 
     def multiply(self, x_local: np.ndarray, out: Optional[np.ndarray] = None,
-                 tag: Optional[int] = None):
+                 tag: Optional[int] = None,
+                 ) -> Generator[Any, Any, np.ndarray]:
         """Generator: distributed ``y = A @ x``.
 
         ``x_local`` is this rank's block of x; returns this rank's block of
@@ -146,7 +128,8 @@ class SpMVMEngine:
             raise GaspiUsageError(
                 f"x block must have shape ({self.n_local},), got {x_local.shape}"
             )
-        ctx = self.team.ctx
+        team = self.team
+        ctx = team.ctx
         plan = self.matrix.plan
         if tag is None:
             tag = self._tag
@@ -168,13 +151,12 @@ class SpMVMEngine:
             # gather straight into the staging segment (no temp array)
             np.take(x_local, spec.local_idx,
                     out=self._stage[offset : offset + spec.count])
-            entry = (self.stage_segment, offset * _F8, spec.count * _F8,
-                     self.x_segment, spec.halo_start * _F8)
+            entry = (STAGE_SEGMENT, offset * _F8, spec.count * _F8,
+                     X_SEGMENT, spec.halo_start * _F8)
             while True:
                 ret = ctx.write_list_notify(
-                    (entry,), self.team.to_physical(requester),
-                    self.x_segment, (notification_id, value),
-                    queue_id=self.queue_id,
+                    (entry,), team.to_physical(requester),
+                    X_SEGMENT, (notification_id, value),
                 )
                 if ret is ReturnCode.SUCCESS:
                     break
@@ -184,21 +166,22 @@ class SpMVMEngine:
         # receive phase: drain provider notifications for this tag in
         # batches — harvest everything already landed in one pass, then
         # block once on the whole outstanding span
-        board = ctx.segment(self.x_segment).notifications
+        board = ctx.segment(X_SEGMENT).notifications
         pending = set(plan.providers())
         values = board.values
-        limit = None if math.isinf(self.comm_timeout) else self.comm_timeout
+        guard = team.guard
+        limit = None if math.isinf(team.comm_timeout) else team.comm_timeout
         while pending:
-            self.guard.assert_healthy()
+            guard.assert_healthy()  # before each wait; the kernel rechecks timeouts
             landed = [p for p in pending if values[p] == value]
             if landed:
-                ctx.notify_reset_many(self.x_segment, landed)
+                ctx.notify_reset_many(X_SEGMENT, landed)
                 pending.difference_update(landed)
                 continue
             stale = [p for p in pending if values[p] != 0]
             if stale:
                 # stale tags from before a recovery: consume and re-check
-                ctx.notify_reset_many(self.x_segment, stale)
+                ctx.notify_reset_many(X_SEGMENT, stale)
                 continue
             # Every pending slot is zero right now, so the flags we need can
             # only arrive via future posts: subscribe to the span directly.
@@ -207,9 +190,9 @@ class SpMVMEngine:
             # flag set inside the span, returning instantly forever.)
             lo = min(pending)
             event = board.subscribe(lo, max(pending) - lo + 1)
-            ok, _ = yield WaitEvent(event, limit)
+            ok, _ = yield WaitEvent(event, limit, recheck=guard.check)
             if not ok:
-                board.unsubscribe(event)
+                board.unsubscribe(event)  # the check tripped: raise above
 
         # local kernel, writing straight into the caller's buffer
         if out is None:

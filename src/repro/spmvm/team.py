@@ -6,15 +6,20 @@ adopts the failed worker's logical rank, and every survivor replaces the
 failed physical rank in its partner table.  :class:`Team` carries that
 mapping plus the committed worker group; the fault-tolerance layer rebuilds
 it after each recovery and hands the fresh instance back to the solver.
+Its ``guard`` is the paper's pre-communication check: each guarded call
+reads it first, and the kernel re-reads it at every ``comm_timeout`` while
+it retries the timed-out wait; a tripped guard raises FailureAcknowledged.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Any, Dict, Generator, Optional
 
+from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
+from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
 
 
 @dataclass
@@ -26,6 +31,10 @@ class Team:
     logical_rank: int
     #: logical worker rank -> physical GASPI rank, identical on all members
     rank_map: Dict[int, int] = field(default_factory=dict)
+    #: the failure-acknowledgment check of every guarded call (no-op default)
+    guard: CommGuard = field(default_factory=CommGuard)
+    #: GASPI timeout of one attempt of a guarded call
+    comm_timeout: float = GASPI_BLOCK
 
     def __post_init__(self) -> None:
         if self.logical_rank not in self.rank_map:
@@ -44,6 +53,35 @@ class Team:
 
     def to_physical(self, logical: int) -> int:
         return self.rank_map[logical]
+
+    def commit(self) -> Generator[Any, Any, None]:
+        """Generator: guarded ``group_commit`` of the team's group."""
+        guard = self.guard
+        guard.assert_healthy()
+        ret = yield from self.ctx.group_commit(self.group, self.comm_timeout,
+                                               recheck=guard.check)
+        if ret is not ReturnCode.SUCCESS:
+            raise FailureAcknowledged(guard.check())
+
+    def barrier(self) -> Generator[Any, Any, None]:
+        """Generator: guarded team barrier."""
+        guard = self.guard
+        guard.assert_healthy()
+        ret = yield from self.ctx.barrier(self.group, self.comm_timeout,
+                                          recheck=guard.check)
+        if ret is not ReturnCode.SUCCESS:
+            raise FailureAcknowledged(guard.check())
+
+    def allreduce(self, values: Any, op: AllreduceOp) -> Generator[Any, Any, Any]:
+        """Generator: guarded team allreduce; returns the reduced value
+        (an ``int`` for an ``int`` contribution, else an ndarray)."""
+        guard = self.guard
+        guard.assert_healthy()
+        ret, result = yield from self.ctx.allreduce(
+            values, op, self.group, self.comm_timeout, recheck=guard.check)
+        if ret is not ReturnCode.SUCCESS:
+            raise FailureAcknowledged(guard.check())
+        return result
 
     @classmethod
     def trivial(cls, ctx: GaspiContext, n_workers: Optional[int] = None,

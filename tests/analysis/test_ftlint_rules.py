@@ -264,6 +264,40 @@ class TestFT001Semantics:
         """
         assert lint(tmp_path, src, self.PATH, "FT001") == []
 
+    def test_rechecked_wait_reads_the_flag(self, tmp_path):
+        # the kernel reads the flag at every timeout of a recheck= wait,
+        # inside a loop or not, whatever its timeout
+        src = """
+        def flush(ctx, guard, q, event):
+            ret = yield from ctx.wait(q, recheck=guard.check)
+            while True:
+                ok, _ = yield WaitEvent(event, 1.0, recheck=guard.check)
+                ret = yield from ctx.barrier(None, 1.0, recheck=guard.check)
+        """
+        assert lint(tmp_path, src, self.PATH, "FT001") == []
+
+    def test_team_collectives_are_guarded(self, tmp_path):
+        src = """
+        def finish(self, ftx, team, op):
+            while True:
+                yield from ftx.team.barrier()
+                total = yield from self.team.allreduce(1, op)
+                total = yield from team.allreduce(total, op)
+        """
+        assert lint(tmp_path, src, self.PATH, "FT001") == []
+
+    def test_unguarded_collectives_off_a_team_still_flag(self, tmp_path):
+        src = """
+        def agree(ctx, comm, op):
+            while True:
+                ret, total = yield from ctx.allreduce(1, op, None, 1.0)
+                ret = yield from comm.barrier()
+                ret = yield from ctx.team_of.barrier()
+        """
+        findings = lint(tmp_path, src, self.PATH, "FT001")
+        assert len(findings) == 3
+        assert all("retry loop" in f.message for f in findings)
+
 
 # ----------------------------------------------------------------------
 # FT002: randomness sources

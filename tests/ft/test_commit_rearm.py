@@ -1,17 +1,20 @@
-"""The re-armed group-commit wait against the retry loop it replaced.
+"""Rechecked kernel waits against the retry loops they replaced.
 
-A rank blocked in ``group_commit`` used to return ``TIMEOUT`` every
-``comm_timeout``, re-read its failure flag and commit again.  The kernel
-now re-arms the wait itself (``recheck``) and resumes the rank only when
-the commit succeeds or the flag trips.  The oracle here is that retry
-loop, swapped in for ``GaspiContext.group_commit``: both production
-callers (``perform_recovery`` and the initial commit) must behave
-identically under it — same outcome, same resume time and order, same
-kernel event count.  Also here: a kill in the middle of a re-armed wait
-leaves nothing behind, and one recovery's per-rank host work stays flat
-as the group grows.
+A guarded call used to return ``TIMEOUT`` every ``comm_timeout`` to a
+caller-side loop, which re-read the failure flag and called again with
+the same parameters.  The kernel now re-arms the wait itself
+(``recheck``) and resumes the rank only when the call succeeds or the
+flag trips.  The oracle here is that retry loop: swapped in for
+``GaspiContext.group_commit`` under both commit callers
+(``perform_recovery`` and the team's commit), and run verbatim in place
+of the team's guarded barrier and allreduce and the spMVM engine's queue
+flush.  Each must behave identically under it: same outcome, same resume
+time and order, same kernel event count.  Also here: a kill in the
+middle of a re-armed wait leaves nothing behind, and one recovery's
+per-rank host work stays flat as the group grows.
 """
 
+import math
 from types import SimpleNamespace
 from unittest import mock
 
@@ -23,16 +26,16 @@ from hypothesis import strategies as st
 from repro.cluster import FaultPlan
 from repro.experiments.common import run_ft_scenario
 from repro.ft import app, rankstate
-from repro.ft.app import _commit_initial_group
 from repro.ft.control import FailureNotice
 from repro.ft.recovery import perform_recovery
 from repro.gaspi import run_gaspi
 from repro.gaspi.collectives import CollectiveCosts
 from repro.gaspi.config import GaspiConfig
-from repro.gaspi.constants import GASPI_BLOCK, ReturnCode
+from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.sim import Simulator, Sleep
+from repro.spmvm import SpMVMEngine, Team
 from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
 from repro.workloads.spec import scaled_spec
 
@@ -49,6 +52,17 @@ def looping_group_commit(self, group, timeout=GASPI_BLOCK, recheck=None):
         ret = yield from _rearmed_group_commit(self, group, timeout)
         if (ret is ReturnCode.SUCCESS or recheck is None
                 or recheck() is not None):
+            return ret
+
+
+def retry_loop(guard, call, *args):
+    """The oracle of a guarded team call and of the engine flush: the
+    caller-side loop it replaced — read the flag, call, and on
+    ``TIMEOUT`` do both again with the same parameters."""
+    while True:
+        guard.assert_healthy()
+        ret = yield from call(*args)
+        if (ret[0] if type(ret) is tuple else ret) is ReturnCode.SUCCESS:
             return ret
 
 
@@ -78,8 +92,53 @@ def _boundary(t0, timeout, k):
     return t
 
 
-def run_commit(case, oracle):
-    """One commit of every rank under ``case``; what the ranks observed.
+#: callers whose wait is a group commit lasting ``periods`` timeouts
+COMMIT_CALLERS = ["recovery", "guard"]
+#: the team's guarded collectives (lasting ``periods`` timeouts per
+#: dissemination round) and the engine flush (never done: its writes
+#: target a dead rank)
+TEAM_CALLERS = ["barrier", "allreduce-int", "allreduce-array", "flush"]
+
+
+def _team_call(caller, team, oracle):
+    """Generator: one guarded call of ``caller`` — under ``oracle``, the
+    retry loop it replaced (a commit's is swapped in below the team);
+    what the rank saw."""
+    ctx, guard, timeout = team.ctx, team.guard, team.comm_timeout
+    rank = ctx.rank
+    if caller == "guard":
+        yield from team.commit()
+        return "committed"
+    if caller == "barrier":
+        if oracle:
+            yield from retry_loop(guard, ctx.barrier, team.group, timeout)
+        else:
+            yield from team.barrier()
+        return "passed"
+    if caller.startswith("allreduce"):
+        if caller == "allreduce-int":
+            values, op = rank + 1, AllreduceOp.MIN
+        else:
+            values, op = np.array([rank, 0.5]), AllreduceOp.SUM
+        if oracle:
+            _, total = yield from retry_loop(guard, ctx.allreduce, values,
+                                             op, team.group, timeout)
+        else:
+            total = yield from team.allreduce(values, op)
+        return total if type(total) is int else tuple(total.tolist())
+    # one op stuck on even ranks (the wait takes the op's own event),
+    # two on odd ones (an aggregate drain event)
+    for i in range(1 + rank % 2):
+        ctx.write(0, 8 * i, 8, team.n_workers, 8 * i, 0)
+    if oracle:
+        yield from retry_loop(guard, ctx.wait, 0, timeout)
+    else:
+        yield from SpMVMEngine._flush(SimpleNamespace(team=team))
+    return "flushed"
+
+
+def run_wait(case, oracle):
+    """One guarded wait of every rank under ``case``; what they observed.
 
     Returns per-rank ``(outcome, resume time)``, the resume order and
     the kernel's scheduled-entry count.
@@ -87,6 +146,15 @@ def run_commit(case, oracle):
     caller, timeout, arrivals, periods, writer = case
     n = len(arrivals)
     cost = periods * timeout
+    if caller in COMMIT_CALLERS:
+        costs = CollectiveCosts(commit_base=cost, commit_per_rank=0.0)
+        duration = cost
+    else:
+        # commits are free; each dissemination round lasts ``cost``, and
+        # an allreduce prices like a barrier at infinite bandwidth
+        costs = CollectiveCosts(commit_base=0.0, commit_per_rank=0.0,
+                                round_latency=cost, bandwidth=math.inf)
+        duration = costs.barrier(n)
     sim = Simulator()
     block = _Block()
     newer = _notice(2, n)
@@ -96,8 +164,8 @@ def run_commit(case, oracle):
 
     # the notice write: strictly between two timeouts of one rank,
     # exactly on one (by the kernel's own repeated addition) or exactly
-    # at commit completion; ``hop`` schedules it after, not before, the
-    # kernel entries already due at that instant
+    # at completion; ``hop`` schedules it after, not before, the kernel
+    # entries already due at that instant
     mode, rank, k, hop = writer
     if mode == "between":
         sim.schedule(arrivals[rank] + (k + 0.5) * timeout, write)
@@ -105,7 +173,7 @@ def run_commit(case, oracle):
         if mode == "boundary":
             t_pre, delay = _boundary(arrivals[rank], timeout, k - 1), timeout
         else:
-            t_pre, delay = max(arrivals), cost
+            t_pre, delay = max(arrivals), duration
 
         def arm():
             sim.schedule(delay, write)
@@ -113,12 +181,17 @@ def run_commit(case, oracle):
         sim.schedule(t_pre, (lambda: sim.schedule(0.0, arm)) if hop else arm)
 
     members = _Members.of(range(n))
+    rank_map = {r: r for r in range(n)}
     seen = {}
     order = []
 
     def main(ctx):
-        yield Sleep(arrivals[ctx.rank])
+        if caller == "flush":
+            ctx.segment_create(0, 16)
+            if ctx.rank == n:
+                return  # the flush's write target, killed at t = 0
         if caller == "recovery":
+            yield Sleep(arrivals[ctx.rank])
             # like the worker loop: a rank whose commit succeeded still
             # joins the recovery of a notice that superseded it elsewhere
             notice, old = _notice(1, n), None
@@ -132,31 +205,34 @@ def run_commit(case, oracle):
         else:
             group = ctx.group_create(tag=0)
             group.adopt_members(members)
-            ftx = SimpleNamespace(
-                guard=CommGuard(lambda: block.check_failure(0)),
-                team=SimpleNamespace(group=group))
+            if caller in ("barrier", "allreduce-int", "allreduce-array"):
+                yield from ctx.group_commit(group)  # free, at t = 0
+            yield Sleep(arrivals[ctx.rank])
+            team = Team(ctx=ctx, group=group, logical_rank=ctx.rank,
+                        rank_map=rank_map,
+                        guard=CommGuard(lambda: block.check_failure(0)),
+                        comm_timeout=timeout)
             try:
-                yield from _commit_initial_group(
-                    ctx, SimpleNamespace(comm_timeout=timeout), ftx)
-                outcome = "committed"
+                outcome = yield from _team_call(caller, team, oracle)
             except FailureAcknowledged as ack:
                 outcome = f"ack {ack.notice.epoch}"
         seen[ctx.rank] = (outcome, ctx.now)
         order.append(ctx.rank)
 
-    config = GaspiConfig(collective_costs=CollectiveCosts(
-        commit_base=cost, commit_per_rank=0.0))
+    config = GaspiConfig(collective_costs=costs)
+    plan = FaultPlan().kill_process(0.0, n) if caller == "flush" else None
     commit = looping_group_commit if oracle else _rearmed_group_commit
     with mock.patch.object(GaspiContext, "group_commit", commit):
         # the horizon only bounds a regression that would wait forever
-        run_gaspi(main, n_ranks=n, config=config, sim=sim, until=1000.0)
+        run_gaspi(main, n_ranks=n + (caller == "flush"), config=config,
+                  sim=sim, fault_plan=plan, until=1000.0)
     assert len(seen) == n
     return seen, order, sim.scheduled_count
 
 
 @st.composite
-def commit_cases(draw):
-    caller = draw(st.sampled_from(["recovery", "guard"]))
+def wait_cases(draw, callers):
+    caller = draw(st.sampled_from(callers))
     timeout = draw(st.sampled_from([1.0, 0.3, 0.1]))
     # few distinct arrival offsets, so ranks often share t0
     arrivals = draw(st.lists(
@@ -164,8 +240,10 @@ def commit_cases(draw):
         min_size=2, max_size=5))
     periods = draw(st.one_of(st.integers(0, 40).map(float),
                              st.floats(0.0, 40.0)))
-    mode = draw(st.sampled_from(["none", "between", "boundary",
-                                 "completion"]))
+    # a flush never completes: only a notice ends it
+    modes = (["between", "boundary"] if caller == "flush"
+             else ["none", "between", "boundary", "completion"])
+    mode = draw(st.sampled_from(modes))
     writer = (mode, draw(st.integers(0, len(arrivals) - 1)),
               draw(st.integers(1, 42)), draw(st.booleans()))
     return caller, timeout, arrivals, periods, writer
@@ -173,19 +251,26 @@ def commit_cases(draw):
 
 @settings(max_examples=150, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
-@given(commit_cases())
+@given(wait_cases(COMMIT_CALLERS))
 def test_rearmed_commit_matches_the_retry_loop(case):
-    assert run_commit(case, oracle=False) == run_commit(case, oracle=True)
+    assert run_wait(case, oracle=False) == run_wait(case, oracle=True)
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(wait_cases(TEAM_CALLERS))
+def test_rechecked_team_waits_match_the_retry_loop(case):
+    assert run_wait(case, oracle=False) == run_wait(case, oracle=True)
 
 
 @pytest.mark.parametrize("hop", [False, True])
-@pytest.mark.parametrize("caller", ["recovery", "guard"])
+@pytest.mark.parametrize("caller", COMMIT_CALLERS + TEAM_CALLERS)
 def test_notice_on_a_boundary_trips_there_or_one_period_later(caller, hop):
     """Pinned case: a notice written exactly at a rank's third timeout is
     seen at that timeout if it lands first, else one period later."""
     case = (caller, 1.0, [0.0, 0.0, 0.0], 40.0, ("boundary", 0, 3, hop))
-    seen, order, _ = run_commit(case, oracle=False)
-    assert run_commit(case, oracle=True)[:2] == (seen, order)
+    seen, order, _ = run_wait(case, oracle=False)
+    assert run_wait(case, oracle=True)[:2] == (seen, order)
     tripped = 4.0 if hop else 3.0
     if caller == "recovery":
         # superseded at the trip, then epoch 2 commits 40 s later
@@ -195,29 +280,46 @@ def test_notice_on_a_boundary_trips_there_or_one_period_later(caller, hop):
     assert order == [0, 1, 2]
 
 
-def test_kill_mid_wait_leaves_no_timer_or_callback():
-    """A rank killed after several re-arms leaves no live timer and no
-    callback on its commit event: the kill cancels the current timer."""
+@pytest.mark.parametrize("caller", ["guard"] + TEAM_CALLERS)
+def test_a_rank_arriving_after_the_notice_acknowledges_at_once(caller):
+    """Pinned case: the flag is read before the first wait, so a rank that
+    arrives after the notice landed never joins the call."""
+    case = (caller, 1.0, [0.0, 0.0, 5.0], 40.0, ("between", 0, 1, False))
+    seen, order, _ = run_wait(case, oracle=False)
+    assert run_wait(case, oracle=True)[:2] == (seen, order)
+    assert seen == {0: ("ack 2", 2.0), 1: ("ack 2", 2.0), 2: ("ack 2", 5.0)}
+    assert order == [0, 1, 2]
+
+
+def _assert_kill_leaves_nothing(wait):
+    """Ranks 0 and 1 block in a rechecked ``wait`` that rank 2 never
+    joins; rank 0, killed at 3.5 s, leaves no live timer or callback."""
     checks = []
     state = {}
 
     def main(ctx):
-        if ctx.rank == 2:
-            return  # never arrives: the commit stays pending
         group = ctx.group_create(tag=0)
         group.adopt_members(_Members.of(range(3)))
         state[ctx.rank] = group
-        yield from ctx.group_commit(
+        if wait == "barrier":
+            yield from ctx.group_commit(group)  # free, at t = 0
+        if ctx.rank == 2:
+            return  # never arrives: the instance stays pending
+        call = ctx.group_commit if wait == "commit" else ctx.barrier
+        yield from call(
             group, 1.0, recheck=lambda: checks.append((ctx.rank, ctx.now)))
 
-    run = run_gaspi(main, n_ranks=3, until=6.5,
+    config = GaspiConfig(collective_costs=CollectiveCosts(
+        commit_base=0.0, commit_per_rank=0.0))
+    run = run_gaspi(main, n_ranks=3, config=config, until=6.5,
                     fault_plan=FaultPlan().kill_process(3.5, 0))
     sim, proc = run.world.sim, run.procs[0]
     assert [t for r, t in checks if r == 0] == [1.0, 2.0, 3.0]
     assert [t for r, t in checks if r == 1] == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
 
     group = state[0]
-    pending = run.world.engine._instances[("commit", group.identity(), 0)]
+    pending = run.world.engine._instances[
+        (wait, group.identity(), group.coll_seq)]
     assert pending.events[0]._callbacks == []
     assert len(pending.events[1]._callbacks) == 1  # rank 1 still waits
     entries = list(sim._heap) + list(sim._runq) + [sim._next]
@@ -225,6 +327,17 @@ def test_kill_mid_wait_leaves_no_timer_or_callback():
             and getattr(getattr(e[2], "__self__", None), "proc", None)
             is proc]
     assert live == []
+
+
+def test_kill_mid_wait_leaves_no_timer_or_callback():
+    """A rank killed after several re-arms leaves no live timer and no
+    callback on its commit event: the kill cancels the current timer."""
+    _assert_kill_leaves_nothing("commit")
+
+
+def test_kill_mid_rechecked_barrier_leaves_no_timer_or_callback():
+    """The same for a rechecked barrier."""
+    _assert_kill_leaves_nothing("barrier")
 
 
 class _RebuildSpy:

@@ -52,7 +52,7 @@ def run_distributed_lanczos(gen, n_ranks, n_steps):
         team = Team.trivial(ctx)
         dmat = yield from distribute_matrix(team, gen)
         engine = yield from SpMVMEngine.create(team, dmat)
-        solver = DistributedLanczos(team, engine)
+        solver = DistributedLanczos(engine)
         state = yield from solver.run(n_steps)
         return state
 
@@ -118,7 +118,7 @@ class TestLanczosState:
             team = Team.trivial(ctx)
             dmat = yield from distribute_matrix(team, gen)
             engine = yield from SpMVMEngine.create(team, dmat)
-            solver = DistributedLanczos(team, engine)
+            solver = DistributedLanczos(engine)
             for _ in range(5):
                 yield from solver.step()
             payload = solver.state.to_payload()
@@ -126,7 +126,7 @@ class TestLanczosState:
             restored = LanczosState.from_payload(
                 unpack_checkpoint(pack_checkpoint(payload))
             )
-            solver2 = DistributedLanczos(team, engine, state=restored)
+            solver2 = DistributedLanczos(engine, state=restored)
             for _ in range(5):
                 yield from solver2.step()
             return solver2.state
