@@ -52,7 +52,6 @@ class Machine:
 
         # placement is regular (rank r lives on node r // procs_per_node),
         # so it is computed in one vectorized pass and registered in bulk
-        # instead of n_ranks round-trips through transport.register()
         ppn = self.spec.procs_per_node
         n_ranks = self.spec.n_ranks
         self._node_of = np.arange(n_ranks, dtype=np.int64) // ppn

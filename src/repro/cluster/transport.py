@@ -195,52 +195,24 @@ class Transport:
     # ------------------------------------------------------------------
     # wiring
     # ------------------------------------------------------------------
-    def register(self, rank: int, node_id: int) -> Endpoint:
-        """Attach rank ``rank`` living on node ``node_id``."""
-        if self._registered(rank):
-            raise ValueError(f"rank {rank} already registered")
-        if rank >= self._nodes_arr.shape[0]:
-            # geometric growth keeps incremental registration O(n) total
-            n_new = max(rank + 1, 2 * self._nodes_arr.shape[0])
-            nodes = np.full(n_new, -1, dtype=np.int64)
-            nodes[: self._nodes_arr.shape[0]] = self._nodes_arr
-            self._nodes_arr = nodes
-            alive = np.zeros(n_new, dtype=bool)
-            alive[: self._alive.shape[0]] = self._alive
-            self._alive = alive
-            t_death = np.full(n_new, np.inf, dtype=np.float64)
-            t_death[: self._t_death.shape[0]] = self._t_death
-            self._t_death = t_death
-        self._nodes_arr[rank] = node_id
-        self._alive[rank] = True
-        return self.endpoint(rank)
-
     def register_many(self, node_ids: Sequence[int]) -> None:
         """Attach ranks ``0..n-1`` to their nodes in one pass.
 
-        The bulk-construction path: three array allocations for the whole
-        world instead of per-rank endpoint objects, broken-channel sets
-        and repeated array regrowth.  Endpoints materialise on demand via
-        :meth:`endpoint`.
+        Three array allocations for the whole world instead of per-rank
+        endpoint objects and broken-channel sets.  Endpoints materialise
+        on demand via :meth:`endpoint`.
         """
-        if self._registered_count():
+        if self._nodes_arr.shape[0]:
             raise ValueError("register_many needs an empty transport")
         self._nodes_arr = np.ascontiguousarray(node_ids, dtype=np.int64)
         n = self._nodes_arr.shape[0]
         self._alive = np.ones(n, dtype=bool)
         self._t_death = np.full(n, np.inf, dtype=np.float64)
 
-    def _registered(self, rank: int) -> bool:
-        return (0 <= rank < self._nodes_arr.shape[0]
-                and int(self._nodes_arr[rank]) >= 0)
-
-    def _registered_count(self) -> int:
-        return int(np.count_nonzero(self._nodes_arr >= 0))
-
     def endpoint(self, rank: int) -> Endpoint:
         ep = self._endpoints.get(rank)
         if ep is None:
-            if not self._registered(rank):
+            if not 0 <= rank < self._nodes_arr.shape[0]:
                 raise KeyError(rank)
             ep = Endpoint(rank, int(self._nodes_arr[rank]), self)
             self._endpoints[rank] = ep

@@ -24,7 +24,6 @@ Components, mirroring Sect. IV of the paper:
 from repro.ft.roles import Role
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice, FT_SEGMENT
-from repro.ft.rankmap import ActiveRankMap
 from repro.ft.spares import SparePool, RescueAssignment
 from repro.ft.detector import fd_process, scan_once
 from repro.ft.recovery import perform_recovery, RecoveryResult
@@ -36,7 +35,6 @@ __all__ = [
     "ControlBlock",
     "FailureNotice",
     "FT_SEGMENT",
-    "ActiveRankMap",
     "SparePool",
     "RescueAssignment",
     "fd_process",

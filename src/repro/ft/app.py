@@ -36,7 +36,6 @@ from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
 from repro.ft.detector import FD_STOP, fd_process
-from repro.ft.rankmap import ActiveRankMap
 from repro.ft.recovery import perform_recovery
 from repro.ft.roles import Role
 from repro.obs.timeline import FailureRecord
@@ -339,7 +338,7 @@ def ft_main(cfg: FTConfig, program: FTProgram,
     # the identity map is the same on every worker and never mutated
     # (recoveries build fresh maps), so all initial Teams share one dict
     # and one interned membership
-    initial_map = ActiveRankMap.initial(cfg.n_workers).logical_to_physical
+    initial_map = {i: i for i in range(cfg.n_workers)}
     initial_members = _Members.intern(tuple(range(cfg.n_workers)))
 
     def main(ctx: GaspiContext):

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Dict, Generator, List, Optional, Tuple, Union
+from typing import Any, Dict, Generator, List, Optional, Tuple
 
 import numpy as np
 
@@ -250,13 +250,10 @@ class ControlBlock:
     # FD-side composition and broadcast
     # ------------------------------------------------------------------
     def compose_notice(self, epoch: int, failed: List[int], rescues: List[int],
-                       statuses: np.ndarray,
-                       rank_map: Union[Dict[int, int], np.ndarray]) -> None:
+                       statuses: np.ndarray, rank_map: np.ndarray) -> None:
         """Write a notice into the *local* block (the FD's staging copy).
 
-        ``rank_map`` is either the historical logical->physical dict or a
-        dense array indexed by logical rank (the SoA detector state) —
-        both land in the same cells.
+        ``rank_map`` is the dense logical->physical array the FD keeps.
         """
         max_failed = self.cfg.n_ranks
         if len(failed) > max_failed:
@@ -271,11 +268,7 @@ class ControlBlock:
         cells[self._off_rescues : self._off_rescues + max_failed] = 0
         cells[self._off_rescues : self._off_rescues + len(rescues)] = rescues
         cells[self._off_status : self._off_status + self.cfg.n_ranks] = statuses
-        if isinstance(rank_map, np.ndarray):
-            cells[self._off_map : self._off_map + len(rank_map)] = rank_map
-        else:
-            for logical, phys in rank_map.items():
-                cells[self._off_map + logical] = phys
+        cells[self._off_map : self._off_map + len(rank_map)] = rank_map
         # the FD re-stages epoch content here before broadcasting it: drop
         # any notice parsed from a stale read of this epoch's cells
         cache = getattr(self.ctx.world, "_ft_notice_cache", None)

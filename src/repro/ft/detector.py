@@ -116,8 +116,7 @@ def scan_once(ctx: GaspiContext, targets: List[int], fd_threads: int = 1,
     return failed
 
 
-def fd_process(ctx: GaspiContext, cfg: FTConfig,
-               block: Optional[ControlBlock] = None,
+def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                takeover: bool = False,
                ) -> Generator[Any, Any, Tuple[str, dict]]:
     """Generator: the fault-detector main loop.
@@ -130,13 +129,9 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig,
     * ``"unrecoverable"`` — more failures than rescues; the notice was
       still broadcast so workers can terminate cleanly.
 
-    With ``takeover=True`` (FD-watchdog extension) the process continues
-    from its existing control block instead of initialising a fresh one.
+    With ``takeover=True`` (FD-watchdog extension) an idle rank continues
+    from its own control block and claims the FD role in its status view.
     """
-    if block is None:
-        block = ControlBlock(ctx, cfg)
-        if not takeover:
-            block.init_local()
     # the FD mutates its status view in place as deaths are observed, so
     # it takes the writable (materialised) array, not the shared template
     statuses = block.statuses_rw()

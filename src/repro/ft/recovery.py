@@ -48,7 +48,6 @@ from repro.gaspi.groups import Group
 from repro.checkpoint.neighbor import neighbor_of
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
-from repro.ft.rankmap import ActiveRankMap
 from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.team import Team
 
@@ -73,12 +72,11 @@ def restore_sources(ctx: GaspiContext, notice: FailureNotice) -> List[int]:
         return []
     failed_phys = notice.failed[notice.rescues.index(ctx.rank)]
     machine = ctx.world.machine
-    new_map = ActiveRankMap(dict(notice.rank_map))
-    old_map = new_map.undo_recovery(notice.failed, notice.rescues)
+    # the pre-failure placement: undo the notice's rescue takeovers
+    back = dict(zip(notice.rescues, notice.failed))
+    old_ranks = sorted(back.get(p, p) for p in notice.rank_map.values())
     nodes = [machine.node_of(failed_phys)]
-    old_neighbor = neighbor_of(
-        failed_phys, old_map.physical_ranks(), machine.node_of
-    )
+    old_neighbor = neighbor_of(failed_phys, old_ranks, machine.node_of)
     if old_neighbor is not None:
         nodes.append(machine.node_of(old_neighbor))
     return nodes

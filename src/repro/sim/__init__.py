@@ -21,7 +21,7 @@ Typical use::
     assert p.result == 1.5
 """
 
-from repro.sim.errors import SimError, DeadProcessError, SimDeadlock
+from repro.sim.errors import SimError
 from repro.sim.events import Event, Sleep, WaitEvent
 from repro.sim.kernel import Simulator, Timer
 from repro.sim.process import Process, ProcessState
@@ -40,6 +40,4 @@ __all__ = [
     "ChannelGet",
     "RngStreams",
     "SimError",
-    "DeadProcessError",
-    "SimDeadlock",
 ]

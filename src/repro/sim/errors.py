@@ -3,15 +3,3 @@
 
 class SimError(Exception):
     """Base class for simulation kernel errors."""
-
-
-class DeadProcessError(SimError):
-    """An operation was attempted on a process that already terminated."""
-
-
-class SimDeadlock(SimError):
-    """The event queue drained while processes are still blocked forever.
-
-    Raised by :meth:`Simulator.run` when ``check_deadlock=True`` and at least
-    one live process is waiting on an event that can no longer fire.
-    """

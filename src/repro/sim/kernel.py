@@ -32,6 +32,12 @@ every paper-scale experiment replays millions of events through it):
   the FD scan — never touch ``heapq`` at all: schedule fills the slot,
   dispatch empties it.  Only an out-of-order schedule demotes the cached
   entry into the heap.
+* **One dispatch loop.**  ``run(until)`` pops exactly as an unbounded
+  run does (the deadline is ``inf`` there).  The first live entry later
+  than ``until`` is put back into the ``_next`` slot: it came from that
+  slot or from the heap top, so the slot invariant still holds, and the
+  next run dispatches it first.  An ``until`` before ``now`` is rejected,
+  so a run-queue entry is never late.
 * **Dispatch records instead of closures.**  Process steps are encoded in
   the entry itself (``fn is None`` → resume ``proc`` with ``value``), so
   stepping a process allocates one small list — no lambda, no bound
@@ -49,12 +55,13 @@ from __future__ import annotations
 
 from collections import deque
 from heapq import heapify, heappop, heappush
+from math import inf
 from typing import Any, Callable, Generator, List, Optional
 
 from repro.obs.timeline import FailureLog
 from repro.obs.tracer import NULL_TRACER, TracerLike
 from repro.sim.channel import Channel, ChannelGet, _ChannelWaiter
-from repro.sim.errors import SimDeadlock, SimError
+from repro.sim.errors import SimError
 from repro.sim.events import Event, Sleep, WaitEvent
 from repro.sim.process import Process, ProcessState
 
@@ -288,104 +295,58 @@ class Simulator:
     # ------------------------------------------------------------------
     # the main loop
     # ------------------------------------------------------------------
-    def run(self, until: Optional[float] = None, check_deadlock: bool = False) -> float:
+    def run(self, until: Optional[float] = None) -> float:
         """Process events until the queues drain or ``until`` is reached.
 
-        Returns the final virtual time.  With ``check_deadlock=True``, raises
-        :class:`SimDeadlock` if the queues drain while live processes are
-        still blocked (every one of them is then waiting on an event that can
-        never fire, since nothing remains to fire it).
+        Returns the final virtual time.  With ``until`` set the clock ends
+        at ``until`` (which must not be past), and the first entry later
+        than it stays queued for the next run.
         """
+        if until is not None and until < self.now:
+            raise SimError(f"cannot run until past time {until} (now={self.now})")
+        deadline = inf if until is None else until
         heap = self._heap
         runq = self._runq
         step = self._step
-        if until is None:
-            # Tight path: no deadline checks inside the dispatch loop.
-            # ``_next`` (when set) precedes every heap entry, so the merge
-            # only ever compares the run-queue head against one candidate.
-            while True:
-                nxt = self._next
-                if runq:
-                    timer = runq[0]
-                    if nxt is not None:
-                        if nxt < timer:
-                            timer = nxt
-                            self._next = None
-                        else:
-                            runq.popleft()
-                    elif heap and heap[0] < timer:
-                        timer = heappop(heap)
-                    else:
-                        runq.popleft()
-                elif nxt is not None:
-                    timer = nxt
-                    self._next = None
-                elif heap:
-                    timer = heappop(heap)
-                else:
-                    break
-                fn = timer[2]
-                if fn is not None:
-                    self.now = timer[0]
-                    fn()
-                elif timer[3] is not None:
-                    self.now = timer[0]
-                    step(timer[3], timer[4])
-                else:
-                    self._drop_dead()
-        else:
-            while True:
-                # Peek (don't pop) so a too-late timer stays queued.
-                # source: 0 = run-queue head, 1 = ``_next`` slot, 2 = heap.
-                nxt = self._next
-                if runq:
-                    timer = runq[0]
-                    source = 0
-                    if nxt is not None:
-                        if nxt < timer:
-                            timer = nxt
-                            source = 1
-                    elif heap and heap[0] < timer:
-                        timer = heap[0]
-                        source = 2
-                elif nxt is not None:
-                    timer = nxt
-                    source = 1
-                elif heap:
-                    timer = heap[0]
-                    source = 2
-                else:
-                    break
-                if timer[2] is None and timer[3] is None:
-                    if source == 0:
-                        runq.popleft()
-                    elif source == 1:
+        while True:
+            # Pop the earliest entry.  ``_next`` (when set) precedes every
+            # heap entry, so the merge only ever compares the run-queue
+            # head against one candidate.
+            nxt = self._next
+            if runq:
+                timer = runq[0]
+                if nxt is not None:
+                    if nxt < timer:
+                        timer = nxt
                         self._next = None
                     else:
-                        heappop(heap)
-                    self._drop_dead()
-                    continue
-                if timer[0] > until:
-                    self.now = until
-                    return self.now
-                if source == 0:
-                    runq.popleft()
-                elif source == 1:
-                    self._next = None
+                        runq.popleft()
+                elif heap and heap[0] < timer:
+                    timer = heappop(heap)
                 else:
-                    heappop(heap)
+                    runq.popleft()
+            elif nxt is not None:
+                timer = nxt
+                self._next = None
+            elif heap:
+                timer = heappop(heap)
+            else:
+                break
+            fn = timer[2]
+            if fn is None and timer[3] is None:
+                self._drop_dead()
+            elif timer[0] > deadline:
+                # late: it came from ``_next`` or the heap top (run-queue
+                # entries are never late), so the slot takes it back
+                self._next = timer
+                break
+            else:
                 self.now = timer[0]
-                fn = timer[2]
                 if fn is not None:
                     fn()
                 else:
                     step(timer[3], timer[4])
-        if check_deadlock:
-            stuck = [p for p in self._processes if p.state is ProcessState.WAITING]
-            if stuck:
-                names = ", ".join(p.name for p in stuck[:8])
-                raise SimDeadlock(f"{len(stuck)} process(es) blocked forever: {names}")
-        if until is not None and until > self.now:
+        if until is not None:
             self.now = until
         return self.now
 
@@ -402,9 +363,9 @@ class Simulator:
         try:
             request = proc.gen.send(send_value)
         except StopIteration as stop:
-            proc._finish(stop.value)
+            proc.state = ProcessState.DONE
+            proc.result = stop.value
             return
-        # Dispatch, fast-pathing exact types before isinstance fallbacks.
         cls = request.__class__
         if cls is Sleep:
             proc.state = ProcessState.WAITING
@@ -414,16 +375,6 @@ class Simulator:
                              request.recheck)
         elif cls is ChannelGet:
             self._wait_channel(proc, request.channel, request.timeout)
-        elif cls is Event:
-            self._wait_event(proc, request, None)
-        elif isinstance(request, Sleep):
-            proc.state = ProcessState.WAITING
-            proc._cleanup = self._schedule_step(request.dt, proc, None)
-        elif isinstance(request, WaitEvent):
-            self._wait_event(proc, request.event, request.timeout,
-                             request.recheck)
-        elif isinstance(request, Event):
-            self._wait_event(proc, request, None)
         else:
             raise SimError(
                 f"process {proc.name!r} yielded unsupported request {request!r}; "

@@ -3,16 +3,13 @@
 A :class:`Process` owns one generator.  The kernel steps the generator and a
 process can be killed at any time (modelling a fail-stop failure): the
 generator is closed, any pending wait is deregistered, and the process never
-runs again.  Termination (normal or killed) fires ``done_event`` so that
-other processes can join on it.
+runs again.
 """
 
 from __future__ import annotations
 
 import enum
 from typing import TYPE_CHECKING, Any, Generator, Optional
-
-from repro.sim.events import Event
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.kernel import Simulator
@@ -31,7 +28,7 @@ class ProcessState(enum.Enum):
 class Process:
     """A generator-coroutine scheduled by the :class:`Simulator`."""
 
-    __slots__ = ("sim", "gen", "name", "state", "result", "done_event", "_cleanup")
+    __slots__ = ("sim", "gen", "name", "state", "result", "_cleanup")
 
     def __init__(self, sim: "Simulator", gen: Generator, name: str = "") -> None:
         self.sim = sim
@@ -39,7 +36,6 @@ class Process:
         self.name = name
         self.state = ProcessState.NEW
         self.result: Any = None
-        self.done_event = Event(name=f"{name}.done")
         # Whatever the process currently waits on: either the kernel's
         # pending step entry (a plain list) or a waiter record exposing
         # ``cancel()``.  ``None`` while running / terminated.
@@ -56,8 +52,8 @@ class Process:
 
         Idempotent.  The generator is closed (running ``finally`` blocks, as
         a real process's OS-level teardown would not — application code in
-        this repo does not rely on ``finally`` for protocol actions), the
-        pending wait (if any) is deregistered and ``done_event`` fires.
+        this repo does not rely on ``finally`` for protocol actions) and
+        the pending wait (if any) is deregistered.
         """
         if not self.alive:
             return
@@ -70,26 +66,6 @@ class Process:
                 cleanup.cancel()
         self.state = ProcessState.KILLED
         self.gen.close()
-        self.done_event.succeed(None)
-
-    def join(self, timeout: Optional[float] = None,
-             ) -> Generator[Any, Any, tuple]:
-        """Generator helper: wait for this process to terminate.
-
-        Yields to the kernel; resumes with ``(ok, result)`` where ``ok`` is
-        ``False`` on timeout.  Usage: ``ok, res = yield from proc.join()``.
-        """
-        from repro.sim.events import WaitEvent  # local to avoid cycle at import
-
-        ok, _ = yield WaitEvent(self.done_event, timeout)
-        return (ok, self.result if ok else None)
-
-    # ------------------------------------------------------------------
-    def _finish(self, value: Any) -> None:
-        """Kernel-internal: mark normal termination with ``value``."""
-        self.state = ProcessState.DONE
-        self.result = value
-        self.done_event.succeed(value)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Process {self.name!r} {self.state.value}>"

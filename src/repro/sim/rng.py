@@ -33,8 +33,3 @@ class RngStreams:
             gen = np.random.default_rng(np.random.SeedSequence([self.seed, key]))
             self._streams[name] = gen
         return gen
-
-    def fork(self, salt: str) -> "RngStreams":
-        """Derive a child factory (e.g. one per repetition of an experiment)."""
-        digest = hashlib.sha256(f"{self.seed}:fork:{salt}".encode()).digest()
-        return RngStreams(int.from_bytes(digest[:8], "little"))

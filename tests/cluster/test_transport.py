@@ -208,9 +208,3 @@ def test_kill_across_broken_link_does_not_kill():
     sim.spawn(killer())
     sim.run()
     assert m.alive(3)  # unreachable: this source cannot enforce the kill
-
-
-def test_duplicate_rank_registration_rejected():
-    sim, m = make_machine()
-    with pytest.raises(ValueError):
-        m.transport.register(0, 0)

@@ -1,10 +1,10 @@
-"""Unit tests for FT building blocks: config, rank map, spares, control block."""
+"""Unit tests for FT building blocks: config, spares, control block."""
 
 import numpy as np
 import pytest
 
 from repro.gaspi import run_gaspi
-from repro.ft import ActiveRankMap, ControlBlock, FTConfig, Role, SparePool
+from repro.ft import ControlBlock, FTConfig, Role, SparePool
 
 
 class TestFTConfig:
@@ -32,40 +32,6 @@ class TestFTConfig:
             FTConfig(fd_threads=0)
         with pytest.raises(ValueError):
             FTConfig().role_of(99)
-
-
-class TestActiveRankMap:
-    def test_initial_identity(self):
-        m = ActiveRankMap.initial(3)
-        assert m.physical(2) == 2
-        assert m.logical_of(1) == 1
-        assert m.physical_ranks() == [0, 1, 2]
-
-    def test_apply_recovery_replaces_failed(self):
-        m = ActiveRankMap.initial(4)
-        m2 = m.apply_recovery(failed=[1, 3], rescues=[5, 6])
-        assert m2.logical_to_physical == {0: 0, 1: 5, 2: 2, 3: 6}
-        # original untouched
-        assert m.logical_to_physical == {0: 0, 1: 1, 2: 2, 3: 3}
-
-    def test_undo_recovery_is_inverse(self):
-        m = ActiveRankMap.initial(4)
-        m2 = m.apply_recovery([1, 3], [5, 6])
-        assert m2.undo_recovery([1, 3], [5, 6]).logical_to_physical == \
-            m.logical_to_physical
-
-    def test_chained_recoveries(self):
-        m = ActiveRankMap.initial(3)
-        m = m.apply_recovery([0], [3])
-        m = m.apply_recovery([3], [4])  # the rescue itself fails later
-        assert m.logical_to_physical == {0: 4, 1: 1, 2: 2}
-
-    def test_not_enough_rescues_rejected(self):
-        with pytest.raises(ValueError):
-            ActiveRankMap.initial(2).apply_recovery([0, 1], [2])
-
-    def test_logical_of_unknown_physical(self):
-        assert ActiveRankMap.initial(2).logical_of(9) is None
 
 
 class TestSparePool:
@@ -130,7 +96,7 @@ class TestControlBlock:
             statuses = block.statuses().copy()
             statuses[1] = int(Role.FAILED)
             statuses[2] = int(Role.WORKING)
-            block.compose_notice(3, [1], [2], statuses, {0: 0, 1: 2})
+            block.compose_notice(3, [1], [2], statuses, np.array([0, 2]))
             notice = block.check_failure(seen_epoch=0)
             return notice
 
@@ -144,7 +110,7 @@ class TestControlBlock:
     def test_check_failure_respects_seen_epoch(self):
         def check(ctx, block, cfg):
             statuses = block.statuses().copy()
-            block.compose_notice(1, [1], [2], statuses, {0: 0, 1: 2})
+            block.compose_notice(1, [1], [2], statuses, np.array([0, 2]))
             return (block.check_failure(1), block.check_failure(0) is not None)
 
         none_result, fresh = self.run_single(check)
@@ -154,7 +120,7 @@ class TestControlBlock:
     def test_unrecoverable_notice(self):
         def check(ctx, block, cfg):
             statuses = block.statuses().copy()
-            block.compose_notice(1, [0, 1], [2], statuses, {0: 2, 1: 1})
+            block.compose_notice(1, [0, 1], [2], statuses, np.array([2, 1]))
             return block.read_notice().recoverable
 
         assert self.run_single(check) is False
@@ -164,7 +130,8 @@ class TestControlBlock:
             statuses = block.statuses().copy()
             try:
                 # capacity is n_ranks (= 4 here); 5 entries cannot fit
-                block.compose_notice(1, [0, 1, 2, 3, 4], [], statuses, {})
+                block.compose_notice(1, [0, 1, 2, 3, 4], [], statuses,
+                                     block.rank_map_array())
             except ValueError:
                 return "rejected"
 
@@ -181,7 +148,7 @@ class TestControlBlock:
                 statuses = block.statuses().copy()
                 statuses[1] = int(Role.FAILED)
                 statuses[2] = int(Role.WORKING)
-                block.compose_notice(1, [1], [2], statuses, {0: 0, 1: 2})
+                block.compose_notice(1, [1], [2], statuses, np.array([0, 2]))
                 yield from block.broadcast([0, 2], timeout=5.0)
                 return None
             yield from ctx.barrier(timeout=30.0)  # wait for delivery window

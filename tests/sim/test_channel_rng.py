@@ -120,14 +120,3 @@ def test_rng_adding_stream_does_not_perturb_existing():
 def test_rng_stream_cached():
     streams = RngStreams(0)
     assert streams.stream("a") is streams.stream("a")
-
-
-def test_rng_fork_differs_from_parent_but_reproducible():
-    parent = RngStreams(1)
-    child1 = parent.fork("rep0")
-    child2 = RngStreams(1).fork("rep0")
-    other = RngStreams(1).fork("rep1")
-    a = child1.stream("s").random(4)
-    assert (a == child2.stream("s").random(4)).all()
-    assert not (a == other.stream("s").random(4)).all()
-    assert not (a == parent.stream("s").random(4)).all()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Event, Simulator, Sleep, WaitEvent, SimError, SimDeadlock
+from repro.sim import Event, Simulator, Sleep, WaitEvent, SimError
 from repro.sim.process import ProcessState
 
 
@@ -197,78 +197,3 @@ def test_kill_is_idempotent():
     sim.schedule(2.0, p.kill)
     sim.run()
     assert p.state is ProcessState.KILLED
-
-
-def test_join_returns_result():
-    sim = Simulator()
-
-    def worker():
-        yield Sleep(3.0)
-        return "done"
-
-    w = sim.spawn(worker())
-
-    def joiner():
-        ok, res = yield from w.join()
-        return (ok, res, sim.now)
-
-    j = sim.spawn(joiner())
-    sim.run()
-    assert j.result == (True, "done", 3.0)
-
-
-def test_join_timeout():
-    sim = Simulator()
-
-    def worker():
-        yield Sleep(100.0)
-
-    w = sim.spawn(worker())
-
-    def joiner():
-        ok, res = yield from w.join(timeout=1.0)
-        return (ok, res)
-
-    j = sim.spawn(joiner())
-    sim.run()
-    assert j.result == (False, None)
-
-
-def test_join_killed_process():
-    sim = Simulator()
-
-    def worker():
-        yield Sleep(100.0)
-
-    w = sim.spawn(worker())
-
-    def joiner():
-        ok, res = yield from w.join()
-        return (ok, res, sim.now)
-
-    j = sim.spawn(joiner())
-    sim.schedule(2.0, w.kill)
-    sim.run()
-    assert j.result == (True, None, 2.0)
-
-
-def test_deadlock_detection():
-    sim = Simulator()
-    ev = Event()
-
-    def stuck():
-        yield WaitEvent(ev)
-
-    sim.spawn(stuck(), name="stuck-proc")
-    with pytest.raises(SimDeadlock, match="stuck-proc"):
-        sim.run(check_deadlock=True)
-
-
-def test_no_deadlock_when_all_done():
-    sim = Simulator()
-
-    def fine():
-        yield Sleep(1.0)
-
-    sim.spawn(fine())
-    sim.run(check_deadlock=True)  # must not raise

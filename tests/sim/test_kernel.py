@@ -2,7 +2,13 @@
 
 import pytest
 
+from repro.cluster import FaultPlan
+from repro.experiments.common import ft_config_for, machine_for
+from repro.ft import ft_main
+from repro.gaspi import run_gaspi
 from repro.sim import Simulator, Sleep, SimError
+from repro.workloads.kernels import ModelLanczosProgram
+from repro.workloads.spec import scaled_spec
 from tests.sim.step_trace import record_steps
 
 
@@ -61,6 +67,134 @@ def test_run_until_stops_clock_at_bound():
 def test_run_until_advances_clock_even_with_empty_heap():
     sim = Simulator()
     assert sim.run(until=7.0) == 7.0
+
+
+def test_run_until_before_now_rejected():
+    sim = Simulator()
+    seen = []
+    sim.schedule(5.0, lambda: seen.append(5))
+    sim.schedule(20.0, lambda: seen.append(20))
+    assert sim.run(until=10.0) == 10.0
+    with pytest.raises(SimError, match="past"):
+        sim.run(until=3.0)
+    assert sim.now == 10.0  # the clock never rewinds
+    sim.run()
+    assert seen == [5, 20]
+    assert sim.now == 20.0
+
+
+# ----------------------------------------------------------------------
+# run(until) stops by putting the first late entry back: a split run
+# dispatches exactly as one uninterrupted run does
+# ----------------------------------------------------------------------
+def _note(sim, log, name):
+    """Log a dispatch with where the kernel then holds its entries."""
+    log.append((sim.now, name, sim._next is not None, len(sim._heap)))
+
+
+def _dispatch(build, untils=()):
+    """Run a fresh ``build(sim, log)`` through ``run(until=u)`` for each
+    ``u`` in turn, then ``run()``.  Returns ``(log, scheduled_count)``
+    and the log length each ``run(until)`` left."""
+    sim = Simulator()
+    log = []
+    build(sim, log)
+    cuts = []
+    for until in untils:
+        assert sim.run(until=until) == until
+        assert sim.now == until
+        cuts.append(len(log))
+    sim.run()
+    return (log, sim.scheduled_count), cuts
+
+
+def _check_splits(build, splits):
+    """Each split run dispatches as one ``run()`` does; returns that."""
+    whole, _ = _dispatch(build)
+    for untils in splits:
+        split, cuts = _dispatch(build, untils)
+        assert split == whole
+        # each run(until) dispatched exactly the entries up to ``until``
+        assert cuts == [sum(t <= u for t, *_ in whole[0]) for u in untils]
+    return whole
+
+
+def test_run_until_before_entry_in_next_slot():
+    def build(sim, log):
+        def tick(i):
+            if i < 4:
+                sim.schedule(4.0, lambda: tick(i + 1))
+            _note(sim, log, f"tick{i}")
+
+        sim.schedule(1.0, lambda: tick(0))
+
+    whole = _check_splits(build, [(6.0,), (6.0, 6.0, 10.0),
+                                  (0.0, 1.0, 12.5, 17.0)])
+    # each tick's successor is the only delayed entry: it waits in
+    # ``_next``, so a deadline between two ticks finds it there
+    assert whole[0][1] == (5.0, "tick1", True, 0)
+
+
+def test_run_until_before_heap_top_with_next_slot_empty():
+    def build(sim, log):
+        for t in (20.0, 30.0, 25.0):
+            sim.schedule(t, lambda: _note(sim, log, "timer"))
+        # out of order: demotes the entry at 20 from ``_next`` to the heap
+        sim.schedule(5.0, lambda: _note(sim, log, "early"))
+
+        def proc():
+            yield Sleep(8.0)
+            _note(sim, log, "proc")
+            yield Sleep(14.0)  # lands behind the heap top at 20
+            _note(sim, log, "proc")
+
+        sim.spawn(proc(), name="p")
+
+    whole = _check_splits(build, [(10.0,), (10.0, 21.0, 22.0), (20.0,),
+                                  (8.0, 26.0)])
+    # after the step at 8, ``_next`` is empty and the heap top (20) is
+    # the next entry, so a deadline in (8, 20) finds it there
+    assert whole[0][1] == (8.0, "proc", False, 3)
+
+
+def test_run_until_with_cancelled_entries_beyond_it():
+    def build(sim, log):
+        sim.schedule(1.0, lambda: _note(sim, log, "a"))
+        dead = [sim.schedule(t, lambda: _note(sim, log, "dead"))
+                for t in (12.0, 14.0, 16.0, 40.0)]
+        sim.schedule(30.0, lambda: _note(sim, log, "b"))
+
+        def cancel():
+            for timer in dead:
+                sim.cancel(timer)
+            _note(sim, log, "cancel")
+
+        sim.schedule(2.0, cancel)
+
+    whole = _check_splits(build, [(10.0,), (13.0, 35.0), (15.0, 15.0),
+                                  (50.0,)])
+    assert [name for _, name, _, _ in whole[0]] == ["a", "cancel", "b"]
+
+
+def test_ft_scenario_same_under_a_far_horizon():
+    """An FT run with a kill dispatches the same under ``run()`` and
+    under an ``until`` it never reaches."""
+    spec = scaled_spec(workers=16, iterations=80, name="until-16")
+    cfg = ft_config_for(spec, n_spares=4)
+    horizon = (spec.setup_time + spec.baseline_runtime) * 4 + 600
+
+    def run(until):
+        sim = Simulator()
+        steps = record_steps(sim)
+        job = run_gaspi(ft_main(cfg, ModelLanczosProgram(spec)),
+                        machine_spec=machine_for(cfg), sim=sim,
+                        fault_plan=FaultPlan().kill_process(12.5, 0),
+                        until=until)
+        return steps, sim.scheduled_count, job.results
+
+    unbounded = run(None)
+    assert unbounded[2][cfg.n_workers]["status"] == "done"  # the rescue
+    assert run(horizon) == unbounded
 
 
 def test_timer_cancel_prevents_callback():

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.checkpoint import pack_checkpoint, unpack_checkpoint
-from repro.ft import ActiveRankMap
+from repro.ft import rankstate
 from repro.sim import Simulator, Sleep, RngStreams
 from repro.solvers import ql_eigenvalues
 from repro.spmvm import CSRMatrix
@@ -61,26 +61,26 @@ def test_checkpoint_corruption_always_detected(seed, flip):
 )
 def test_rank_map_recovery_sequence_invariants(n_workers, n_spares, seed):
     rng = np.random.default_rng(seed)
-    mapping = ActiveRankMap.initial(n_workers)
+    mapping = np.arange(n_workers, dtype=np.int64)
     spares = list(range(n_workers, n_workers + n_spares))
     for _ in range(n_spares):
         if not spares:
             break
         k = int(rng.integers(1, min(len(spares), n_workers) + 1))
-        failed = list(rng.choice(mapping.physical_ranks(), size=k,
-                                 replace=False))
+        failed = [int(r) for r in rng.choice(np.sort(mapping), size=k,
+                                             replace=False)]
         rescues, spares = spares[:k], spares[k:]
-        new = mapping.apply_recovery(failed, rescues)
+        new = rankstate.apply_rescues(mapping, failed, rescues)
         # invariants: logical ranks preserved, physicals unique,
         # failed gone, rescues present
-        assert sorted(new.logical_to_physical) == list(range(n_workers))
-        phys = new.physical_ranks()
+        assert new.shape == (n_workers,)
+        phys = new.tolist()
         assert len(set(phys)) == n_workers
         assert not set(failed) & set(phys)
         assert set(rescues) <= set(phys)
-        # undo really inverts
-        assert new.undo_recovery(failed, rescues).logical_to_physical == \
-            mapping.logical_to_physical
+        # the rescues' undo (recovery.restore_sources) really inverts
+        back = dict(zip(rescues, failed))
+        assert [back.get(p, p) for p in phys] == mapping.tolist()
         mapping = new
 
 
