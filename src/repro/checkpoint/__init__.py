@@ -9,13 +9,13 @@ a recovery the neighbor map is refreshed from the failed-process list,
 and a restore transparently falls back from the local store to the
 neighbor copy.
 
-Two alternative backends share the same interface (select with
-``CheckpointConfig.backend`` via :func:`make_checkpoint_lib`): the
-classical synchronous-PFS baseline, and a ReStore-style backend that
-replicates each checkpoint in the memory of ``r`` other ranks
-(:mod:`repro.checkpoint.replicated`; arXiv:2203.01107).  See
-``CHECKPOINTS.md`` for wire formats, placement rules and the
-failure-tolerance comparison.
+Two alternative backends share the same interface (the config's
+``backend`` alone selects one via :func:`make_checkpoint_lib`): the
+classical synchronous-PFS baseline, on the world's one parallel file
+system, and a ReStore-style backend that replicates each checkpoint in
+the memory of ``r`` other ranks (:mod:`repro.checkpoint.replicated`;
+arXiv:2203.01107).  See ``CHECKPOINTS.md`` for wire formats, placement
+rules and the failure-tolerance comparison.
 
 Checkpoints are keyed by *logical* rank so that a rescue process (which
 adopts the failed process's logical identity) finds its predecessor's data.
@@ -30,7 +30,7 @@ from repro.checkpoint.serialization import (
 )
 from repro.checkpoint.store import CheckpointNotFound, NodeLocalStore, StoredBlob
 from repro.checkpoint.pfs import ParallelFileSystem
-from repro.checkpoint.neighbor import neighbor_of, neighbor_map
+from repro.checkpoint.neighbor import neighbor_map
 from repro.checkpoint.manager import (
     BACKENDS,
     CheckpointConfig,
@@ -55,7 +55,6 @@ __all__ = [
     "NodeLocalStore",
     "StoredBlob",
     "ParallelFileSystem",
-    "neighbor_of",
     "neighbor_map",
     "BACKENDS",
     "CheckpointConfig",

@@ -25,7 +25,7 @@ Parameter ↔ paper-symbol mapping:
 ==========================  ====================================================
 parameter                   paper quantity
 ==========================  ====================================================
-``config.local_bandwidth``  node-local store (ramdisk/SSD) write bandwidth —
+:data:`LOCAL_BANDWIDTH`     node-local store (ramdisk/SSD) write bandwidth —
                             sets the synchronous checkpoint cost
 ``config.keep_versions``    checkpoint versions retained per rank (2 in the
                             paper: current + previous, so a failure mid-write
@@ -44,6 +44,7 @@ from __future__ import annotations
 from bisect import insort
 from collections import OrderedDict, deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import (
     Any,
     Callable,
@@ -65,6 +66,7 @@ from repro.sim import Event, Sleep, WaitEvent
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.neighbor import neighbor_map
+from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
     packed_size,
@@ -86,6 +88,9 @@ COPY_SEGMENT = 60
 #: landing window size (bytes); blobs larger than this stage a prefix
 #: while the time model still charges the full nominal size
 COPY_WINDOW = 64 * 1024
+#: node-local store bandwidth (ramdisk/SSD), bytes/s: prices every local
+#: checkpoint write and read
+LOCAL_BANDWIDTH = 5.0e9
 
 
 @dataclass
@@ -102,8 +107,6 @@ class CheckpointConfig:
     """
 
     tag: str = "ckpt"
-    #: node-local store bandwidth (ramdisk/SSD), bytes/s
-    local_bandwidth: float = 5.0e9
     #: how many versions to keep per (tag, logical rank)
     keep_versions: int = 2
     #: which protection scheme backs the library (see :data:`BACKENDS`)
@@ -204,7 +207,6 @@ class CheckpointLib(_CopySource):
         # manager's neighbor-map cache key); a team's membership already
         # is one, so only other callers pay for the sort
         members = _Members.of(participants)
-        self.participants: Sequence[int] = members
         neighbor = None
         if self.ctx.rank in members.member_set() and len(members) > 1:
             neighbor = self._manager.neighbor_map_for(members)[self.ctx.rank]
@@ -259,7 +261,7 @@ class CheckpointLib(_CopySource):
         t0 = self.ctx.now
         manager = self._manager
         blob = manager.pack_blob(payload, nominal_bytes)
-        yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+        yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
         key = (self.config.tag, self.logical_rank, version)
         self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
         mirrored = Event(name=f"ckpt-mirrored-{self.ctx.rank}-v{version}")
@@ -295,7 +297,7 @@ class CheckpointLib(_CopySource):
     def _reprotect(self, key: Key, blob: StoredBlob):
         """Generator: re-establish local + neighbor copies after a remote
         restore (otherwise the *next* failure would find no local data)."""
-        yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+        yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
         self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
         self.stats["local_writes"] += 1
         self._manager.submit(
@@ -333,7 +335,7 @@ class CheckpointLib(_CopySource):
                 continue
             blob = store.get(key)
             if node_id == self.my_node:
-                yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+                yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
                 self.stats["local_reads"] += 1
                 source = "local"
             else:
@@ -343,18 +345,9 @@ class CheckpointLib(_CopySource):
                 if reprotect:
                     yield from self._reprotect(key, blob)
                 source = "neighbor"
-            return self._restored(version, blob, source, t0)
+            return self._manager.restored(self.ctx.rank, version, blob,
+                                          source, t0)
         raise CheckpointNotFound(f"version {version} unavailable for {key}")
-
-    def _restored(self, version: int, blob: StoredBlob, source: str,
-                  t0: float) -> Tuple[int, Dict[str, np.ndarray]]:
-        """Epilogue of a restore: trace it, feed the phase totals, unpack."""
-        now = self.ctx.now
-        if self._tracer.enabled:
-            self._tracer.emit(now, self.ctx.rank, "restore", dur=now - t0,
-                              version=version, source=source)
-        self._manager.record_restore(source, blob.nominal_bytes, now - t0)
-        return version, unpack_checkpoint(blob.data)
 
 
 @dataclass(slots=True)
@@ -444,7 +437,10 @@ class CheckpointManager:
       against the same set is a dict lookup;
     * **phase totals** — mirror, scatter and restore bytes/latency
       accumulated for the ``recovery_compare`` experiment's per-phase
-      reporting.
+      reporting; every backend's restore ends in :meth:`restored`;
+    * **the parallel file system** — the world's one
+      :class:`ParallelFileSystem`, the ``pfs`` backend's store
+      (:attr:`pfs`).
     """
 
     _ATTR = "_checkpoint_manager"
@@ -507,6 +503,12 @@ class CheckpointManager:
         manager: Optional[CheckpointManager] = getattr(world, cls._ATTR, None)
         return manager
 
+    @cached_property
+    def pfs(self) -> ParallelFileSystem:
+        """The world's parallel file system, made on first use (its
+        constructor schedules nothing, so no virtual time moves)."""
+        return ParallelFileSystem(self.sim)
+
     # ------------------------------------------------------------------
     # shared staging arena
     # ------------------------------------------------------------------
@@ -564,8 +566,8 @@ class CheckpointManager:
     ) -> Dict[int, Optional[int]]:
         """The full mirror-partner map of a (sorted) participant set.
 
-        Built once per distinct set with the O(n) vectorized kernel; each
-        entry equals ``neighbor_of(rank, participants, node_of)``.
+        Built once per distinct set with the O(n) vectorized
+        :func:`neighbor_map` kernel.
         """
         cached = self._neighbor_maps.get(participants)
         if cached is None:
@@ -847,7 +849,7 @@ class CheckpointManager:
             mirrored = Event(name="ckpt-mirrored")
             mirrors[rank] = mirrored
             items.append((lib, key, blob, mirrored))
-            durations[i] = nom / lib.config.local_bandwidth
+            durations[i] = nom / LOCAL_BANDWIDTH
         t_local = t0 + durations
 
         def local_done(idxs: List[int]) -> None:
@@ -870,15 +872,23 @@ class CheckpointManager:
         return mirrors
 
     # ------------------------------------------------------------------
-    # phase totals
+    # restore epilogue
     # ------------------------------------------------------------------
-    def record_restore(self, source: str, nbytes: int,
-                       elapsed: float) -> None:
-        """Accumulate one restore into the per-phase totals."""
+    def restored(self, rank: int, version: int, blob: StoredBlob,
+                 source: str, t0: float,
+                 ) -> Tuple[int, Dict[str, np.ndarray]]:
+        """Epilogue of every backend's restore (started at ``t0`` by
+        ``rank`` from ``source``): emit ``restore``, add it to the phase
+        totals and return ``(version, payload)`` unpacked."""
+        now = self.sim.now
+        elapsed = now - t0
+        tracer = self.sim.tracer
+        if tracer.enabled:
+            tracer.emit(now, rank, "restore", dur=elapsed, version=version,
+                        source=source)
         totals = self.phase_totals
         totals["restore_ops"] += 1
-        totals["restore_bytes"] += nbytes
+        totals["restore_bytes"] += blob.nominal_bytes
         totals["restore_s"] += elapsed
-        key = f"restore_{source}_ops"
-        if key in totals:
-            totals[key] += 1
+        totals[f"restore_{source}_ops"] += 1
+        return version, unpack_checkpoint(blob.data)

@@ -21,8 +21,9 @@ Three things live here rather than in :mod:`repro.checkpoint.manager`:
 the placement kernel wrapper, :class:`ReplicatedCheckpointLib` (the
 ReStore backend: an ``r``-holder placement over the manager's copy
 pipeline), and :class:`PfsCheckpointLib` (the classical PFS-only
-baseline the paper argues against) — plus the
-:func:`make_checkpoint_lib` factory the FT driver dispatches through.
+baseline the paper argues against, on the manager's world PFS) — plus
+the :func:`make_checkpoint_lib` factory the FT driver dispatches
+through: ``config.backend`` alone picks the library.
 """
 
 from __future__ import annotations
@@ -49,14 +50,13 @@ from repro.gaspi.groups import _Members
 from repro.checkpoint.manager import (
     COPY_SEGMENT,
     COPY_WINDOW,
+    LOCAL_BANDWIDTH,
     CheckpointConfig,
     CheckpointLib,
     CheckpointManager,
     _Copy,
     _CopySource,
 )
-from repro.checkpoint.pfs import ParallelFileSystem
-from repro.checkpoint.serialization import unpack_checkpoint
 from repro.checkpoint.store import CheckpointNotFound, Key
 
 
@@ -143,7 +143,6 @@ class ReplicatedCheckpointLib(_CopySource):
         never orphans live copies.
         """
         members = _Members.of(participants)
-        self.participants: Sequence[int] = members
         self.holders = []
         if self.ctx.rank in members.member_set() and len(members) > 1:
             node_of = self.machine.node_of
@@ -204,7 +203,7 @@ class ReplicatedCheckpointLib(_CopySource):
         t0 = self.ctx.now
         manager = self._manager
         blob = manager.pack_blob(payload, nominal_bytes)
-        yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+        yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
         key: Key = (self.config.tag, self.logical_rank, version)
         protected = Event(name=f"ckpt-protected-{self.ctx.rank}-v{version}")
         manager.local_written(self, key, blob, t0, protected)
@@ -330,16 +329,10 @@ class ReplicatedCheckpointLib(_CopySource):
             else:
                 yield Sleep(t_wait)
             self.stats["replica_reads"] += 1
-            elapsed = ctx.now - t0
-            tracer = self._tracer
-            if tracer.enabled:
-                tracer.emit(ctx.now, ctx.rank, "restore", dur=elapsed,
-                            version=version, source="replicated")
-            manager.record_restore("replicated", blob.nominal_bytes,
-                                   elapsed)
-            payload = unpack_checkpoint(blob.data)
+            _, payload = manager.restored(ctx.rank, version, blob,
+                                          "replicated", t0)
             if reprotect:
-                yield Sleep(blob.nominal_bytes / self.config.local_bandwidth)
+                yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
                 manager.submit(
                     self, key, blob,
                     Event(name=f"reprotect-{ctx.rank}-v{version}"),
@@ -360,8 +353,10 @@ class PfsCheckpointLib:
     a *synchronous* write to the shared parallel file system, and every
     restore a PFS read — the application pays the full PFS round-trip
     both ways, with all ranks contending for the same aggregate
-    bandwidth.  Serves as the third column of ``recovery_compare``'s
-    backend table; see ``CHECKPOINTS.md`` for the cost model.
+    bandwidth.  The PFS is the world's (:attr:`CheckpointManager.pfs`),
+    so every rank's library writes to the same one.  Serves as the third
+    column of ``recovery_compare``'s backend table; see
+    ``CHECKPOINTS.md`` for the cost model.
     """
 
     def __init__(
@@ -370,18 +365,15 @@ class PfsCheckpointLib:
         logical_rank: int,
         participants: Sequence[int],
         config: Optional[CheckpointConfig] = None,
-        pfs: Optional[ParallelFileSystem] = None,
     ) -> None:
-        if pfs is None:
-            raise ValueError("the pfs backend requires a ParallelFileSystem")
         self.ctx = ctx
         self.machine = ctx.world.machine
         self._my_node: int = self.machine.node_of(ctx.rank)
         self._tracer = ctx.tracer
+        self._manager = CheckpointManager.of(ctx.world)
         self.logical_rank = logical_rank
         self.config = config or CheckpointConfig(backend="pfs")
-        self.pfs = pfs
-        self.participants: Sequence[int] = _Members.of(participants)
+        self.pfs = self._manager.pfs
         self.stats = {"local_writes": 0, "pfs_copies": 0, "pfs_reads": 0}
 
     @property
@@ -389,8 +381,8 @@ class PfsCheckpointLib:
         return self._my_node
 
     def refresh(self, participants: Iterable[int]) -> None:
-        """The PFS is location-independent; only the roster updates."""
-        self.participants = _Members.of(participants)
+        """No-op: the PFS is location-independent, so a recovery changes
+        nothing about where this rank's checkpoints live."""
 
     def write_checkpoint(
         self, version: int, payload: Dict[str, np.ndarray],
@@ -402,8 +394,7 @@ class PfsCheckpointLib:
         the returned event has already fired (nothing is asynchronous).
         """
         t0 = self.ctx.now
-        blob = CheckpointManager.of(self.ctx.world).pack_blob(payload,
-                                                              nominal_bytes)
+        blob = self._manager.pack_blob(payload, nominal_bytes)
         key: Key = (self.config.tag, self.logical_rank, version)
         yield from self.pfs.write(key, blob)
         self.stats["local_writes"] += 1
@@ -445,15 +436,7 @@ class PfsCheckpointLib:
         t0 = self.ctx.now
         blob = yield from self.pfs.read(key)
         self.stats["pfs_reads"] += 1
-        elapsed = self.ctx.now - t0
-        tracer = self._tracer
-        if tracer.enabled:
-            tracer.emit(self.ctx.now, self.ctx.rank, "restore", dur=elapsed,
-                        version=version, source="pfs")
-        manager = CheckpointManager.maybe_of(self.ctx.world)
-        if manager is not None:
-            manager.record_restore("pfs", blob.nominal_bytes, elapsed)
-        return version, unpack_checkpoint(blob.data)
+        return self._manager.restored(self.ctx.rank, version, blob, "pfs", t0)
 
 
 #: any of the three backend implementations (duck-typed interface)
@@ -466,23 +449,21 @@ def make_checkpoint_lib(
     logical_rank: int,
     participants: Sequence[int],
     config: Optional[CheckpointConfig] = None,
-    pfs: Optional[ParallelFileSystem] = None,
 ) -> CheckpointBackend:
     """Build the checkpoint library ``config.backend`` selects.
 
     ``"neighbor"`` (default) is the paper's §IV-C node-level neighbor
     mirroring, ``"pfs"`` the classical PFS-only baseline, and
     ``"replicated"`` the ReStore-style in-memory replication — all behind
-    the same interface, so the FT driver is backend-agnostic.
-
-    Only the ``"pfs"`` backend uses ``pfs``.
+    the same interface, so the FT driver is backend-agnostic.  The config
+    is the whole contract: whatever a backend needs beyond it (the copy
+    plane, the PFS) is the world's :class:`CheckpointManager`'s.
     """
     cfg = config or CheckpointConfig()
     if cfg.backend == "neighbor":
         return CheckpointLib(ctx, logical_rank, participants, config=cfg)
     if cfg.backend == "pfs":
-        return PfsCheckpointLib(ctx, logical_rank, participants,
-                                config=cfg, pfs=pfs)
+        return PfsCheckpointLib(ctx, logical_rank, participants, config=cfg)
     if cfg.backend == "replicated":
         return ReplicatedCheckpointLib(ctx, logical_rank, participants,
                                        config=cfg)

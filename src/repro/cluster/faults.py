@@ -13,6 +13,8 @@ from typing import TYPE_CHECKING, Callable, List, Optional
 
 import numpy as np
 
+from repro.obs.timeline import milestone
+
 if TYPE_CHECKING:  # pragma: no cover
     from repro.cluster.machine import Machine
     from repro.sim import Simulator
@@ -136,14 +138,9 @@ class FaultInjector:
         def thunk() -> None:
             sim = self.sim
             # rank attribution must be read before the kill lands
-            ranks = _affected_ranks(event, self.machine)
-            for rank in ranks:
-                sim.failure_log.fold(sim.now, rank, "failure_injected")
-            tracer = sim.tracer
-            if tracer.enabled:
-                for rank in ranks:
-                    tracer.emit(sim.now, rank, "failure_injected",
-                                kind=type(event).__name__)
+            for rank in _affected_ranks(event, self.machine):
+                milestone(sim, sim.now, rank, "failure_injected",
+                          kind=type(event).__name__)
             event.apply(self.machine)
             self.injected.append(event)
             if self._on_inject is not None:

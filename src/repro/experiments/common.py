@@ -7,7 +7,6 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
 from repro.checkpoint.manager import CheckpointConfig, CheckpointManager
-from repro.checkpoint.pfs import ParallelFileSystem
 from repro.gaspi.config import GaspiConfig
 from repro.ft import FTConfig
 from repro.ft.app import FTRunResult, run_ft_application
@@ -139,9 +138,6 @@ def run_ft_scenario(
         gaspi_config=gaspi_config,
         fault_plan=plan if plan.events else None,
         until=horizon,
-        # the pfs backend needs an actual PFS model
-        pfs_factory=(ParallelFileSystem if cfg.checkpoint.backend == "pfs"
-                     else None),
     )
     workers = result.worker_results()
     if not workers or any(w["status"] != "done" for w in workers.values()):

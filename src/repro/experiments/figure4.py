@@ -35,8 +35,8 @@ from repro.gaspi import AllreduceOp, ReturnCode, run_gaspi
 from repro.cluster import MachineSpec
 from repro.checkpoint.manager import CheckpointConfig, CheckpointLib
 from repro.experiments.common import ScenarioOutcome, run_ft_scenario
-from repro.experiments.report import format_phase_summary, format_table
-from repro.experiments.sweep import SweepTask, run_sweep, run_traced_sweep
+from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepTask, run_sweep
 from repro.workloads.spec import PAPER_GRAPHENE, WorkloadSpec, scaled_spec
 
 #: fraction of a checkpoint interval the kill lands after a checkpoint
@@ -250,14 +250,7 @@ def _run_curve_mode(args, parser) -> str:
     if unknown:
         parser.error(f"no digitized reference points for nodes {unknown}; "
                      f"known: {sorted(FIGURE4_SCAN_MS)}")
-    if args.trace:
-        from repro.obs.export import write_jsonl
-
-        measured, traces = run_traced_sweep(curve_tasks(nodes),
-                                            jobs=args.jobs)
-        write_jsonl([(tr.label, tr.events) for tr in traces], args.trace)
-    else:
-        measured = run_curve(nodes, jobs=args.jobs)
+    measured = run_curve(nodes, jobs=args.jobs)
     rows, worst = curve_shape(nodes, measured)
     table = format_table(
         CURVE_HEADERS, rows,
@@ -293,10 +286,6 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="scenario-sweep worker processes "
                              "(0 = all cores, default 1 = serial)")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="capture a structured trace (repro.obs) to "
-                             "this JSONL file and print per-failure phase "
-                             "latencies")
     parser.add_argument("--curve", action="store_true",
                         help="sweep the paper's node counts and gate the "
                              "normalized FD scan-time curve against the "
@@ -312,16 +301,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
     if args.curve:
         return _run_curve_mode(args, parser)
     spec = default_spec(args.scale)
-    if args.trace:
-        from repro.obs.export import write_jsonl
-
-        outcomes, traces = run_traced_sweep(
-            scenario_tasks(spec), jobs=args.jobs)
-        write_jsonl([(tr.label, tr.events) for tr in traces], args.trace)
-        print(format_phase_summary(traces))
-        print()
-    else:
-        outcomes = run_figure4(spec, jobs=args.jobs)
+    outcomes = run_figure4(spec, jobs=args.jobs)
     table = format_table(
         HEADERS, as_rows(outcomes),
         title=(f"Figure 4 — Lanczos runtime scenarios "

@@ -40,8 +40,8 @@ from repro.gaspi import AllreduceOp, run_gaspi
 from repro.ulfm import UlfmComm, UlfmResult
 from repro.checkpoint.manager import BACKENDS, CheckpointConfig
 from repro.experiments.common import run_ft_scenario
-from repro.experiments.report import format_phase_summary, format_table
-from repro.experiments.sweep import SweepTask, run_sweep, run_traced_sweep
+from repro.experiments.report import format_table
+from repro.experiments.sweep import SweepTask, run_sweep
 from repro.workloads.spec import scaled_spec
 
 
@@ -278,10 +278,6 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
                         help="scenario-sweep worker processes "
                              "(0 = all cores, default 1 = serial)")
-    parser.add_argument("--trace", metavar="PATH", default=None,
-                        help="capture a structured trace (repro.obs) to "
-                             "this JSONL file and print GASPI per-failure "
-                             "phase latencies")
     parser.add_argument("--backend", choices=list(BACKENDS) + ["all"],
                         default="all",
                         help="checkpoint backend(s) for the three-way "
@@ -293,20 +289,7 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
                         help="run the backend table without the process "
                              "kill (restore columns report a dash)")
     args = parser.parse_args(argv)
-    if args.trace:
-        from repro.obs.export import write_jsonl
-
-        results, traces = run_traced_sweep(
-            comparison_tasks(args.sizes), jobs=args.jobs)
-        rows = _rows_from_results(args.sizes, results)
-        write_jsonl([(tr.label, tr.events) for tr in traces], args.trace)
-        # ULFM tasks are not FT-stack instrumented; only GASPI scenarios
-        # contribute failure chains here
-        print(format_phase_summary(
-            [tr for tr in traces if tr.scenario.startswith("gaspi")]))
-        print()
-    else:
-        rows = run_comparison(args.sizes, jobs=args.jobs)
+    rows = run_comparison(args.sizes, jobs=args.jobs)
     table = format_table(
         HEADERS, as_rows(rows),
         title="Recovery comparison: non-shrinking (GASPI+FD) vs shrinking (ULFM)")

@@ -28,7 +28,6 @@ from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.gaspi.runtime import GaspiRun, run_gaspi
-from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.replicated import CheckpointBackend, make_checkpoint_lib
 from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
 from repro.spmvm.team import Team
@@ -38,7 +37,7 @@ from repro.ft.control import ControlBlock, FailureNotice
 from repro.ft.detector import FD_STOP, fd_process
 from repro.ft.recovery import perform_recovery
 from repro.ft.roles import Role
-from repro.obs.timeline import FailureRecord
+from repro.obs.timeline import FailureRecord, milestone
 
 SETUP_VERSION = 0
 
@@ -66,7 +65,6 @@ class FTContext:
     @classmethod
     def build(cls, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
               team: Team, epoch: int, extra_nodes: List[int],
-              pfs: Optional[ParallelFileSystem] = None,
               old: Optional["FTContext"] = None) -> "FTContext":
         """Create (or refresh, for survivors) the per-rank FT services."""
         # the team's interned membership: the libraries adopt it as-is
@@ -80,11 +78,9 @@ class FTContext:
             setup_cfg = dataclasses.replace(cfg.checkpoint, tag="setup",
                                             keep_versions=1)
             state_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=state_cfg,
-                                             pfs=pfs)
+                                             participants, config=state_cfg)
             setup_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=setup_cfg,
-                                             pfs=pfs)
+                                             participants, config=setup_cfg)
         merged_extra = set(extra_nodes)
         if old is not None:
             merged_extra |= set(old.extra_nodes)  # keep known data sources
@@ -201,8 +197,7 @@ def _announce_done(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock):
 
 
 def _rebuild_context(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-                     notice: FailureNotice, old: Optional[FTContext],
-                     pfs: Optional[ParallelFileSystem]):
+                     notice: FailureNotice, old: Optional[FTContext]):
     """Generator: run Listing 2 and wire fresh FT services around it."""
     recovery = yield from perform_recovery(
         ctx, cfg, block, notice,
@@ -210,23 +205,22 @@ def _rebuild_context(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     )
     return FTContext.build(
         ctx, cfg, block, recovery.team, recovery.notice.epoch,
-        recovery.extra_nodes, pfs=pfs, old=old,
+        recovery.extra_nodes, old=old,
     )
 
 
 def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 program: FTProgram, ftx: FTContext, mode: str,
-                pfs: Optional[ParallelFileSystem] = None,
                 ) -> Generator[Any, Any, Dict[str, Any]]:
     """Generator: compute / recover until completion (worker side of Fig. 3).
 
-    Folds the worker's lifecycle milestones into the run's failure log:
-    ``failure_ack`` when a notice unwinds it, ``version_agreed`` when the
-    team agreed the version to restore (before reading it), and the
-    epoch-tagged ``restore`` and ``rollback`` once the program resumed.
+    Records the worker's lifecycle milestones (folded into the run's
+    failure log, and traced): ``failure_ack`` when a notice unwinds it,
+    ``version_agreed`` when the team agreed the version to restore
+    (before reading it), and the epoch-tagged ``restore`` and
+    ``rollback`` once the program resumed.
     """
-    failures = ctx.world.sim.failure_log
-    tracer = ctx.tracer
+    sim = ctx.world.sim
     while True:
         try:
             if mode == "fresh":
@@ -238,23 +232,17 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             else:
                 t_restore = ctx.now
                 version = yield from ftx.agree_restore_version()
-                failures.fold(ctx.now, ctx.rank, "version_agreed")
-                if tracer.enabled:
-                    tracer.emit(ctx.now, ctx.rank, "version_agreed",
-                                epoch=ftx.epoch, version=version)
+                milestone(sim, ctx.now, ctx.rank, "version_agreed",
+                          epoch=ftx.epoch, version=version)
                 payload = None
                 if version >= 0:
                     payload = yield from ftx.read_state_checkpoint(version)
                 work = yield from program.restore(ftx, payload)
-                failures.fold(ctx.now, ctx.rank, "restore", epoch=ftx.epoch,
-                              version=version)
-                failures.fold(ctx.now, ctx.rank, "rollback", epoch=ftx.epoch)
-                if tracer.enabled:
-                    tracer.emit(ctx.now, ctx.rank, "restore",
-                                dur=ctx.now - t_restore, epoch=ftx.epoch,
-                                version=version)
-                    tracer.emit(ctx.now, ctx.rank, "rollback",
-                                epoch=ftx.epoch, version=version)
+                milestone(sim, ctx.now, ctx.rank, "restore",
+                          dur=ctx.now - t_restore, epoch=ftx.epoch,
+                          version=version)
+                milestone(sim, ctx.now, ctx.rank, "rollback",
+                          epoch=ftx.epoch, version=version)
             result = yield from program.run(ftx, work)
             # completion consensus: nobody declares the job done until the
             # whole team reached this point — a member dying in its final
@@ -271,10 +259,8 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             }
         except FailureAcknowledged as ack:
             notice: FailureNotice = ack.notice
-            failures.fold(ctx.now, ctx.rank, "failure_ack", epoch=notice.epoch)
-            if tracer.enabled:
-                tracer.emit(ctx.now, ctx.rank, "failure_ack",
-                            epoch=notice.epoch)
+            milestone(sim, ctx.now, ctx.rank, "failure_ack",
+                      epoch=notice.epoch)
             if not notice.recoverable:
                 yield from _announce_done(ctx, cfg, block)
                 return {
@@ -283,13 +269,12 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                     "counters": dict(ftx.counters),
                     "t_done": ctx.now,
                 }
-            ftx = yield from _rebuild_context(ctx, cfg, block, notice, ftx, pfs)
+            ftx = yield from _rebuild_context(ctx, cfg, block, notice, ftx)
             mode = "restore"
 
 
 def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-              program: FTProgram, pfs: Optional[ParallelFileSystem] = None,
-              ) -> Generator[Any, Any, Dict[str, Any]]:
+              program: FTProgram) -> Generator[Any, Any, Dict[str, Any]]:
     """Generator: wait to be needed (idle side of Fig. 3)."""
     seen_epoch = 0
     is_watchdog = cfg.fd_redundancy and ctx.rank == cfg.watchdog_rank
@@ -302,39 +287,36 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             seen_epoch = notice.epoch
             if ctx.rank in notice.rescues and ctx.rank in notice.logical_of:
                 ftx = yield from _rebuild_context(ctx, cfg, block, notice,
-                                                  None, pfs)
+                                                  None)
                 return (yield from worker_loop(ctx, cfg, block, program, ftx,
-                                               mode="restore", pfs=pfs))
+                                               mode="restore"))
         if is_watchdog and ctx.now >= next_fd_check:
             next_fd_check = ctx.now + cfg.fd_scan_period
             ret = yield from ctx.proc_ping(cfg.fd_rank, GASPI_BLOCK)
             if ret is ReturnCode.ERROR:
-                return (yield from _fd_role(ctx, cfg, block, program, pfs,
+                return (yield from _fd_role(ctx, cfg, block, program,
                                             takeover=True))
         yield Sleep(cfg.idle_poll)
 
 
 def _fd_role(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-             program: FTProgram, pfs: Optional[ParallelFileSystem],
-             takeover: bool = False):
+             program: FTProgram, takeover: bool = False):
     """Generator: run as FD; become the last rescue if spares run out."""
     outcome, stats = yield from fd_process(ctx, cfg, block=block,
                                            takeover=takeover)
     if outcome == "rescue":
         notice = block.read_notice()
-        ftx = yield from _rebuild_context(ctx, cfg, block, notice, None, pfs)
+        ftx = yield from _rebuild_context(ctx, cfg, block, notice, None)
         result = yield from worker_loop(ctx, cfg, block, program, ftx,
-                                        mode="restore", pfs=pfs)
+                                        mode="restore")
         result["fd_stats"] = stats
         return result
     return {"status": f"fd-{outcome}", "fd_stats": stats}
 
 
-def ft_main(cfg: FTConfig, program: FTProgram,
-            pfs_factory: Optional[Callable[..., ParallelFileSystem]] = None,
-            ) -> Callable[[GaspiContext], Any]:
+def ft_main(cfg: FTConfig,
+            program: FTProgram) -> Callable[[GaspiContext], Any]:
     """Build the per-rank main function for :func:`run_gaspi`."""
-    pfs_cache: Dict[int, ParallelFileSystem] = {}
     # the identity map is the same on every worker and never mutated
     # (recoveries build fresh maps), so all initial Teams share one dict
     # and one interned membership
@@ -342,18 +324,13 @@ def ft_main(cfg: FTConfig, program: FTProgram,
     initial_members = _Members.intern(tuple(range(cfg.n_workers)))
 
     def main(ctx: GaspiContext):
-        pfs = None
-        if pfs_factory is not None:
-            if not pfs_cache:
-                pfs_cache[0] = pfs_factory(ctx.world.sim)
-            pfs = pfs_cache[0]
         block = ControlBlock(ctx, cfg)
         block.init_local()
         role = cfg.role_of(ctx.rank)
         if role is Role.FD:
-            return (yield from _fd_role(ctx, cfg, block, program, pfs))
+            return (yield from _fd_role(ctx, cfg, block, program))
         if role is Role.IDLE:
-            return (yield from idle_loop(ctx, cfg, block, program, pfs))
+            return (yield from idle_loop(ctx, cfg, block, program))
         group = ctx.group_create(tag=0)
         group.adopt_members(initial_members)
         team = Team(
@@ -364,10 +341,9 @@ def ft_main(cfg: FTConfig, program: FTProgram,
             guard=CommGuard(partial(block.check_failure, 0)),
             comm_timeout=cfg.comm_timeout,
         )
-        ftx = FTContext.build(ctx, cfg, block, team, epoch=0, extra_nodes=[],
-                              pfs=pfs)
+        ftx = FTContext.build(ctx, cfg, block, team, epoch=0, extra_nodes=[])
         return (yield from worker_loop(ctx, cfg, block, program, ftx,
-                                       mode="fresh", pfs=pfs))
+                                       mode="fresh"))
 
     return main
 
@@ -432,11 +408,10 @@ def run_ft_application(
     gaspi_config: Optional[GaspiConfig] = None,
     fault_plan: Optional[FaultPlan] = None,
     until: Optional[float] = None,
-    pfs_factory: Optional[Callable[..., ParallelFileSystem]] = None,
 ) -> FTRunResult:
     """Run a fault-tolerant application on a simulated cluster."""
     run = run_gaspi(
-        ft_main(cfg, program, pfs_factory=pfs_factory),
+        ft_main(cfg, program),
         n_ranks=cfg.n_ranks,
         machine_spec=machine_spec,
         config=gaspi_config,

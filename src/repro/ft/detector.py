@@ -35,10 +35,10 @@ Detection latency as measured in Figure 4/Table I therefore decomposes as
 error timeout — the flat-in-node-count sum the paper reports.
 
 Observability (``repro.obs``): the ``detection`` instant at scan
-resolution and the end of the notice broadcast are folded into the run's
-failure log (``sim.failure_log``); the tracer mirrors them as a
-``detection`` event and a ``broadcast_flags`` span, next to per-ping
-``ping`` events.
+resolution and the ``broadcast_flags`` span ending with the notice
+broadcast are lifecycle milestones (``repro.obs.timeline.milestone``):
+each is folded into the run's failure log (``sim.failure_log``) and
+traced with the same call, next to per-ping ``ping`` events.
 """
 
 from __future__ import annotations
@@ -54,6 +54,7 @@ from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock
 from repro.ft.roles import Role
 from repro.ft.spares import SparePool
+from repro.obs.timeline import milestone
 
 #: payload of the passive message that shuts the FD down at job end
 FD_STOP = "fd-stop"
@@ -181,21 +182,15 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         block.compose_notice(epoch, assignment.failed, assignment.rescues,
                              statuses, rank_map_arr)
         healthy = rankstate.healthy_targets(avoid, statuses)
-        failures = ctx.world.sim.failure_log
-        failures.fold(t_detected, ctx.rank, "detection", epoch=epoch,
-                      failed=assignment.failed, rescues=assignment.rescues)
-        tracer = ctx.tracer
-        if tracer.enabled:
-            tracer.emit(t_detected, ctx.rank, "detection", epoch=epoch,
-                        failed=list(assignment.failed),
-                        rescues=list(assignment.rescues),
-                        fd_joined=assignment.fd_joined)
+        sim = ctx.world.sim
+        milestone(sim, t_detected, ctx.rank, "detection", epoch=epoch,
+                  failed=list(assignment.failed),
+                  rescues=list(assignment.rescues),
+                  fd_joined=assignment.fd_joined)
         yield from block.broadcast(healthy, timeout=cfg.comm_timeout)
-        failures.fold(ctx.now, ctx.rank, "broadcast_flags", epoch=epoch)
-        if tracer.enabled:
-            tracer.emit(ctx.now, ctx.rank, "broadcast_flags",
-                        dur=ctx.now - t_detected, epoch=epoch,
-                        n_targets=len(healthy))
+        milestone(sim, ctx.now, ctx.rank, "broadcast_flags",
+                  dur=ctx.now - t_detected, epoch=epoch,
+                  n_targets=len(healthy))
         stats.detections.append(DetectionEvent(
             epoch=epoch,
             t_detected=t_detected,

@@ -151,9 +151,9 @@ def ring_neighbors(ring_nodes: np.ndarray) -> np.ndarray:
     ``ring_nodes[i]`` is the node hosting ring position ``i`` (positions
     are the sorted participants).  Returns ``out[i]`` = the first ring
     position after ``i`` (cyclically) on a *different* node, or ``-1``
-    when every participant shares one node — the per-position
-    equivalent of :func:`repro.checkpoint.neighbor.neighbor_of`, built
-    in O(n) instead of an O(n) rescan per rank.
+    when every participant shares one node — the checkpoint ring rule
+    of :func:`repro.checkpoint.neighbor.neighbor_map`, built in O(n)
+    instead of an O(n) rescan per rank.
 
     Works off the node-change points of the ring: with no change point
     in ``[i, k)``, positions ``i..k`` all share ``ring_nodes[i]``, so

@@ -33,7 +33,8 @@ redone iterations are OHF4.
 Tracer events (``repro.obs``): a ``proc_kill`` span per enforced kill, a
 ``group_rebuild`` span ending at commit success, and a ``spare_promote``
 span on each rescue covering its whole identity-adoption.  The last two
-are also folded into the run's failure log (``sim.failure_log``).
+are lifecycle milestones: the call that traces each also folds it into
+the run's failure log (``sim.failure_log``).
 """
 
 from __future__ import annotations
@@ -45,9 +46,10 @@ from typing import Any, Generator, List, Optional
 from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
-from repro.checkpoint.neighbor import neighbor_of
+from repro.checkpoint.neighbor import neighbor_map
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
+from repro.obs.timeline import milestone
 from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.team import Team
 
@@ -76,7 +78,7 @@ def restore_sources(ctx: GaspiContext, notice: FailureNotice) -> List[int]:
     back = dict(zip(notice.rescues, notice.failed))
     old_ranks = sorted(back.get(p, p) for p in notice.rank_map.values())
     nodes = [machine.node_of(failed_phys)]
-    old_neighbor = neighbor_of(failed_phys, old_ranks, machine.node_of)
+    old_neighbor = neighbor_map(old_ranks, machine.node_of)[failed_phys]
     if old_neighbor is not None:
         nodes.append(machine.node_of(old_neighbor))
     return nodes
@@ -144,19 +146,14 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             ctx.group_delete(group)
             continue
 
-        failures = ctx.world.sim.failure_log
-        failures.fold(ctx.now, ctx.rank, "group_rebuild", epoch=notice.epoch)
+        sim = ctx.world.sim
+        milestone(sim, ctx.now, ctx.rank, "group_rebuild",
+                  dur=ctx.now - t_rebuild, epoch=notice.epoch,
+                  size=len(rank_map))
         if was_rescue:
-            failures.fold(ctx.now, ctx.rank, "spare_promote",
-                          dur=ctx.now - t_start, epoch=notice.epoch)
-        if tracer.enabled:
-            tracer.emit(ctx.now, ctx.rank, "group_rebuild",
-                        dur=ctx.now - t_rebuild, epoch=notice.epoch,
-                        size=len(rank_map))
-            if was_rescue:
-                tracer.emit(ctx.now, ctx.rank, "spare_promote",
-                            dur=ctx.now - t_start, epoch=notice.epoch,
-                            logical=my_logical)
+            milestone(sim, ctx.now, ctx.rank, "spare_promote",
+                      dur=ctx.now - t_start, epoch=notice.epoch,
+                      logical=my_logical)
         team = Team(ctx=ctx, group=group, logical_rank=my_logical,
                     rank_map=rank_map, comm_timeout=cfg.comm_timeout,
                     guard=CommGuard(partial(block.check_failure, notice.epoch)))

@@ -16,10 +16,12 @@ when failures overlap.  Checkpoint-manager ``restore`` events without an
 here — they stay in the raw trace but belong to no failure chain.
 
 One fold, two feeds.  :class:`FailureLog` folds milestones online: every
-simulator keeps one (``sim.failure_log``) that the emission sites feed
-whether or not a tracer is installed, and Figure 4's decomposition reads
-its records.  :func:`build_timelines` replays a stored trace through the
-same fold, so a traced run's records equal its log's.
+simulator keeps one (``sim.failure_log``), and Figure 4's decomposition
+reads its records.  Each lifecycle site makes one :func:`milestone`
+call, which folds the milestone into that log whether or not a tracer
+is installed and, when tracing, emits the same event.
+:func:`build_timelines` replays a stored trace through the same fold,
+so a traced run's records equal its log's.
 
 Phase durations are non-negative by construction of the protocol: the
 group commit is a collective (all members finish together, after the
@@ -31,12 +33,16 @@ success, and restore/rollback happen after re-initialisation.  The
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, Iterable, List, Optional,
+                    Sequence, Tuple)
 
 from .tracer import (BROADCAST_FLAGS, DETECTION, FAILURE_ACK,
                      FAILURE_INJECTED, GROUP_REBUILD, LIFECYCLE_ETYPES,
                      RESTORE, ROLLBACK, SPARE_PROMOTE, VERSION_AGREED,
                      TraceEvent)
+
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.sim import Simulator
 
 #: phase names in lifecycle order, mapping to FailureRecord properties
 PHASES = (
@@ -206,6 +212,21 @@ class FailureLog:
     def records(self) -> List[FailureRecord]:
         """One record per epoch, ascending."""
         return [self._records[e] for e in sorted(self._records)]
+
+
+def milestone(sim: "Simulator", t: float, rank: int, etype: str,
+              dur: float = 0.0, **fields: Any) -> None:
+    """Record one lifecycle milestone of ``sim``'s run: fold it into the
+    run's failure log and, when tracing, emit the same event.
+
+    ``fields`` are the event's trace fields; the fold reads the ones it
+    needs and ignores the rest, exactly as :func:`build_timelines` does
+    when it replays the emitted event.
+    """
+    sim.failure_log.fold(t, rank, etype, dur, **fields)
+    tracer = sim.tracer
+    if tracer.enabled:
+        tracer.emit(t, rank, etype, dur, **fields)
 
 
 def build_timelines(events: Iterable[TraceEvent],

@@ -10,8 +10,11 @@ from repro.checkpoint import (
     CheckpointManager,
     CheckpointNotFound,
     NodeLocalStore,
+    make_checkpoint_lib,
 )
+from repro.checkpoint.manager import LOCAL_BANDWIDTH
 from repro.gaspi import run_gaspi
+from repro.obs.tracer import Tracer
 from repro.sim import Simulator, Sleep, WaitEvent
 
 
@@ -156,15 +159,13 @@ def test_refresh_changes_neighbor_after_failure():
 
 def test_checkpoint_write_cost_scales_with_nominal_bytes():
     def main(ctx):
-        cfg = CheckpointConfig(local_bandwidth=1e9)
         lib = CheckpointLib(ctx, logical_rank=0, participants=[0])
-        lib.config = cfg
         t0 = ctx.now
         yield from lib.write_checkpoint(0, {"x": np.zeros(2)}, nominal_bytes=10**9)
         return ctx.now - t0
 
     run = run_gaspi(main, n_ranks=1)
-    assert run.result(0) == pytest.approx(1.0, rel=0.01)
+    assert run.result(0) == pytest.approx(10**9 / LOCAL_BANDWIDTH, rel=0.01)
 
 
 def test_staging_buffer_reused_and_old_versions_stay_intact():
@@ -224,6 +225,47 @@ def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
     assert before["mirror_ops"] == after["mirror_ops"] == 1
     assert before["mirror_bytes"] == after["mirror_bytes"]
     assert after["restore_neighbor_ops"] == 1
+
+
+@pytest.mark.parametrize("source", ["local", "neighbor", "replicated", "pfs"])
+def test_each_restore_is_counted_and_traced_once(source):
+    """Every backend's restore ends in the manager's one epilogue: it adds
+    1 to ``restore_ops`` and to ``restore_<source>_ops`` and emits one
+    ``restore`` event with that ``source``."""
+    backend = "neighbor" if source in ("local", "neighbor") else source
+    cfg = CheckpointConfig(backend=backend)
+    # rank 0 writes logical rank 0's blob; for a neighbor-sourced restore
+    # rank 2 reads it from rank 0's mirror on node 1, else rank 0 reads it
+    reader = 2 if source == "neighbor" else 0
+    sim = Simulator()
+    sim.tracer = tracer = Tracer()
+
+    def main(ctx):
+        logical = 0 if ctx.rank == reader else ctx.rank
+        lib = make_checkpoint_lib(ctx, logical, range(4), cfg)
+        if ctx.rank == 0:
+            protected = yield from lib.write_checkpoint(0, {"x": np.arange(4.0)})
+            yield WaitEvent(protected, 10.0)
+        yield Sleep(20.0)
+        if ctx.rank != reader:
+            return None
+        totals = CheckpointManager.of(ctx.world).phase_totals
+        before = dict(totals)
+        _, payload = yield from lib.read_checkpoint(extra_nodes=[1],
+                                                    reprotect=False)
+        return before, dict(totals), list(payload["x"])
+
+    run = run_gaspi(main, n_ranks=4, sim=sim)
+    before, after, restored = run.result(reader)
+    assert restored == [0.0, 1.0, 2.0, 3.0]
+    ops = ["restore_ops"] + [f"restore_{s}_ops" for s in
+                             ("local", "neighbor", "replicated", "pfs")]
+    assert {key: after[key] - before[key] for key in ops} == {
+        key: int(key in ("restore_ops", f"restore_{source}_ops"))
+        for key in ops}
+    restores = [ev for ev in tracer.events() if ev.etype == "restore"]
+    assert [(ev.rank, ev.fields["source"]) for ev in restores] == [
+        (reader, source)]
 
 
 def _mirror_run(kill_at=None):

@@ -17,7 +17,11 @@ from hypothesis import strategies as st
 
 from repro.checkpoint import (
     CheckpointConfig,
+    CheckpointLib,
+    CheckpointManager,
     CheckpointNotFound,
+    ParallelFileSystem,
+    PfsCheckpointLib,
     ReplicatedCheckpointLib,
     make_checkpoint_lib,
     replica_holder_map,
@@ -202,17 +206,26 @@ def test_owner_death_alone_loses_nothing():
 # factory
 # ----------------------------------------------------------------------
 def test_factory_dispatch_and_unknown_backend():
+    """The config alone picks the library; the pfs backend's store is the
+    world's one parallel file system, shared by every rank."""
+    libs = {"neighbor": CheckpointLib, "pfs": PfsCheckpointLib,
+            "replicated": ReplicatedCheckpointLib}
+
     def main(ctx):
-        cfg = CheckpointConfig(backend="replicated")
-        lib = make_checkpoint_lib(ctx, ctx.rank, [0, 1], config=cfg)
-        assert isinstance(lib, ReplicatedCheckpointLib)
+        made = {backend: make_checkpoint_lib(ctx, ctx.rank, [0, 1],
+                                             CheckpointConfig(backend=backend))
+                for backend in libs}
+        assert {backend: type(lib) for backend, lib in made.items()} == libs
         with pytest.raises(ValueError, match="unknown checkpoint backend"):
             make_checkpoint_lib(ctx, ctx.rank, [0, 1],
                                 config=CheckpointConfig(backend="nfs"))
-        return None
+        return made["pfs"].pfs
         yield  # pragma: no cover - makes main a generator
 
-    run_gaspi(main, n_ranks=2)
+    run = run_gaspi(main, n_ranks=2)
+    assert isinstance(run.result(0), ParallelFileSystem)
+    assert run.result(0) is run.result(1)
+    assert run.result(0) is CheckpointManager.of(run.world).pfs
 
 
 def test_severed_holder_times_out_and_releases_the_fifo():

@@ -10,7 +10,6 @@ from repro.checkpoint import (
     ParallelFileSystem,
     StoredBlob,
     neighbor_map,
-    neighbor_of,
 )
 
 
@@ -134,22 +133,19 @@ class TestParallelFileSystem:
 class TestNeighborSelection:
     def test_simple_ring_one_rank_per_node(self):
         node_of = lambda r: r
-        participants = [0, 1, 2, 3]
-        assert neighbor_of(0, participants, node_of) == 1
-        assert neighbor_of(3, participants, node_of) == 0
+        m = neighbor_map([0, 1, 2, 3], node_of)
+        assert m[0] == 1
+        assert m[3] == 0
 
     def test_skips_ranks_on_same_node(self):
         node_of = lambda r: r // 2  # ranks (0,1) on node 0, (2,3) on node 1
-        assert neighbor_of(0, [0, 1, 2, 3], node_of) == 2
-        assert neighbor_of(3, [0, 1, 2, 3], node_of) == 0
+        m = neighbor_map([0, 1, 2, 3], node_of)
+        assert m[0] == 2
+        assert m[3] == 0
 
     def test_no_other_node_returns_none(self):
         node_of = lambda r: 0
-        assert neighbor_of(0, [0, 1], node_of) is None
-
-    def test_non_participant_rejected(self):
-        with pytest.raises(ValueError):
-            neighbor_of(9, [0, 1], lambda r: r)
+        assert neighbor_map([0, 1], node_of)[0] is None
 
     def test_map_covers_all_participants(self):
         node_of = lambda r: r
@@ -158,7 +154,7 @@ class TestNeighborSelection:
 
     def test_refreshed_ring_after_failure(self):
         node_of = lambda r: r
-        before = neighbor_of(1, [0, 1, 2, 3], node_of)
-        after = neighbor_of(1, [0, 1, 3], node_of)  # rank 2 failed
+        before = neighbor_map([0, 1, 2, 3], node_of)[1]
+        after = neighbor_map([0, 1, 3], node_of)[1]  # rank 2 failed
         assert before == 2
         assert after == 3

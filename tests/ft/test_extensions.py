@@ -46,11 +46,12 @@ class TestMultiRankNodes:
 
     def test_checkpoint_neighbor_on_different_node(self):
         """With 2 ranks/node the checkpoint neighbor must skip the co-host."""
-        from repro.checkpoint import neighbor_of
+        from repro.checkpoint import neighbor_map
         from repro.sim import Simulator
         from repro.cluster import Machine
 
         sim = Simulator()
         m = Machine(sim, MachineSpec(n_nodes=3, procs_per_node=2))
-        assert neighbor_of(0, [0, 1, 2, 3, 4, 5], m.node_of) == 2
-        assert neighbor_of(5, [0, 1, 2, 3, 4, 5], m.node_of) == 0
+        neighbors = neighbor_map([0, 1, 2, 3, 4, 5], m.node_of)
+        assert neighbors[0] == 2
+        assert neighbors[5] == 0

@@ -10,10 +10,14 @@ import dataclasses
 
 import pytest
 
+from repro.checkpoint import CheckpointConfig, CheckpointManager
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
+from repro.experiments.common import machine_for
 from repro.ft import FTConfig, run_ft_application
 from repro.solvers.ft_lanczos import FTLanczos
 from repro.spmvm.matgen import GrapheneSheet
+from repro.workloads.kernels import ModelLanczosProgram
+from repro.workloads.spec import scaled_spec
 
 
 class StepTime:
@@ -94,6 +98,18 @@ class TestFailureFree:
         log = result.run.sim.failure_log
         assert log.folded == 0
         assert result.failures() == []
+
+    def test_pfs_backend_is_chosen_by_its_config_alone(self):
+        """The checkpoint config is the whole backend contract: the pfs
+        backend writes to the world's parallel file system with no other
+        input to the FT driver."""
+        cfg = FTConfig(n_workers=8, n_spares=2,
+                       checkpoint=CheckpointConfig(backend="pfs"))
+        program = ModelLanczosProgram(scaled_spec(workers=8, iterations=40))
+        result = run_ft_application(cfg, program,
+                                    machine_spec=machine_for(cfg), until=2000)
+        assert result.status == "done"
+        assert CheckpointManager.of(result.run.world).pfs.stats["writes"] > 0
 
 
 class TestSingleFailure:

@@ -13,8 +13,8 @@ Recorded outputs pin the simulator's observable behaviour:
   recommits after the first (the superseded-commit path of recovery);
 * ``recovery_compare.json`` — the full-precision ``recovery_compare``
   backend rows (neighbor, pfs, replicated) at 16 and 64 ranks;
-* ``figure4_tiny.sha256`` — the digest of the ``figure4 --scale tiny
-  --trace`` JSONL file;
+* ``figure4_tiny.sha256`` — the digest of the ``trace.jsonl`` file that
+  ``repro trace figure4 --scale tiny`` writes;
 * ``numeric16.json`` — a real FT Lanczos run (16 workers, 4 spares, two
   kills) on a small disordered graphene sheet: status, elapsed time,
   steps, the lowest eigenvalues as exact floats, the SHA-256 of the
@@ -40,7 +40,7 @@ import pytest
 from repro.checkpoint import CheckpointConfig
 from repro.checkpoint.manager import CheckpointManager
 from repro.cluster import FaultPlan, MachineSpec
-from repro.experiments import figure4
+from repro.experiments import trace as trace_cli
 from repro.experiments.common import run_ft_scenario
 from repro.experiments.recovery_compare import measure_backend
 from repro.experiments.sweep import SweepTrace
@@ -208,9 +208,8 @@ def numeric48_late_kill():
 
 
 def figure4_tiny_digest(tmp_dir: Path) -> str:
-    path = tmp_dir / "figure4_tiny.jsonl"
-    figure4.main(["--scale", "tiny", "--trace", str(path)])
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    trace_cli.main(["figure4", "--scale", "tiny", "--out", str(tmp_dir)])
+    return hashlib.sha256((tmp_dir / "trace.jsonl").read_bytes()).hexdigest()
 
 
 def _key(kill) -> str:
