@@ -326,7 +326,7 @@ class FT008SegmentEpoch(_FlowRule):
                     continue
                 receiver = _receiver_chain(call.func)
                 keys = _seg_keys(call, op, receiver)
-                if op in ("segment_create", "segment_create_pooled"):
+                if op == "segment_create":
                     created = (f"{receiver}:{_unparse(_arg(call, 0, 'segment_id'))}",)
                     state = frozenset(
                         f for f in state

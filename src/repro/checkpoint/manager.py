@@ -82,12 +82,6 @@ from repro.checkpoint.store import (
 #: valid values of :attr:`CheckpointConfig.backend` (see ``CHECKPOINTS.md``)
 BACKENDS = ("neighbor", "pfs", "replicated")
 
-#: GASPI segment id of every copying library's landing window (a world
-#: runs one backend, so the neighbor and replicated schemes share it)
-COPY_SEGMENT = 60
-#: landing window size (bytes); blobs larger than this stage a prefix
-#: while the time model still charges the full nominal size
-COPY_WINDOW = 64 * 1024
 #: node-local store bandwidth (ramdisk/SSD), bytes/s: prices every local
 #: checkpoint write and read
 LOCAL_BANDWIDTH = 5.0e9
@@ -149,12 +143,8 @@ class _CopySource:
         self.logical_rank = logical_rank
         self.config = config
         self.refresh(participants)
-        # the copy data plane: a landing window plus a dedicated queue, so
-        # copies never contend with the application's queue 0 (the paper's
-        # library thread does the same).  Every rank's window has the same
-        # shape, so they share one pooled arena allocation.
-        if COPY_SEGMENT not in ctx.segments:
-            ctx.segment_create_pooled(COPY_SEGMENT, COPY_WINDOW)
+        # copies ride a dedicated queue, so they never contend with the
+        # application's queue 0 (the paper's library thread does the same)
         self._copy_queue = ctx.queue_create()
         self._copy_queue_obj = ctx.queue(self._copy_queue)
         #: the per-library FIFO of the paper's helper thread: the copy
@@ -381,23 +371,11 @@ class _Copy:
     holder: int
     node_id: int
     expected: float = 0.0
-    stage: int = 0
-    segment: Optional[Any] = None
 
     def apply(self) -> None:
-        """Delivery callback: land the staged bytes in the holder's
-        window, then the landing rule.
-
-        The remote window was resolved during flush classification; the
-        blob snapshot is immutable, so slicing the staged prefix here is
-        byte-identical to binding it at post time.  A writer that died
-        mid-flight takes no completion actions.
-        """
-        stage = self.stage
-        data = self.request.blob.data
-        self.segment.write_view(0, stage)[:] = (
-            data if stage == len(data) else memoryview(data)[:stage]
-        )
+        """Delivery callback: settle the copy by the landing rule, which
+        stores the blob itself on the holder's node.  A writer that died
+        mid-flight takes no completion actions."""
         lib = self.request.lib
         if lib._endpoint_obj.alive:
             lib._manager._settle(self, lib.land(self))
@@ -446,7 +424,6 @@ class CheckpointManager:
     _ATTR = "_checkpoint_manager"
 
     def __init__(self, world: Any) -> None:
-        self.world = world
         self.sim = world.sim
         self.machine = world.machine
         self.transport = world.transport
@@ -673,11 +650,10 @@ class CheckpointManager:
     def _flush(self) -> None:
         """Close the tick's round and drive every copy to completion.
 
-        Holderless requests finish immediately; copies whose transfer is
-        only modeled (holder without a landing window, empty staging
-        prefix, or a full copy queue) land after their expected transfer
-        time; the rest ship as one scatter round on each library's
-        dedicated copy queue, land at delivery+ack with the path
+        Holderless requests finish immediately; a copy whose library's
+        copy queue is full is only modeled and lands after its expected
+        transfer time; the rest ship as one scatter round on each
+        library's dedicated copy queue, land at delivery+ack with the path
         re-checked there, and a severed path leaves the op hung until the
         flush timeout purges the queue.  A writer that died mid-flight
         takes no completion actions.
@@ -705,23 +681,17 @@ class CheckpointManager:
             np.fromiter((c.request.blob.nominal_bytes for c in copies),
                         dtype=np.int64, count=n),
         ).tolist()
-        contexts = self.world.contexts
         modeled: List[_Copy] = []
         modeled_t = []
         wired: List[_Copy] = []
         for copy, t_expected in zip(copies, expected):
             copy.expected = t_expected
-            segment = contexts[copy.holder].segments.find(COPY_SEGMENT)
-            stage = min(len(copy.request.blob.data), COPY_WINDOW)
-            if (segment is None or stage == 0
-                    or copy.request.lib._copy_queue_obj.full):
-                # nothing to ship into, or QUEUE_FULL: the copy is only
-                # modeled — delivered after its expected transfer time
+            if copy.request.lib._copy_queue_obj.full:
+                # QUEUE_FULL: the copy is only modeled — delivered after
+                # its expected transfer time
                 modeled.append(copy)
                 modeled_t.append(now + t_expected)
                 continue
-            copy.stage = stage
-            copy.segment = segment
             wired.append(copy)
         if modeled:
             t_arr = np.asarray(modeled_t, dtype=np.float64)
@@ -730,9 +700,7 @@ class CheckpointManager:
 
                 def land_modeled(group: List[_Copy] = group) -> None:
                     for copy in group:
-                        lib = copy.request.lib
-                        if lib._endpoint_obj.alive:
-                            self._settle(copy, lib.land(copy))
+                        copy.apply()
 
                 sim.schedule_at(t_val, land_modeled)
         if wired:
@@ -742,21 +710,16 @@ class CheckpointManager:
         srcs: List[int] = []
         dsts: List[Optional[int]] = []
         sizes: List[int] = []
-        write_counts: List[int] = []
         apply_fns: List[Callable[[], Any]] = []
         hang_fns: List[Callable[[], None]] = []
         for copy in wired:
             srcs.append(copy.request.lib.ctx.rank)
             dsts.append(copy.holder)
             sizes.append(copy.request.blob.nominal_bytes)
-            # the staged prefix travels as <= 8 list entries (the read
-            # path's chunking); rdma_writes counts the entries
-            chunk = max(1, (copy.stage + 7) // 8)
-            write_counts.append(-(-copy.stage // chunk))
             apply_fns.append(copy.apply)
             hang_fns.append(copy.hang)
         events = self.transport.post_rdma_scatter(
-            srcs, dsts, sizes, apply_fns, hang_fns, write_counts
+            srcs, dsts, sizes, apply_fns, hang_fns
         )
         for copy, event in zip(wired, events):
             copy.request.lib._copy_queue_obj.post(event)

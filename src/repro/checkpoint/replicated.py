@@ -48,8 +48,6 @@ from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.manager import (
-    COPY_SEGMENT,
-    COPY_WINDOW,
     LOCAL_BANDWIDTH,
     CheckpointConfig,
     CheckpointLib,
@@ -89,6 +87,11 @@ def replica_holder_map(
     }
 
 
+def _fetched() -> None:
+    """Delivery of one replica share: the restore unpacks the blob from
+    the holder's store, so the op only carries time and liveness."""
+
+
 # ----------------------------------------------------------------------
 # the ReStore backend
 # ----------------------------------------------------------------------
@@ -105,17 +108,20 @@ class ReplicatedCheckpointLib(_CopySource):
       tick for all ranks' copies together).  The returned event fires
       with the number of copies that actually landed.
     * **recovery** — look up where replicas *actually* landed (the
-      manager's location index), fetch the surviving set with one batched
-      ``read_list`` per holder (each priced as its share of the blob),
-      and CRC-validate the unpacked payload.  Tolerates any ``r - 1``
-      concurrent rank losses; when losses exceed that, the raised
-      :class:`CheckpointNotFound` names the dead holders (the
+      manager's location index), fetch the surviving set with one list
+      read per holder on the fetch queue (each priced as its share of
+      the blob), and CRC-validate the unpacked payload.  Tolerates any
+      ``r - 1`` concurrent rank losses; when losses exceed that, the
+      raised :class:`CheckpointNotFound` names the dead holders (the
       detect-and-report path).
 
     A replica lives in the *process* memory of its holder: a dead holder
     endpoint loses the copy even if its node survived, and a wiped node
     loses every copy it hosted (the ``"repl:"``-namespaced store keys die
-    with ``Node.wipe``).
+    with ``Node.wipe``).  Both copy directions move the blob object
+    itself: a scatter lands it in the holder's node store, and a fetch
+    restores the one it finds there; the transport ops carry the time,
+    queue slots and liveness.
     """
 
     def __init__(
@@ -249,14 +255,15 @@ class ReplicatedCheckpointLib(_CopySource):
         """Generator: restore ``(version, payload)`` from the replica set.
 
         The fetch splits the blob evenly across every usable holder and
-        issues one batched ``read_list`` per holder on the dedicated
-        fetch queue (each priced as its share), then waits once for the
-        whole batch — recovery latency is the *slowest share*, which
-        shrinks as more holders survive.  A holder dying mid-fetch times
-        the wait out; the queue is purged and the fetch retried against
-        the re-filtered survivor set (bounded by the recorded holder
-        count).  The unpacked payload is CRC-validated, proving the
-        restored bytes identical to the committed ones.
+        posts one list read per holder on the dedicated fetch queue (each
+        priced as its share), then waits once for the whole batch —
+        recovery latency is the *slowest share*, which shrinks as more
+        holders survive.  A holder dying mid-fetch times the wait out;
+        the queue is purged and the fetch retried against the re-filtered
+        survivor set (bounded by the recorded holder count).  The blob
+        comes from the holder's store and its unpacked payload is
+        CRC-validated, proving the restored bytes identical to the
+        committed ones.
 
         Raises :class:`CheckpointNotFound` naming the dead holders when
         losses exceeded the ``r - 1`` tolerance.  With ``reprotect``
@@ -275,13 +282,13 @@ class ReplicatedCheckpointLib(_CopySource):
         t0 = self.ctx.now
         ctx = self.ctx
         manager = self._manager
+        transport = manager.transport
         network = self.machine.network
-        seg_id = COPY_SEGMENT
+        fetch = ctx.queue(self._fetch_queue)
         recorded = manager.replica_holders_of(key)
         for _ in range(len(recorded) + 1):
             usable = self._usable_holders(key)
             if not usable:
-                transport = ctx.world.transport
                 dead = [h for h in recorded
                         if not transport.endpoint(h).alive]
                 raise CheckpointNotFound(
@@ -300,24 +307,15 @@ class ReplicatedCheckpointLib(_CopySource):
                 t_wait = max(t_wait, network.transfer_time(
                     self._my_node, node_id, share
                 ))
-                stage = min(len(blob.data), COPY_WINDOW)
-                remote = ctx.world.contexts[holder].segments.find(seg_id)
-                if stage == 0 or remote is None:
-                    continue  # modeled share; its time is in t_wait
-                chunk = max(1, (stage + 7) // 8)
-                entries = []
-                off = 0
-                while off < stage:
-                    n = min(chunk, stage - off)
-                    entries.append((seg_id, off, n, seg_id, off))
-                    off += n
-                ret = ctx.read_list(entries, holder,
-                                    queue_id=self._fetch_queue,
-                                    modeled_bytes=share)
-                if ret is ReturnCode.SUCCESS:
-                    posted += 1
-                # QUEUE_FULL: the share stays modeled, time already in
-                # t_wait (checked before any yield, per FT004)
+                if fetch.full:
+                    # QUEUE_FULL: the share stays modeled, time already in
+                    # t_wait (checked before any yield, per FT004)
+                    continue
+                fetch.post(transport.post_rdma_list(
+                    ctx.rank, holder, (share,), _fetched,
+                    doorbell=self._fetch_queue,
+                ))
+                posted += 1
             if posted:
                 ret = yield from ctx.wait(self._fetch_queue,
                                           timeout=t_wait * 1.5 + 1.0)
@@ -374,7 +372,6 @@ class PfsCheckpointLib:
         self.logical_rank = logical_rank
         self.config = config or CheckpointConfig(backend="pfs")
         self.pfs = self._manager.pfs
-        self.stats = {"local_writes": 0, "pfs_copies": 0, "pfs_reads": 0}
 
     @property
     def my_node(self) -> int:
@@ -397,8 +394,6 @@ class PfsCheckpointLib:
         blob = self._manager.pack_blob(payload, nominal_bytes)
         key: Key = (self.config.tag, self.logical_rank, version)
         yield from self.pfs.write(key, blob)
-        self.stats["local_writes"] += 1
-        self.stats["pfs_copies"] += 1
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(self.ctx.now, self.ctx.rank, "ckpt_write",
@@ -435,7 +430,6 @@ class PfsCheckpointLib:
             raise CheckpointNotFound(f"version {version} unavailable on PFS")
         t0 = self.ctx.now
         blob = yield from self.pfs.read(key)
-        self.stats["pfs_reads"] += 1
         return self._manager.restored(self.ctx.rank, version, blob, "pfs", t0)
 
 

@@ -181,16 +181,6 @@ class Transport:
         self._kill_handler: Optional[Callable[[int], None]] = None
         #: open same-tick doorbell batches, keyed by (src, doorbell key)
         self._doorbells: Dict[Tuple[int, Any], _DoorbellBatch] = {}
-        # counters for tests/benchmarks; "rdma" counts fabric operations,
-        # "rdma_writes" the constituent writes they carry (batching shrinks
-        # the former, never the latter).
-        self.stats: Dict[str, int] = {
-            "rdma": 0,
-            "rdma_writes": 0,
-            "ping": 0,
-            "control": 0,
-            "kill": 0,
-        }
 
     # ------------------------------------------------------------------
     # wiring
@@ -268,8 +258,6 @@ class Transport:
         process is alive and reachable *at delivery time*; otherwise the
         returned event never fires (the initiator's queue sees timeouts).
         """
-        self.stats["rdma"] += 1
-        self.stats["rdma_writes"] += 1
         done = Event(name=f"rdma:{src}->{dst}")
         lat = self._latency(src, dst, nbytes)
         ack = self._ack_latency(src, dst)
@@ -290,7 +278,6 @@ class Transport:
         sizes: Sequence[int],
         apply_fn: Callable[[], Any],
         doorbell: Any,
-        n_writes: Optional[int] = None,
     ) -> Event:
         """Batched one-sided operation: N writes to one target as a single
         simulated transfer (``gaspi_write_list`` semantics).
@@ -307,8 +294,6 @@ class Transport:
         per op at that moment: a target dying anywhere before completion
         hangs the op.
         """
-        self.stats["rdma"] += 1
-        self.stats["rdma_writes"] += len(sizes) if n_writes is None else n_writes
         done = Event(name=f"rdma_list:{src}->{dst}")
         lat = self._latency(src, dst, sum(sizes))
         ack = self._ack_latency(src, dst)
@@ -365,8 +350,6 @@ class Transport:
         plus one finalize.
         """
         dst_list = [int(d) for d in dsts]
-        self.stats["rdma"] += 1
-        self.stats["rdma_writes"] += len(dst_list)
         done = Event(name=f"rdma_round:{src}")
         n = len(dst_list)
         if n == 0:
@@ -411,7 +394,6 @@ class Transport:
         sizes: Sequence[int],
         apply_fns: Sequence[Callable[[], Any]],
         hang_fns: Optional[Sequence[Optional[Callable[[], None]]]] = None,
-        write_counts: Optional[Sequence[int]] = None,
     ) -> List[Event]:
         """Pairwise round of independent one-sided ops, priced together.
 
@@ -425,18 +407,12 @@ class Transport:
         :meth:`post_rdma_list` op posted by ``srcs[i]`` in the same tick.
         A down path leaves event ``i`` unfired (the initiator's queue sees
         timeouts) and invokes ``hang_fns[i]`` instead, letting the caller
-        arm its purge/timeout bookkeeping lazily.  ``write_counts[i]``
-        feeds the ``rdma_writes`` counter (the constituent writes each op
-        carries); each op counts as one fabric operation.
+        arm its purge/timeout bookkeeping lazily.
 
         Event cost is O(distinct completion times), not O(ops): a uniform
         fabric completes an entire mirror round in one callback.
         """
         n = len(srcs)
-        self.stats["rdma"] += n
-        self.stats["rdma_writes"] += (
-            n if write_counts is None else int(sum(write_counts))
-        )
         events = [Event(name="rdma_scatter") for _ in range(n)]
         if n == 0:
             return events
@@ -474,7 +450,6 @@ class Transport:
     def post_ping(self, src: int, dst: int) -> Event:
         """Health probe: completes ``(True, None)`` from a live target,
         ``(False, None)`` after ``error_timeout`` from a dead/cut one."""
-        self.stats["ping"] += 1
         done = Event(name=f"ping:{src}->{dst}")
         p = self.params
         broken = self._broken.get(src)
@@ -541,7 +516,6 @@ class Transport:
         event order of chained pings).  Duplicate targets in one sweep are priced
         off the post-time broken-set snapshot.
         """
-        self.stats["ping"] += len(targets)
         targets = list(targets)
         width = max(1, int(width))
         done = Event(name=f"pingsweep:{src}")
@@ -667,7 +641,6 @@ class Transport:
         Completes ``(True, None)`` once the target (alive at delivery time)
         has the message; never completes otherwise.
         """
-        self.stats["control"] += 1
         done = Event(name=f"ctl:{src}->{dst}:{kind}")
         lat = self._latency(src, dst, nbytes)
         t_sent = self.sim.now
@@ -692,7 +665,6 @@ class Transport:
         paper has *every* healthy rank issue the kill, so any rank with a
         working path enforces it).
         """
-        self.stats["kill"] += 1
         done = Event(name=f"kill:{src}->{dst}")
         lat = self._latency(src, dst, self.params.small_message)
 

@@ -70,22 +70,6 @@ class CompareRow:
         return self.ulfm_detection + self.ulfm_reconstruction
 
 
-def measure_gaspi(n_ranks: int) -> tuple:
-    """Detection + reconstruction (re-init) of the paper's scheme, plus
-    the checkpoint-restore phase's bytes/latency from the manager's
-    round-plane totals."""
-    spec = scaled_spec(workers=n_ranks, iterations=120,
-                       name=f"cmp-gaspi-{n_ranks}")
-    kill_t = spec.setup_time + spec.time_of_iteration(
-        spec.checkpoint_interval + spec.checkpoint_interval // 4)
-    outcome = run_ft_scenario(
-        f"gaspi-{n_ranks}", spec, kill_times=[(kill_t, 1)], n_spares=2,
-    )
-    phases = outcome.ckpt_phases
-    return (outcome.detection_time, outcome.reinit_time,
-            phases.get("restore_bytes", 0.0), phases.get("restore_s", 0.0))
-
-
 def measure_ulfm(n_ranks: int, error_timeout: float = 3.5) -> tuple:
     """Detection + revoke/agree/shrink of the ULFM pattern."""
     kill_t = 10.0
@@ -149,10 +133,11 @@ def measure_backend(n_ranks: int, backend: str = "neighbor",
                     failure_free: bool = False) -> Tuple:
     """One backend's detection/reconstruction/restore measurements.
 
-    Same scenario shape as :func:`measure_gaspi` (one process kill just
-    after a checkpoint round), with the checkpoint backend swapped via
-    the config knob; ``failure_free`` runs the identical workload without
-    the kill, so the restore phase never happens (the dash case).
+    One process kill just after a checkpoint round, with the checkpoint
+    backend picked by the config knob; the ``"neighbor"`` run is also the
+    GASPI column of the ULFM comparison.  ``failure_free`` runs the
+    identical workload without the kill, so the restore phase never
+    happens (the dash case).
     """
     spec = scaled_spec(workers=n_ranks, iterations=120,
                        name=f"cmp-{backend}-{n_ranks}")
@@ -176,7 +161,8 @@ def measure_backend(n_ranks: int, backend: str = "neighbor",
 def comparison_tasks(sizes: Sequence[int]) -> List[SweepTask]:
     tasks = []
     for n in sizes:
-        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_gaspi, (n,)))
+        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_backend,
+                               (n, "neighbor")))
         tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm, (n,)))
     return tasks
 
@@ -224,7 +210,7 @@ def run_backend_comparison(
 def _rows_from_results(sizes: Sequence[int], results: List) -> List[CompareRow]:
     rows = []
     for idx, n in enumerate(sizes):
-        g_det, g_rec, g_rbytes, g_rs = results[2 * idx]
+        g_det, g_rec, _, g_rbytes, g_rs = results[2 * idx]
         u_det, u_rec = results[2 * idx + 1]
         rows.append(CompareRow(
             n_ranks=n,

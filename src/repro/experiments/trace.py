@@ -50,16 +50,13 @@ def _figure4_tasks(args) -> Tuple[List[SweepTask], str]:
 
 
 def _compare_tasks(args) -> Tuple[List[SweepTask], str]:
-    from repro.experiments.recovery_compare import (
-        measure_backend,
-        measure_gaspi,
-        measure_ulfm,
-    )
+    from repro.experiments.recovery_compare import measure_backend, measure_ulfm
 
     sizes = [8] if args.quick else args.sizes
     tasks = []
     for n in sizes:
-        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_gaspi, (n,)))
+        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_backend,
+                               (n, "neighbor")))
         tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm, (n,)))
         # the alternative checkpoint backends ride the same FT stack, so
         # their recovery chains are validated like the neighbor scheme's

@@ -125,30 +125,6 @@ class GaspiContext:
         return self.segments.create(
             segment_id, size, self.world.config.n_notifications)
 
-    def segment_create_pooled(self, segment_id: int, size: int) -> Segment:
-        """Create a segment backed by the world's shared arena.
-
-        For per-rank data-plane windows of identical shape (checkpoint
-        mirror/replica staging): the backing bytes come from one pooled
-        allocation per ``(segment_id, size)`` across all ranks, grown in
-        a single pass on first touch, instead of one private buffer per
-        rank.  Semantics match :meth:`segment_create` exactly.
-        """
-        world = self.world
-        arena = world.arena
-        n_slots = world.n_ranks
-        index = self.rank
-
-        def backing() -> np.ndarray:
-            return arena.slot(segment_id, size, n_slots, index)
-
-        san = world.sanitizer
-        if san is not None:
-            san.on_segment_create(self.rank, segment_id)
-        return self.segments.create(
-            segment_id, size, world.config.n_notifications, backing=backing
-        )
-
     def segment(self, segment_id: int) -> Segment:
         san = self.world.sanitizer
         if san is not None:
@@ -301,8 +277,7 @@ class GaspiContext:
                 target.get(remote_segment).write_bytes(remote_offset, data)
 
         done = self.world.transport.post_rdma_list(
-            self.rank, dst_rank, sizes, apply,
-            doorbell=queue_id, n_writes=len(sizes),
+            self.rank, dst_rank, sizes, apply, doorbell=queue_id,
         )
         queue.post(done)
         return ReturnCode.SUCCESS
@@ -359,8 +334,7 @@ class GaspiContext:
             target.get(notify_segment).notifications.post_many(notifications)
 
         done = self.world.transport.post_rdma_list(
-            self.rank, dst_rank, sizes, apply,
-            doorbell=queue_id, n_writes=len(snapshots),
+            self.rank, dst_rank, sizes, apply, doorbell=queue_id,
         )
         queue.post(done)
         return ReturnCode.SUCCESS
@@ -400,14 +374,8 @@ class GaspiContext:
         return ReturnCode.SUCCESS
 
     def read_list(self, entries: Sequence[ListEntry], src_rank: int,
-                  queue_id: int = 0,
-                  modeled_bytes: Optional[int] = None) -> ReturnCode:
-        """``gaspi_read_list``: several gets from one rank as one request.
-
-        ``modeled_bytes`` overrides the byte count the time model charges
-        (the replicated checkpoint backend fetches a staged placeholder
-        priced as its full replica share).
-        """
+                  queue_id: int = 0) -> ReturnCode:
+        """``gaspi_read_list``: several gets from one rank as one request."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
             return ReturnCode.QUEUE_FULL
@@ -428,12 +396,8 @@ class GaspiContext:
                 for seg, off, size in remote_specs
             ]
 
-        model: Sequence[int] = (
-            [e[2] for e in entries] if modeled_bytes is None
-            else (modeled_bytes,)
-        )
         done = self.world.transport.post_rdma_list(
-            self.rank, src_rank, model, apply,
+            self.rank, src_rank, [e[2] for e in entries], apply,
             doorbell=queue_id,
         )
 

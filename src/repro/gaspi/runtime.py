@@ -20,7 +20,6 @@ from repro.gaspi.config import GaspiConfig
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.gaspi.sanitize import Sanitizer, env_enabled
-from repro.gaspi.segments import SegmentArena
 
 MainFn = Callable[[GaspiContext], Generator]
 
@@ -31,9 +30,7 @@ class GaspiWorld:
     Construction is flyweight: the all-ranks membership is interned
     *once* here and shared by every context's ``group_all`` (contexts
     keep private collective sequence numbers, only the membership tuple
-    and its set are shared), and :attr:`arena` pools the backing buffers
-    of same-shaped per-rank segments so building 4096 contexts performs
-    O(world) allocations, not O(ranks).
+    and its set are shared).
     """
 
     def __init__(
@@ -48,8 +45,6 @@ class GaspiWorld:
         self.engine = CollectiveEngine(sim, self.config.collective_costs)
         #: the interned all-ranks membership every ``group_all`` shares
         self.members_all = _Members.intern(tuple(range(machine.n_ranks)))
-        #: pooled backing store for per-rank data-plane segments
-        self.arena = SegmentArena()
         #: runtime protocol monitor (``None`` unless requested — every
         #: context hook is gated on a single ``is not None`` test)
         self.sanitizer: Optional[Sanitizer] = (

@@ -8,107 +8,24 @@ so a remote write is immediately visible to the owner (exactly the PGAS
 property the paper's failure-acknowledgment flags rely on).
 
 World construction is flyweight: a segment's backing buffer and its
-notification board are built on first touch, not at registration.  Two
-sharing schemes keep a 4096-rank world's setup O(world) instead of
-O(ranks):
-
-* an **arena** (:class:`SegmentArena`, one per :class:`GaspiWorld`) backs
-  all same-shaped per-rank segments — e.g. every rank's checkpoint mirror
-  window — with one pooled allocation grown in a single pass;
-* an **image** — immutable ``bytes`` that a pristine segment adopts when
-  a write covers it whole — serves reads until a partial write (or a
-  writable view) needs a private buffer.  Every rank whose segment
-  receives the same whole-segment payload shares one object: the FT
-  control block's initial content, each broadcast failure notice and
-  the done flag.
+notification board are built on first touch, not at registration.  Until
+then, an **image** — immutable ``bytes`` that a pristine segment adopts
+when a write covers it whole — serves reads, so a partial write (or a
+writable view) is what needs a private buffer.  Every rank whose segment
+receives the same whole-segment payload shares one object: the FT control
+block's initial content, each broadcast failure notice and the done flag.
+That keeps a 4096-rank world's control blocks O(world) instead of
+O(ranks).
 """
 
 from __future__ import annotations
 
-import mmap
-from typing import Any, Callable, Dict, Iterator, Optional, Set, Tuple, Union
+from typing import Any, Dict, Iterator, Optional
 
 import numpy as np
 
 from repro.gaspi.errors import GaspiUsageError
 from repro.gaspi.notifications import NotificationBoard
-
-#: a segment's backing store: a concrete buffer (e.g. an arena slot view)
-#: or a zero-argument provider called on first materialisation.
-Backing = Union[np.ndarray, Callable[[], np.ndarray]]
-
-
-def _sparse_pool(nbytes: int) -> np.ndarray:
-    """``nbytes`` zeroed bytes in a mapping of their own, huge pages off.
-
-    A pool is sparse: each slot is touched only as far as the bytes
-    staged into it — one page of a 64 KiB checkpoint window for a model
-    blob.  From the C heap, a pool of a few MB raises the allocator's
-    mmap threshold once freed, so later worlds carve their pools out of
-    heap memory that transparent huge pages back in 2 MB units: the
-    resident size then depends on page alignment and on when the kernel
-    collapses pages, and moved peak RSS by up to 4 MB between runs of
-    one workload.  A private mapping without huge pages is resident
-    exactly where written, and is unmapped when the pool dies.
-    """
-    mapping = mmap.mmap(-1, nbytes)
-    advice = getattr(mmap, "MADV_NOHUGEPAGE", None)  # Linux only
-    if advice is not None:
-        try:
-            mapping.madvise(advice)
-        except OSError:  # a kernel without transparent huge pages
-            pass
-    return np.frombuffer(mapping, dtype=np.uint8)
-
-
-class SegmentArena:
-    """One pooled backing store for a world's same-shaped rank segments.
-
-    Per-rank data planes (checkpoint mirror windows, replica landing
-    windows) used to allocate one private buffer per rank — O(ranks)
-    allocations dominating world construction at 4096 ranks.  The arena
-    allocates **one** pool per ``(segment_id, slot size)`` shape in a
-    single pass, on the first touch of any slot, and hands out aligned
-    zero-copy slices.  A slot handed out twice (delete + re-create) is
-    re-zeroed so a recycled slot is indistinguishable from a fresh
-    buffer.  Each pool is its own memory mapping (:func:`_sparse_pool`),
-    so untouched slots cost no resident memory.
-    """
-
-    #: slot stride alignment (bytes); keeps typed views on slot starts
-    #: aligned regardless of the requested slot size
-    ALIGN = 64
-
-    __slots__ = ("_pools", "_handed", "allocations")
-
-    def __init__(self) -> None:
-        self._pools: Dict[Tuple[int, int], np.ndarray] = {}
-        self._handed: Set[Tuple[int, int, int]] = set()
-        #: number of pool allocations performed (regression-tested to be
-        #: O(distinct segment shapes), never O(ranks))
-        self.allocations = 0
-
-    def slot(self, key: int, slot_size: int, n_slots: int,
-             index: int) -> np.ndarray:
-        """The ``index``-th slot of the ``(key, slot_size)`` pool."""
-        if not (0 <= index < n_slots):
-            raise GaspiUsageError(
-                f"arena slot {index} outside [0, {n_slots}) for key {key}")
-        pool_key = (key, slot_size)
-        pool = self._pools.get(pool_key)
-        stride = -(-slot_size // self.ALIGN) * self.ALIGN
-        if pool is None:
-            pool = _sparse_pool(stride * n_slots)
-            self._pools[pool_key] = pool
-            self.allocations += 1
-        start = index * stride
-        view = pool[start:start + slot_size]
-        handed_key = (key, slot_size, index)
-        if handed_key in self._handed:
-            view[:] = 0
-        else:
-            self._handed.add(handed_key)
-        return view
 
 
 class Segment:
@@ -123,44 +40,31 @@ class Segment:
     writable view, copies the image into the private buffer first.
     """
 
-    __slots__ = ("segment_id", "size", "_buf", "_backing", "_image",
+    __slots__ = ("segment_id", "size", "_buf", "_image",
                  "_n_notifications", "_notifications", "_cells64")
 
     def __init__(self, segment_id: int, size: int,
-                 n_notifications: int = 1024,
-                 backing: Optional[Backing] = None) -> None:
+                 n_notifications: int = 1024) -> None:
         if size <= 0:
             raise GaspiUsageError(f"segment size must be positive, got {size}")
         self.segment_id = segment_id
         self.size = int(size)
         self._buf: Optional[np.ndarray] = None
-        self._backing = backing
         self._image: Optional[bytes] = None
         self._n_notifications = n_notifications
         self._notifications: Optional[NotificationBoard] = None
         self._cells64: Optional[np.ndarray] = None
 
     # ------------------------------------------------------------------
-    # lazy backing stores
+    # lazy backing buffer
     # ------------------------------------------------------------------
     def _materialize(self) -> np.ndarray:
-        backing = self._backing
-        if backing is None:
-            buf = np.zeros(self.size, dtype=np.uint8)
-        elif callable(backing):
-            buf = backing()
-        else:
-            buf = backing
-        if buf.nbytes != self.size:
-            raise GaspiUsageError(
-                f"segment {self.segment_id} backing has {buf.nbytes} bytes, "
-                f"expected {self.size}")
+        buf = np.zeros(self.size, dtype=np.uint8)
         image = self._image
         if image is not None:
             buf[:] = np.frombuffer(image, dtype=np.uint8)
             self._image = None
         self._buf = buf
-        self._backing = None
         self._cells64 = None  # image views must not outlive pristinity
         return buf
 
@@ -243,17 +147,6 @@ class Segment:
         self.check_range(offset, nbytes)
         return memoryview(self.buf)[offset:offset + nbytes]
 
-    def write_view(self, offset: int, nbytes: int) -> memoryview:
-        """Writable zero-copy byte window at ``offset`` (bounds-checked).
-
-        The writing counterpart of :meth:`read_view`: the caller copies
-        its payload straight into live segment memory (``view[:] = src``)
-        with one memcpy and no intermediate array wrapping — the shape
-        a doorbell-coalesced delivery callback wants.
-        """
-        self.check_range(offset, nbytes)
-        return memoryview(self.buf)[offset:offset + nbytes]
-
     def write_bytes(self, offset: int, data: Any) -> None:
         """Copy ``data`` into the segment at ``offset`` (bounds-checked).
 
@@ -296,11 +189,11 @@ class SegmentTable:
     def __init__(self) -> None:
         self._segments: Dict[int, Segment] = {}
 
-    def create(self, segment_id: int, size: int, n_notifications: int = 1024,
-               backing: Optional[Backing] = None) -> Segment:
+    def create(self, segment_id: int, size: int,
+               n_notifications: int = 1024) -> Segment:
         if segment_id in self._segments:
             raise GaspiUsageError(f"segment {segment_id} already exists")
-        seg = Segment(segment_id, size, n_notifications, backing=backing)
+        seg = Segment(segment_id, size, n_notifications)
         self._segments[segment_id] = seg
         return seg
 
@@ -309,10 +202,6 @@ class SegmentTable:
             return self._segments[segment_id]
         except KeyError:
             raise GaspiUsageError(f"segment {segment_id} does not exist") from None
-
-    def find(self, segment_id: int) -> Optional[Segment]:
-        """The segment if registered, else ``None`` (non-raising lookup)."""
-        return self._segments.get(segment_id)
 
     def delete(self, segment_id: int) -> None:
         if segment_id not in self._segments:

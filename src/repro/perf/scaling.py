@@ -239,9 +239,8 @@ def bench_ckpt_replicated_restore_us_per_rank(
     """Wall microseconds per rank per replicated-backend restore round.
 
     Every rank commits one ReStore-style replicated checkpoint (r copies
-    scattered to its holders), then repeatedly restores it: the batched
-    ``read_list`` fetch across the surviving replica set, CRC-validated
-    unpack included — the per-rank cost of the recovery path the
+    scattered to its holders), then repeatedly restores it: one list
+    read per surviving replica holder, CRC-validated unpack included — the per-rank cost of the recovery path the
     replicated backend exists for.
 
     Timing protocol matches :func:`bench_ckpt_mirror_us_per_rank`: one
@@ -411,8 +410,8 @@ def run_scaling(ranks: Sequence[int] = RANKS_LADDER,
     skipped: List[str] = []
     ranks_max = 0
 
-    # flyweight world construction (shared group membership, pooled
-    # segments, lazy boards) keeps even the 4096-rank bench worlds cheap,
+    # flyweight world construction (shared group membership, lazy
+    # segments and boards) keeps even the 4096-rank bench worlds cheap,
     # so the kernel benches run at every rung of the ladder
     for n in ladder:
         build = bench_world_build(n)

@@ -16,7 +16,7 @@ from repro.spmvm.csr import CSRMatrix
 from repro.spmvm.partition import RowPartition
 from repro.spmvm.team import Team
 from repro.spmvm.ft_hooks import FailureAcknowledged, CommGuard
-from repro.spmvm.comm_setup import CommPlan, build_comm_plan, split_columns
+from repro.spmvm.comm_setup import CommPlan, split_columns
 from repro.spmvm.dist_matrix import DistMatrix, distribute_matrix
 from repro.spmvm.dist_vector import DistVector
 from repro.spmvm.spmv import SpMVMEngine
@@ -28,7 +28,6 @@ __all__ = [
     "FailureAcknowledged",
     "CommGuard",
     "CommPlan",
-    "build_comm_plan",
     "split_columns",
     "DistMatrix",
     "distribute_matrix",

@@ -118,8 +118,7 @@ def split_columns(
     """Remap a row block's global columns to local + halo numbering.
 
     Returns the remapped matrix and a plan with the receive side filled in
-    (send side requires the exchange — see ``distribute_matrix`` — or the
-    global :func:`build_comm_plan`).
+    (the send side requires the exchange — see ``distribute_matrix``).
     """
     r0, r1 = partition.range_of(my_part)
     n_local = r1 - r0
@@ -150,29 +149,3 @@ def split_columns(
         new_cols[remote_mask] = n_local + slots
     remapped = local.with_columns(new_cols, n_local + len(halo_cols))
     return remapped, plan
-
-
-def fill_send_plans(plans: Dict[int, CommPlan], partition: RowPartition) -> None:
-    """Complete every plan's send side from all ranks' receive sides.
-
-    This is the *global* (single-process) counterpart of the message
-    exchange in ``distribute_matrix``; used for tests and sequential runs.
-    """
-    for requester, plan in plans.items():
-        for provider, spec in plan.recv.items():
-            plans[provider].send[requester] = SendSpec(
-                local_idx=partition.to_local(provider, spec.cols),
-                halo_start=plan.n_local + spec.halo_start,
-            )
-
-
-def build_comm_plan(
-    blocks: Dict[int, CSRMatrix], partition: RowPartition
-) -> Tuple[Dict[int, CSRMatrix], Dict[int, CommPlan]]:
-    """Sequentially pre-process every rank's block (reference path)."""
-    remapped: Dict[int, CSRMatrix] = {}
-    plans: Dict[int, CommPlan] = {}
-    for part, block in blocks.items():
-        remapped[part], plans[part] = split_columns(block, partition, part)
-    fill_send_plans(plans, partition)
-    return remapped, plans

@@ -275,7 +275,6 @@ def _mirror_run(kill_at=None):
     fired = []
 
     def main(ctx):
-        # both ranks hold a library, so the neighbor has a landing window
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1])
         if ctx.rank == 0:
             mirrored = yield from lib.write_checkpoint(
@@ -309,7 +308,6 @@ def test_severed_neighbor_times_out_and_releases_the_fifo():
     the next queued write starts only then (and hangs the same way)."""
 
     def main(ctx):
-        # every rank holds a library, so the neighbor has a landing window
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=range(8))
         if ctx.rank != 0:
             yield Sleep(10.0)
@@ -329,6 +327,43 @@ def test_severed_neighbor_times_out_and_releases_the_fifo():
     assert t0 == pytest.approx(1.0, abs=0.01)
     assert t1 == pytest.approx(2.0, abs=0.02)
     assert run.result(0)[1] == 0
+
+
+def _lone_writer_mirror(severed):
+    """Rank 0 of 2 mirrors one checkpoint to rank 1, which never builds a
+    library.  Returns the outcome, the mirror's duration after the local
+    write, and the latency and ack times of the copy."""
+
+    def main(ctx):
+        if ctx.rank != 0:
+            yield Sleep(10.0)
+            return None
+        lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
+        network = ctx.world.machine.network
+        if severed:
+            network.break_link(lib.my_node, lib.neighbor_node)
+        mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
+        t_local = ctx.now
+        ok, copied = yield WaitEvent(mirrored, 10.0)
+        blob = CheckpointManager.of(ctx.world).store(0).get(("ckpt", 0, 0))
+        latency = network.transfer_time(0, 1, blob.nominal_bytes)
+        ack = network.transfer_time(1, 0, 64)
+        return ((ok, copied, lib.stats["failed_copies"]),
+                ctx.now - t_local, latency, ack)
+
+    return run_gaspi(main, n_ranks=2).result(0)
+
+
+def test_mirror_to_a_rank_without_a_library_is_posted():
+    """A holder needs no library of its own: the mirror to it is posted
+    like any other copy, so it lands at latency plus ack, and a severed
+    path hangs it until the flush timeout, which fails the copy."""
+    outcome, elapsed, latency, ack = _lone_writer_mirror(severed=False)
+    assert outcome == (True, 1, 0)
+    assert elapsed == pytest.approx(latency + ack, rel=1e-9)
+    outcome, elapsed, latency, _ = _lone_writer_mirror(severed=True)
+    assert outcome == (True, 0, 1)
+    assert elapsed == pytest.approx(1.5 * latency + 1.0, rel=1e-9)
 
 
 def test_restorable_latest_skips_unreachable_nodes():

@@ -202,6 +202,52 @@ def test_owner_death_alone_loses_nothing():
     assert 0 not in holders
 
 
+def _timed_rescue_read(kill_first_holder):
+    """Every rank runs a library and rank 0 commits with r=3; at t=30
+    rank 9 (the rescue) restores logical 0, optionally losing the first
+    holder 1 µs into the fetch.  Returns the read's outcome and duration."""
+    payload = {"v": np.arange(32.0), "it": np.int64(7)}
+    cfg = CheckpointConfig(backend="replicated", replication=R)
+
+    def main(ctx):
+        lib = ReplicatedCheckpointLib(ctx, ctx.rank, range(N_RANKS),
+                                      config=cfg)
+        if ctx.rank == 0:
+            protected = yield from lib.write_checkpoint(0, payload)
+            ok, landed = yield WaitEvent(protected, 10.0)
+            assert (ok, landed) == (True, R)
+        if ctx.rank == N_RANKS - 1:
+            yield Sleep(30.0)
+            rescue = ReplicatedCheckpointLib(ctx, 0, range(N_RANKS),
+                                             config=cfg)
+            t0 = ctx.now
+            version, restored = yield from rescue.read_checkpoint()
+            return (version, restored["v"].tobytes(), int(restored["it"]),
+                    rescue.stats["replica_reads"], ctx.now - t0)
+        yield Sleep(40.0)
+        return None
+
+    plan = FaultPlan()
+    if kill_first_holder:
+        holders = replica_holders(0, list(range(N_RANKS)), lambda x: x, R)
+        plan.kill_process(30.000001, holders[0])
+    run = run_gaspi(main, n_ranks=N_RANKS, fault_plan=plan)
+    return run.result(N_RANKS - 1)
+
+
+def test_holder_dying_mid_fetch_times_out_and_retries():
+    """A holder killed while its share is in flight hangs the fetch: the
+    wait times out, the fetch queue is purged, and the retry against the
+    two survivors restores the same bytes, counted as one read."""
+    *quick, t_quick = _timed_rescue_read(kill_first_holder=False)
+    *retried, t_retried = _timed_rescue_read(kill_first_holder=True)
+    expected = [0, np.arange(32.0).tobytes(), 7, 1]
+    assert quick == retried == expected
+    assert t_quick == pytest.approx(3.72e-6, rel=1e-3)
+    # the 1 s floor of the fetch timeout, then the two-share retry
+    assert t_retried == pytest.approx(1.0000065, abs=1e-7)
+
+
 # ----------------------------------------------------------------------
 # factory
 # ----------------------------------------------------------------------
@@ -236,7 +282,6 @@ def test_severed_holder_times_out_and_releases_the_fifo():
     cfg = CheckpointConfig(backend="replicated", replication=R)
 
     def main(ctx):
-        # every rank holds a library, so every holder has a landing window
         lib = ReplicatedCheckpointLib(ctx, ctx.rank, range(8), config=cfg)
         if ctx.rank != 0:
             yield Sleep(10.0)

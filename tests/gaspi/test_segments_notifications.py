@@ -1,16 +1,11 @@
 """Unit tests for segments and notification boards (no simulator needed)."""
 
-import ctypes
-import mmap
-import sys
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.gaspi import GaspiUsageError, NotificationBoard, Segment, SegmentTable
-from repro.gaspi.segments import SegmentArena
 
 
 class TestSegment:
@@ -140,18 +135,6 @@ class TestImageAdoption:
         assert bytes(window) == image[8:]
         assert seg.read_bytes(0, 16) is not image
 
-    def test_pooled_segment_materialises_into_its_arena_slot(self):
-        arena = SegmentArena()
-        seg = Segment(7, 64, backing=lambda: arena.slot(7, 64, 4, 1))
-        image = bytes(range(64))
-        seg.write_bytes(0, image)
-        assert seg.pristine and arena.allocations == 0
-        seg.write_bytes(0, b"Z")  # partial: materialise into the slot
-        pool = arena._pools[(7, 64)]
-        assert np.shares_memory(seg.buf, pool)
-        assert seg.read_bytes(0, 64) == b"Z" + image[1:]
-        assert pool[64:128].tobytes() == b"Z" + image[1:]
-
 
 _SIZE = 32
 
@@ -203,33 +186,6 @@ def test_segment_matches_a_bytearray_model(ops):
             assert bytes(view) == model[offset:offset + len(view)]
     for snap, expected in snapshots:
         assert snap == expected
-
-
-def _resident_pages(array: np.ndarray) -> int:
-    """Pages of ``array``'s memory that are resident, by ``mincore(2)``."""
-    libc = ctypes.CDLL(None, use_errno=True)
-    page = mmap.PAGESIZE
-    start = array.ctypes.data // page * page
-    n_pages = -(-(array.ctypes.data + array.nbytes - start) // page)
-    vec = (ctypes.c_ubyte * n_pages)()
-    assert libc.mincore(ctypes.c_void_p(start),
-                        ctypes.c_size_t(n_pages * page), vec) == 0
-    return sum(v & 1 for v in vec)
-
-
-class TestSegmentArena:
-    @pytest.mark.skipif(not sys.platform.startswith("linux"),
-                        reason="mincore(2) through the C library")
-    def test_pool_is_resident_only_where_written(self):
-        """One byte written into each 64 KiB slot of a 4 MiB pool makes
-        one page per slot resident: no 2 MB huge page, no zero fill."""
-        arena = SegmentArena()
-        n_slots, size = 64, 1 << 16
-        for index in range(n_slots):
-            arena.slot(60, size, n_slots, index)[0] = 1
-        pool = arena._pools[(60, size)]
-        assert pool.nbytes == n_slots * size and arena.allocations == 1
-        assert _resident_pages(pool) == n_slots
 
 
 class TestSegmentTable:

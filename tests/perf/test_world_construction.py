@@ -1,9 +1,9 @@
 """Flyweight world construction: cost regression.
 
-The flyweight build path (interned group memberships, arena-pooled
-segments, lazy queue tables and notification boards, copy-on-write
-control blocks) must keep world construction O(world), never O(ranks),
-in allocations, and a recovery's control blocks must stay shared images.
+The flyweight build path (interned group memberships, lazy queue tables
+and notification boards, copy-on-write control blocks) must keep world
+construction O(world), never O(ranks), in allocations, and a recovery's
+control blocks must stay shared images.
 Its observable behaviour is pinned by the golden fixture in
 ``tests/golden``.
 """
@@ -43,37 +43,17 @@ def test_queue_tables_stay_lazy_until_first_touch():
     assert world.contexts[8]._queues is None
 
 
-def test_arena_allocations_scale_with_shapes_not_ranks():
-    """Every rank's same-shaped data-plane segment shares one pool."""
-    world = _fresh_world(256)
-    for ctx in world.contexts.values():
-        _ = ctx.segment_create_pooled(7, 4096).buf  # touch: materialise
-    assert world.arena.allocations == 1
-    for ctx in world.contexts.values():
-        _ = ctx.segment_create_pooled(8, 1 << 16).buf
-    assert world.arena.allocations == 2  # one more shape, one more pool
-
-
-def test_arena_recycled_slot_is_rezeroed():
-    world = _fresh_world(4)
-    ctx = world.contexts[0]
-    seg = ctx.segment_create_pooled(7, 64)
-    seg.buf[:] = 0xAB
-    ctx.segments.delete(7)
-    again = ctx.segment_create_pooled(7, 64)
-    assert not again.buf.any()
-
-
-def test_scenario_world_stays_o_world_in_allocations():
-    """A full FT run at 64 ranks performs O(shapes) pool allocations."""
-    spec = scaled_spec(workers=64, iterations=40, name="arena-64")
-    out = run_ft_scenario("arena-64", spec, kill_times=[(12.5, 3)],
+def test_scenario_registers_no_checkpoint_segments():
+    """A 64-worker FT run with one recovery registers the FT control
+    block on every rank and nothing else: checkpoint copies land as
+    blobs in the node stores, never in GASPI segments."""
+    spec = scaled_spec(workers=64, iterations=40, name="segments-64")
+    out = run_ft_scenario("segments-64", spec, kill_times=[(12.5, 3)],
                           n_spares=4)
-    world = out.result.run.world
-    # mirror windows + replica/pfs planes: a handful of shapes, never
-    # one allocation per rank (the pre-flyweight behaviour was ~n_ranks)
-    assert 1 <= world.arena.allocations <= 8
-    assert world.arena.allocations < world.n_ranks // 4
+    assert out.n_recoveries == 1
+    contexts = out.result.run.world.contexts.values()
+    assert all([seg.segment_id for seg in ctx.segments] == [FT_SEGMENT]
+               for ctx in contexts)
 
 
 # ----------------------------------------------------------------------

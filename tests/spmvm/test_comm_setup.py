@@ -5,9 +5,31 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.spmvm import CSRMatrix, CommPlan, RowPartition, build_comm_plan
-from repro.spmvm.comm_setup import split_columns
+from repro.spmvm import CSRMatrix, CommPlan, RowPartition
+from repro.spmvm.comm_setup import SendSpec, split_columns
 from repro.spmvm.matgen import GrapheneSheet, Laplacian2D, RandomSparse
+
+
+def fill_send_plans(plans, partition):
+    """Complete every plan's send side from all ranks' receive sides: the
+    single-process oracle of the message exchange in
+    ``distribute_matrix``."""
+    for requester, plan in plans.items():
+        for provider, spec in plan.recv.items():
+            plans[provider].send[requester] = SendSpec(
+                local_idx=partition.to_local(provider, spec.cols),
+                halo_start=plan.n_local + spec.halo_start,
+            )
+
+
+def build_comm_plan(blocks, partition):
+    """Sequentially pre-process every rank's block (the oracle path)."""
+    remapped = {}
+    plans = {}
+    for part, block in blocks.items():
+        remapped[part], plans[part] = split_columns(block, partition, part)
+    fill_send_plans(plans, partition)
+    return remapped, plans
 
 
 def blocks_of(gen, partition):
