@@ -5,9 +5,9 @@ The core is the reproduction of the paper's third contribution
 checkpoints to its *local* node store and the world's round-batched
 mirror plane (the paper's helper thread) asynchronously copies the
 checkpoint to the neighboring node.  The library is fault-aware: after
-a recovery the neighbor map is refreshed from the failed-process list,
-and a restore transparently falls back from the local store to the
-neighbor copy.
+a recovery the neighbor map is refreshed from the new participant list,
+and a restore transparently falls back from the local store to any
+node the world's manager recorded as storing the rank's blobs.
 
 Two alternative backends share the same interface (the config's
 ``backend`` alone selects one via :func:`make_checkpoint_lib`): the
@@ -15,7 +15,8 @@ classical synchronous-PFS baseline, on the world's one parallel file
 system, and a ReStore-style backend that replicates each checkpoint in
 the memory of ``r`` other ranks (:mod:`repro.checkpoint.replicated`;
 arXiv:2203.01107).  See ``CHECKPOINTS.md`` for wire formats, placement
-rules and the failure-tolerance comparison.
+rules and the failure-tolerance comparison; both placement rules live
+in :mod:`repro.checkpoint.placement`.
 
 Checkpoints are keyed by *logical* rank so that a rescue process (which
 adopts the failed process's logical identity) finds its predecessor's data.
@@ -30,7 +31,7 @@ from repro.checkpoint.serialization import (
 )
 from repro.checkpoint.store import CheckpointNotFound, NodeLocalStore, StoredBlob
 from repro.checkpoint.pfs import ParallelFileSystem
-from repro.checkpoint.neighbor import neighbor_map
+from repro.checkpoint.placement import neighbor_map, replica_holder_map
 from repro.checkpoint.manager import (
     BACKENDS,
     CheckpointConfig,
@@ -42,7 +43,6 @@ from repro.checkpoint.replicated import (
     PfsCheckpointLib,
     ReplicatedCheckpointLib,
     make_checkpoint_lib,
-    replica_holder_map,
 )
 
 __all__ = [

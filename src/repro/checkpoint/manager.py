@@ -17,8 +17,11 @@ Because the neighbor copy is asynchronous, the application only ever pays the lo
 write — the paper's ≈0.01 % checkpointing overhead.  ``refresh``
 re-derives the neighbor after recovery (fault-aware placement);
 ``restorable_latest`` reports the newest version this rank could actually
-restore, which the recovery protocol min-reduces across ranks to pick the
-globally consistent restart point (the allreduce-MIN version agreement).
+restore — from its own node or any reachable node the manager recorded
+as storing its blobs, so a rescue finds its predecessor's copies by
+itself — which the recovery protocol min-reduces across ranks to pick
+the globally consistent restart point (the allreduce-MIN version
+agreement).
 
 Parameter ↔ paper-symbol mapping:
 
@@ -65,8 +68,8 @@ import numpy as np
 from repro.sim import Event, Sleep, WaitEvent
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
-from repro.checkpoint.neighbor import neighbor_map
 from repro.checkpoint.pfs import ParallelFileSystem
+from repro.checkpoint.placement import neighbor_map, replica_holder_map
 from repro.checkpoint.serialization import (
     pack_checkpoint_into,
     packed_size,
@@ -177,7 +180,6 @@ class CheckpointLib(_CopySource):
     ) -> None:
         super().__init__(ctx, logical_rank, participants,
                          config or CheckpointConfig())
-        self._local_store_obj = self._manager.store(self._my_node)
         self.stats = {"local_writes": 0, "neighbor_copies": 0,
                       "failed_copies": 0, "local_reads": 0,
                       "remote_reads": 0}
@@ -200,34 +202,28 @@ class CheckpointLib(_CopySource):
         neighbor = None
         if self.ctx.rank in members.member_set() and len(members) > 1:
             neighbor = self._manager.neighbor_map_for(members)[self.ctx.rank]
-        self.neighbor_rank: Optional[int] = neighbor
-        self._neighbor_node: Optional[int] = (
-            None if neighbor is None else self.machine.node_of(neighbor))
         self.holders = ([] if neighbor is None
-                        else [(neighbor, self._neighbor_node)])
-
-    @property
-    def neighbor_node(self) -> Optional[int]:
-        return self._neighbor_node
+                        else [(neighbor, self.machine.node_of(neighbor))])
 
     def land(self, copy: "_Copy") -> bool:
         """Landing rule: the mirror lands on the neighbor's node store if
         that node is up and reachable.  A reprotect's re-mirror stays out
         of the mirror phase totals."""
         manager = self._manager
-        store = manager.store(copy.node_id)
-        if not (store.available
-                and manager.reachable(self._my_node, copy.node_id)):
+        node_id = copy.node_id
+        if not (manager.store(node_id).available
+                and manager.reachable(self._my_node, node_id)):
             return False
         request = copy.request
-        store.put_pruned(request.key, request.blob, self.config.keep_versions)
+        manager.put(node_id, request.key, request.blob,
+                    self.config.keep_versions)
         self.stats["neighbor_copies"] += 1
         now = manager.sim.now
         tracer = self._tracer
         if tracer.enabled:
             tracer.emit(now, self.ctx.rank, "ckpt_mirror",
                         dur=now - request.t_start, version=request.key[2],
-                        node=copy.node_id)
+                        node=node_id)
         if not request.reprotect:
             manager.count_copy("mirror", request, now)
         return True
@@ -253,7 +249,7 @@ class CheckpointLib(_CopySource):
         blob = manager.pack_blob(payload, nominal_bytes)
         yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
         key = (self.config.tag, self.logical_rank, version)
-        self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
+        manager.put(self._my_node, key, blob, self.config.keep_versions)
         mirrored = Event(name=f"ckpt-mirrored-{self.ctx.rank}-v{version}")
         manager.local_written(self, key, blob, t0, mirrored)
         return mirrored
@@ -261,24 +257,24 @@ class CheckpointLib(_CopySource):
     # ------------------------------------------------------------------
     # read path
     # ------------------------------------------------------------------
-    def _source_nodes(self, extra_nodes: Sequence[int] = ()) -> List[int]:
-        """Nodes this rank can read its blobs from, in locality order: own
-        node, the caller's ``extra_nodes``, its neighbor's node (which may
-        hold the blob from before a migration) — unreachable ones dropped,
-        so ``restorable_latest`` only offers what ``read_checkpoint`` can
+    def _source_nodes(self) -> List[int]:
+        """Nodes this rank can read its blobs from: its own node, then the
+        manager's recorded nodes — a rescue's include its predecessor's
+        node and mirrors — with unreachable ones dropped, so
+        ``restorable_latest`` only offers what ``read_checkpoint`` can
         read."""
-        nodes = [self._my_node, *extra_nodes]
-        if self._neighbor_node is not None:
-            nodes.append(self._neighbor_node)
+        my_node = self._my_node
         reachable = self._manager.reachable
-        return [n for n in dict.fromkeys(nodes)
-                if n == self._my_node or reachable(self._my_node, n)]
+        return [my_node, *(
+            n for n in self._manager.locations(self.config.tag,
+                                               self.logical_rank)
+            if n != my_node and reachable(my_node, n))]
 
-    def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
+    def restorable_latest(self) -> int:
         """Newest version this rank can restore from any source, or -1."""
         best = -1
         tag, key_rank = self.config.tag, self.logical_rank
-        for node_id in self._source_nodes(extra_nodes):
+        for node_id in self._source_nodes():
             latest = self._manager.store(node_id).latest_version(tag, key_rank)
             if latest is not None:
                 best = max(best, latest)
@@ -288,7 +284,7 @@ class CheckpointLib(_CopySource):
         """Generator: re-establish local + neighbor copies after a remote
         restore (otherwise the *next* failure would find no local data)."""
         yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
-        self._local_store_obj.put_pruned(key, blob, self.config.keep_versions)
+        self._manager.put(self._my_node, key, blob, self.config.keep_versions)
         self.stats["local_writes"] += 1
         self._manager.submit(
             self, key, blob, Event(name=f"reprotect-{self.ctx.rank}"),
@@ -296,30 +292,27 @@ class CheckpointLib(_CopySource):
         )
 
     def read_checkpoint(
-        self, version: Optional[int] = None,
-        extra_nodes: Sequence[int] = (),
-        reprotect: bool = True,
+        self, version: Optional[int] = None, reprotect: bool = True,
     ) -> Generator[Any, Any, Tuple[int, Dict[str, np.ndarray]]]:
         """Generator: restore ``(version, payload)``.
 
-        Sources are tried in locality order: own node, the ``extra_nodes``
-        the caller knows about (e.g. the failed process's node and its old
-        neighbor), then this rank's current neighbor.  Raises
-        :class:`CheckpointNotFound` when no source has the version.
+        Sources are tried own node first, then the recorded nodes (see
+        :meth:`_source_nodes`).  Raises :class:`CheckpointNotFound` when
+        no source has the version.
 
         With ``reprotect`` (default), a version restored from a *remote*
         source is immediately written back to the local node and mirrored
         to the current neighbor, restoring the usual protection level.
         """
         if version is None:
-            version = self.restorable_latest(extra_nodes)
+            version = self.restorable_latest()
             if version < 0:
                 raise CheckpointNotFound(
                     f"no checkpoint for logical rank {self.logical_rank}"
                 )
         key = (self.config.tag, self.logical_rank, version)
         t0 = self.ctx.now
-        for node_id in self._source_nodes(extra_nodes):
+        for node_id in self._source_nodes():
             store = self._manager.store(node_id)
             if not store.has(key):
                 continue
@@ -413,6 +406,11 @@ class CheckpointManager:
     * **cached placement maps** — the O(n) neighbor and replica kernels
       build each participant set's full map once; every library refresh
       against the same set is a dict lookup;
+    * **location records** — where copies actually landed: the nodes
+      that stored a neighbor-backend blob of each ``(tag, logical
+      rank)`` (:meth:`put`, :meth:`locations`) and the ranks holding
+      each replicated version (:meth:`record_replica`), so a restore
+      finds its data without re-deriving placement;
     * **phase totals** — mirror, scatter and restore bytes/latency
       accumulated for the ``recovery_compare`` experiment's per-phase
       reporting; every backend's restore ends in :meth:`restored`;
@@ -445,6 +443,9 @@ class CheckpointManager:
         #: (participant-tuple, r) -> {rank: [holders]} placement cache for
         #: the replicated backend (same tiny-LRU policy)
         self._replica_maps: "OrderedDict[Tuple[Tuple[int, ...], int], Dict[int, List[int]]]" = OrderedDict()
+        #: neighbor-backend location record: (tag, logical rank) -> the
+        #: nodes that stored one of its blobs, in the order they first did
+        self._locations: Dict[Tuple[str, int], Tuple[int, ...]] = {}
         #: replica location index: where each replicated checkpoint
         #: *actually* landed (keys are the un-namespaced ``(tag, logical,
         #: version)``).  Reads consult this instead of re-deriving
@@ -565,9 +566,6 @@ class CheckpointManager:
         kernel (no holder on the owner's node or its mirror neighbor's
         node — see ``CHECKPOINTS.md``).
         """
-        # local import: replicated.py imports this module at its top level
-        from repro.checkpoint.replicated import replica_holder_map
-
         cache_key = (participants, r)
         cached = self._replica_maps.get(cache_key)
         if cached is None:
@@ -588,8 +586,23 @@ class CheckpointManager:
         return store
 
     # ------------------------------------------------------------------
-    # replica location index (ReStore backend)
+    # location records
     # ------------------------------------------------------------------
+    def put(self, node_id: int, key: Key, blob: StoredBlob,
+            keep: int) -> None:
+        """Store a neighbor-backend blob on ``node_id`` (pruned to
+        ``keep`` versions) — every local write, landed mirror and
+        reprotect goes through here.  The node's first blob of the pair
+        enters the location record; later ones find it there already."""
+        if self.store(node_id).put_pruned(key, blob, keep):
+            pair = key[:2]
+            self._locations[pair] = self._locations.get(pair, ()) + (node_id,)
+
+    def locations(self, tag: str, logical_rank: int) -> Tuple[int, ...]:
+        """Nodes that stored a blob of ``(tag, logical_rank)``, in the
+        order they first did (some may since have died)."""
+        return self._locations.get((tag, logical_rank), ())
+
     def record_replica(self, key: Key, holder_rank: int) -> None:
         """Record that ``holder_rank`` landed a replica of ``key``."""
         holders = self._replica_sets.setdefault(key, [])
@@ -820,8 +833,7 @@ class CheckpointManager:
                 lib, key, blob, mirrored = items[i]
                 if not lib._endpoint_obj.alive:
                     continue
-                lib._local_store_obj.put_pruned(key, blob,
-                                                lib.config.keep_versions)
+                self.put(lib._my_node, key, blob, lib.config.keep_versions)
                 self.local_written(lib, key, blob, t0, mirrored)
 
         for t_val in np.unique(t_local).tolist():

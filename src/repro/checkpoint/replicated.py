@@ -17,20 +17,20 @@ that neither the owner's failure nor its neighbor-mirror's failure can
 take down, and ``r`` copies on ``r`` distinct nodes tolerate any
 ``r - 1`` concurrent rank losses.
 
-Three things live here rather than in :mod:`repro.checkpoint.manager`:
-the placement kernel wrapper, :class:`ReplicatedCheckpointLib` (the
-ReStore backend: an ``r``-holder placement over the manager's copy
-pipeline), and :class:`PfsCheckpointLib` (the classical PFS-only
-baseline the paper argues against, on the manager's world PFS) — plus
-the :func:`make_checkpoint_lib` factory the FT driver dispatches
-through: ``config.backend`` alone picks the library.
+Two libraries live here rather than in :mod:`repro.checkpoint.manager`:
+:class:`ReplicatedCheckpointLib` (the ReStore backend: an ``r``-holder
+placement over the manager's copy pipeline), and
+:class:`PfsCheckpointLib` (the classical PFS-only baseline the paper
+argues against, on the manager's world PFS) — plus the
+:func:`make_checkpoint_lib` factory the FT driver dispatches through:
+``config.backend`` alone picks the library.  The placement kernel is
+:func:`repro.checkpoint.placement.replica_holder_map`.
 """
 
 from __future__ import annotations
 
 from typing import (
     Any,
-    Callable,
     Dict,
     Generator,
     Iterable,
@@ -56,35 +56,6 @@ from repro.checkpoint.manager import (
     _CopySource,
 )
 from repro.checkpoint.store import CheckpointNotFound, Key
-
-
-# ----------------------------------------------------------------------
-# placement
-# ----------------------------------------------------------------------
-def replica_holder_map(
-    participants: Sequence[int],
-    node_of: Callable[[int], int],
-    r: int,
-) -> Dict[int, List[int]]:
-    """Replica holders of every participant, via the rankstate kernel.
-
-    Builds the sorted ring and its node lookup once and derives every
-    position's holder rows with the :mod:`repro.ft.rankstate`
-    ``replica_ring_holders`` kernel — O(n·r) for the whole map.  The
-    scalar placement oracle lives in ``tests/checkpoint/test_replicated.py``.
-    """
-    from repro.ft import rankstate
-
-    ring = sorted(participants)
-    if not ring:
-        return {}
-    nodes = np.fromiter((node_of(x) for x in ring), dtype=np.int64,
-                        count=len(ring))
-    rows = rankstate.replica_ring_holders(nodes, r)
-    return {
-        rank: [ring[int(j)] for j in row if j >= 0]
-        for rank, row in zip(ring, rows)
-    }
 
 
 def _fetched() -> None:
@@ -157,12 +128,6 @@ class ReplicatedCheckpointLib(_CopySource):
                                 members, self.config.replication
                             ).get(self.ctx.rank, ())]
 
-    @property
-    def replica_ranks(self) -> List[int]:
-        """Current replica holders (placement, not location — reads use
-        the manager's location index instead)."""
-        return [holder for holder, _ in self.holders]
-
     def land(self, copy: _Copy) -> bool:
         """Landing rule: ReStore's in-memory-of-another-process semantics.
 
@@ -231,13 +196,8 @@ class ReplicatedCheckpointLib(_CopySource):
             and manager.reachable(self._my_node, node_of(holder))
         ]
 
-    def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
-        """Newest version with at least one fetchable replica, or -1.
-
-        ``extra_nodes`` is accepted for interface parity and ignored —
-        replica locations come from the manager's index, not from node
-        hints.
-        """
+    def restorable_latest(self) -> int:
+        """Newest version with at least one fetchable replica, or -1."""
         versions = self._manager.replica_versions(self.config.tag,
                                                   self.logical_rank)
         for version in reversed(versions):
@@ -248,9 +208,7 @@ class ReplicatedCheckpointLib(_CopySource):
         return -1
 
     def read_checkpoint(
-        self, version: Optional[int] = None,
-        extra_nodes: Sequence[int] = (),
-        reprotect: bool = True,
+        self, version: Optional[int] = None, reprotect: bool = True,
     ) -> Generator[Any, Any, Tuple[int, Dict[str, np.ndarray]]]:
         """Generator: restore ``(version, payload)`` from the replica set.
 
@@ -271,7 +229,7 @@ class ReplicatedCheckpointLib(_CopySource):
         the current holder set, restoring full protection.
         """
         if version is None:
-            version = self.restorable_latest(extra_nodes)
+            version = self.restorable_latest()
             if version < 0:
                 raise CheckpointNotFound(
                     f"no replicated checkpoint for logical rank "
@@ -403,24 +361,22 @@ class PfsCheckpointLib:
         done.succeed(True)
         return done
 
-    def restorable_latest(self, extra_nodes: Sequence[int] = ()) -> int:
-        """Newest version on the PFS, or -1 (``extra_nodes`` ignored)."""
+    def restorable_latest(self) -> int:
+        """Newest version on the PFS, or -1."""
         latest = self.pfs.latest_version(self.config.tag, self.logical_rank)
         return -1 if latest is None else latest
 
     def read_checkpoint(
-        self, version: Optional[int] = None,
-        extra_nodes: Sequence[int] = (),
-        reprotect: bool = True,
+        self, version: Optional[int] = None, reprotect: bool = True,
     ) -> Generator[Any, Any, Tuple[int, Dict[str, np.ndarray]]]:
         """Generator: restore ``(version, payload)`` from the PFS.
 
-        ``extra_nodes`` and ``reprotect`` are accepted for interface
-        parity; the PFS copy *is* the protection, so there is nothing to
-        re-establish after a restore.
+        ``reprotect`` is accepted for interface parity; the PFS copy *is*
+        the protection, so there is nothing to re-establish after a
+        restore.
         """
         if version is None:
-            version = self.restorable_latest(extra_nodes)
+            version = self.restorable_latest()
             if version < 0:
                 raise CheckpointNotFound(
                     f"no PFS checkpoint for logical rank {self.logical_rank}"

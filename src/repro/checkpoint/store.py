@@ -61,9 +61,10 @@ class NodeLocalStore:
     def has(self, key: Key) -> bool:
         return self.node.alive and (self._PREFIX, *key) in self.node.local_store
 
-    def put_pruned(self, key: Key, blob: StoredBlob, keep: int) -> None:
+    def put_pruned(self, key: Key, blob: StoredBlob, keep: int) -> bool:
         """Store ``blob`` under ``key``, then drop all but the owner's
-        newest ``keep`` versions.
+        newest ``keep`` versions.  Returns whether this is the first blob
+        of ``key``'s ``(tag, logical rank)`` on the node.
 
         The hot write path (every local write and every landed mirror)
         always prunes right after storing, so both share one aliveness
@@ -80,7 +81,7 @@ class NodeLocalStore:
         if held is None:
             index[pair] = [version]
             store[full] = blob
-            return
+            return True
         if not held or held[-1] < version:
             # the hot path: versions are written in increasing order, and
             # a version absent from the (exact) index is absent from the
@@ -95,6 +96,7 @@ class NodeLocalStore:
             for stale_version in stale:
                 store.pop((self._PREFIX, tag, logical_rank, stale_version),
                           None)
+        return False
 
     # ------------------------------------------------------------------
     def versions(self, tag: str, logical_rank: int) -> List[int]:
@@ -107,10 +109,3 @@ class NodeLocalStore:
     def latest_version(self, tag: str, logical_rank: int) -> Optional[int]:
         versions = self.versions(tag, logical_rank)
         return versions[-1] if versions else None
-
-    def used_bytes(self) -> int:
-        return sum(
-            blob.nominal_bytes
-            for k, blob in self.node.local_store.items()
-            if isinstance(k, tuple) and k and k[0] == self._PREFIX
-        )

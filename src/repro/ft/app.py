@@ -46,15 +46,13 @@ class FTContext:
     """Per-rank services handed to the application program."""
 
     def __init__(self, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-                 team: Team, epoch: int, extra_nodes: List[int],
-                 state_ckpt: CheckpointBackend,
+                 team: Team, epoch: int, state_ckpt: CheckpointBackend,
                  setup_ckpt: CheckpointBackend) -> None:
         self.ctx = ctx
         self.cfg = cfg
         self.block = block
         self.team = team
         self.epoch = epoch
-        self.extra_nodes = extra_nodes
         self.state_ckpt = state_ckpt
         self.setup_ckpt = setup_ckpt
         #: free-form per-rank counters (e.g. iterations executed across
@@ -64,7 +62,7 @@ class FTContext:
     # ------------------------------------------------------------------
     @classmethod
     def build(cls, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-              team: Team, epoch: int, extra_nodes: List[int],
+              team: Team, epoch: int,
               old: Optional["FTContext"] = None) -> "FTContext":
         """Create (or refresh, for survivors) the per-rank FT services."""
         # the team's interned membership: the libraries adopt it as-is
@@ -81,11 +79,7 @@ class FTContext:
                                              participants, config=state_cfg)
             setup_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
                                              participants, config=setup_cfg)
-        merged_extra = set(extra_nodes)
-        if old is not None:
-            merged_extra |= set(old.extra_nodes)  # keep known data sources
-        built = cls(ctx, cfg, block, team, epoch, sorted(merged_extra),
-                    state_ckpt, setup_ckpt)
+        built = cls(ctx, cfg, block, team, epoch, state_ckpt, setup_ckpt)
         if old is not None:
             built.counters = old.counters
         return built
@@ -119,16 +113,14 @@ class FTContext:
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""
-        mine = self.state_ckpt.restorable_latest(self.extra_nodes)
+        mine = self.state_ckpt.restorable_latest()
         version = yield from self.agree_min(mine)
         return version
 
     def read_state_checkpoint(self, version: int,
                               ) -> Generator[Any, Any, Dict[str, Any]]:
         """Generator: restore the agreed periodic checkpoint payload."""
-        _, payload = yield from self.state_ckpt.read_checkpoint(
-            version, self.extra_nodes
-        )
+        _, payload = yield from self.state_ckpt.read_checkpoint(version)
         return payload
 
     def read_setup_checkpoint(
@@ -136,13 +128,11 @@ class FTContext:
     ) -> Generator[Any, Any, Optional[Dict[str, Any]]]:
         """Generator: the setup checkpoint, or ``None`` if the team agreed
         at least one rank cannot restore it (then everyone redoes setup)."""
-        mine = self.setup_ckpt.restorable_latest(self.extra_nodes)
+        mine = self.setup_ckpt.restorable_latest()
         agreed = yield from self.agree_min(1 if mine >= SETUP_VERSION else 0)
         if agreed == 0:
             return None
-        _, payload = yield from self.setup_ckpt.read_checkpoint(
-            SETUP_VERSION, self.extra_nodes
-        )
+        _, payload = yield from self.setup_ckpt.read_checkpoint(SETUP_VERSION)
         return payload
 
 
@@ -203,10 +193,8 @@ def _rebuild_context(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         ctx, cfg, block, notice,
         old_group=old.team.group if old is not None else None,
     )
-    return FTContext.build(
-        ctx, cfg, block, recovery.team, recovery.notice.epoch,
-        recovery.extra_nodes, old=old,
-    )
+    return FTContext.build(ctx, cfg, block, recovery.team,
+                           recovery.notice.epoch, old=old)
 
 
 def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
@@ -341,7 +329,7 @@ def ft_main(cfg: FTConfig,
             guard=CommGuard(partial(block.check_failure, 0)),
             comm_timeout=cfg.comm_timeout,
         )
-        ftx = FTContext.build(ctx, cfg, block, team, epoch=0, extra_nodes=[])
+        ftx = FTContext.build(ctx, cfg, block, team, epoch=0)
         return (yield from worker_loop(ctx, cfg, block, program, ftx,
                                        mode="fresh"))
 

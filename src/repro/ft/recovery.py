@@ -41,12 +41,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from typing import Any, Generator, List, Optional
+from typing import Any, Generator, Optional
 
 from repro.gaspi.constants import ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
-from repro.checkpoint.neighbor import neighbor_map
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
 from repro.obs.timeline import milestone
@@ -56,32 +55,12 @@ from repro.spmvm.team import Team
 
 @dataclass
 class RecoveryResult:
-    """What one rank knows after a successful reconstruction."""
+    """What one rank knows after a successful reconstruction: the notice
+    it rebuilt for (a rescue finds its predecessor's checkpoints through
+    the checkpoint library, by logical rank) and its new team."""
 
     notice: FailureNotice
     team: Team
-    #: nodes that may hold this rank's logical predecessor's checkpoints
-    #: (the failed process's node and its former checkpoint neighbor);
-    #: empty for survivors
-    extra_nodes: List[int]
-    #: True if this rank joined the group during this recovery
-    is_rescue: bool
-
-
-def restore_sources(ctx: GaspiContext, notice: FailureNotice) -> List[int]:
-    """Candidate nodes holding the checkpoints this rescue must inherit."""
-    if ctx.rank not in notice.rescues:
-        return []
-    failed_phys = notice.failed[notice.rescues.index(ctx.rank)]
-    machine = ctx.world.machine
-    # the pre-failure placement: undo the notice's rescue takeovers
-    back = dict(zip(notice.rescues, notice.failed))
-    old_ranks = sorted(back.get(p, p) for p in notice.rank_map.values())
-    nodes = [machine.node_of(failed_phys)]
-    old_neighbor = neighbor_map(old_ranks, machine.node_of)[failed_phys]
-    if old_neighbor is not None:
-        nodes.append(machine.node_of(old_neighbor))
-    return nodes
 
 
 def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
@@ -157,9 +136,4 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         team = Team(ctx=ctx, group=group, logical_rank=my_logical,
                     rank_map=rank_map, comm_timeout=cfg.comm_timeout,
                     guard=CommGuard(partial(block.check_failure, notice.epoch)))
-        return RecoveryResult(
-            notice=notice,
-            team=team,
-            extra_nodes=restore_sources(ctx, notice),
-            is_rescue=was_rescue,
-        )
+        return RecoveryResult(notice=notice, team=team)

@@ -37,13 +37,14 @@ def test_neighbor_copy_lands_on_other_node():
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2])
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(8)})
         ok, copied = yield WaitEvent(mirrored, 10.0)
-        return (ok, copied, lib.neighbor_rank, lib.stats["neighbor_copies"])
+        return (ok, copied, lib.holders, lib.stats["neighbor_copies"])
 
     run = run_gaspi(main, n_ranks=3)
     for r in range(3):
-        ok, copied, neighbor, copies = run.result(r)
+        ok, copied, holders, copies = run.result(r)
         assert ok and copied
-        assert neighbor == (r + 1) % 3
+        # one holder: the next rank, on its own node
+        assert holders == [((r + 1) % 3, (r + 1) % 3)]
         assert copies == 1
     # each node now holds its own blob and its predecessor's
     m = run.machine
@@ -67,8 +68,8 @@ def test_restore_from_neighbor_after_node_loss():
         if ctx.rank == 3:  # the rescue: adopts logical rank 1 after failure
             yield Sleep(30.0)
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
-            # candidates: failed rank's node (1, dead) and its old neighbor (2)
-            version, out = yield from lib.read_checkpoint(extra_nodes=[1, 2])
+            # recorded nodes: the failed rank's (1, dead) and its mirror's (2)
+            version, out = yield from lib.read_checkpoint()
             return (version, float(out["x"][0]), lib.stats["remote_reads"])
         yield Sleep(40.0)
         return None
@@ -83,20 +84,21 @@ def test_restore_prefers_local_after_process_only_failure():
 
     def main(ctx):
         if ctx.rank == 0:
-            lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
+            # a lone participant: no mirror, node 0 holds the only copy
+            lib = CheckpointLib(ctx, logical_rank=0, participants=[0])
             yield from lib.write_checkpoint(0, {"x": np.arange(3.0)})
             yield Sleep(100.0)
             return None
-        # rank 1 plays "rescue restarted on the failed process's node 0"?
-        # it cannot be; instead verify remote read from node 0 succeeds
+        # rank 1 adopts logical rank 0 after the process-only failure and
+        # reads the failed process's store on node 0
         yield Sleep(10.0)
         lib = CheckpointLib(ctx, logical_rank=0, participants=[1])
-        version, out = yield from lib.read_checkpoint(extra_nodes=[0])
-        return (version, list(out["x"]))
+        version, out = yield from lib.read_checkpoint()
+        return (version, list(out["x"]), lib.stats["remote_reads"])
 
     plan = FaultPlan().kill_process(5.0, 0)
     run = run_gaspi(main, n_ranks=2, fault_plan=plan)
-    assert run.result(1) == (0, [0.0, 1.0, 2.0])
+    assert run.result(1) == (0, [0.0, 1.0, 2.0], 1)
 
 
 def test_version_pruning_keeps_last_k():
@@ -146,15 +148,15 @@ def test_read_missing_version_raises():
 def test_refresh_changes_neighbor_after_failure():
     def main(ctx):
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2, 3])
-        before = lib.neighbor_rank
+        before = lib.holders
         lib.refresh([0, 2, 3])  # rank 1 failed and left the ring
-        after = lib.neighbor_rank
+        after = lib.holders
         if False:
             yield
         return (before, after)
 
     run = run_gaspi(main, n_ranks=4)
-    assert run.result(0) == (1, 2)
+    assert run.result(0) == ([(1, 1)], [(2, 2)])
 
 
 def test_checkpoint_write_cost_scales_with_nominal_bytes():
@@ -209,11 +211,12 @@ def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
             totals = CheckpointManager.of(ctx.world).phase_totals
             before = dict(totals)
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
-            version, _ = yield from lib.read_checkpoint(extra_nodes=[1, 2])
+            version, _ = yield from lib.read_checkpoint()
             yield Sleep(1.0)  # the re-mirror completes in the background
+            (neighbor, neighbor_node), = lib.holders
             new_neighbor_store = NodeLocalStore(
-                ctx.world.machine.node(lib.neighbor_node))
-            return (version, lib.neighbor_rank, new_neighbor_store.has(key),
+                ctx.world.machine.node(neighbor_node))
+            return (version, neighbor, new_neighbor_store.has(key),
                     lib.stats["neighbor_copies"], before, dict(totals))
         yield Sleep(40.0)
         return None
@@ -235,7 +238,7 @@ def test_each_restore_is_counted_and_traced_once(source):
     backend = "neighbor" if source in ("local", "neighbor") else source
     cfg = CheckpointConfig(backend=backend)
     # rank 0 writes logical rank 0's blob; for a neighbor-sourced restore
-    # rank 2 reads it from rank 0's mirror on node 1, else rank 0 reads it
+    # rank 2 reads it from a node that stored it, else rank 0 reads it
     reader = 2 if source == "neighbor" else 0
     sim = Simulator()
     sim.tracer = tracer = Tracer()
@@ -251,8 +254,7 @@ def test_each_restore_is_counted_and_traced_once(source):
             return None
         totals = CheckpointManager.of(ctx.world).phase_totals
         before = dict(totals)
-        _, payload = yield from lib.read_checkpoint(extra_nodes=[1],
-                                                    reprotect=False)
+        _, payload = yield from lib.read_checkpoint(reprotect=False)
         return before, dict(totals), list(payload["x"])
 
     run = run_gaspi(main, n_ranks=4, sim=sim)
@@ -312,7 +314,7 @@ def test_severed_neighbor_times_out_and_releases_the_fifo():
         if ctx.rank != 0:
             yield Sleep(10.0)
             return None
-        ctx.world.machine.network.break_link(lib.my_node, lib.neighbor_node)
+        ctx.world.machine.network.break_link(lib.my_node, lib.holders[0][1])
         first = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
         second = yield from lib.write_checkpoint(1, {"x": np.ones(4)})
         fires = []
@@ -341,7 +343,7 @@ def _lone_writer_mirror(severed):
         lib = CheckpointLib(ctx, logical_rank=0, participants=[0, 1])
         network = ctx.world.machine.network
         if severed:
-            network.break_link(lib.my_node, lib.neighbor_node)
+            network.break_link(lib.my_node, lib.holders[0][1])
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
         t_local = ctx.now
         ok, copied = yield WaitEvent(mirrored, 10.0)
@@ -382,9 +384,10 @@ def test_restorable_latest_skips_unreachable_nodes():
             yield Sleep(30.0)
             ctx.world.machine.network.break_link(3, 1)
             lib = CheckpointLib(ctx, logical_rank=0, participants=[1, 2, 3])
-            latest = lib.restorable_latest(extra_nodes=[0, 1])
+            # recorded nodes: 0 (dead) and its mirror's 1 (unreachable)
+            latest = lib.restorable_latest()
             try:
-                yield from lib.read_checkpoint(extra_nodes=[0, 1])
+                yield from lib.read_checkpoint()
             except CheckpointNotFound as exc:
                 return latest, str(exc)
         yield Sleep(40.0)

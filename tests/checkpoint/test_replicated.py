@@ -286,9 +286,7 @@ def test_severed_holder_times_out_and_releases_the_fifo():
         if ctx.rank != 0:
             yield Sleep(10.0)
             return None
-        machine = ctx.world.machine
-        machine.network.break_link(
-            lib.my_node, machine.node_of(lib.replica_ranks[0]))
+        ctx.world.machine.network.break_link(lib.my_node, lib.holders[0][1])
         first = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
         second = yield from lib.write_checkpoint(1, {"x": np.ones(4)})
         fires = []

@@ -1,6 +1,9 @@
 """Tests for node-local stores, the PFS model and neighbor selection."""
 
+import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.sim import Simulator
 from repro.cluster.node import Node
@@ -11,6 +14,7 @@ from repro.checkpoint import (
     StoredBlob,
     neighbor_map,
 )
+from repro.checkpoint.placement import ring_neighbors
 
 
 def blob(data=b"x", nominal=None):
@@ -61,10 +65,19 @@ class TestNodeLocalStore:
         store.put_pruned(("a", 2, 9), blob(), KEEP)
         assert store.versions("a", 1) == [0]
 
-    def test_used_bytes_uses_nominal(self):
+    def test_stored_blob_keeps_nominal_size(self):
         store = NodeLocalStore(Node(0))
         store.put_pruned(("t", 1, 0), blob(b"xy", nominal=1000), KEEP)
-        assert store.used_bytes() == 1000
+        assert store.get(("t", 1, 0)).nbytes == 1000
+
+    def test_put_reports_the_pairs_first_blob_on_the_node(self):
+        """Only the first blob of a ``(tag, logical rank)`` on a node is
+        new to it — the miss the manager's location record is noted on."""
+        store = NodeLocalStore(Node(0))
+        firsts = [store.put_pruned(key, blob(), 1) for key in
+                  (("t", 1, 0), ("t", 1, 1), ("t", 2, 0), ("u", 1, 0),
+                   ("t", 1, 2))]
+        assert firsts == [True, False, True, True, False]
 
 
 class TestParallelFileSystem:
@@ -158,3 +171,21 @@ class TestNeighborSelection:
         after = neighbor_map([0, 1, 3], node_of)[1]  # rank 2 failed
         assert before == 2
         assert after == 3
+
+
+def ring_neighbors_oracle(ring_nodes):
+    """Scalar ring rule: the first later position on a different node."""
+    d = [int(x) for x in ring_nodes]
+    n = len(d)
+    return np.array([next((j % n for j in range(i + 1, i + n)
+                           if d[j % n] != d[i]), -1) for i in range(n)],
+                    dtype=np.int64)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(st.lists(st.integers(0, 5), min_size=0, max_size=40))
+def test_ring_neighbor_kernel_identical(ring_nodes):
+    nodes = np.asarray(ring_nodes, dtype=np.int64)
+    assert np.array_equal(ring_neighbors(nodes),
+                          ring_neighbors_oracle(nodes))

@@ -5,8 +5,6 @@ import pytest
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
 from repro.gaspi import run_gaspi
 from repro.ft.detector import scan_once
-from repro.ft.recovery import restore_sources
-from repro.ft.control import FailureNotice
 from repro.sim import Sleep
 
 
@@ -66,36 +64,6 @@ class TestScanOnce:
 
         run = run_gaspi(main, n_ranks=1)
         assert run.result(0) == []
-
-
-class TestRestoreSources:
-    def make_notice(self, failed, rescues, rank_map):
-        return FailureNotice(epoch=1, failed=tuple(failed),
-                             rescues=tuple(rescues), status=(),
-                             rank_map=rank_map)
-
-    def test_rescue_gets_failed_node_and_old_neighbor(self):
-        def main(ctx):
-            if False:
-                yield
-            # rank 4 rescued failed rank 1; old workers were 0..3
-            notice = self.make_notice([1], [4], {0: 0, 1: 4, 2: 2, 3: 3})
-            return restore_sources(ctx, notice)
-
-        run = run_gaspi(main, machine_spec=machine_spec(5))
-        # node of failed rank 1, node of its old checkpoint neighbor (2)
-        assert run.result(4) == [1, 2]
-
-    def test_survivor_gets_no_extra_nodes(self):
-        def main(ctx):
-            if False:
-                yield
-            notice = self.make_notice([1], [4], {0: 0, 1: 4, 2: 2, 3: 3})
-            return restore_sources(ctx, notice)
-
-        run = run_gaspi(main, machine_spec=machine_spec(5))
-        assert run.result(0) == []
-        assert run.result(2) == []
 
 
 class TestIdleOnlyFailures:

@@ -12,7 +12,7 @@ import pytest
 
 from repro.checkpoint import CheckpointConfig, CheckpointManager
 from repro.cluster import FaultPlan, MachineSpec, TransportParams
-from repro.experiments.common import machine_for
+from repro.experiments.common import machine_for, run_ft_scenario
 from repro.ft import FTConfig, run_ft_application
 from repro.solvers.ft_lanczos import FTLanczos
 from repro.spmvm.matgen import GrapheneSheet
@@ -194,6 +194,22 @@ class TestMultipleFailures:
         workers = result.worker_results()
         assert result.status == "done"
         assert sorted(workers) == [0, 1, 2, 3]
+
+    def test_superseded_rescue_restores_its_predecessors_checkpoint(self):
+        """The kill of 3 lands while rescue 16's epoch-1 rebuild is still
+        pending, so the epoch-2 notice supersedes it.  Rescue 16 still
+        finds rank 9's checkpoints (its node outlived the process), so
+        the team restores version 1, as each kill alone does, instead of
+        restarting from scratch with setup redone."""
+        outcome = run_ft_scenario(
+            "superseded", scaled_spec(workers=16, iterations=140),
+            kill_times=[(33.0, 9), (34.0, 3)], n_spares=4)
+        workers = outcome.result.worker_results()
+        assert {w["status"] for w in workers.values()} == {"done"}
+        record, = [r for r in outcome.result.failures() if r.epoch == 2]
+        assert record.rescues == (17,)
+        assert record.restore_version == 1
+        assert record.restore_s < 1.0
 
     def test_simultaneous_failures_detected_in_one_scan(self):
         cfg = FTConfig(n_workers=4, n_spares=4, fd_scan_period=1.0,

@@ -1,6 +1,6 @@
 """Property tests: the rankstate kernels equal compact scalar loops on
 every input — randomized failure patterns, rank counts from 16 to 512,
-degenerate and truncated rescue batches, shared-node rings."""
+degenerate and truncated rescue batches."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings
@@ -49,14 +49,6 @@ def apply_rescues(rank_map_arr, failed, rescues):
 
 def logical_in_map(rank_map, phys):
     return next((lg for lg, p in rank_map.items() if p == phys), None)
-
-
-def ring_neighbors(ring_nodes):
-    d = [int(x) for x in ring_nodes]
-    n = len(d)
-    return np.array([next((j % n for j in range(i + 1, i + n)
-                           if d[j % n] != d[i]), -1) for i in range(n)],
-                    dtype=np.int64)
 
 
 # ----------------------------------------------------------------------
@@ -156,12 +148,3 @@ def test_group_fill_kernels_identical(n, seed):
     assert filled.identity() == added.identity()
     # an interned membership passes through as-is, without a re-sort
     assert _Members.of(filled.members) is filled.members
-
-
-@settings(max_examples=40, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(st.lists(st.integers(0, 5), min_size=0, max_size=40))
-def test_ring_neighbor_kernel_identical(ring_nodes):
-    nodes = np.asarray(ring_nodes, dtype=np.int64)
-    assert np.array_equal(rankstate.ring_neighbors(nodes),
-                          ring_neighbors(nodes))

@@ -78,7 +78,8 @@ def test_rank_map_recovery_sequence_invariants(n_workers, n_spares, seed):
         assert len(set(phys)) == n_workers
         assert not set(failed) & set(phys)
         assert set(rescues) <= set(phys)
-        # the rescues' undo (recovery.restore_sources) really inverts
+        # undoing the takeovers (rescue -> the rank it replaced) really
+        # inverts the map
         back = dict(zip(rescues, failed))
         assert [back.get(p, p) for p in phys] == mapping.tolist()
         mapping = new
