@@ -34,7 +34,7 @@ Nested function/class definitions are opaque single elements: every
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import List, Optional, Sequence, Set, Tuple
 
 __all__ = ["Block", "CFG", "build_cfg"]
 

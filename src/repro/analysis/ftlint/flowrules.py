@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import ast
 import re
-from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from repro.analysis.ftlint.cfg import CFG, build_cfg
 from repro.analysis.ftlint.core import FileContext, Finding, Rule, register

@@ -323,17 +323,11 @@ class PfsCheckpointLib:
         config: Optional[CheckpointConfig] = None,
     ) -> None:
         self.ctx = ctx
-        self.machine = ctx.world.machine
-        self._my_node: int = self.machine.node_of(ctx.rank)
         self._tracer = ctx.tracer
         self._manager = CheckpointManager.of(ctx.world)
         self.logical_rank = logical_rank
         self.config = config or CheckpointConfig(backend="pfs")
         self.pfs = self._manager.pfs
-
-    @property
-    def my_node(self) -> int:
-        return self._my_node
 
     def refresh(self, participants: Iterable[int]) -> None:
         """No-op: the PFS is location-independent, so a recovery changes

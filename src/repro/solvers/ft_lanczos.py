@@ -20,11 +20,39 @@ from __future__ import annotations
 
 from typing import Any, Dict, Generator, Optional
 
+import numpy as np
+
 from repro.ft.app import FTContext, FTProgram
 from repro.spmvm.dist_matrix import DistMatrix, distribute_matrix
 from repro.spmvm.matgen.base import RowGenerator
 from repro.spmvm.spmv import SpMVMEngine
 from repro.solvers.lanczos import DistributedLanczos, LanczosState
+from repro.solvers.tridiag import lanczos_matrix_eigenvalues
+
+#: the world attribute that holds the run's one-entry estimates memo
+_ESTIMATES_MEMO = "_lanczos_estimates"
+
+
+def _world_estimates(world: Any, state: LanczosState) -> np.ndarray:
+    """``state.eigenvalue_estimates()``, solved once per world.
+
+    Every worker ends with the same ``alpha``/``beta``, because each entry
+    comes from a global reduction, so the first worker to finish solves
+    ``T_j`` and the others reuse its read-only result.  The memo holds one
+    entry, keyed by the exact coefficient bytes (a worker whose
+    coefficients differ in any bit solves its own), and lives on the
+    world, so no result outlives its run.
+    """
+    alpha = np.array(state.alpha)
+    beta = np.array(state.beta)
+    key = (alpha.tobytes(), beta.tobytes())
+    memo = getattr(world, _ESTIMATES_MEMO, None)
+    if memo is None or memo[0] != key:
+        estimates = lanczos_matrix_eigenvalues(alpha, beta)
+        estimates.flags.writeable = False
+        memo = (key, estimates)
+        setattr(world, _ESTIMATES_MEMO, memo)
+    return memo[1]
 
 
 class FTLanczos(FTProgram):
@@ -79,7 +107,7 @@ class FTLanczos(FTProgram):
                                           solver.state.to_payload())
             if solver.state.broke_down:
                 break
-        estimates = solver.state.eigenvalue_estimates()
+        estimates = _world_estimates(ftx.ctx.world, solver.state)
         return {
             "steps": solver.state.step,
             "min_eigenvalue": float(estimates[0]) if estimates.size else None,

@@ -23,6 +23,16 @@ and cached on the matrix (matrices are immutable after construction —
 Both paths are bit-for-bit reproducible call-to-call, which is what the
 stack's deterministic redo-work after a recovery relies on (rounding may
 differ from the old ``bincount`` formulation by ~1 ulp).
+
+Both gather with ``np.take(..., mode="wrap")``.  With ``out=`` and the
+default ``mode="raise"``, NumPy gathers into a temporary and copies it
+into ``out`` on every call, so that a bad index leaves ``out`` as it
+was.  No index here can be out of range, so none is ever wrapped:
+``validate`` checks every ``col_idx`` against ``n_cols`` at
+construction, the ELL padding gathers column 0, which exists whenever
+``nnz > 0``, and ``spmv`` checks that ``x`` has ``n_cols`` entries.
+The spMVM engine checks its halo send lists the same way when it is
+built.
 """
 
 from __future__ import annotations
@@ -202,15 +212,15 @@ class CSRMatrix:
         plan = self._gather_plan()
         if plan[0] == "ell":
             _, cols, vals, tmp = plan
-            np.take(x, cols[0], out=tmp)
+            np.take(x, cols[0], out=tmp, mode="wrap")
             np.multiply(tmp, vals[0], out=out)
             for j in range(1, len(cols)):
-                np.take(x, cols[j], out=tmp)
+                np.take(x, cols[j], out=tmp, mode="wrap")
                 np.multiply(tmp, vals[j], out=tmp)
                 np.add(out, tmp, out=out)
         else:
             _, reduce_idx, nonempty, products, nz_out = plan
-            np.take(x, self.col_idx, out=products)
+            np.take(x, self.col_idx, out=products, mode="wrap")
             np.multiply(products, self.values, out=products)
             if nonempty is None:
                 np.add.reduceat(products, reduce_idx, out=out)

@@ -67,12 +67,19 @@ class SpMVMEngine:
         self._stage = ctx.segment_view(
             STAGE_SEGMENT, np.float64, 0, matrix.plan.total_send
         ) if matrix.plan.total_send else np.zeros(0)
-        # precompute contiguous staging offsets per requester (sorted order)
+        # precompute contiguous staging offsets per requester (sorted
+        # order) and check each send list once: the push gathers in wrap
+        # mode, which would wrap a bad index where raise mode would fail
         self._stage_offsets = {}
         offset = 0
         for requester in matrix.plan.requesters():
+            spec = matrix.plan.send[requester]
+            idx = spec.local_idx
+            if idx.size and (idx.min() < 0 or idx.max() >= matrix.n_local):
+                raise ValueError(
+                    f"send index for requester {requester} out of range")
             self._stage_offsets[requester] = offset
-            offset += matrix.plan.send[requester].count
+            offset += spec.count
 
     @staticmethod
     def _ensure_segment(ctx, segment_id: int, nbytes: int) -> None:
@@ -148,9 +155,10 @@ class SpMVMEngine:
             if spec.count == 0:
                 continue
             offset = self._stage_offsets[requester]
-            # gather straight into the staging segment (no temp array)
+            # gather straight into the staging segment (no temp array:
+            # the indices were checked when the engine was built)
             np.take(x_local, spec.local_idx,
-                    out=self._stage[offset : offset + spec.count])
+                    out=self._stage[offset : offset + spec.count], mode="wrap")
             entry = (STAGE_SEGMENT, offset * _F8, spec.count * _F8,
                      X_SEGMENT, spec.halo_start * _F8)
             while True:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.obs.timeline import (
     FailureLog,
-    FailureRecord,
     build_timelines,
     injected_ranks,
     phase_stats,
