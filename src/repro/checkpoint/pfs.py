@@ -95,7 +95,6 @@ class ParallelFileSystem:
         self.latency = latency
         self.link = FluidLink(sim, aggregate_bandwidth)
         self._blobs: Dict[Key, StoredBlob] = {}
-        self.stats = {"writes": 0, "reads": 0, "bytes_written": 0, "bytes_read": 0}
 
     # ------------------------------------------------------------------
     def write(self, key: Key,
@@ -111,8 +110,6 @@ class ParallelFileSystem:
         done = self.link.start(blob.nominal_bytes)
         yield WaitEvent(done)  # ftlint: disable=FT001 -- PFS transfer completion is a locally simulated event; it always fires, there is no remote failure mode
         self._blobs[key] = blob
-        self.stats["writes"] += 1
-        self.stats["bytes_written"] += blob.nominal_bytes
 
     def read(self, key: Key) -> Generator[Any, Any, StoredBlob]:
         """Generator: fetch a blob (returns it), charging transfer time.
@@ -126,8 +123,6 @@ class ParallelFileSystem:
         yield Sleep(self.latency)
         done = self.link.start(blob.nominal_bytes)
         yield WaitEvent(done)  # ftlint: disable=FT001 -- PFS transfer completion is a locally simulated event; it always fires, there is no remote failure mode
-        self.stats["reads"] += 1
-        self.stats["bytes_read"] += blob.nominal_bytes
         return blob
 
     def has(self, key: Key) -> bool:

@@ -121,13 +121,11 @@ class FaultInjector:
         sim: "Simulator",
         machine: "Machine",
         plan: FaultPlan,
-        on_inject: Optional[Callable[[FaultEvent], None]] = None,
     ) -> None:
         self.sim = sim
         self.machine = machine
         self.plan = plan
         self.injected: List[FaultEvent] = []
-        self._on_inject = on_inject
 
     def arm(self) -> None:
         """Schedule every fault event at its virtual time."""
@@ -143,8 +141,6 @@ class FaultInjector:
                           kind=type(event).__name__)
             event.apply(self.machine)
             self.injected.append(event)
-            if self._on_inject is not None:
-                self._on_inject(event)
 
         return thunk
 

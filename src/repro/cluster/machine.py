@@ -10,7 +10,7 @@ the running coroutine.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -48,7 +48,6 @@ class Machine:
         self.network = Network()
         self.transport = Transport(sim, self.network, self.spec.transport_params)
         self._procs: Dict[int, List[Process]] = {}
-        self._death_listeners: List[Callable[[int], None]] = []
 
         # placement is regular (rank r lives on node r // procs_per_node),
         # so it is computed in one vectorized pass and registered in bulk
@@ -95,10 +94,6 @@ class Machine:
         """
         self._procs.setdefault(rank, []).append(proc)
 
-    def on_death(self, listener: Callable[[int], None]) -> None:
-        """Register a callback invoked with the rank of each killed process."""
-        self._death_listeners.append(listener)
-
     # ------------------------------------------------------------------
     # kill switches
     # ------------------------------------------------------------------
@@ -109,8 +104,6 @@ class Machine:
         self.transport.mark_dead(rank)
         for proc in self._procs.get(rank, []):
             proc.kill()
-        for listener in self._death_listeners:
-            listener(rank)
 
     def kill_node(self, node_id: int) -> None:
         """Crash a node: every rank on it dies, the local store is wiped."""

@@ -145,10 +145,9 @@ class SweepTrace:
     scenario: str
     k: int
     events: Tuple = ()
+    #: ring evictions (pings, solver iterations, checkpoint spans);
+    #: lifecycle milestones are never evicted
     dropped: int = 0
-    #: portion of ``dropped`` evicted from the opt-in bulk ring (pings,
-    #: solver iterations) — bounded by design, not a lifecycle data loss
-    dropped_bulk: int = 0
 
     @property
     def label(self) -> str:
@@ -156,26 +155,22 @@ class SweepTrace:
                 else f"{self.scenario}#{self.k}")
 
 
-def _run_task_traced(
-        item: Tuple[SweepTask, int, Optional[int]],
-) -> Tuple[Any, Tuple, int, int]:
+def _run_task_traced(item: Tuple[SweepTask, int]) -> Tuple[Any, Tuple, int]:
     """Worker wrapper: fresh tracer around one task, events shipped back."""
     from repro.obs import tracer as obs_tracer
 
-    task, capacity, bulk_capacity = item
-    tracer = obs_tracer.install(capacity=capacity,
-                                bulk_capacity=bulk_capacity)
+    task, capacity = item
+    tracer = obs_tracer.install(capacity=capacity)
     try:
         result = _run_task(task)
     finally:
         obs_tracer.deactivate()
     # TraceEvent is a namedtuple of plain values — picklable as-is
-    return result, tuple(tracer.events()), tracer.dropped, tracer.dropped_bulk
+    return result, tuple(tracer.events()), tracer.dropped
 
 
 def run_traced_sweep(tasks: Iterable[SweepTask], jobs: Optional[int] = 1,
                      capacity: Optional[int] = None,
-                     bulk_capacity: Optional[int] = None,
                      ) -> Tuple[List[Any], List[SweepTrace]]:
     """Like :func:`run_sweep`, but with per-task structured tracing.
 
@@ -183,21 +178,19 @@ def run_traced_sweep(tasks: Iterable[SweepTask], jobs: Optional[int] = 1,
     (so parallel workers never share a buffer) and returns
     ``(results, traces)``, both in task order — the merged trace is
     therefore deterministic and byte-identical serial vs. parallel.
-    ``bulk_capacity`` routes high-volume event types (pings, solver
-    iterations) to a separate bounded ring so large-scale scenarios
-    cannot evict lifecycle milestones.
+    ``capacity`` sizes each tracer's ring (default
+    :data:`~repro.obs.tracer.DEFAULT_CAPACITY`).
     """
     from repro.obs.tracer import DEFAULT_CAPACITY
 
     task_list = list(tasks)
     _check_unique(task_list)
     cap = capacity or DEFAULT_CAPACITY
-    outs = _map_tasks(_run_task_traced,
-                      [(t, cap, bulk_capacity) for t in task_list], jobs)
-    results = [result for result, _, _, _ in outs]
+    outs = _map_tasks(_run_task_traced, [(t, cap) for t in task_list], jobs)
+    results = [result for result, _, _ in outs]
     traces = [
         SweepTrace(experiment=t.experiment, scenario=t.scenario, k=t.k,
-                   events=events, dropped=dropped, dropped_bulk=dropped_bulk)
-        for t, (_, events, dropped, dropped_bulk) in zip(task_list, outs)
+                   events=events, dropped=dropped)
+        for t, (_, events, dropped) in zip(task_list, outs)
     ]
     return results, traces

@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import argparse
 import os
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.report import format_phase_summary, format_table
 from repro.experiments.sweep import SweepTask, SweepTrace, run_traced_sweep
+from repro.obs.tracer import (CKPT_MIRROR, CKPT_SCATTER, CKPT_WRITE,
+                              DEFAULT_CAPACITY)
 
 #: scenario-name prefixes exempt from strict chain validation (not
 #: instrumented by the FT stack — see module docstring)
@@ -96,42 +98,47 @@ def validate_trace(trace: SweepTrace) -> List[str]:
         if rank not in covered:
             errors.append(f"{trace.label}: injected failure of rank {rank} "
                           f"has no complete lifecycle chain")
-    lifecycle_dropped = trace.dropped - trace.dropped_bulk
-    if lifecycle_dropped:
-        errors.append(f"{trace.label}: ring buffer dropped "
-                      f"{lifecycle_dropped} lifecycle events — raise "
-                      f"--capacity")
     return errors
 
 
-def bulk_drop_notes(traces: List[SweepTrace]) -> List[str]:
-    """Human-readable notes on (tolerated) bulk-ring evictions.
+#: checkpoint span event types and their duration rows
+_CKPT_SPANS = {CKPT_WRITE: "ckpt.write_s", CKPT_MIRROR: "ckpt.mirror_s",
+               CKPT_SCATTER: "ckpt.scatter_s"}
 
-    Bulk drops — pings and solver iterations beyond ``--bulk-capacity`` —
-    are bounded by design and never fail validation, but they are also
-    never silent: every affected task gets one note.
+
+def metric_rows(traces: Sequence[SweepTrace]) -> List[List]:
+    """The aggregated-metrics rows, ``[name, count, min, mean, max]``.
+
+    Event counts per type (``events.<etype>``) and checkpoint payload
+    bytes (``ckpt.bytes_written``) are totals; checkpoint span durations
+    and the per-failure phases (``phase.<name>``) are summarised by
+    :func:`repro.obs.timeline.value_stats`.  Failure records are rebuilt
+    per trace, because recovery epochs are unique only within one run.
     """
-    return [
-        f"{tr.label}: bulk ring dropped {tr.dropped_bulk} high-volume "
-        f"events (pings/solver iterations) — retained newest; raise "
-        f"--bulk-capacity for full streams"
-        for tr in traces if tr.dropped_bulk
-    ]
+    from repro.obs.timeline import build_timelines, phase_stats, value_stats
 
-
-def _metrics_table(traces: List[SweepTrace]) -> str:
-    from repro.obs.metrics import registry_from_traces
-
-    reg = registry_from_traces(traces)
-    rows = []
-    for name, snap in reg.snapshot().items():
-        if snap["type"] == "counter":
-            rows.append([name, snap["value"], None, None, None])
-        elif snap["type"] == "histogram" and snap["count"]:
-            rows.append([name, snap["count"], snap["min"], snap["mean"],
-                         snap["max"]])
-    return format_table(["metric", "count", "min", "mean", "max"], rows,
-                        title="Aggregated metrics")
+    counts: Dict[str, int] = {}
+    spans: Dict[str, List[float]] = {}
+    bytes_written = 0
+    records = []
+    for trace in traces:
+        for ev in trace.events:
+            counts[ev.etype] = counts.get(ev.etype, 0) + 1
+            if ev.etype in _CKPT_SPANS:
+                spans.setdefault(_CKPT_SPANS[ev.etype], []).append(ev.dur)
+            if ev.etype == CKPT_WRITE:
+                bytes_written += ev.fields.get("bytes") or 0
+        records.extend(build_timelines(trace.events))
+    rows = [[f"events.{etype}", n, None, None, None]
+            for etype, n in counts.items()]
+    if bytes_written:
+        rows.append(["ckpt.bytes_written", bytes_written, None, None, None])
+    stats = {name: value_stats(values) for name, values in spans.items()}
+    stats.update((f"phase.{name}", s)
+                 for name, s in phase_stats(records).items())
+    rows.extend([name, s["count"], s["min"], s["mean"], s["max"]]
+                for name, s in stats.items())
+    return sorted(rows, key=lambda row: row[0])
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -150,23 +157,17 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                         help="sweep worker processes (0 = all cores)")
     parser.add_argument("--out", default="traces", metavar="DIR",
                         help="artefact directory (default: ./traces)")
-    parser.add_argument("--capacity", type=int, default=None,
-                        help="per-task tracer ring capacity")
-    parser.add_argument("--bulk-capacity", type=int, default=None,
-                        metavar="N",
-                        help="segregate high-volume events (pings, solver "
-                             "iterations) into their own ring of N slots; "
-                             "lifecycle events then can never be evicted "
-                             "by them (bulk evictions are reported, not "
-                             "fatal)")
+    parser.add_argument("--capacity", type=int, default=None, metavar="N",
+                        help="per-task ring of the newest N events other "
+                             "than lifecycle milestones, which are always "
+                             f"kept (default {DEFAULT_CAPACITY})")
     args = parser.parse_args(argv)
 
     tasks, description = _EXPERIMENTS[args.experiment](args)
     print(f"tracing {description}: {len(tasks)} scenario(s), "
           f"jobs={args.jobs}")
     _, traces = run_traced_sweep(tasks, jobs=args.jobs,
-                                 capacity=args.capacity,
-                                 bulk_capacity=args.bulk_capacity)
+                                 capacity=args.capacity)
 
     from repro.obs.export import write_chrome_trace, write_jsonl
     from repro.obs.timeline import build_timelines, timeline_report
@@ -188,13 +189,16 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print()
     print(format_phase_summary(traces))
     print()
-    print(_metrics_table(traces))
+    print(format_table(["metric", "count", "min", "mean", "max"],
+                       metric_rows(traces), title="Aggregated metrics"))
 
-    notes = bulk_drop_notes(traces)
-    if notes:
-        print("\nbulk-ring evictions (tolerated, bounded by design):")
-        for note in notes:
-            print(f"  - {note}")
+    dropped = [trace for trace in traces if trace.dropped]
+    if dropped:
+        print("\nring evictions (lifecycle milestones are never evicted):")
+        for trace in dropped:
+            print(f"  - {trace.label}: dropped its {trace.dropped} oldest "
+                  f"other events (pings, solver iterations, checkpoint "
+                  f"spans) — raise --capacity for full streams")
 
     errors: List[str] = []
     for trace in traces:

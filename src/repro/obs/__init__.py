@@ -1,10 +1,9 @@
 """repro.obs — structured observability for the failure lifecycle.
 
-* :mod:`repro.obs.tracer` — typed trace events in a ring buffer, the
-  module-level active tracer (``install``/``deactivate``/``active_tracer``)
-  and the zero-overhead :data:`~repro.obs.tracer.NULL_TRACER` default.
-* :mod:`repro.obs.metrics` — counters/histograms and the standard
-  aggregation :func:`~repro.obs.metrics.registry_from_events`.
+* :mod:`repro.obs.tracer` — typed trace events (every lifecycle
+  milestone kept, the rest in a bounded ring), the module-level active
+  tracer (``install``/``deactivate``/``active_tracer``) and the
+  zero-overhead :data:`~repro.obs.tracer.NULL_TRACER` default.
 * :mod:`repro.obs.timeline` — per-failure lifecycle reconstruction
   (detection → rebuild → promote → restore → rollback chains), folded
   online by each run's always-on :class:`~repro.obs.timeline.FailureLog`
@@ -21,10 +20,6 @@ from .tracer import (  # noqa: F401
     NULL_TRACER, PING, PROC_KILL, RESTORE, ROLLBACK, SANITIZER_VIOLATION,
     SOLVER_ITER, SPARE_PROMOTE, VERSION_AGREED, TraceEvent, Tracer,
     NullTracer, active_tracer, deactivate, install,
-)
-from .metrics import (  # noqa: F401
-    Counter, Histogram, MetricsRegistry, registry_from_events,
-    registry_from_traces,
 )
 from .timeline import (  # noqa: F401
     FailureLog, FailureRecord, build_timelines, phase_stats, timeline_report,

@@ -245,19 +245,20 @@ def injected_ranks(events: Iterable[TraceEvent]) -> List[int]:
                    if ev.etype == FAILURE_INJECTED and ev.rank >= 0})
 
 
+def value_stats(values: Sequence[float]) -> Dict[str, float]:
+    """count/min/mean/max of a non-empty sequence of values."""
+    return {"count": len(values), "min": min(values),
+            "mean": sum(values) / len(values), "max": max(values)}
+
+
 def phase_stats(records: Sequence[FailureRecord]) -> Dict[str, dict]:
-    """min/mean/max per phase over a set of failure records."""
+    """:func:`value_stats` per phase over a set of failure records."""
     out: Dict[str, dict] = {}
     for name, _ in PHASES + (("total_recovery_s", ""),):
         values = [getattr(r, name) for r in records
                   if getattr(r, name) is not None]
         if values:
-            out[name] = {
-                "count": len(values),
-                "min": min(values),
-                "mean": sum(values) / len(values),
-                "max": max(values),
-            }
+            out[name] = value_stats(values)
     return out
 
 

@@ -44,14 +44,13 @@ def test_kill_process_marks_dead_and_kills_coroutine():
     assert m.alive_ranks() == [0]
 
 
-def test_kill_process_idempotent_and_notifies_listeners():
+def test_kill_process_idempotent():
     sim = Simulator()
     m = Machine(sim, MachineSpec(n_nodes=2))
-    deaths = []
-    m.on_death(deaths.append)
     m.kill_process(1)
     m.kill_process(1)
-    assert deaths == [1]
+    assert not m.alive(1)
+    assert m.alive_ranks() == [0]
 
 
 def test_kill_node_kills_all_ranks_and_wipes_store():
@@ -80,16 +79,19 @@ def test_fault_plan_builder_and_ordering():
 def test_fault_injector_applies_at_exact_times():
     sim = Simulator()
     m = Machine(sim, MachineSpec(n_nodes=4))
-    log = []
     plan = FaultPlan().kill_process(2.0, 1).kill_node(5.0, 3)
-    inj = FaultInjector(sim, m, plan, on_inject=lambda e: log.append((sim.now, type(e).__name__)))
+    inj = FaultInjector(sim, m, plan)
     inj.arm()
-    sim.run(until=3.0)
+    sim.run(until=2.0 - 1e-9)
+    assert inj.injected == [] and m.alive(1)
+    sim.run(until=2.0)
+    assert [type(e) for e in inj.injected] == [KillProcess]
     assert not m.alive(1)
-    assert m.alive(3)
+    sim.run(until=5.0 - 1e-9)
+    assert len(inj.injected) == 1 and m.alive(3)
     sim.run()
+    assert sim.now == 5.0
     assert not m.node(3).alive
-    assert log == [(2.0, "KillProcess"), (5.0, "KillNode")]
     assert [type(e) for e in inj.injected] == [KillProcess, KillNode]
 
 

@@ -109,7 +109,10 @@ class TestFailureFree:
         result = run_ft_application(cfg, program,
                                     machine_spec=machine_for(cfg), until=2000)
         assert result.status == "done"
-        assert CheckpointManager.of(result.run.world).pfs.stats["writes"] > 0
+        pfs = CheckpointManager.of(result.run.world).pfs
+        # every worker's setup checkpoint, then its state checkpoints
+        assert all(pfs.has(("setup", rank, 0)) for rank in range(8))
+        assert len(pfs) > 8
 
 
 class TestSingleFailure:

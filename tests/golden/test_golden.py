@@ -90,7 +90,7 @@ def _sha256(lines) -> str:
 def scenario_rows(spec, kills, backend="neighbor"):
     """Experiment rows, the captured trace and the run's own failure
     records of one traced scenario."""
-    tracer = install(capacity=8192, bulk_capacity=8192)
+    tracer = install(capacity=8192)
     try:
         out = run_ft_scenario(
             spec.name, spec, kill_times=list(kills), n_spares=4,
@@ -114,8 +114,7 @@ def scenario_rows(spec, kills, backend="neighbor"):
             for ev in events),
     }
     trace = SweepTrace(experiment="golden", scenario=spec.name, k=0,
-                       events=events, dropped=tracer.dropped,
-                       dropped_bulk=tracer.dropped_bulk)
+                       events=events, dropped=tracer.dropped)
     # one JSON round trip: tuples become lists, as in the stored file
     rows = json.loads(json.dumps(rows, sort_keys=True, default=repr))
     return rows, trace, out.result.failures()
@@ -183,7 +182,7 @@ def numeric16():
 def numeric48_late_kill():
     """Outputs and trace of a 48-worker FT Lanczos run whose only kill
     lands after every worker finished."""
-    tracer = install(capacity=8192, bulk_capacity=8192)
+    tracer = install(capacity=8192)
     try:
         result = _numeric_run(48, 60, [LATE_KILL])
     finally:
@@ -202,8 +201,7 @@ def numeric48_late_kill():
             for ev in events),
     }
     trace = SweepTrace(experiment="golden", scenario="numeric48-late-kill",
-                       k=0, events=events, dropped=tracer.dropped,
-                       dropped_bulk=tracer.dropped_bulk)
+                       k=0, events=events, dropped=tracer.dropped)
     return json.loads(json.dumps(rows, sort_keys=True)), trace
 
 

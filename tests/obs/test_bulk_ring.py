@@ -1,103 +1,94 @@
-"""Tracer bulk-ring tests: opt-in segregation of high-volume event types,
-exact per-type drop accounting, emission-order merge, and the sweep /
-validation plumbing that tolerates (but reports) bulk evictions."""
+"""Tracer retention tests: lifecycle milestones are always kept, the bulk
+of the stream (pings, solver iterations, checkpoint spans) lives in the
+one bounded ring, events merge back in emission order, and the sweep /
+validation plumbing reports ring evictions without failing on them."""
 
 import pickle
-
-import pytest
+from collections import Counter
 
 from repro.experiments.sweep import SweepTask, SweepTrace, run_traced_sweep
-from repro.experiments.trace import bulk_drop_notes, validate_trace
-from repro.obs.tracer import BULK_ETYPES, Tracer, install, deactivate
+from repro.experiments.trace import validate_trace
+from repro.obs.tracer import (LIFECYCLE_ETYPES, TraceEvent, Tracer,
+                              deactivate, install)
 
 
 def test_single_ring_semantics_unchanged_by_default():
+    """The ring keeps the newest ``capacity`` non-lifecycle events, as a
+    plain ring would, whatever milestones are interleaved with them."""
     tr = Tracer(capacity=8)
-    assert tr.bulk_capacity is None
     for i in range(20):
         tr.emit(float(i), 0, "solver_iter", step=i)
-    assert len(tr) == 8
-    assert tr.total_emitted == 20
+        if i % 5 == 0:
+            tr.emit(float(i), 0, "failure_ack", epoch=i)
+    assert len(tr) == 8 + 4
     assert tr.dropped == 12
-    assert tr.dropped_bulk == 0
-    assert tr.dropped_by_type == {"solver_iter": 12}
-    assert [e.fields["step"] for e in tr.events()] == list(range(12, 20))
+    kept = [e.fields["step"] for e in tr.events() if e.etype == "solver_iter"]
+    assert kept == list(range(12, 20))
 
 
 def test_bulk_ring_protects_lifecycle_events():
-    tr = Tracer(capacity=4, bulk_capacity=8)
-    # a ping flood that would evict everything from a 4-slot single ring
+    tr = Tracer(capacity=4)
+    # a ping flood that evicts every earlier ping from the 4-slot ring
     for i in range(100):
         tr.emit(float(i), 0, "ping", target=i)
     tr.emit(100.0, 0, "detection", epoch=1)
-    tr.emit(101.0, 0, "group_rebuild", epoch=1)
     for i in range(100):
-        tr.emit(102.0 + i, 0, "ping", target=100 + i)
-    # lifecycle events survive no matter how many pings follow
-    etypes = [e.etype for e in tr.events()]
-    assert "detection" in etypes and "group_rebuild" in etypes
-    assert tr.dropped_bulk == 192
-    assert tr.dropped == 192  # no lifecycle drops at all
-    assert tr.dropped_by_type == {"ping": 192}
-    assert len(tr) == 2 + 8
+        tr.emit(101.0 + i, 0, "ping", target=100 + i)
+    # the milestone survives however many pings follow it
+    events = tr.events()
+    assert [e.etype for e in events] == ["detection"] + ["ping"] * 4
+    assert [e.t for e in events] == [100.0, 197.0, 198.0, 199.0, 200.0]
+    assert tr.dropped == 196
+    assert len(tr) == 1 + 4
 
 
 def test_events_merge_in_emission_order():
-    tr = Tracer(capacity=8, bulk_capacity=4)
+    tr = Tracer(capacity=2)
     tr.emit(0.0, 0, "detection", epoch=0)
     tr.emit(1.0, 0, "ping", target=1)
     tr.emit(2.0, 0, "group_rebuild", epoch=0)
-    tr.emit(3.0, 0, "solver_iter", step=0)
-    tr.emit(4.0, 0, "rollback", epoch=0)
+    tr.emit(3.0, 0, "ping", target=2)
+    tr.emit(4.0, 0, "solver_iter", step=0)
+    tr.emit(5.0, 0, "rollback", epoch=0)
+    # the first ping is evicted; milestones and the newest two ring
+    # events interleave by emission, not by kind
     assert [e.etype for e in tr.events()] == [
-        "detection", "ping", "group_rebuild", "solver_iter", "rollback"]
-    assert tr.dropped == 0
+        "detection", "group_rebuild", "ping", "solver_iter", "rollback"]
+    assert [e.t for e in tr.events()] == [0.0, 2.0, 3.0, 4.0, 5.0]
+    assert tr.dropped == 1
 
 
 def test_exact_boundary_and_per_type_counts():
-    tr = Tracer(capacity=4, bulk_capacity=2)
+    tr = Tracer(capacity=4)
+    for i in range(5):  # more milestones than ring slots: none dropped
+        tr.emit(float(i), 0, "detection", epoch=i)
     for i in range(4):
-        tr.emit(float(i), 0, "detection", epoch=i)
+        tr.emit(5.0 + i, 0, "ping", target=i)
     assert tr.dropped == 0
-    tr.emit(4.0, 0, "restore", epoch=4)  # 5th lifecycle into cap 4
-    assert tr.dropped == 1 and tr.dropped_by_type == {"detection": 1}
-    for i in range(3):  # 3 bulk events into cap 2
-        tr.emit(5.0 + i, 0, "solver_iter", step=i)
-    assert tr.dropped_bulk == 1
-    assert tr.dropped == 2
-    assert tr.dropped_by_type == {"detection": 1, "solver_iter": 1}
-
-
-def test_clear_resets_both_rings():
-    tr = Tracer(capacity=2, bulk_capacity=2)
-    for i in range(5):
-        tr.emit(float(i), 0, "ping", target=i)
-        tr.emit(float(i), 0, "detection", epoch=i)
-    tr.clear()
-    assert (len(tr), tr.total_emitted, tr.dropped, tr.dropped_bulk) \
-        == (0, 0, 0, 0)
-    assert tr.dropped_by_type == {}
-    assert tr.events() == []
+    tr.emit(9.0, 0, "solver_iter", step=0)  # 5th ring event into cap 4
+    assert tr.dropped == 1
+    assert Counter(e.etype for e in tr.events()) == {
+        "detection": 5, "ping": 3, "solver_iter": 1}
 
 
 def test_bulk_etypes_are_the_high_volume_ones():
-    assert BULK_ETYPES == {"ping", "solver_iter"}
+    """The per-probe and per-iteration streams must stay ring-bound, or a
+    traced run's memory would grow with its length."""
+    assert {"ping", "solver_iter", "ckpt_write"}.isdisjoint(LIFECYCLE_ETYPES)
 
 
 def test_install_and_pickle_with_bulk():
-    tr = install(capacity=16, bulk_capacity=4)
+    tr = install(capacity=2)
     try:
-        assert tr.capacity == 16 and tr.bulk_capacity == 4
-        tr.emit(0.0, 1, "ping", target=2)
+        for i in range(3):
+            tr.emit(float(i), 1, "ping", target=i)
+        tr.emit(3.0, 1, "failure_injected", kind="KillProcess")
         events = pickle.loads(pickle.dumps(tr.events()))
-        assert events[0].etype == "ping"
+        assert [e.etype for e in events] == ["ping", "ping",
+                                             "failure_injected"]
+        assert events == tr.events()
     finally:
         deactivate()
-
-
-def test_invalid_bulk_capacity_rejected():
-    with pytest.raises(ValueError):
-        Tracer(capacity=4, bulk_capacity=0)
 
 
 # ----------------------------------------------------------------------
@@ -114,20 +105,19 @@ def _noisy_task(n_pings):
 
 def test_traced_sweep_ships_bulk_drop_counts():
     tasks = [SweepTask("bulk", "noisy", _noisy_task, (50,))]
-    results, traces = run_traced_sweep(tasks, jobs=1, capacity=64,
-                                       bulk_capacity=8)
+    results, traces = run_traced_sweep(tasks, jobs=1, capacity=8)
     assert results == [50]
     assert traces[0].dropped == 42
-    assert traces[0].dropped_bulk == 42
     assert len(traces[0].events) == 8
 
 
 def test_validation_tolerates_bulk_drops_but_not_lifecycle_drops():
-    bulk_only = SweepTrace("e", "s", 0, events=(), dropped=7, dropped_bulk=7)
+    bulk_only = SweepTrace("e", "s", 0, events=(), dropped=7)
     assert validate_trace(bulk_only) == []
-    notes = bulk_drop_notes([bulk_only])
-    assert len(notes) == 1 and "7" in notes[0]
 
-    lifecycle = SweepTrace("e", "s", 0, events=(), dropped=7, dropped_bulk=4)
+    # a trace missing the milestones after an injection still fails
+    injected = TraceEvent(1.0, 3, "failure_injected", 0.0,
+                          {"kind": "KillProcess"})
+    lifecycle = SweepTrace("e", "s", 0, events=(injected,), dropped=7)
     errors = validate_trace(lifecycle)
-    assert len(errors) == 1 and "3 lifecycle" in errors[0]
+    assert len(errors) == 1 and "rank 3" in errors[0]

@@ -1,4 +1,5 @@
-"""JSONL round-trip and chrome://tracing export structure."""
+"""JSONL round-trip, chrome://tracing export structure and the
+aggregated-metrics table of ``repro trace``."""
 
 import json
 from types import SimpleNamespace
@@ -10,11 +11,7 @@ from repro.obs.export import (
     write_chrome_trace,
     write_jsonl,
 )
-from repro.obs.metrics import (
-    MetricsRegistry,
-    registry_from_events,
-    registry_from_traces,
-)
+from repro.experiments.trace import metric_rows
 from repro.obs.tracer import TraceEvent
 
 
@@ -90,40 +87,45 @@ def test_write_chrome_trace_is_loadable_json(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# metrics aggregation over the same event shapes
+# the aggregated-metrics table over the same event shapes
 # ----------------------------------------------------------------------
-def test_registry_from_events_counts_and_histograms():
-    events = TRACES[0][1] + TRACES[1][1]
-    reg = registry_from_events(events)
-    snap = reg.snapshot()
-    assert snap["events.ckpt_write"]["value"] == 1
-    assert snap["events.detection"]["value"] == 1
-    assert snap["ckpt.write_s"]["count"] == 1
-    assert snap["ckpt.write_s"]["mean"] == 0.5
-    assert snap["ckpt.bytes_written"]["value"] == 1000
+def _rows(traces):
+    return {row[0]: row[1:] for row in metric_rows(traces)}
 
 
-def test_registry_from_traces_aggregates_across_traces():
+def test_metric_rows_count_events_and_checkpoint_spans():
     traces = [SimpleNamespace(events=events) for _, events in TRACES]
-    merged = registry_from_traces(traces).snapshot()
-    assert merged == registry_from_events(
-        TRACES[0][1] + TRACES[1][1]).snapshot()
-    assert merged["events.solver_iter"]["value"] == 1
+    rows = _rows(traces)
+    assert rows["events.ckpt_write"] == [1, None, None, None]
+    assert rows["events.detection"] == [1, None, None, None]
+    assert rows["events.solver_iter"] == [1, None, None, None]
+    assert rows["ckpt.write_s"] == [1, 0.5, 0.5, 0.5]
+    assert rows["ckpt.bytes_written"] == [1000, None, None, None]
+    # rows come sorted by metric name, as the table prints them
+    assert list(rows) == sorted(rows)
 
 
-def test_registry_type_conflicts_rejected():
-    import pytest
+def _chain(t0, detect_after):
+    """One complete epoch-1 failure chain of rank 1, injected at ``t0``."""
+    t1 = t0 + detect_after
+    return [
+        ev(t0, 1, "failure_injected", kind="KillProcess"),
+        ev(t1, 0, "detection", epoch=1, failed=[1], rescues=[3]),
+        ev(t1, 0, "broadcast_flags", epoch=1),
+        ev(t1 + 1.0, 3, "group_rebuild", dur=1.0, epoch=1),
+        ev(t1 + 1.0, 3, "spare_promote", dur=0.5, epoch=1, logical=1),
+        ev(t1 + 2.0, 3, "restore", dur=1.0, epoch=1, version=0),
+        ev(t1 + 2.0, 3, "rollback", epoch=1, version=0),
+    ]
 
-    reg = MetricsRegistry()
-    reg.counter("x")
-    with pytest.raises(TypeError):
-        reg.histogram("x")
 
-
-def test_histogram_streaming_stats():
-    reg = MetricsRegistry()
-    h = reg.histogram("h")
-    for v in (1.0, 3.0, 2.0):
-        h.observe(v)
-    assert h.count == 3 and h.min == 1.0 and h.max == 3.0
-    assert h.mean == 2.0
+def test_metric_rows_build_timelines_per_trace():
+    """Both traces number their failure epoch 1; rebuilt per trace, they
+    stay two failures instead of aliasing into one."""
+    traces = [SimpleNamespace(events=_chain(1.0, 2.0)),
+              SimpleNamespace(events=_chain(5.0, 4.0))]
+    rows = _rows(traces)
+    assert rows["phase.detection_latency_s"] == [2, 2.0, 3.0, 4.0]
+    assert rows["phase.spare_promote_s"] == [2, 0.5, 0.5, 0.5]
+    assert rows["phase.total_recovery_s"] == [2, 4.0, 5.0, 6.0]
+    assert rows["events.detection"] == [2, None, None, None]

@@ -8,6 +8,7 @@ from repro.obs.timeline import (
     injected_ranks,
     phase_stats,
     timeline_report,
+    value_stats,
 )
 from repro.obs.tracer import TraceEvent
 
@@ -88,6 +89,11 @@ def test_injected_ranks_and_phase_stats():
     assert stats["detection_latency_s"]["count"] == 1
     assert stats["detection_latency_s"]["mean"] == pytest.approx(6.0)
     assert stats["total_recovery_s"]["max"] == pytest.approx(9.0)
+
+
+def test_value_stats_min_mean_max():
+    assert value_stats([1.0, 3.0, 2.0]) == {
+        "count": 3, "min": 1.0, "mean": 2.0, "max": 3.0}
 
 
 def test_latest_injection_before_detection_wins():

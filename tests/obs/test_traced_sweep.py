@@ -53,6 +53,24 @@ def test_traced_sweep_ring_capacity_and_dropped():
     assert len(traces[0].events) == 4
 
 
+def test_tiny_figure4_validates_through_a_small_ring():
+    """Lifecycle milestones never enter the ring: at 512 slots each
+    scenario of the tiny Figure-4 sweep that runs the fault detector
+    evicts pings and solver iterations, and every failure chain still
+    validates."""
+    from repro.experiments.figure4 import default_spec, scenario_tasks
+    from repro.experiments.trace import validate_trace
+
+    tasks = scenario_tasks(default_spec("tiny"))
+    _, traces = run_traced_sweep(tasks, jobs=1, capacity=512)
+    # the two scenarios without health checks emit no pings
+    assert [tr.dropped > 0 for tr in traces] == [False] * 2 + [True] * 5
+    assert [err for tr in traces for err in validate_trace(tr)] == []
+    # the seven failures of the sweep, as at full capacity
+    assert sum(ev.etype == "detection"
+               for tr in traces for ev in tr.events) == 7
+
+
 def test_real_scenario_trace_identical_serial_vs_parallel():
     """The acceptance-criteria property on a real failure scenario: the
     merged trace is byte-identical however the sweep was executed."""

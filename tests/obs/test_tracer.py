@@ -25,7 +25,6 @@ def test_emit_and_events_in_order():
     assert [e.t for e in events] == [0.0, 1.0, 2.0, 3.0, 4.0]
     assert events[0] == TraceEvent(0.0, 0, "ping", 0.0, {"target": 0})
     assert tr.dropped == 0
-    assert tr.total_emitted == 5
 
 
 def test_ring_wraparound_keeps_newest_in_order():
@@ -33,7 +32,6 @@ def test_ring_wraparound_keeps_newest_in_order():
     for i in range(20):
         tr.emit(float(i), 0, "solver_iter", step=i)
     assert len(tr) == 8
-    assert tr.total_emitted == 20
     assert tr.dropped == 12
     # the retained window is the newest 8 events, oldest first
     assert [e.fields["step"] for e in tr.events()] == list(range(12, 20))
@@ -48,16 +46,6 @@ def test_wraparound_boundary_exact_capacity():
     tr.emit(4.0, 0, "ping")  # first overwrite
     assert tr.dropped == 1
     assert [e.t for e in tr.events()] == [1.0, 2.0, 3.0, 4.0]
-
-
-def test_clear_resets_but_keeps_capacity():
-    tr = Tracer(capacity=4)
-    for i in range(9):
-        tr.emit(float(i), 0, "ping")
-    tr.clear()
-    assert len(tr) == 0 and tr.dropped == 0 and tr.events() == []
-    tr.emit(1.0, 0, "ping")
-    assert len(tr) == 1 and tr.capacity == 4
 
 
 def test_invalid_capacity_rejected():
@@ -97,7 +85,9 @@ def test_install_deactivate_cycle():
     tr = install(capacity=32)
     try:
         assert active_tracer() is tr
-        assert tr.capacity == 32
+        for i in range(33):
+            tr.emit(float(i), 0, "ping")
+        assert len(tr) == 32 and tr.dropped == 1
     finally:
         previous = deactivate()
     assert previous is tr

@@ -134,7 +134,6 @@ def test_ladder_reaches_8192_and_help_lists_it(capsys):
 
 
 def test_smoke_passes_at_reduced_scale(capsys):
-    assert scaling.run_smoke(workers=16, wall_cap_s=60.0,
-                             bulk_capacity=512) == 0
+    assert scaling.run_smoke(workers=16, wall_cap_s=60.0) == 0
     out = capsys.readouterr().out
     assert "OK" in out and "1 recovery" in out
