@@ -24,16 +24,12 @@ FT008   a deleted segment id must be re-created before any further use
 FT009   every ``group_create`` reaches ``group_commit`` (or an explicit
         delete/escape) on every path
 FT010   a posting loop must keep a ``wait``/``drain`` reachable
-FT011   every context call in ``ft``/``spmvm``/``checkpoint``/
-        ``workloads`` appears in ``capability_manifest.json``
 ======  ==============================================================
 
 FT001–FT006 are per-statement visitors; FT007–FT010 run a pure-stdlib
-CFG + dataflow engine (:mod:`cfg`, :mod:`dataflow`, :mod:`flowrules`)
-and FT011 diffs the machine-extracted capability manifest
-(:mod:`manifest`).  The same invariants are asserted dynamically by the
-runtime sanitizer (``repro.gaspi.sanitize``, enabled with
-``REPRO_SANITIZE=1``).
+CFG + dataflow engine (:mod:`cfg`, :mod:`dataflow`, :mod:`flowrules`).
+The same invariants are asserted dynamically by the runtime sanitizer
+(``repro.gaspi.sanitize``, enabled with ``REPRO_SANITIZE=1``).
 
 Run it as ``python tools/ftlint.py src tests`` or
 ``python -m repro.analysis src tests``.

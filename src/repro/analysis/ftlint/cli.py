@@ -7,8 +7,6 @@
     python tools/ftlint.py src --format sarif         # code-scanning upload
     python tools/ftlint.py src --fail-on any          # ignore the baseline
     python tools/ftlint.py src tests --write-baseline # regenerate baseline
-    python tools/ftlint.py --write-manifest           # capability manifest
-    python tools/ftlint.py --check-manifest           # FT011 drift gate
     python tools/ftlint.py --list-rules
 
 Exit status: 0 clean, 1 findings per ``--fail-on`` policy, 2 bad usage.
@@ -24,14 +22,10 @@ from typing import Optional, Sequence
 
 from repro.analysis.ftlint import rules as _rules  # noqa: F401  (registers)
 from repro.analysis.ftlint import flowrules as _flowrules  # noqa: F401
-from repro.analysis.ftlint import manifest as _manifest  # noqa: F401
 from repro.analysis.ftlint.baseline import (
     Baseline, load_baseline, split_by_baseline, write_baseline,
 )
 from repro.analysis.ftlint.core import all_rules, analyze_paths
-from repro.analysis.ftlint.manifest import (
-    check_manifest, write_manifest,
-)
 from repro.analysis.ftlint.reporters import (
     render_human, render_json, render_rule_list, render_sarif,
 )
@@ -44,7 +38,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog="ftlint",
         description=(
             "protocol- and determinism-aware static analysis for the "
-            "GASPI fault-tolerance reproduction (rules FT001-FT011; "
+            "GASPI fault-tolerance reproduction (rules FT001-FT010; "
             "see ANALYSIS.md)"
         ),
     )
@@ -71,15 +65,6 @@ def build_parser() -> argparse.ArgumentParser:
                         help="also list baselined findings (human format)")
     parser.add_argument("--list-rules", action="store_true",
                         help="describe the registered rules and exit")
-    parser.add_argument("--write-manifest", action="store_true",
-                        help="regenerate capability_manifest.json from the "
-                             "tree and exit")
-    parser.add_argument("--check-manifest", action="store_true",
-                        help="fail if capability_manifest.json drifted from "
-                             "the tree (FT011's CI gate)")
-    parser.add_argument("--root", default=".", metavar="DIR",
-                        help="repository root for the capability manifest "
-                             "(default: .)")
     return parser
 
 
@@ -114,21 +99,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
     if args.list_rules:
         print(render_rule_list())
-        return 0
-    if args.write_manifest:
-        target = write_manifest(Path(args.root))
-        print(f"ftlint: wrote {target}")
-        return 0
-    if args.check_manifest:
-        drift = check_manifest(Path(args.root))
-        for line in drift:
-            print(f"ftlint: manifest drift: {line}", file=sys.stderr)
-        if drift:
-            print("ftlint: capability_manifest.json is out of date — run "
-                  "ftlint --write-manifest and commit the diff",
-                  file=sys.stderr)
-            return 1
-        print("ftlint: capability manifest is current")
         return 0
     if not args.paths:
         parser.print_usage(sys.stderr)

@@ -126,7 +126,6 @@ class _CopySource:
     """
 
     holders: List[Tuple[int, int]]
-    stats: Dict[str, int]
 
     def __init__(self, ctx: GaspiContext, logical_rank: int,
                  participants: Iterable[int],
@@ -180,9 +179,6 @@ class CheckpointLib(_CopySource):
     ) -> None:
         super().__init__(ctx, logical_rank, participants,
                          config or CheckpointConfig())
-        self.stats = {"local_writes": 0, "neighbor_copies": 0,
-                      "failed_copies": 0, "local_reads": 0,
-                      "remote_reads": 0}
 
     # ------------------------------------------------------------------
     # placement
@@ -217,7 +213,6 @@ class CheckpointLib(_CopySource):
         request = copy.request
         manager.put(node_id, request.key, request.blob,
                     self.config.keep_versions)
-        self.stats["neighbor_copies"] += 1
         now = manager.sim.now
         tracer = self._tracer
         if tracer.enabled:
@@ -285,7 +280,6 @@ class CheckpointLib(_CopySource):
         restore (otherwise the *next* failure would find no local data)."""
         yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
         self._manager.put(self._my_node, key, blob, self.config.keep_versions)
-        self.stats["local_writes"] += 1
         self._manager.submit(
             self, key, blob, Event(name=f"reprotect-{self.ctx.rank}"),
             reprotect=True,
@@ -319,12 +313,10 @@ class CheckpointLib(_CopySource):
             blob = store.get(key)
             if node_id == self.my_node:
                 yield Sleep(blob.nominal_bytes / LOCAL_BANDWIDTH)
-                self.stats["local_reads"] += 1
                 source = "local"
             else:
                 yield Sleep(self.machine.network.transfer_time(
                     self.my_node, node_id, blob.nominal_bytes))
-                self.stats["remote_reads"] += 1
                 if reprotect:
                     yield from self._reprotect(key, blob)
                 source = "neighbor"
@@ -627,8 +619,7 @@ class CheckpointManager:
     def local_written(self, lib: _CopySource, key: Key, blob: StoredBlob,
                       t0: float, done: Event) -> None:
         """Epilogue of every commit's local write (started at ``t0``):
-        count it, emit ``ckpt_write``, and submit the copy."""
-        lib.stats["local_writes"] += 1
+        emit ``ckpt_write`` and submit the copy."""
         tracer = lib._tracer
         if tracer.enabled:
             now = self.sim.now
@@ -748,8 +739,6 @@ class CheckpointManager:
         request = copy.request
         if landed:
             request.landed += 1
-        else:
-            request.lib.stats["failed_copies"] += 1
         request.pending -= 1
         if request.pending == 0:
             self._finish(request)
@@ -788,7 +777,7 @@ class CheckpointManager:
 
         Equivalent to every rank in ``payloads`` calling its library's
         ``write_checkpoint(version, payload)`` in the same tick — same
-        store contents, stats, tracer events and virtual timestamps — but
+        store contents, tracer events and virtual timestamps — but
         driven by one coordinator: a single arena :meth:`pack_round`, one
         grouped callback per distinct local-write duration, and the
         manager's copy pipeline.  Returns ``{rank: mirrored_event}``

@@ -105,8 +105,6 @@ class ReplicatedCheckpointLib(_CopySource):
         super().__init__(ctx, logical_rank, participants,
                          config or CheckpointConfig(backend="replicated"))
         self._fetch_queue = ctx.queue_create()
-        self.stats = {"local_writes": 0, "replica_copies": 0,
-                      "failed_copies": 0, "replica_reads": 0}
 
     # ------------------------------------------------------------------
     # placement
@@ -147,7 +145,6 @@ class ReplicatedCheckpointLib(_CopySource):
         store.put_pruned(("repl:" + key[0], key[1], key[2]), request.blob,
                          self.config.keep_versions)
         manager.record_replica(key, copy.holder)
-        self.stats["replica_copies"] += 1
         now = manager.sim.now
         tracer = self._tracer
         if tracer.enabled:
@@ -284,7 +281,6 @@ class ReplicatedCheckpointLib(_CopySource):
                     continue
             else:
                 yield Sleep(t_wait)
-            self.stats["replica_reads"] += 1
             _, payload = manager.restored(ctx.rank, version, blob,
                                           "replicated", t0)
             if reprotect:

@@ -58,10 +58,6 @@ class ScenarioOutcome:
     #: empty when the run never attached one
     ckpt_phases: Dict[str, float] = field(default_factory=dict, repr=False)
 
-    @property
-    def overhead(self) -> float:
-        return self.total_runtime - self.computation_time
-
     def components(self) -> Dict[str, float]:
         return {
             "computation": self.computation_time,

@@ -145,9 +145,14 @@ class SweepTrace:
     scenario: str
     k: int
     events: Tuple = ()
-    #: ring evictions (pings, solver iterations, checkpoint spans);
-    #: lifecycle milestones are never evicted
-    dropped: int = 0
+    #: events emitted per type, evicted ones included
+    emitted: Dict[str, int] = field(default_factory=dict)
+
+    @property
+    def dropped(self) -> int:
+        """Ring evictions (pings, solver iterations, checkpoint spans);
+        lifecycle milestones are never evicted."""
+        return sum(self.emitted.values()) - len(self.events)
 
     @property
     def label(self) -> str:
@@ -155,7 +160,8 @@ class SweepTrace:
                 else f"{self.scenario}#{self.k}")
 
 
-def _run_task_traced(item: Tuple[SweepTask, int]) -> Tuple[Any, Tuple, int]:
+def _run_task_traced(item: Tuple[SweepTask, int],
+                     ) -> Tuple[Any, Tuple, Dict[str, int]]:
     """Worker wrapper: fresh tracer around one task, events shipped back."""
     from repro.obs import tracer as obs_tracer
 
@@ -166,7 +172,7 @@ def _run_task_traced(item: Tuple[SweepTask, int]) -> Tuple[Any, Tuple, int]:
     finally:
         obs_tracer.deactivate()
     # TraceEvent is a namedtuple of plain values — picklable as-is
-    return result, tuple(tracer.events()), tracer.dropped
+    return result, tuple(tracer.events()), tracer.emitted
 
 
 def run_traced_sweep(tasks: Iterable[SweepTask], jobs: Optional[int] = 1,
@@ -190,7 +196,7 @@ def run_traced_sweep(tasks: Iterable[SweepTask], jobs: Optional[int] = 1,
     results = [result for result, _, _ in outs]
     traces = [
         SweepTrace(experiment=t.experiment, scenario=t.scenario, k=t.k,
-                   events=events, dropped=dropped)
-        for t, (_, events, dropped) in zip(task_list, outs)
+                   events=events, emitted=emitted)
+        for t, (_, events, emitted) in zip(task_list, outs)
     ]
     return results, traces

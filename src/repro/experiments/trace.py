@@ -109,9 +109,11 @@ _CKPT_SPANS = {CKPT_WRITE: "ckpt.write_s", CKPT_MIRROR: "ckpt.mirror_s",
 def metric_rows(traces: Sequence[SweepTrace]) -> List[List]:
     """The aggregated-metrics rows, ``[name, count, min, mean, max]``.
 
-    Event counts per type (``events.<etype>``) and checkpoint payload
-    bytes (``ckpt.bytes_written``) are totals; checkpoint span durations
-    and the per-failure phases (``phase.<name>``) are summarised by
+    Event counts per type (``events.<etype>``) are exact totals of what
+    each task emitted, ring evictions included.  Checkpoint payload
+    bytes (``ckpt.bytes_written``, a total) and span durations need each
+    event, so they cover the retained events only; the spans and the
+    per-failure phases (``phase.<name>``) are summarised by
     :func:`repro.obs.timeline.value_stats`.  Failure records are rebuilt
     per trace, because recovery epochs are unique only within one run.
     """
@@ -122,8 +124,9 @@ def metric_rows(traces: Sequence[SweepTrace]) -> List[List]:
     bytes_written = 0
     records = []
     for trace in traces:
+        for etype, n in trace.emitted.items():
+            counts[etype] = counts.get(etype, 0) + n
         for ev in trace.events:
-            counts[ev.etype] = counts.get(ev.etype, 0) + 1
             if ev.etype in _CKPT_SPANS:
                 spans.setdefault(_CKPT_SPANS[ev.etype], []).append(ev.dur)
             if ev.etype == CKPT_WRITE:

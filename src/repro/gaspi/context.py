@@ -455,9 +455,9 @@ class GaspiContext:
     def queue(self, queue_id: int = 0) -> Queue:
         """The queue object itself, like :meth:`segment` for segments.
 
-        The vectorized checkpoint fast path posts pre-built completion
-        events straight onto the queue; handing out the handle keeps
-        that bypass on the public capability surface (FT011) instead of
+        The checkpoint copy pipeline and the replicated restore post
+        their transport ops straight onto a queue; handing out the
+        handle keeps that bypass on the public surface instead of
         reaching through ``_queue``.
         """
         return self._queue(queue_id)

@@ -59,11 +59,6 @@ class Queue:
         self._outstanding = []
         return dropped
 
-    def snapshot(self) -> List[Event]:
-        """Operations outstanding right now (the set ``wait`` must flush)."""
-        self._reap()
-        return list(self._outstanding)
-
     def drain_event(self) -> "Event | None":
         """One event firing when everything outstanding *now* completes.
 

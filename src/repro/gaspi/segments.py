@@ -121,8 +121,7 @@ class Segment:
 
         Returns immutable bytes, shared for a whole pristine segment (its
         image object itself) — the right call when the bytes must survive
-        later segment writes (e.g. an in-flight RDMA payload).  For a
-        zero-copy window consumed immediately, use :meth:`read_view`.
+        later segment writes (e.g. an in-flight RDMA payload).
         """
         self.check_range(offset, nbytes)
         buf = self._buf
@@ -134,18 +133,6 @@ class Segment:
                 return image
             return image[offset:offset + nbytes]
         return buf[offset:offset + nbytes].tobytes()
-
-    def read_view(self, offset: int, nbytes: int) -> memoryview:
-        """Zero-copy byte window at ``offset`` (bounds-checked).
-
-        The view aliases live segment memory: remote writes landing after
-        this call are visible through it.  Use it for one-pass consumers
-        — streaming a checkpoint straight out of the segment with
-        ``pack_checkpoint_into`` / ``unpack_checkpoint`` moves the bytes
-        exactly once.
-        """
-        self.check_range(offset, nbytes)
-        return memoryview(self.buf)[offset:offset + nbytes]
 
     def write_bytes(self, offset: int, data: Any) -> None:
         """Copy ``data`` into the segment at ``offset`` (bounds-checked).

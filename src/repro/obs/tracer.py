@@ -50,7 +50,7 @@ sites run only on failure paths, so a failure-free run folds nothing.
 from __future__ import annotations
 
 from collections import deque, namedtuple
-from typing import Any, Deque, Iterator, List, Optional, Tuple, Union
+from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Union
 
 # ----------------------------------------------------------------------
 # event taxonomy
@@ -112,9 +112,10 @@ class Tracer:
     log, it grows only with ranks × failures.  Every other event goes into
     a ring of ``capacity`` slots; once full, the oldest is evicted and
     counted in :attr:`dropped`, so eviction is never silent.
+    :attr:`emitted` counts every event per type, evicted ones included.
     """
 
-    __slots__ = ("_milestones", "_ring", "_seq")
+    __slots__ = ("_milestones", "_ring", "_seq", "_emitted")
 
     #: hot-path guard: ``if tracer.enabled: tracer.emit(...)``
     enabled = True
@@ -125,6 +126,7 @@ class Tracer:
         self._milestones: List[_Slot] = []
         self._ring: Deque[_Slot] = deque(maxlen=capacity)
         self._seq = 0  # events ever emitted
+        self._emitted: Dict[str, int] = {}
 
     # ------------------------------------------------------------------
     def emit(self, t: float, rank: int, etype: str, dur: float = 0.0,
@@ -132,6 +134,8 @@ class Tracer:
         """Record one event; O(1), evicts the ring's oldest when full."""
         seq = self._seq
         self._seq = seq + 1
+        emitted = self._emitted
+        emitted[etype] = emitted.get(etype, 0) + 1
         record = (seq, TraceEvent(t, rank, etype, dur, fields))
         if etype in LIFECYCLE_ETYPES:
             self._milestones.append(record)
@@ -143,6 +147,11 @@ class Tracer:
     def dropped(self) -> int:
         """Ring events lost to wraparound (never a lifecycle milestone)."""
         return self._seq - len(self)
+
+    @property
+    def emitted(self) -> Dict[str, int]:
+        """Events ever emitted, per type (evicted ones included)."""
+        return dict(self._emitted)
 
     def __len__(self) -> int:
         return len(self._milestones) + len(self._ring)

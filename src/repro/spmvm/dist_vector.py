@@ -27,10 +27,6 @@ class DistVector:
     # ------------------------------------------------------------------
     # local (embarrassingly parallel) operations
     # ------------------------------------------------------------------
-    def fill(self, value: float) -> "DistVector":
-        self.local.fill(value)
-        return self
-
     def copy_from(self, other: "DistVector") -> "DistVector":
         self.local[:] = other.local
         return self

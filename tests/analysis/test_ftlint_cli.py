@@ -74,8 +74,10 @@ class TestExitCodes:
     def test_list_rules(self, project, capsys):
         assert run(["--list-rules"]) == 0
         out = capsys.readouterr().out
-        for rule_id in ("FT001", "FT002", "FT003", "FT004", "FT005", "FT006"):
-            assert rule_id in out
+        listed = [line.split()[0] for line in out.splitlines()
+                  if line.startswith("FT")]
+        assert listed == [f"FT{n:03d}" for n in range(1, 11)]
+        assert [rule.id for rule in cli.all_rules()] == listed
 
 
 class TestJsonFormat:
@@ -227,47 +229,3 @@ class TestSarifFormat:
             "partialFingerprints"]["ftlintFingerprint/v1"]
         assert sarif_fp == json_doc["findings"][0]["fingerprint"]
 
-
-MINI_CONTEXT = textwrap.dedent("""
-    class GaspiContext:
-        def write(self, segment_id, offset, size, dst_rank,
-                  remote_segment, remote_offset, queue_id=0):
-            return None
-""")
-
-MINI_USER = textwrap.dedent("""
-    def push(ctx, peer):
-        ctx.write(0, 0, 8, peer, 0, 0)
-""")
-
-
-class TestManifestCli:
-    @pytest.fixture
-    def mini_repo(self, tmp_path):
-        (tmp_path / "src/repro/gaspi").mkdir(parents=True)
-        (tmp_path / "src/repro/ft").mkdir(parents=True)
-        (tmp_path / "src/repro/gaspi/context.py").write_text(
-            MINI_CONTEXT, encoding="utf-8")
-        (tmp_path / "src/repro/ft/user.py").write_text(
-            MINI_USER, encoding="utf-8")
-        return tmp_path
-
-    def test_write_then_check_roundtrip(self, mini_repo, capsys):
-        assert run(["--write-manifest", "--root", str(mini_repo)]) == 0
-        assert (mini_repo / "capability_manifest.json").exists()
-        assert run(["--check-manifest", "--root", str(mini_repo)]) == 0
-        assert "current" in capsys.readouterr().out
-
-    def test_drift_fails_the_gate(self, mini_repo, capsys):
-        run(["--write-manifest", "--root", str(mini_repo)])
-        (mini_repo / "src/repro/ft/user.py").write_text(
-            MINI_USER + "\ndef ping(ctx):\n    return ctx.proc_ping(1)\n",
-            encoding="utf-8")
-        assert run(["--check-manifest", "--root", str(mini_repo)]) == 1
-        err = capsys.readouterr().err
-        assert "proc_ping" in err
-        assert "--write-manifest" in err
-
-    def test_missing_manifest_fails_the_gate(self, mini_repo, capsys):
-        assert run(["--check-manifest", "--root", str(mini_repo)]) == 1
-        assert "missing" in capsys.readouterr().err

@@ -4,9 +4,9 @@ identical to every rank calling its own library's ``write_checkpoint``.
 For a random scenario — rank count, payload shapes, nominal sizes,
 mid-round process/node kills, pre-filled (QUEUE_FULL) mirror queues and a
 partitioned neighbor link — the single-coordinator round must reproduce
-the per-rank writes bit-for-bit in every observable: per-rank stats, node
-store contents (keys, blob bytes, nominal sizes), and the virtual fire
-time and value of every mirrored event.  Event *names* are the only
+the per-rank writes bit-for-bit in every observable: node store contents
+(keys, blob bytes, nominal sizes), and the virtual fire time and value of
+every mirrored event.  Event *names* are the only
 documented non-observable.
 """
 
@@ -71,13 +71,12 @@ def _apply_faults(ctx, n_ranks, partitions, qfull_ranks, libs):
 def run_per_rank(n_ranks, sizes, n_rounds, nominal, kills, partitions,
                  qfull_ranks):
     """Every rank drives its own ``write_checkpoint``."""
-    stats, fires = {}, {}
+    fires = {}
 
     def main(ctx):
         r = ctx.rank
         lib = CheckpointLib(ctx, logical_rank=r,
                             participants=range(n_ranks))
-        stats[r] = lib.stats
         _apply_faults(ctx, n_ranks, partitions, qfull_ranks, {r: lib})
         sim = ctx.world.sim
         for k in range(n_rounds):
@@ -90,14 +89,13 @@ def run_per_rank(n_ranks, sizes, n_rounds, nominal, kills, partitions,
         yield Sleep(DRAIN_S)
 
     run = run_gaspi(main, n_ranks=n_ranks, fault_plan=_build_plan(kills))
-    return ({r: dict(s) for r, s in stats.items()}, fires,
-            _snapshot_stores(run.machine, n_ranks))
+    return fires, _snapshot_stores(run.machine, n_ranks)
 
 
 def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
                      partitions, qfull_ranks):
     """One coordinator drives whole rounds through ``commit_round``."""
-    stats, fires = {}, {}
+    fires = {}
 
     def main(ctx):
         if ctx.rank != 0:
@@ -106,8 +104,6 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
             r: CheckpointLib(ctx.world.contexts[r], r, range(n_ranks))
             for r in range(n_ranks)
         }
-        for r, lib in libs.items():
-            stats[r] = lib.stats
         _apply_faults(ctx, n_ranks, partitions, qfull_ranks, libs)
         manager = CheckpointManager.of(ctx.world)
         sim = ctx.world.sim
@@ -123,8 +119,7 @@ def run_commit_round(n_ranks, sizes, n_rounds, nominal, kills,
         yield Sleep(DRAIN_S)
 
     run = run_gaspi(main, n_ranks=n_ranks, fault_plan=_build_plan(kills))
-    return ({r: dict(s) for r, s in stats.items()}, fires,
-            _snapshot_stores(run.machine, n_ranks))
+    return fires, _snapshot_stores(run.machine, n_ranks)
 
 
 def assert_equivalent(n_ranks, sizes, n_rounds, nominal, kills,
@@ -133,9 +128,8 @@ def assert_equivalent(n_ranks, sizes, n_rounds, nominal, kills,
                             partitions, qfull_ranks)
     batched = run_commit_round(n_ranks, sizes, n_rounds, nominal,
                                kills, partitions, qfull_ranks)
-    assert batched[0] == per_rank[0], "per-rank stats diverged"
-    assert batched[1] == per_rank[1], "mirror fire times/values diverged"
-    assert batched[2] == per_rank[2], "node store contents diverged"
+    assert batched[0] == per_rank[0], "mirror fire times/values diverged"
+    assert batched[1] == per_rank[1], "node store contents diverged"
 
 
 @st.composite

@@ -37,15 +37,14 @@ def test_neighbor_copy_lands_on_other_node():
         lib = CheckpointLib(ctx, logical_rank=ctx.rank, participants=[0, 1, 2])
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(8)})
         ok, copied = yield WaitEvent(mirrored, 10.0)
-        return (ok, copied, lib.holders, lib.stats["neighbor_copies"])
+        return (ok, copied, lib.holders)
 
     run = run_gaspi(main, n_ranks=3)
     for r in range(3):
-        ok, copied, holders, copies = run.result(r)
-        assert ok and copied
-        # one holder: the next rank, on its own node
+        ok, copied, holders = run.result(r)
+        # one holder: the next rank, on its own node, and the copy landed
+        assert (ok, copied) == (True, 1)
         assert holders == [((r + 1) % 3, (r + 1) % 3)]
-        assert copies == 1
     # each node now holds its own blob and its predecessor's
     m = run.machine
     for node_id in range(3):
@@ -70,7 +69,9 @@ def test_restore_from_neighbor_after_node_loss():
             lib = CheckpointLib(ctx, logical_rank=1, participants=[0, 2, 3])
             # recorded nodes: the failed rank's (1, dead) and its mirror's (2)
             version, out = yield from lib.read_checkpoint()
-            return (version, float(out["x"][0]), lib.stats["remote_reads"])
+            totals = CheckpointManager.of(ctx.world).phase_totals
+            return (version, float(out["x"][0]),
+                    totals["restore_neighbor_ops"])
         yield Sleep(40.0)
         return None
 
@@ -94,7 +95,8 @@ def test_restore_prefers_local_after_process_only_failure():
         yield Sleep(10.0)
         lib = CheckpointLib(ctx, logical_rank=0, participants=[1])
         version, out = yield from lib.read_checkpoint()
-        return (version, list(out["x"]), lib.stats["remote_reads"])
+        totals = CheckpointManager.of(ctx.world).phase_totals
+        return (version, list(out["x"]), totals["restore_neighbor_ops"])
 
     plan = FaultPlan().kill_process(5.0, 0)
     run = run_gaspi(main, n_ranks=2, fault_plan=plan)
@@ -195,9 +197,11 @@ def test_staging_buffer_reused_and_old_versions_stay_intact():
 
 def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
     """A remote restore re-mirrors the blob to the rescue's new neighbor;
-    the re-mirror is not a checkpoint mirror, so the phase totals keep
-    counting only the original write."""
+    the re-mirror is traced like any mirror, but it is not a checkpoint
+    mirror, so the phase totals keep counting only the original write."""
     key = ("ckpt", 1, 0)
+    sim = Simulator()
+    sim.tracer = tracer = Tracer()
 
     def main(ctx):
         if ctx.rank == 1:
@@ -217,14 +221,17 @@ def test_reprotect_lands_on_new_neighbor_outside_mirror_totals():
             new_neighbor_store = NodeLocalStore(
                 ctx.world.machine.node(neighbor_node))
             return (version, neighbor, new_neighbor_store.has(key),
-                    lib.stats["neighbor_copies"], before, dict(totals))
+                    before, dict(totals))
         yield Sleep(40.0)
         return None
 
     plan = FaultPlan().kill_node(20.0, 1)
-    run = run_gaspi(main, n_ranks=4, fault_plan=plan)
-    version, neighbor, landed, copies, before, after = run.result(3)
-    assert (version, neighbor, landed, copies) == (0, 0, True, 1)
+    run = run_gaspi(main, n_ranks=4, fault_plan=plan, sim=sim)
+    version, neighbor, landed, before, after = run.result(3)
+    assert (version, neighbor, landed) == (0, 0, True)
+    mirrors = [(ev.rank, ev.fields["node"]) for ev in tracer.events()
+               if ev.etype == "ckpt_mirror"]
+    assert mirrors == [(1, 2), (3, 0)]
     assert before["mirror_ops"] == after["mirror_ops"] == 1
     assert before["mirror_bytes"] == after["mirror_bytes"]
     assert after["restore_neighbor_ops"] == 1
@@ -321,14 +328,16 @@ def test_severed_neighbor_times_out_and_releases_the_fifo():
         for ev in (first, second):
             ok, copied = yield WaitEvent(ev, 10.0)
             fires.append((ok, copied, ctx.now))
-        return fires, lib.stats["neighbor_copies"]
+        neighbor_store = CheckpointManager.of(ctx.world).store(
+            lib.holders[0][1])
+        return fires, [neighbor_store.has(("ckpt", 0, v)) for v in (0, 1)]
 
     run = run_gaspi(main, n_ranks=8)
     (ok0, copied0, t0), (ok1, copied1, t1) = run.result(0)[0]
     assert (ok0, copied0, ok1, copied1) == (True, 0, True, 0)
     assert t0 == pytest.approx(1.0, abs=0.01)
     assert t1 == pytest.approx(2.0, abs=0.02)
-    assert run.result(0)[1] == 0
+    assert run.result(0)[1] == [False, False]
 
 
 def _lone_writer_mirror(severed):
@@ -347,10 +356,11 @@ def _lone_writer_mirror(severed):
         mirrored = yield from lib.write_checkpoint(0, {"x": np.ones(4)})
         t_local = ctx.now
         ok, copied = yield WaitEvent(mirrored, 10.0)
-        blob = CheckpointManager.of(ctx.world).store(0).get(("ckpt", 0, 0))
+        manager = CheckpointManager.of(ctx.world)
+        blob = manager.store(0).get(("ckpt", 0, 0))
         latency = network.transfer_time(0, 1, blob.nominal_bytes)
         ack = network.transfer_time(1, 0, 64)
-        return ((ok, copied, lib.stats["failed_copies"]),
+        return ((ok, copied, manager.store(1).has(("ckpt", 0, 0))),
                 ctx.now - t_local, latency, ack)
 
     return run_gaspi(main, n_ranks=2).result(0)
@@ -361,10 +371,10 @@ def test_mirror_to_a_rank_without_a_library_is_posted():
     like any other copy, so it lands at latency plus ack, and a severed
     path hangs it until the flush timeout, which fails the copy."""
     outcome, elapsed, latency, ack = _lone_writer_mirror(severed=False)
-    assert outcome == (True, 1, 0)
+    assert outcome == (True, 1, True)
     assert elapsed == pytest.approx(latency + ack, rel=1e-9)
     outcome, elapsed, latency, _ = _lone_writer_mirror(severed=True)
-    assert outcome == (True, 0, 1)
+    assert outcome == (True, 0, False)
     assert elapsed == pytest.approx(1.5 * latency + 1.0, rel=1e-9)
 
 

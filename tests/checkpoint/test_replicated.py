@@ -161,8 +161,9 @@ def _lose_and_recover(k):
                 except CheckpointNotFound as exc:
                     return ("not-found", str(exc), latest)
                 raise
+            totals = CheckpointManager.of(ctx.world).phase_totals
             return (version, restored["v"].tobytes(), int(restored["it"]),
-                    lib.stats["replica_reads"])
+                    totals["restore_replicated_ops"])
         yield Sleep(40.0)
         return None
 
@@ -222,8 +223,9 @@ def _timed_rescue_read(kill_first_holder):
                                              config=cfg)
             t0 = ctx.now
             version, restored = yield from rescue.read_checkpoint()
+            totals = CheckpointManager.of(ctx.world).phase_totals
             return (version, restored["v"].tobytes(), int(restored["it"]),
-                    rescue.stats["replica_reads"], ctx.now - t0)
+                    totals["restore_replicated_ops"], ctx.now - t0)
         yield Sleep(40.0)
         return None
 
@@ -277,8 +279,8 @@ def test_factory_dispatch_and_unknown_backend():
 def test_severed_holder_times_out_and_releases_the_fifo():
     """A copy whose path to its holder is cut hangs until the flush
     timeout purges the owner's queue: the scatter fires with the landed
-    count, the copy counts as failed, and the next queued write starts
-    only then (and hangs the same way)."""
+    count, only the cut holder's store misses both versions, and the
+    next queued write starts only then (and hangs the same way)."""
     cfg = CheckpointConfig(backend="replicated", replication=R)
 
     def main(ctx):
@@ -293,11 +295,13 @@ def test_severed_holder_times_out_and_releases_the_fifo():
         for ev in (first, second):
             ok, landed = yield WaitEvent(ev, 10.0)
             fires.append((ok, landed, ctx.now))
-        return fires, lib.stats["failed_copies"]
+        manager = CheckpointManager.of(ctx.world)
+        return fires, [[manager.store(node).has(("repl:ckpt", 0, v))
+                        for v in (0, 1)] for _, node in lib.holders]
 
     run = run_gaspi(main, n_ranks=8)
     (ok0, landed0, t0), (ok1, landed1, t1) = run.result(0)[0]
     assert (ok0, landed0, ok1, landed1) == (True, R - 1, True, R - 1)
     assert t0 == pytest.approx(1.0, abs=0.01)
     assert t1 == pytest.approx(2.0, abs=0.02)
-    assert run.result(0)[1] == 2
+    assert run.result(0)[1] == [[False, False]] + [[True, True]] * (R - 1)

@@ -57,15 +57,6 @@ class TestSegment:
         seg.write_bytes(8, np.frombuffer(b"ijkl", dtype=np.uint8))
         assert seg.read_bytes(0, 12) == b"abcdefghijkl"
 
-    def test_read_view_is_zero_copy_and_live(self):
-        seg = Segment(0, 64)
-        view = seg.read_view(8, 4)
-        assert bytes(view) == b"\0" * 4
-        seg.write_bytes(8, b"wxyz")  # lands after the view was taken
-        assert bytes(view) == b"wxyz"
-        with pytest.raises(GaspiUsageError):
-            seg.read_view(62, 4)
-
     def test_read_bytes_is_a_snapshot(self):
         seg = Segment(0, 16)
         seg.write_bytes(0, b"before")
@@ -126,13 +117,11 @@ class TestImageAdoption:
     def test_whole_bytes_write_into_materialised_segment_is_in_place(self):
         seg = Segment(0, 16)
         view = seg.view(np.uint8)
-        window = seg.read_view(8, 8)
         buf = seg.buf
         image = bytes(range(16, 32))
         seg.write_bytes(0, image)
         assert seg.buf is buf and not seg.pristine
         assert view.tobytes() == image
-        assert bytes(window) == image[8:]
         assert seg.read_bytes(0, 16) is not image
 
 
@@ -143,8 +132,7 @@ _write = st.tuples(
     st.integers(0, _SIZE - 1), st.binary(min_size=1, max_size=_SIZE))
 _window = st.integers(0, _SIZE).flatmap(
     lambda off: st.tuples(st.just(off), st.integers(0, _SIZE - off)))
-_read = st.tuples(st.sampled_from(["read_bytes", "read_view", "view"]),
-                  _window)
+_read = st.tuples(st.sampled_from(["read_bytes", "view"]), _window)
 _cells = st.tuples(st.just("cells64"))
 
 
@@ -177,8 +165,6 @@ def test_segment_matches_a_bytearray_model(ops):
                 snap = seg.read_bytes(offset, nbytes)
                 assert type(snap) is bytes
                 snapshots.append((snap, bytes(model[offset:offset + nbytes])))
-            elif name == "read_view":
-                live.append((offset, seg.read_view(offset, nbytes)))
             else:
                 live.append((offset, seg.view(np.uint8, offset, nbytes)))
         assert seg.read_bytes(0, _SIZE) == model

@@ -114,7 +114,7 @@ def scenario_rows(spec, kills, backend="neighbor"):
             for ev in events),
     }
     trace = SweepTrace(experiment="golden", scenario=spec.name, k=0,
-                       events=events, dropped=tracer.dropped)
+                       events=events, emitted=tracer.emitted)
     # one JSON round trip: tuples become lists, as in the stored file
     rows = json.loads(json.dumps(rows, sort_keys=True, default=repr))
     return rows, trace, out.result.failures()
@@ -201,7 +201,7 @@ def numeric48_late_kill():
             for ev in events),
     }
     trace = SweepTrace(experiment="golden", scenario="numeric48-late-kill",
-                       k=0, events=events, dropped=tracer.dropped)
+                       k=0, events=events, emitted=tracer.emitted)
     return json.loads(json.dumps(rows, sort_keys=True)), trace
 
 

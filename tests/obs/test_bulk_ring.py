@@ -69,6 +69,8 @@ def test_exact_boundary_and_per_type_counts():
     assert tr.dropped == 1
     assert Counter(e.etype for e in tr.events()) == {
         "detection": 5, "ping": 3, "solver_iter": 1}
+    # the per-type totals count the evicted ping too
+    assert tr.emitted == {"detection": 5, "ping": 4, "solver_iter": 1}
 
 
 def test_bulk_etypes_are_the_high_volume_ones():
@@ -109,15 +111,18 @@ def test_traced_sweep_ships_bulk_drop_counts():
     assert results == [50]
     assert traces[0].dropped == 42
     assert len(traces[0].events) == 8
+    assert traces[0].emitted == {"ping": 50}
 
 
 def test_validation_tolerates_bulk_drops_but_not_lifecycle_drops():
-    bulk_only = SweepTrace("e", "s", 0, events=(), dropped=7)
+    bulk_only = SweepTrace("e", "s", 0, events=(), emitted={"ping": 7})
+    assert bulk_only.dropped == 7
     assert validate_trace(bulk_only) == []
 
     # a trace missing the milestones after an injection still fails
     injected = TraceEvent(1.0, 3, "failure_injected", 0.0,
                           {"kind": "KillProcess"})
-    lifecycle = SweepTrace("e", "s", 0, events=(injected,), dropped=7)
+    lifecycle = SweepTrace("e", "s", 0, events=(injected,),
+                           emitted={"failure_injected": 1, "ping": 7})
     errors = validate_trace(lifecycle)
     assert len(errors) == 1 and "rank 3" in errors[0]

@@ -2,6 +2,7 @@
 aggregated-metrics table of ``repro trace``."""
 
 import json
+from collections import Counter
 from types import SimpleNamespace
 
 from repro.obs.export import (
@@ -89,16 +90,28 @@ def test_write_chrome_trace_is_loadable_json(tmp_path):
 # ----------------------------------------------------------------------
 # the aggregated-metrics table over the same event shapes
 # ----------------------------------------------------------------------
+def _trace(events, evicted=()):
+    """A task's trace: its retained ``events``, and per-type emitted
+    totals that also count the ``evicted`` event types."""
+    emitted = Counter(e.etype for e in events) + Counter(evicted)
+    return SimpleNamespace(events=events, emitted=dict(emitted))
+
+
 def _rows(traces):
     return {row[0]: row[1:] for row in metric_rows(traces)}
 
 
 def test_metric_rows_count_events_and_checkpoint_spans():
-    traces = [SimpleNamespace(events=events) for _, events in TRACES]
+    """``events.<etype>`` reads the emitted totals, so evicted events
+    still count; the checkpoint rows need each event and cover only
+    the retained ones."""
+    traces = [_trace(TRACES[0][1], evicted=["ckpt_write"] * 2 + ["ping"]),
+              _trace(TRACES[1][1], evicted=["solver_iter"] * 4)]
     rows = _rows(traces)
-    assert rows["events.ckpt_write"] == [1, None, None, None]
+    assert rows["events.ckpt_write"] == [3, None, None, None]
     assert rows["events.detection"] == [1, None, None, None]
-    assert rows["events.solver_iter"] == [1, None, None, None]
+    assert rows["events.ping"] == [1, None, None, None]
+    assert rows["events.solver_iter"] == [5, None, None, None]
     assert rows["ckpt.write_s"] == [1, 0.5, 0.5, 0.5]
     assert rows["ckpt.bytes_written"] == [1000, None, None, None]
     # rows come sorted by metric name, as the table prints them
@@ -122,8 +135,7 @@ def _chain(t0, detect_after):
 def test_metric_rows_build_timelines_per_trace():
     """Both traces number their failure epoch 1; rebuilt per trace, they
     stay two failures instead of aliasing into one."""
-    traces = [SimpleNamespace(events=_chain(1.0, 2.0)),
-              SimpleNamespace(events=_chain(5.0, 4.0))]
+    traces = [_trace(_chain(1.0, 2.0)), _trace(_chain(5.0, 4.0))]
     rows = _rows(traces)
     assert rows["phase.detection_latency_s"] == [2, 2.0, 3.0, 4.0]
     assert rows["phase.spare_promote_s"] == [2, 0.5, 0.5, 0.5]

@@ -57,18 +57,33 @@ def test_tiny_figure4_validates_through_a_small_ring():
     """Lifecycle milestones never enter the ring: at 512 slots each
     scenario of the tiny Figure-4 sweep that runs the fault detector
     evicts pings and solver iterations, and every failure chain still
-    validates."""
+    validates.  The ``events.<etype>`` rows of ``repro trace`` count
+    every emitted event, so they match the default ring's, which evicts
+    nothing, ``proc_kill`` included although none is retained."""
     from repro.experiments.figure4 import default_spec, scenario_tasks
-    from repro.experiments.trace import validate_trace
+    from repro.experiments.trace import metric_rows, validate_trace
 
-    tasks = scenario_tasks(default_spec("tiny"))
-    _, traces = run_traced_sweep(tasks, jobs=1, capacity=512)
+    def traced(capacity):
+        tasks = scenario_tasks(default_spec("tiny"))
+        return run_traced_sweep(tasks, jobs=1, capacity=capacity)[1]
+
+    def event_rows(traces):
+        return [row for row in metric_rows(traces)
+                if row[0].startswith("events.")]
+
+    traces = traced(512)
     # the two scenarios without health checks emit no pings
     assert [tr.dropped > 0 for tr in traces] == [False] * 2 + [True] * 5
     assert [err for tr in traces for err in validate_trace(tr)] == []
     # the seven failures of the sweep, as at full capacity
     assert sum(ev.etype == "detection"
                for tr in traces for ev in tr.events) == 7
+    full = traced(None)
+    assert not any(tr.dropped for tr in full)
+    assert event_rows(traces) == event_rows(full)
+    assert "events.proc_kill" in [row[0] for row in event_rows(traces)]
+    assert not any(ev.etype == "proc_kill"
+                   for tr in traces for ev in tr.events)
 
 
 def test_real_scenario_trace_identical_serial_vs_parallel():
