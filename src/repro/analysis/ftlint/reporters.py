@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from typing import List, Optional, Sequence
+from typing import List, Sequence
 
 from repro.analysis.ftlint.baseline import fingerprint
 from repro.analysis.ftlint.core import Finding, all_rules
@@ -173,12 +173,10 @@ def render_sarif(
     return json.dumps(document, indent=2, sort_keys=False)
 
 
-def render_rule_list(selected: Optional[Sequence[str]] = None) -> str:
+def render_rule_list() -> str:
     """``--list-rules`` output."""
     lines = []
     for rule in all_rules():
-        if selected and rule.id not in selected:
-            continue
         lines.append(f"{rule.id}  {rule.title}")
         lines.append(f"       {rule.rationale}")
     return "\n".join(lines)

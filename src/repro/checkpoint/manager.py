@@ -45,7 +45,7 @@ span) and ``restore`` (read path, any source).
 from __future__ import annotations
 
 from bisect import insort
-from collections import OrderedDict, deque
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import (
@@ -60,7 +60,6 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
 import numpy as np
@@ -70,11 +69,7 @@ from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.checkpoint.pfs import ParallelFileSystem
 from repro.checkpoint.placement import neighbor_map, replica_holder_map
-from repro.checkpoint.serialization import (
-    pack_checkpoint_into,
-    packed_size,
-    unpack_checkpoint,
-)
+from repro.checkpoint.serialization import pack_checkpoint, unpack_checkpoint
 from repro.checkpoint.store import (
     CheckpointNotFound,
     Key,
@@ -385,10 +380,6 @@ class CheckpointManager:
     its holders (the neighbor backend one, the replicated backend ``r``)
     and its landing rule, and the manager does the rest:
 
-    * **shared staging arena** — every blob of a round packs through one
-      grown-geometrically buffer (one ``packed_size`` prefix-sum, one
-      ``pack_checkpoint_into`` view per rank) instead of per-library
-      staging copies;
     * **same-tick coalescing** — copies signalled within one simulated
       tick flush as *one* scatter round priced by a single vectorized
       :meth:`Network.transfer_time_round` call per direction
@@ -423,18 +414,17 @@ class CheckpointManager:
         )
         #: node-local store views, one per node (nodes never move)
         self._stores: Dict[int, NodeLocalStore] = {}
-        #: shared pack arena, grown geometrically and never shrunk
-        self._arena = bytearray()
         #: copy requests accumulated in the current tick, flushed as one
         #: round
         self._pending: List[_CopyRequest] = []
         self._sealed = False
-        #: participant-tuple -> {rank: neighbor} map cache (tiny LRU; a
-        #: run only ever sees a handful of participant sets)
-        self._neighbor_maps: "OrderedDict[Tuple[int, ...], Dict[int, Optional[int]]]" = OrderedDict()
+        #: participant-tuple -> {rank: neighbor} map cache.  A world's
+        #: teams are the initial one plus one per recovery, and every
+        #: recovery consumes a spare, so the spare budget bounds its size
+        self._neighbor_maps: Dict[Tuple[int, ...], Dict[int, Optional[int]]] = {}
         #: (participant-tuple, r) -> {rank: [holders]} placement cache for
-        #: the replicated backend (same tiny-LRU policy)
-        self._replica_maps: "OrderedDict[Tuple[Tuple[int, ...], int], Dict[int, List[int]]]" = OrderedDict()
+        #: the replicated backend (bounded the same way)
+        self._replica_maps: Dict[Tuple[Tuple[int, ...], int], Dict[int, List[int]]] = {}
         #: neighbor-backend location record: (tag, logical rank) -> the
         #: nodes that stored one of its blobs, in the order they first did
         self._locations: Dict[Tuple[str, int], Tuple[int, ...]] = {}
@@ -479,54 +469,12 @@ class CheckpointManager:
         constructor schedules nothing, so no virtual time moves)."""
         return ParallelFileSystem(self.sim)
 
-    # ------------------------------------------------------------------
-    # shared staging arena
-    # ------------------------------------------------------------------
-    def _reserve(self, total: int) -> memoryview:
-        if len(self._arena) < total:
-            self._arena = bytearray(max(total, 2 * len(self._arena)))
-        return memoryview(self._arena)
-
     def pack_blob(self, payload: Dict[str, np.ndarray],
                   nominal_bytes: Optional[int] = None) -> StoredBlob:
-        """Pack one payload through the shared arena (stored snapshot out).
-
-        The zero-copy pack writes straight into the arena (one byte move +
-        streaming CRC); every library of the world shares one warm buffer.
-        The returned blob's ``bytes`` is the immutable snapshot the stores
-        keep — it must not alias the arena, which the next pack reuses.
-        ``nominal_bytes`` defaults to the packed size.
-        """
-        size = packed_size(payload)
-        arena = self._reserve(size)
-        pack_checkpoint_into(payload, arena)
-        return StoredBlob(data=bytes(arena[:size]),
-                          nominal_bytes=nominal_bytes or size)
-
-    def pack_round(
-        self, payloads: Sequence[Dict[str, np.ndarray]]
-    ) -> List[bytes]:
-        """Pack a whole round of payloads through the arena at once.
-
-        One ``packed_size`` pass and one prefix-sum lay every rank's blob
-        out back-to-back; each packs via a ``pack_checkpoint_into`` view at
-        its offset.  Returns the per-rank immutable snapshots (the node
-        stores keep those; the arena is reused next round).
-        """
-        n = len(payloads)
-        sizes = np.fromiter(
-            (packed_size(p) for p in payloads), dtype=np.int64, count=n
-        )
-        offsets = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(sizes, out=offsets[1:])
-        arena = self._reserve(int(offsets[-1]))
-        out: List[bytes] = []
-        for payload, off, size in zip(
-            payloads, offsets[:-1].tolist(), sizes.tolist()
-        ):
-            pack_checkpoint_into(payload, arena, offset=off, size=size)
-            out.append(bytes(arena[off:off + size]))
-        return out
+        """Pack one payload into the immutable blob the stores keep.
+        ``nominal_bytes`` defaults to the packed size."""
+        data = pack_checkpoint(payload)
+        return StoredBlob(data=data, nominal_bytes=nominal_bytes or len(data))
 
     # ------------------------------------------------------------------
     # placement map caches
@@ -543,10 +491,6 @@ class CheckpointManager:
         if cached is None:
             cached = neighbor_map(participants, self.machine.node_of)
             self._neighbor_maps[participants] = cached
-            while len(self._neighbor_maps) > 8:
-                self._neighbor_maps.popitem(last=False)
-        else:
-            self._neighbor_maps.move_to_end(participants)
         return cached
 
     def replica_map_for(
@@ -563,10 +507,6 @@ class CheckpointManager:
         if cached is None:
             cached = replica_holder_map(participants, self.machine.node_of, r)
             self._replica_maps[cache_key] = cached
-            while len(self._replica_maps) > 8:
-                self._replica_maps.popitem(last=False)
-        else:
-            self._replica_maps.move_to_end(cache_key)
         return cached
 
     def store(self, node_id: int) -> NodeLocalStore:
@@ -771,50 +711,37 @@ class CheckpointManager:
         libs: Mapping[int, CheckpointLib],
         version: int,
         payloads: Mapping[int, Dict[str, np.ndarray]],
-        nominal_bytes: Union[int, Mapping[int, int], None] = None,
+        nominal_bytes: Optional[int] = None,
     ) -> Generator[Any, Any, Dict[int, Event]]:
         """Generator: commit one checkpoint round for many ranks at once.
 
         Equivalent to every rank in ``payloads`` calling its library's
-        ``write_checkpoint(version, payload)`` in the same tick — same
-        store contents, tracer events and virtual timestamps — but
-        driven by one coordinator: a single arena :meth:`pack_round`, one
-        grouped callback per distinct local-write duration, and the
-        manager's copy pipeline.  Returns ``{rank: mirrored_event}``
-        once the *synchronous* part (every rank's local write) finished;
-        the mirrors complete in the background as for
-        ``write_checkpoint``.  A rank that dies before its local write
-        completes takes no actions, like its killed generator wouldn't.
+        ``write_checkpoint(version, payload, nominal_bytes)`` in the same
+        tick — same store contents, tracer events and virtual timestamps
+        — but driven by one coordinator: one grouped callback per
+        distinct local-write duration, and the manager's copy pipeline.
+        Returns ``{rank: mirrored_event}`` once the *synchronous* part
+        (every rank's local write) finished; the mirrors complete in the
+        background as for ``write_checkpoint``.  A rank that dies before
+        its local write completes takes no actions, like its killed
+        generator wouldn't.
         """
         ranks = sorted(payloads)
         sim = self.sim
         t0 = sim.now
-        blobs = self.pack_round([payloads[r] for r in ranks])
-        if isinstance(nominal_bytes, int):
-            flat_nominal: Optional[int] = nominal_bytes
-            nominal_map: Optional[Mapping[int, int]] = None
-        else:
-            flat_nominal = None
-            nominal_map = nominal_bytes
         items: List[Tuple[CheckpointLib, "Key", StoredBlob, Event]] = []
         mirrors: Dict[int, Event] = {}
         durations = np.empty(len(ranks), dtype=np.float64)
-        for i, (rank, data) in enumerate(zip(ranks, blobs)):
+        for i, rank in enumerate(ranks):
             lib = libs[rank]
-            if flat_nominal is not None:
-                nom = flat_nominal
-            elif nominal_map is not None:
-                nom = nominal_map.get(rank) or len(data)
-            else:
-                nom = len(data)
-            blob = StoredBlob(data=data, nominal_bytes=nom)
+            blob = self.pack_blob(payloads[rank], nominal_bytes)
             key = (lib.config.tag, lib.logical_rank, version)
             # event names are diagnostic only: a constant name keeps the
             # per-rank construction cost flat without changing observables
             mirrored = Event(name="ckpt-mirrored")
             mirrors[rank] = mirrored
             items.append((lib, key, blob, mirrored))
-            durations[i] = nom / LOCAL_BANDWIDTH
+            durations[i] = blob.nominal_bytes / LOCAL_BANDWIDTH
         t_local = t0 + durations
 
         def local_done(idxs: List[int]) -> None:

@@ -73,8 +73,8 @@ class ReplicatedCheckpointLib(_CopySource):
     protection comes from ``config.replication`` in-memory copies on
     other ranks instead of one neighbor-node mirror:
 
-    * **commit** — pack through the world manager's shared arena, charge
-      the staging cost, then hand the blob to the manager's copy pipeline
+    * **commit** — pack the payload, charge the local staging cost,
+      then hand the blob to the manager's copy pipeline
       with ``r`` holders (one ``transfer_time_round``-priced scatter per
       tick for all ranks' copies together).  The returned event fires
       with the number of copies that actually landed.

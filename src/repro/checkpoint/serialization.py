@@ -6,29 +6,27 @@ whole container carries a magic, a format version and a CRC32 so that a
 torn or corrupted blob is *detected* rather than silently restored — the
 property the consistent-version protocol depends on.
 
-The data plane is zero-copy:
+The data plane copies each array byte once per direction:
 
-* :func:`packed_size` sizes a payload without touching array data, so a
-  caller can pre-allocate (or reuse) a staging buffer or segment slice.
+* :func:`packed_size` sizes a payload without touching array data, so
+  the container buffer is allocated once, at its final size.
 * :func:`pack_checkpoint_into` writes headers and array bytes directly
-  into that caller-provided buffer with a streaming CRC32 — array data is
-  moved exactly once (``np.copyto`` into the destination), with a single
-  ``np.ascontiguousarray`` normalisation as the only extra copy and only
-  for non-contiguous inputs.
+  into a caller-provided buffer with a streaming CRC32 — array data is
+  moved exactly once, with a single ``np.ascontiguousarray``
+  normalisation as the only extra copy and only for non-contiguous
+  inputs.  :func:`pack_checkpoint` packs into a fresh buffer and returns
+  the immutable ``bytes`` the checkpoint stores keep.
 * :func:`unpack_checkpoint` parses through memoryviews; with
   ``copy=False`` the returned arrays are read-only views into the blob
   (no byte is copied), with the default ``copy=True`` each array is
   copied exactly once into a writable array.
-
-:func:`pack_checkpoint` remains as the allocating convenience wrapper and
-produces bit-identical containers.
 """
 
 from __future__ import annotations
 
 import struct
 import zlib
-from typing import Dict, Mapping, Optional, Tuple, Union
+from typing import Dict, Mapping, Tuple, Union
 
 import numpy as np
 
@@ -46,31 +44,12 @@ class CheckpointCorrupt(Exception):
     """The blob failed structural or CRC validation."""
 
 
-#: compiled entry-header packers keyed by (name len, dtype len, ndim) —
-#: header layouts recur across checkpoints, so each shape is compiled once
-_HDR_STRUCTS: Dict[Tuple[int, int, int], struct.Struct] = {}
-
 #: memoized *complete* header bytes keyed by (name, dtype, shape, nbytes).
 #: SPMD checkpoint rounds emit the identical header once per rank per
 #: round (only the array bytes differ), so the encode+pack runs once per
 #: distinct entry layout; bounded since layouts are few but payloads are
 #: caller-controlled
 _HDR_MEMO: Dict[Tuple[str, str, Tuple[int, ...], int], bytes] = {}
-
-
-def _entry_header(name_b: bytes, dtype_b: bytes, shape: Tuple[int, ...],
-                  nbytes: int) -> bytes:
-    ndim = len(shape)
-    key = (len(name_b), len(dtype_b), ndim)
-    packer = _HDR_STRUCTS.get(key)
-    if packer is None:
-        # '<' disables alignment padding, so one combined pack emits the
-        # same bytes as the historical field-by-field concatenation
-        packer = struct.Struct(
-            f"<HH{len(name_b)}s{len(dtype_b)}sB{ndim}qq")
-        _HDR_STRUCTS[key] = packer
-    return packer.pack(len(name_b), len(dtype_b), name_b, dtype_b,
-                       ndim, *shape, nbytes)
 
 
 def packed_size(payload: Payload) -> int:
@@ -83,38 +62,34 @@ def packed_size(payload: Payload) -> int:
     return total
 
 
-def _writable_u8(buf) -> memoryview:
-    """A flat writable byte view of any buffer-protocol object."""
+def _byte_view(buf) -> memoryview:
+    """A flat byte view of any buffer-protocol object."""
     mv = memoryview(buf)
-    if mv.readonly:
-        raise ValueError("pack_checkpoint_into needs a writable buffer")
     if mv.ndim != 1 or mv.format not in ("B", "b", "c"):
         mv = mv.cast("B")
     return mv
 
 
 def pack_checkpoint_into(payload: Payload,
-                         buf: Union[bytearray, memoryview, np.ndarray],
-                         offset: int = 0,
-                         size: Optional[int] = None) -> int:
-    """Serialize ``payload`` directly into ``buf`` at ``offset``.
+                         buf: Union[bytearray, memoryview, np.ndarray]) -> int:
+    """Serialize ``payload`` directly into the start of ``buf``.
 
     ``buf`` is any writable buffer-protocol object (a ``bytearray``, a
     ``memoryview``, a segment slice, a numpy ``uint8`` array).  Array
     bytes move exactly once and the CRC32 is computed streaming as the
     container is written, so no intermediate ``bytes`` object is ever
-    built.  ``size`` is an optional precomputed :func:`packed_size` (a
-    round packer already sized every payload for its prefix sum).
-    Returns the number of bytes written (== :func:`packed_size`).
+    built.  Returns the number of bytes written (== :func:`packed_size`).
     """
-    mv = _writable_u8(buf)
-    total = packed_size(payload) if size is None else size
-    if offset < 0 or offset + total > mv.nbytes:
+    mv = _byte_view(buf)
+    if mv.readonly:
+        raise ValueError("pack_checkpoint_into needs a writable buffer")
+    total = packed_size(payload)
+    if total > mv.nbytes:
         raise ValueError(
-            f"buffer too small: need [{offset}, {offset + total}) "
-            f"in a buffer of {mv.nbytes} bytes"
+            f"buffer too small: need {total} bytes in a buffer of "
+            f"{mv.nbytes} bytes"
         )
-    out = mv[offset : offset + total]
+    out = mv[:total]
 
     out[:4] = _MAGIC
     struct.pack_into("<HI", out, 4, _VERSION, len(payload))
@@ -131,10 +106,14 @@ def pack_checkpoint_into(payload: Payload,
         hkey = (name, arr.dtype.str, arr.shape, arr.nbytes)
         header = _HDR_MEMO.get(hkey)
         if header is None:
-            header = _entry_header(
-                name.encode("utf-8"), arr.dtype.str.encode("ascii"),
-                arr.shape, arr.nbytes,
-            )
+            # '<' disables alignment padding: the fields land back to
+            # back, as the container format lays them out
+            name_b = name.encode("utf-8")
+            dtype_b = arr.dtype.str.encode("ascii")
+            header = struct.pack(
+                f"<HH{len(name_b)}s{len(dtype_b)}sB{arr.ndim}qq",
+                len(name_b), len(dtype_b), name_b, dtype_b, arr.ndim,
+                *arr.shape, arr.nbytes)
             if len(_HDR_MEMO) < 4096:
                 _HDR_MEMO[hkey] = header
         end = pos + len(header)
@@ -177,9 +156,7 @@ def unpack_checkpoint(
     bytes are copied, but the arrays alias the blob's storage and must
     not outlive it.
     """
-    mv = memoryview(blob)
-    if mv.ndim != 1 or mv.format not in ("B", "b", "c"):
-        mv = mv.cast("B")
+    mv = _byte_view(blob)
     size = mv.nbytes
     if size < _HEADER_SIZE or bytes(mv[:4]) != _MAGIC:
         raise CheckpointCorrupt("bad magic / truncated header")

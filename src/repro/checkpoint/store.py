@@ -32,10 +32,6 @@ class StoredBlob:
     data: bytes
     nominal_bytes: int
 
-    @property
-    def nbytes(self) -> int:
-        return self.nominal_bytes
-
 
 class NodeLocalStore:
     """Checkpoint view of one node's local storage."""

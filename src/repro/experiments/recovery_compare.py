@@ -22,15 +22,16 @@ run) report a dash, not zero.
 
 Run: ``python -m repro.experiments.recovery_compare [--sizes 8 16 ...]
 [--jobs N] [--backend neighbor|pfs|replicated|all] [--replication r]
-[--failure-free]`` — every measurement is an independent simulation;
-``--jobs`` fans them across a process pool.
+[--failure-free]`` — every measurement is an independent simulation,
+run once even when both tables read it; ``--jobs`` fans them across a
+process pool.
 """
 
 from __future__ import annotations
 
 import argparse
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -158,33 +159,53 @@ def measure_backend(n_ranks: int, backend: str = "neighbor",
             phases.get("restore_bytes", 0.0), phases.get("restore_s", 0.0))
 
 
-def comparison_tasks(sizes: Sequence[int]) -> List[SweepTask]:
+def _label(n_ranks: int, backend: str, failure_free: bool) -> str:
+    return (f"gaspi-{backend}-{n_ranks}"
+            + ("-failure-free" if failure_free else ""))
+
+
+def compare_tasks(sizes: Sequence[int],
+                  backends: Sequence[str] = BACKENDS,
+                  replication: int = 2,
+                  failure_free: bool = False,
+                  ulfm: bool = True) -> List[SweepTask]:
+    """Every simulation behind the two tables, each scenario once.
+
+    Per size: one :func:`measure_backend` run per backend of the backend
+    table and, with ``ulfm``, the ULFM run plus the killed neighbor run
+    whose result fills the ULFM table's GASPI columns.  The backend table
+    makes that neighbor run itself unless ``failure_free`` or
+    ``backends`` leave it out; only then is it added.
+    """
+    runs = [(backend, failure_free) for backend in backends]
+    if ulfm and ("neighbor", False) not in runs:
+        runs.insert(0, ("neighbor", False))
     tasks = []
     for n in sizes:
-        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_backend,
-                               (n, "neighbor")))
-        tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm, (n,)))
+        tasks.extend(
+            SweepTask("compare", _label(n, backend, ff), measure_backend,
+                      (n, backend, replication, ff))
+            for backend, ff in runs)
+        if ulfm:
+            tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm,
+                                   (n,)))
     return tasks
 
 
-def backend_tasks(sizes: Sequence[int],
-                  backends: Sequence[str] = BACKENDS,
-                  replication: int = 2,
-                  failure_free: bool = False) -> List[SweepTask]:
-    return [
-        SweepTask("backend-compare", f"{backend}-{n}", measure_backend,
-                  (n, backend, replication, failure_free))
-        for n in sizes for backend in backends
-    ]
+def _sweep(tasks: List[SweepTask], jobs: Optional[int]) -> Dict[str, Any]:
+    """Run ``tasks``; their results keyed by scenario label."""
+    return dict(zip((task.scenario for task in tasks),
+                    run_sweep(tasks, jobs=jobs)))
 
 
-def _backend_rows_from_results(
-    sizes: Sequence[int], backends: Sequence[str], results: List,
-) -> List[BackendRow]:
+def _backend_rows(sizes: Sequence[int], backends: Sequence[str],
+                  failure_free: bool, results: Dict[str, Any],
+                  ) -> List[BackendRow]:
     rows = []
-    for idx, n in enumerate(sizes):
-        for jdx, backend in enumerate(backends):
-            det, rec, r_ops, r_bytes, r_s = results[idx * len(backends) + jdx]
+    for n in sizes:
+        for backend in backends:
+            det, rec, r_ops, r_bytes, r_s = results[
+                _label(n, backend, failure_free)]
             rows.append(BackendRow(
                 n_ranks=n, backend=backend, detection=det,
                 reconstruction=rec, restore_ops=r_ops,
@@ -201,17 +222,17 @@ def run_backend_comparison(
     failure_free: bool = False,
 ) -> List[BackendRow]:
     """The three-way neighbor/PFS/replicated recovery-latency table."""
-    results = run_sweep(
-        backend_tasks(sizes, backends, replication, failure_free), jobs=jobs
-    )
-    return _backend_rows_from_results(sizes, backends, results)
+    results = _sweep(compare_tasks(sizes, backends, replication,
+                                   failure_free, ulfm=False), jobs)
+    return _backend_rows(sizes, backends, failure_free, results)
 
 
-def _rows_from_results(sizes: Sequence[int], results: List) -> List[CompareRow]:
+def _compare_rows(sizes: Sequence[int],
+                  results: Dict[str, Any]) -> List[CompareRow]:
     rows = []
-    for idx, n in enumerate(sizes):
-        g_det, g_rec, _, g_rbytes, g_rs = results[2 * idx]
-        u_det, u_rec = results[2 * idx + 1]
+    for n in sizes:
+        g_det, g_rec, _, g_rbytes, g_rs = results[_label(n, "neighbor", False)]
+        u_det, u_rec = results[f"ulfm-{n}"]
         rows.append(CompareRow(
             n_ranks=n,
             gaspi_detection=g_det, gaspi_reconstruction=g_rec,
@@ -223,8 +244,8 @@ def _rows_from_results(sizes: Sequence[int], results: List) -> List[CompareRow]:
 
 def run_comparison(sizes: Sequence[int] = (8, 16, 32, 64, 128, 256),
                    jobs: Optional[int] = 1) -> List[CompareRow]:
-    results = run_sweep(comparison_tasks(sizes), jobs=jobs)
-    return _rows_from_results(sizes, results)
+    results = _sweep(compare_tasks(sizes, backends=()), jobs)
+    return _compare_rows(sizes, results)
 
 
 HEADERS = ["ranks", "GASPI detect[s]", "GASPI rebuild[s]",
@@ -275,9 +296,12 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
                         help="run the backend table without the process "
                              "kill (restore columns report a dash)")
     args = parser.parse_args(argv)
-    rows = run_comparison(args.sizes, jobs=args.jobs)
+    backends = BACKENDS if args.backend == "all" else (args.backend,)
+    # one sweep fills both tables
+    results = _sweep(compare_tasks(args.sizes, backends, args.replication,
+                                   args.failure_free), args.jobs)
     table = format_table(
-        HEADERS, as_rows(rows),
+        HEADERS, as_rows(_compare_rows(args.sizes, results)),
         title="Recovery comparison: non-shrinking (GASPI+FD) vs shrinking (ULFM)")
     print(table)
     print(
@@ -286,11 +310,8 @@ def main(argv: Optional[Sequence[str]] = None) -> str:
         "keeps the distribution and only reads checkpoints — the paper's\n"
         "argument for spare processes."
     )
-    backends = BACKENDS if args.backend == "all" else (args.backend,)
-    backend_rows = run_backend_comparison(
-        args.sizes, backends=backends, replication=args.replication,
-        jobs=args.jobs, failure_free=args.failure_free,
-    )
+    backend_rows = _backend_rows(args.sizes, backends, args.failure_free,
+                                 results)
     backend_table = format_table(
         BACKEND_HEADERS, backend_as_rows(backend_rows),
         title=(f"Checkpoint-backend recovery paths "

@@ -52,21 +52,12 @@ def _figure4_tasks(args) -> Tuple[List[SweepTask], str]:
 
 
 def _compare_tasks(args) -> Tuple[List[SweepTask], str]:
-    from repro.experiments.recovery_compare import measure_backend, measure_ulfm
+    from repro.experiments.recovery_compare import compare_tasks
 
     sizes = [8] if args.quick else args.sizes
-    tasks = []
-    for n in sizes:
-        tasks.append(SweepTask("compare", f"gaspi-{n}", measure_backend,
-                               (n, "neighbor")))
-        tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm, (n,)))
-        # the alternative checkpoint backends ride the same FT stack, so
-        # their recovery chains are validated like the neighbor scheme's
-        tasks.append(SweepTask("compare", f"gaspi-pfs-{n}",
-                               measure_backend, (n, "pfs")))
-        tasks.append(SweepTask("compare", f"gaspi-replicated-{n}",
-                               measure_backend, (n, "replicated")))
-    return tasks, f"compare (sizes {sizes})"
+    # every checkpoint backend rides the same FT stack, so each one's
+    # recovery chains are validated like the neighbor scheme's
+    return compare_tasks(sizes), f"compare (sizes {sizes})"
 
 
 _EXPERIMENTS = {

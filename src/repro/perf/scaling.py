@@ -25,7 +25,7 @@ Metrics (all lower-is-better except the ladder maximum):
   noise.
 * ``ckpt_mirror_us_per_rank`` — wall microseconds per rank per
   checkpoint write+mirror round, committing whole rounds via
-  ``CheckpointManager.commit_round`` (shared staging arena, one cached
+  ``CheckpointManager.commit_round`` (one pack per rank, one cached
   O(n) neighbor map, one round-priced mirror scatter).
 * ``ranks_max_at_60s`` — the largest ladder rung whose fixed
   per-rank-workload scenario (one mid-run failure, full detect →
@@ -150,13 +150,13 @@ def bench_ckpt_mirror_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     Every rank commits one checkpoint per round and all of the round's
     neighbor mirrors must land before the next round starts.  The whole
     round runs through
-    :meth:`repro.checkpoint.CheckpointManager.commit_round` (one shared
-    arena pack, one cached neighbor map, one round-priced mirror
+    :meth:`repro.checkpoint.CheckpointManager.commit_round` (one pack
+    per rank, one cached neighbor map, one round-priced mirror
     scatter).
 
     ``rounds`` counts *timed* rounds (at least 2); one extra untimed
-    round runs first so that one-time costs (neighbor-map build, arena
-    growth, store wiring) warm up outside the measurement.  The reported
+    round runs first so that one-time costs (neighbor-map build, store
+    wiring) warm up outside the measurement.  The reported
     figure is the *fastest* observed round (the ``timeit`` estimator):
     per-round wall times vary >1.5x under scheduler/frequency noise and
     the minimum is the noise-free steady-state cost — the regime the
@@ -244,8 +244,8 @@ def bench_ckpt_replicated_restore_us_per_rank(
     replicated backend exists for.
 
     Timing protocol matches :func:`bench_ckpt_mirror_us_per_rank`: one
-    untimed warm-up round (placement map build, store wiring, arena
-    growth), then the *fastest* timed round, with the collector paused.
+    untimed warm-up round (placement map build, store wiring), then
+    the *fastest* timed round, with the collector paused.
     """
     import numpy as np
 

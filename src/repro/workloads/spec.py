@@ -40,14 +40,8 @@ class WorkloadSpec:
     iteration_time: float
     #: modeled pre-processing (matrix generation + comm setup) per rank
     setup_time: float = 10.0
-    #: global setup-checkpoint volume (matrix chunk + halo plans)
-    setup_bytes_global: int = 0
 
     # ------------------------------------------------------------------
-    @property
-    def rows_per_worker(self) -> int:
-        return self.n_rows // self.n_workers
-
     @property
     def nnz_per_worker(self) -> int:
         return self.nnz // self.n_workers
@@ -58,18 +52,14 @@ class WorkloadSpec:
 
     @property
     def setup_bytes_per_worker(self) -> int:
-        if self.setup_bytes_global:
-            return self.setup_bytes_global // self.n_workers
-        # matrix chunk: ~12 B/nnz + plan metadata
+        """Setup-checkpoint volume per rank: the matrix chunk at ~12 B
+        per nonzero, plan metadata included."""
         return 12 * self.nnz_per_worker
 
     @property
     def baseline_runtime(self) -> float:
         """Failure-free compute time (excl. setup) the spec implies."""
         return self.n_iterations * self.iteration_time
-
-    def iteration_of_time(self, t_after_setup: float) -> int:
-        return int(t_after_setup / self.iteration_time)
 
     def time_of_iteration(self, iteration: int) -> float:
         """Seconds after setup at which ``iteration`` completes."""

@@ -94,17 +94,6 @@ def test_pack_into_matches_pack_checkpoint():
     assert bytes(buf) == pack_checkpoint(payload)
 
 
-def test_pack_into_at_offset_leaves_margins_untouched():
-    payload = _sample_payload()
-    size = packed_size(payload)
-    buf = bytearray(b"\xaa" * (size + 32))
-    written = pack_checkpoint_into(payload, buf, offset=16)
-    assert written == size
-    assert bytes(buf[:16]) == b"\xaa" * 16
-    assert bytes(buf[16 + size:]) == b"\xaa" * 16
-    assert bytes(buf[16 : 16 + size]) == pack_checkpoint(payload)
-
-
 def test_pack_into_numpy_buffer_and_memoryview():
     payload = _sample_payload()
     size = packed_size(payload)
@@ -122,8 +111,6 @@ def test_pack_into_rejects_readonly_and_small_buffers():
         pack_checkpoint_into(payload, b"\0" * packed_size(payload))
     with pytest.raises(ValueError, match="too small"):
         pack_checkpoint_into(payload, bytearray(packed_size(payload) - 1))
-    with pytest.raises(ValueError, match="too small"):
-        pack_checkpoint_into(payload, bytearray(packed_size(payload)), offset=1)
 
 
 def test_pack_accepts_noncontiguous_fortran_and_readonly():

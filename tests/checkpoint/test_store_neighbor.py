@@ -68,7 +68,7 @@ class TestNodeLocalStore:
     def test_stored_blob_keeps_nominal_size(self):
         store = NodeLocalStore(Node(0))
         store.put_pruned(("t", 1, 0), blob(b"xy", nominal=1000), KEEP)
-        assert store.get(("t", 1, 0)).nbytes == 1000
+        assert store.get(("t", 1, 0)).nominal_bytes == 1000
 
     def test_put_reports_the_pairs_first_blob_on_the_node(self):
         """Only the first blob of a ``(tag, logical rank)`` on a node is

@@ -71,3 +71,30 @@ def test_failure_free_run_reports_no_restore_phase():
     assert restore_ops == 0
     assert restore_bytes == 0
     assert restore_s == 0
+
+
+def test_compare_cli_runs_each_scenario_once(monkeypatch):
+    """``python -m repro compare`` makes one sweep for both tables: the
+    ULFM table's GASPI columns read the backend table's killed neighbor
+    run, which is added as a run of its own only when that table does
+    not make it."""
+    calls = []
+
+    def fake_measure_backend(n_ranks, backend="neighbor", replication=2,
+                             failure_free=False):
+        calls.append((n_ranks, backend, failure_free))
+        return (1.0, 2.0, 0 if failure_free else 1, 3.0, 0.5)
+
+    monkeypatch.setattr(rc, "measure_backend", fake_measure_backend)
+    monkeypatch.setattr(rc, "measure_ulfm", lambda n_ranks: (1.0, 1.0))
+
+    rc.main(["--sizes", "8"])
+    assert calls == [(8, "neighbor", False), (8, "pfs", False),
+                     (8, "replicated", False)]
+    calls.clear()
+    rc.main(["--sizes", "8", "--failure-free"])
+    assert calls == [(8, "neighbor", False), (8, "neighbor", True),
+                     (8, "pfs", True), (8, "replicated", True)]
+    calls.clear()
+    rc.main(["--sizes", "8", "--backend", "pfs"])
+    assert calls == [(8, "neighbor", False), (8, "pfs", False)]
