@@ -89,8 +89,12 @@ def pack_checkpoint_into(payload: Payload,
             f"buffer too small: need {total} bytes in a buffer of "
             f"{mv.nbytes} bytes"
         )
-    out = mv[:total]
+    _pack(payload, mv[:total])
+    return total
 
+
+def _pack(payload: Payload, out: memoryview) -> None:
+    """Write ``payload``'s container into ``out``, sized exactly for it."""
     out[:4] = _MAGIC
     struct.pack_into("<HI", out, 4, _VERSION, len(payload))
     crc32 = zlib.crc32
@@ -129,13 +133,12 @@ def pack_checkpoint_into(payload: Payload,
             crc = crc32(data, crc)
             pos = end
     struct.pack_into("<I", out, _CRC_OFFSET, crc & 0xFFFFFFFF)
-    return total
 
 
 def pack_checkpoint(payload: Payload) -> bytes:
     """Serialize a payload mapping into a checksummed container."""
     buf = bytearray(packed_size(payload))
-    pack_checkpoint_into(payload, buf)
+    _pack(payload, memoryview(buf))
     return bytes(buf)
 
 

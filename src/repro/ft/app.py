@@ -24,7 +24,7 @@ from typing import Any, Callable, Dict, Generator, List, Optional
 from repro.sim import Sleep
 from repro.cluster import FaultPlan, MachineSpec
 from repro.gaspi.config import GaspiConfig
-from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
+from repro.gaspi.constants import GASPI_BLOCK, GASPI_OP_MIN, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.gaspi.runtime import GaspiRun, run_gaspi
@@ -109,7 +109,7 @@ class FTContext:
 
     def agree_min(self, value: int) -> Generator[Any, Any, int]:
         """Generator: team-wide integer MIN (a guarded team allreduce)."""
-        return self.team.allreduce(int(value), AllreduceOp.MIN)
+        return self.team.allreduce(int(value), GASPI_OP_MIN)
 
     def agree_restore_version(self) -> Generator[Any, Any, int]:
         """Generator: newest checkpoint version every rank can restore."""
@@ -267,6 +267,7 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     seen_epoch = 0
     is_watchdog = cfg.fd_redundancy and ctx.rank == cfg.watchdog_rank
     next_fd_check = ctx.now + cfg.fd_scan_period
+    poll = Sleep(cfg.idle_poll)
     while True:
         if block.done:
             return {"status": "idle-exit"}
@@ -284,7 +285,7 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
             if ret is ReturnCode.ERROR:
                 return (yield from _fd_role(ctx, cfg, block, program,
                                             takeover=True))
-        yield Sleep(cfg.idle_poll)
+        yield poll
 
 
 def _fd_role(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,

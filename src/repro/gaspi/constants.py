@@ -26,6 +26,16 @@ class ReturnCode(enum.Enum):
         )
 
 
+#: The return codes under GPI-2's C names, bound once: on CPython 3.10
+#: and 3.11 each read of an enum class attribute (``ReturnCode.SUCCESS``)
+#: goes through the Python-level ``EnumType.__getattr__``, and the
+#: per-call paths compare return codes several times a call.
+GASPI_SUCCESS = ReturnCode.SUCCESS
+GASPI_TIMEOUT = ReturnCode.TIMEOUT
+GASPI_ERROR = ReturnCode.ERROR
+GASPI_QUEUE_FULL = ReturnCode.QUEUE_FULL
+
+
 class HealthState(enum.IntEnum):
     """Entries of the error state vector (``gaspi_state_vec``)."""
 
@@ -39,3 +49,8 @@ class AllreduceOp(enum.Enum):
     MIN = "min"
     MAX = "max"
     SUM = "sum"
+
+
+#: the integer agreements' operator under its GPI-2 C name, bound once
+#: like the return codes
+GASPI_OP_MIN = AllreduceOp.MIN

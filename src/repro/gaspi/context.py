@@ -22,6 +22,10 @@ import numpy as np
 from repro.sim import WaitEvent
 from repro.gaspi.constants import (
     GASPI_BLOCK,
+    GASPI_ERROR,
+    GASPI_QUEUE_FULL,
+    GASPI_SUCCESS,
+    GASPI_TIMEOUT,
     AllreduceOp,
     HealthState,
     ReturnCode,
@@ -164,7 +168,7 @@ class GaspiContext:
         """``gaspi_write``: one-sided put, completion tracked on the queue."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         data = self.segments.get(segment_id).read_bytes(offset, size)
         self._remote(dst_rank)  # validate rank early
 
@@ -175,14 +179,14 @@ class GaspiContext:
 
         done = self.world.transport.post_rdma(self.rank, dst_rank, size, apply)
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def read(self, segment_id: int, offset: int, size: int, src_rank: int,
              remote_segment: int, remote_offset: int, queue_id: int = 0) -> ReturnCode:
         """``gaspi_read``: one-sided get into the local segment."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         local = self.segments.get(segment_id)
         local.check_range(offset, size)
         self._remote(src_rank)
@@ -195,14 +199,14 @@ class GaspiContext:
         done = self.world.transport.post_rdma(self.rank, src_rank, size, apply)
         done.add_callback(lambda ev: local.write_bytes(offset, ev.value[1]))
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def notify(self, dst_rank: int, remote_segment: int, notification_id: int,
                value: int = 1, queue_id: int = 0) -> ReturnCode:
         """``gaspi_notify``: set a notification slot on the remote segment."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if value == 0:
             raise GaspiUsageError("notification value must be non-zero")
         san = self.world.sanitizer
@@ -218,7 +222,7 @@ class GaspiContext:
 
         done = self.world.transport.post_rdma(self.rank, dst_rank, 8, apply)
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def write_notify(self, segment_id: int, offset: int, size: int, dst_rank: int,
                      remote_segment: int, remote_offset: int, notification_id: int,
@@ -226,7 +230,7 @@ class GaspiContext:
         """``gaspi_write_notify``: fused put + notification (data first)."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if value == 0:
             raise GaspiUsageError("notification value must be non-zero")
         san = self.world.sanitizer
@@ -243,7 +247,7 @@ class GaspiContext:
 
         done = self.world.transport.post_rdma(self.rank, dst_rank, size + 8, apply)
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def write_list(self, entries: Sequence[ListEntry], dst_rank: int,
                    queue_id: int = 0) -> ReturnCode:
@@ -258,7 +262,7 @@ class GaspiContext:
         """
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if not entries:
             raise GaspiUsageError("write_list needs at least one entry")
         self._remote(dst_rank)
@@ -280,7 +284,7 @@ class GaspiContext:
             self.rank, dst_rank, sizes, apply, doorbell=queue_id,
         )
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def write_list_notify(self, entries: Sequence[ListEntry], dst_rank: int,
                           notify_segment: int,
@@ -301,7 +305,7 @@ class GaspiContext:
         """
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if not entries:
             raise GaspiUsageError("write_list_notify needs at least one entry")
         if isinstance(notifications, tuple):
@@ -337,7 +341,7 @@ class GaspiContext:
             self.rank, dst_rank, sizes, apply, doorbell=queue_id,
         )
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def write_round(self, segment_id: int, offset: int, size: int,
                     dst_ranks: Sequence[int], remote_segment: int,
@@ -355,7 +359,7 @@ class GaspiContext:
         """
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if not dst_ranks:
             raise GaspiUsageError("write_round needs at least one target")
         for dst_rank in dst_ranks:
@@ -371,14 +375,14 @@ class GaspiContext:
             self.rank, list(dst_ranks), size, apply
         )
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def read_list(self, entries: Sequence[ListEntry], src_rank: int,
                   queue_id: int = 0) -> ReturnCode:
         """``gaspi_read_list``: several gets from one rank as one request."""
         queue = self._queue(queue_id)
         if self._san_post(queue.full, queue_id):
-            return ReturnCode.QUEUE_FULL
+            return GASPI_QUEUE_FULL
         if not entries:
             raise GaspiUsageError("read_list needs at least one entry")
         self._remote(src_rank)
@@ -407,7 +411,7 @@ class GaspiContext:
 
         done.add_callback(land)
         queue.post(done)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def segment_delete(self, segment_id: int) -> None:
         """``gaspi_segment_delete``: unregister a local segment."""
@@ -438,9 +442,9 @@ class GaspiContext:
             san.on_queue_relief(self.rank, queue_id)
         drained = self._queue(queue_id).drain_event()
         if drained is None:
-            return ReturnCode.SUCCESS
+            return GASPI_SUCCESS
         ok, _ = yield WaitEvent(drained, _clip_timeout(timeout), recheck)
-        return ReturnCode.SUCCESS if ok else ReturnCode.TIMEOUT
+        return GASPI_SUCCESS if ok else GASPI_TIMEOUT
 
     def queue_purge(self, queue_id: int = 0) -> int:
         """GPI-2 FT extension ``gaspi_queue_purge``: drop stuck operations."""
@@ -505,14 +509,14 @@ class GaspiContext:
         board = self.segments.get(segment_id).notifications
         pending = board.pending_in(first, num)
         if pending >= 0:
-            return (ReturnCode.SUCCESS, pending)
+            return (GASPI_SUCCESS, pending)
         limit = _clip_timeout(timeout)
         event = board.subscribe(first, num)
         ok, nid = yield WaitEvent(event, limit)
         if not ok:
             board.unsubscribe(event)
-            return (ReturnCode.TIMEOUT, -1)
-        return (ReturnCode.SUCCESS, int(nid))
+            return (GASPI_TIMEOUT, -1)
+        return (GASPI_SUCCESS, int(nid))
 
     def notify_reset(self, segment_id: int, notification_id: int) -> int:
         """``gaspi_notify_reset``: consume and clear a slot, return old value."""
@@ -550,7 +554,7 @@ class GaspiContext:
             self.rank, dst_rank, "passive", payload, nbytes
         )
         ok, _ = yield WaitEvent(done, _clip_timeout(timeout))
-        return ReturnCode.SUCCESS if ok else ReturnCode.TIMEOUT
+        return GASPI_SUCCESS if ok else GASPI_TIMEOUT
 
     def passive_receive(self, timeout: float = GASPI_BLOCK,
                         ) -> Generator[Any, Any, Tuple[ReturnCode, int, Any]]:
@@ -561,8 +565,8 @@ class GaspiContext:
         inbox = self.world.transport.endpoint(self.rank).inbox("passive")
         ok, msg = yield from inbox.get(_clip_timeout(timeout))
         if not ok:
-            return (ReturnCode.TIMEOUT, -1, None)
-        return (ReturnCode.SUCCESS, msg.src, msg.payload)
+            return (GASPI_TIMEOUT, -1, None)
+        return (GASPI_SUCCESS, msg.src, msg.payload)
 
     # ------------------------------------------------------------------
     # global atomics (on int64 cells of remote segments)
@@ -586,8 +590,8 @@ class GaspiContext:
         done = self.world.transport.post_rdma(self.rank, dst_rank, 8, apply)
         ok, res = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
-            return (ReturnCode.TIMEOUT, None)
-        return (ReturnCode.SUCCESS, res[1])
+            return (GASPI_TIMEOUT, None)
+        return (GASPI_SUCCESS, res[1])
 
     def atomic_compare_swap(
         self, dst_rank: int, segment_id: int, offset: int,
@@ -609,8 +613,8 @@ class GaspiContext:
         done = self.world.transport.post_rdma(self.rank, dst_rank, 8, apply)
         ok, res = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
-            return (ReturnCode.TIMEOUT, None)
-        return (ReturnCode.SUCCESS, res[1])
+            return (GASPI_TIMEOUT, None)
+        return (GASPI_SUCCESS, res[1])
 
     @staticmethod
     def _check_atomic(offset: int) -> None:
@@ -652,17 +656,18 @@ class GaspiContext:
         """
         if self.rank not in group:
             raise GaspiUsageError(f"rank {self.rank} commits group it is not part of")
-        costs = self.world.engine.costs
-        event = self.world.engine.arrive(
-            "commit", group.identity(), group.coll_seq, self.rank,
-            group.members, cost=costs.commit(group.size),
+        members = group.members
+        engine = self.world.engine
+        event = engine.arrive(
+            "commit", group.identity(), group.coll_seq, self.rank, members,
+            cost=engine.costs.commit(len(members)),
         )
         ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
-            return ReturnCode.TIMEOUT
+            return GASPI_TIMEOUT
         group.coll_seq += 1
         group.committed = True
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     @staticmethod
     def group_delete(group: Group) -> None:
@@ -674,18 +679,20 @@ class GaspiContext:
                 recheck: Optional[Callable[[], Any]] = None,
                 ) -> Generator[Any, Any, ReturnCode]:
         """``gaspi_barrier`` (generator); ``recheck`` as in :meth:`group_commit`."""
-        group = group or self.group_all
+        if group is None:
+            group = self.group_all
         group.require_committed()
+        members = group.members
         engine = self.world.engine
         event = engine.arrive(
-            "barrier", group.identity(), group.coll_seq, self.rank,
-            group.members, cost=engine.costs.barrier(group.size),
+            "barrier", group.identity(), group.coll_seq, self.rank, members,
+            cost=engine.costs.barrier(len(members)),
         )
         ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
-            return ReturnCode.TIMEOUT
+            return GASPI_TIMEOUT
         group.coll_seq += 1
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def allreduce(
         self, values: Any, op: AllreduceOp, group: Optional[Group] = None,
@@ -699,7 +706,8 @@ class GaspiContext:
         ``values`` contributes an array copy and reduces to an ndarray.
         ``recheck`` re-arms the timeout as in :meth:`group_commit`.
         """
-        group = group or self.group_all
+        if group is None:
+            group = self.group_all
         group.require_committed()
         if type(values) is int:
             # immutable, so no send-buffer copy; priced as one int64
@@ -708,17 +716,18 @@ class GaspiContext:
         else:
             contribution = np.array(values, copy=True)
             nbytes = contribution.nbytes
+        members = group.members
         engine = self.world.engine
         event = engine.arrive(
-            "allreduce", group.identity(), group.coll_seq, self.rank,
-            group.members, contribution=contribution, finisher=op,
-            cost=engine.costs.allreduce(group.size, nbytes),
+            "allreduce", group.identity(), group.coll_seq, self.rank, members,
+            contribution=contribution, finisher=op,
+            cost=engine.costs.allreduce(len(members), nbytes),
         )
         ok, result = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
-            return (ReturnCode.TIMEOUT, None)
+            return (GASPI_TIMEOUT, None)
         group.coll_seq += 1
-        return (ReturnCode.SUCCESS, result)
+        return (GASPI_SUCCESS, result)
 
     # ------------------------------------------------------------------
     # fault tolerance surface
@@ -736,12 +745,12 @@ class GaspiContext:
         done = self.world.transport.post_ping(self.rank, dst_rank)
         ok, res = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
-            return ReturnCode.TIMEOUT
+            return GASPI_TIMEOUT
         alive, _ = res
         if alive:
-            return ReturnCode.SUCCESS
+            return GASPI_SUCCESS
         self.state_vector.mark_corrupt(dst_rank)
-        return ReturnCode.ERROR
+        return GASPI_ERROR
 
     def proc_ping_sweep(
         self, targets: Sequence[int], width: int = 1,
@@ -764,11 +773,11 @@ class GaspiContext:
         done = self.world.transport.post_ping_sweep(self.rank, targets, width)
         ok, res = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
-            return (ReturnCode.TIMEOUT, None)
+            return (GASPI_TIMEOUT, None)
         _ok, results = res
         for dst_rank in results.failed:
             self.state_vector.mark_corrupt(dst_rank)
-        return (ReturnCode.SUCCESS, results)
+        return (GASPI_SUCCESS, results)
 
     def proc_kill(self, dst_rank: int, timeout: float = GASPI_BLOCK,
                   ) -> Generator[Any, Any, ReturnCode]:
@@ -783,9 +792,9 @@ class GaspiContext:
         done = self.world.transport.post_kill(self.rank, dst_rank)
         ok, _ = yield WaitEvent(done, _clip_timeout(timeout))
         if not ok:
-            return ReturnCode.TIMEOUT
+            return GASPI_TIMEOUT
         self.state_vector.mark_corrupt(dst_rank)
-        return ReturnCode.SUCCESS
+        return GASPI_SUCCESS
 
     def state_vec_get(self) -> np.ndarray:
         """``gaspi_state_vec_get``: copy of the local health vector."""

@@ -43,10 +43,11 @@ class _ChannelWaiter:
     """One blocked getter: its process, channel slot and optional timeout.
 
     Mirrors the kernel's ``_EventWaiter`` record: ``wake`` is called by
-    ``put`` (item handed over, timeout cancelled), ``_on_timeout`` by the
-    timeout timer (reservation withdrawn — an item can never be lost to an
+    ``put`` (item handed over, timeout voided), ``_on_timeout`` by the
+    timeout (reservation withdrawn — an item can never be lost to an
     abandoned getter because ``put`` only hands items to waiters it pops
-    from the deque), and ``cancel`` by process teardown.
+    from the deque), and ``cancel`` by process teardown.  ``timer`` is
+    the timeout's kernel record; nulling its slot 2 voids it.
     """
 
     __slots__ = ("sim", "proc", "channel", "timer")
@@ -56,13 +57,13 @@ class _ChannelWaiter:
         self.sim = sim
         self.proc = proc
         self.channel = channel
-        self.timer: Optional[Any] = None
+        self.timer: Optional[list] = None
 
     def wake(self, item: Any) -> None:
-        """An item arrived first: cancel the timeout, resume the getter."""
+        """An item arrived first: void the timeout, resume the getter."""
         timer = self.timer
         if timer is not None:
-            self.sim._cancel_entry(timer)
+            timer[2] = None
         self.sim._step(self.proc, (True, item))
 
     def _on_timeout(self) -> None:
@@ -81,7 +82,7 @@ class _ChannelWaiter:
             pass
         timer = self.timer
         if timer is not None:
-            self.sim._cancel_entry(timer)
+            timer[2] = None
 
 
 class Channel:

@@ -42,21 +42,30 @@ every paper-scale experiment replays millions of events through it):
   the entry itself (``fn is None`` → resume ``proc`` with ``value``), so
   stepping a process allocates one small list — no lambda, no bound
   method.  Event waits register a single :class:`_EventWaiter` record.
-* **Re-armed waits.**  A :class:`WaitEvent` with a ``recheck`` gets a
-  :class:`_RecheckWaiter`: a long wait costs one timer per timeout
-  period, not one generator re-entry.  Plain waits are unaffected.
-* **Lazy-cancel compaction.**  Cancellation only flags the entry; a
-  counter of dead entries triggers an O(n) rebuild of the heap once the
-  dead fraction reaches one half, so long FD-scan runs do not accumulate
-  cancelled timeout timers.
+* **Wait timeouts in per-length FIFOs.**  Arming a wait's timeout takes
+  the seq a heap entry would have taken and appends a record ``[time,
+  seq, waiter]`` to the FIFO of that timeout length.  ``now`` never
+  decreases and seqs only grow, so each FIFO is sorted by ``(time, seq)``
+  and only its head is on the heap: an entry ``[time, seq, None, None,
+  fifo]`` carrying the head record's own key.  An event that fires
+  first, or a kill, nulls the record and does no heap work.  Dispatching
+  the head entry runs a live head's timeout (a :class:`WaitEvent` with a
+  ``recheck`` re-arms by appending to the same FIFO, so a long wait costs
+  one record per period and no generator re-entry), drops the dead
+  records at the front and queues the next head; a dead head moves no
+  clock.  Zero timeouts stay run-queue entries, and a cancelled
+  ``schedule`` entry is skipped when it is popped.  The FIFOs pay off
+  because timeouts share a few lengths: in the benchmark workloads at
+  least 98.7 % of armed timeouts have the one ``comm_timeout``, and a
+  length armed once costs a FIFO of one record.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from heapq import heapify, heappop, heappush
+from heapq import heappop, heappush
 from math import inf
-from typing import Any, Callable, Generator, List, Optional
+from typing import Any, Callable, Dict, Generator, List, Optional, Union
 
 from repro.obs.timeline import FailureLog
 from repro.obs.tracer import NULL_TRACER, TracerLike
@@ -65,15 +74,28 @@ from repro.sim.errors import SimError
 from repro.sim.events import Event, Sleep, WaitEvent
 from repro.sim.process import Process, ProcessState
 
-#: entries with fewer dead timers than this are never compacted
-_COMPACT_MIN_DEAD = 64
+#: the process states a step sets, bound once: on CPython 3.10 and 3.11
+#: each read of an enum class attribute goes through the Python-level
+#: ``EnumType.__getattr__``
+_RUNNING = ProcessState.RUNNING
+_WAITING = ProcessState.WAITING
+_DONE = ProcessState.DONE
+_KILLED = ProcessState.KILLED
 
 
 #: A timer handle *is* its heap entry: a plain list ``[time, seq, fn,
 #: proc, value]``.  Cancel one with :meth:`Simulator.cancel` — it nulls
-#: the dispatch fields and leaves the entry for the kernel to skip (or
-#: compact away) later.  The alias exists for annotations and imports.
+#: the dispatch fields and leaves the entry for the kernel to skip when
+#: it is popped.  The alias exists for annotations and imports.
 Timer = list
+
+
+class _TimeoutFifo(deque):
+    """The wait-timeout records ``[time, seq, waiter]`` of one timeout
+    length, oldest first; ``waiter`` is None once the wait ended."""
+
+    __slots__ = ("timeout",)
+    timeout: float
 
 
 class _EventWaiter:
@@ -82,7 +104,8 @@ class _EventWaiter:
     A single ``__slots__`` record replaces the three closures the kernel
     used to allocate per wait: it is the event callback (``__call__``),
     the timeout callback (``_on_timeout``) and the deregistration hook
-    (``cancel``, stored in ``proc._cleanup``).
+    (``cancel``, stored in ``proc._cleanup``).  ``timer`` is its timeout
+    record (or run-queue entry); nulling its slot 2 voids the timeout.
     """
 
     __slots__ = ("sim", "proc", "event", "timer")
@@ -91,13 +114,13 @@ class _EventWaiter:
         self.sim = sim
         self.proc = proc
         self.event = event
-        self.timer: Optional[Timer] = None
+        self.timer: Optional[list] = None
 
     def __call__(self, event: Event) -> None:
-        """The event fired first: cancel the timeout, resume the waiter."""
+        """The event fired first: void the timeout, resume the waiter."""
         timer = self.timer
         if timer is not None:
-            self.sim._cancel_entry(timer)
+            timer[2] = None
         self.sim._step(self.proc, (True, event.value))
 
     def _on_timeout(self) -> None:
@@ -110,27 +133,26 @@ class _EventWaiter:
         self.event.discard_callback(self)
         timer = self.timer
         if timer is not None:
-            self.sim._cancel_entry(timer)
+            timer[2] = None
 
 
 class _RecheckWaiter(_EventWaiter):
     """An event wait whose timeout re-arms while ``recheck()`` is None
     (see :class:`WaitEvent`).  The event callback stays registered, and
-    ``timer`` always holds the live entry, so a kill cancels the current
+    ``timer`` always holds the live record, so a kill voids the current
     one."""
 
     __slots__ = ("timeout", "recheck")
 
     def __init__(self, sim: "Simulator", proc: Process, event: Event,
-                 timeout: Optional[float],
-                 recheck: Callable[[], Any]) -> None:
+                 timeout: float, recheck: Callable[[], Any]) -> None:
         _EventWaiter.__init__(self, sim, proc, event)
         self.timeout = timeout
         self.recheck = recheck
 
     def _on_timeout(self) -> None:
         if self.recheck() is None:
-            self.timer = self.sim.schedule(self.timeout, self._on_timeout)
+            self.timer = self.sim._arm(self.timeout, self)
         else:
             _EventWaiter._on_timeout(self)
 
@@ -145,7 +167,8 @@ class Simulator:
         #: next-event cache: the earliest delayed entry, held out of the heap
         self._next: Optional[list] = None
         self._seq: int = 0
-        self._n_cancelled: int = 0
+        #: timeout length -> its FIFO of wait-timeout records, while any
+        self._timeouts: Dict[float, _TimeoutFifo] = {}
         self._processes: List[Process] = []
         # structured observability (repro.obs): the per-simulation tracer.
         # Defaults to the shared no-op; instrumented sites guard emission
@@ -198,11 +221,11 @@ class Simulator:
         return self.schedule(time - self.now, fn)
 
     def cancel(self, timer: Timer) -> None:
-        """Prevent a scheduled callback/resume (safe to call repeatedly)."""
-        if timer[2] is not None or timer[3] is not None:
-            timer[2] = None
-            timer[3] = None
-            self._note_cancelled()
+        """Prevent a scheduled callback/resume (safe to call repeatedly).
+
+        The entry stays queued and is skipped when it is popped.
+        """
+        timer[2] = timer[3] = timer[4] = None
 
     def _schedule_step(self, delay: float, proc: Process, value: Any) -> list:
         """Kernel-internal: queue a process resume (one list, no closure)."""
@@ -232,39 +255,70 @@ class Simulator:
         """Total entries ever scheduled (timers + process resumes).
 
         The event-cost counter behind the ``sim_events_per_spmv`` bench
-        metric: every `schedule`/`_schedule_step` call consumes exactly one
-        sequence number, so differences of this counter measure how much
-        kernel traffic a code path generates.
+        metric: every `schedule`/`_schedule_step` call and every armed
+        wait timeout consumes exactly one sequence number, so differences
+        of this counter measure how much kernel traffic a code path
+        generates.
         """
         return self._seq
 
     # ------------------------------------------------------------------
-    # lazy-cancel bookkeeping
+    # wait timeouts
     # ------------------------------------------------------------------
-    def _note_cancelled(self) -> None:
-        """Count a newly dead entry; compact once half the heap is dead."""
-        n = self._n_cancelled + 1
-        self._n_cancelled = n
-        if n >= _COMPACT_MIN_DEAD and 2 * n >= len(self._heap):
-            self._compact()
+    def _arm(self, timeout: float, waiter: Union[_EventWaiter, _ChannelWaiter],
+             ) -> list:
+        """Arm ``waiter``'s timeout; returns the record its wait nulls.
 
-    # kernel-internal alias (step entries and timers share one layout)
-    _cancel_entry = cancel
+        A zero timeout is a run-queue entry calling ``waiter._on_timeout``
+        (and ``schedule`` rejects a negative one).  Any other is a record
+        at the tail of its length's FIFO; an empty FIFO queues the
+        record's key as its head entry.
+        """
+        if timeout <= 0.0:
+            return self.schedule(timeout, waiter._on_timeout)
+        seq = self._seq
+        self._seq = seq + 1
+        time = self.now + timeout
+        record = [time, seq, waiter]
+        fifo = self._timeouts.get(timeout)
+        if fifo is None:
+            fifo = self._timeouts[timeout] = _TimeoutFifo()
+            fifo.timeout = timeout
+        if not fifo:
+            self._push_head([time, seq, None, None, fifo])
+        fifo.append(record)
+        return record
 
-    def _compact(self) -> None:
-        """Drop cancelled entries and re-heapify (order is unaffected)."""
-        heap = self._heap
-        live = [e for e in heap if e[2] is not None or e[3] is not None]
-        if len(live) != len(heap):
-            heap[:] = live
-            heapify(heap)
-        self._n_cancelled = 0
+    def _push_head(self, entry: list) -> None:
+        """Queue a FIFO's head entry.  It may carry an older seq than
+        entries already queued, so it is placed by a full ``(time, seq)``
+        comparison, never by the bare time ``schedule`` compares."""
+        nxt = self._next
+        if nxt is None:
+            heap = self._heap
+            if heap and heap[0] < entry:
+                heappush(heap, entry)
+            else:
+                self._next = entry
+        elif entry < nxt:
+            heappush(self._heap, nxt)
+            self._next = entry
+        else:
+            heappush(self._heap, entry)
 
-    def _drop_dead(self) -> None:
-        """Bookkeeping for a dead entry that was popped naturally."""
-        n = self._n_cancelled
-        if n:
-            self._n_cancelled = n - 1
+    def _advance(self, fifo: _TimeoutFifo, entry: list) -> None:
+        """``fifo``'s head entry was dispatched: drop its record and the
+        dead ones behind it, then queue ``entry`` for the next head."""
+        fifo.popleft()
+        while fifo and fifo[0][2] is None:
+            fifo.popleft()
+        if fifo:
+            head = fifo[0]
+            entry[0] = head[0]
+            entry[1] = head[1]
+            self._push_head(entry)
+        else:
+            del self._timeouts[fifo.timeout]
 
     # ------------------------------------------------------------------
     # processes
@@ -334,7 +388,25 @@ class Simulator:
                 break
             fn = timer[2]
             if fn is None and timer[3] is None:
-                self._drop_dead()
+                fifo = timer[4]
+                if fifo is None:
+                    continue  # a cancelled entry
+                # a timeout FIFO's head: a live record fires, a dead one
+                # moves no clock; either way the next head is queued
+                waiter = fifo[0][2]
+                if waiter is None:
+                    self._advance(fifo, timer)
+                    continue
+                if timer[0] > deadline:
+                    self._next = timer
+                    break
+                self.now = timer[0]
+                try:
+                    waiter._on_timeout()
+                finally:
+                    # also when the woken process raised: the FIFO keeps
+                    # a head, so a caller that runs on loses no timeout
+                    self._advance(fifo, timer)
             elif timer[0] > deadline:
                 # late: it came from ``_next`` or the heap top (run-queue
                 # entries are never late), so the slot takes it back
@@ -356,19 +428,19 @@ class Simulator:
     def _step(self, proc: Process, send_value: Any) -> None:
         """Advance ``proc`` by one yield, interpreting its request."""
         state = proc.state
-        if state is ProcessState.DONE or state is ProcessState.KILLED:
+        if state is _DONE or state is _KILLED:
             return
-        proc.state = ProcessState.RUNNING
+        proc.state = _RUNNING
         proc._cleanup = None
         try:
             request = proc.gen.send(send_value)
         except StopIteration as stop:
-            proc.state = ProcessState.DONE
+            proc.state = _DONE
             proc.result = stop.value
             return
         cls = request.__class__
         if cls is Sleep:
-            proc.state = ProcessState.WAITING
+            proc.state = _WAITING
             proc._cleanup = self._schedule_step(request.dt, proc, None)
         elif cls is WaitEvent:
             self._wait_event(proc, request.event, request.timeout,
@@ -383,24 +455,25 @@ class Simulator:
 
     def _wait_event(self, proc: Process, event: Event, timeout: Optional[float],
                     recheck: Optional[Callable[[], Any]] = None) -> None:
-        proc.state = ProcessState.WAITING
+        proc.state = _WAITING
         if event.fired:
             # Resume via the run-queue (not inline) to keep ordering uniform.
             proc._cleanup = self._schedule_step(0.0, proc, (True, event.value))
             return
-        if recheck is None:
+        waiter: _EventWaiter
+        if recheck is None or timeout is None:
             waiter = _EventWaiter(self, proc, event)
         else:
             waiter = _RecheckWaiter(self, proc, event, timeout, recheck)
         event.add_callback(waiter)
         if timeout is not None:
-            waiter.timer = self.schedule(timeout, waiter._on_timeout)
+            waiter.timer = self._arm(timeout, waiter)
         proc._cleanup = waiter
 
     def _wait_channel(self, proc: Process, channel: Channel,
                       timeout: Optional[float]) -> None:
         """Block ``proc`` on a channel take (no per-get Event allocation)."""
-        proc.state = ProcessState.WAITING
+        proc.state = _WAITING
         items = channel._items
         if items:
             # An item landed since the generator's own fast-path check.
@@ -409,5 +482,5 @@ class Simulator:
         waiter = _ChannelWaiter(self, proc, channel)
         channel._getters.append(waiter)
         if timeout is not None:
-            waiter.timer = self.schedule(timeout, waiter._on_timeout)
+            waiter.timer = self._arm(timeout, waiter)
         proc._cleanup = waiter

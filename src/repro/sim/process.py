@@ -61,7 +61,7 @@ class Process:
         if cleanup is not None:
             self._cleanup = None
             if type(cleanup) is list:
-                self.sim._cancel_entry(cleanup)
+                self.sim.cancel(cleanup)
             else:
                 cleanup.cancel()
         self.state = ProcessState.KILLED

@@ -25,27 +25,29 @@ class FailureAcknowledged(Exception):
         self.notice = notice
 
 
+def _no_notice() -> None:
+    """The hook of a guard with none installed: never a notice."""
+    return None
+
+
 class CommGuard:
     """Wraps the failure-acknowledgment check used before blocking calls."""
 
-    __slots__ = ("_check",)
+    __slots__ = ("check",)
 
     def __init__(self, check: Optional[Callable[[], Any]] = None) -> None:
-        self._check = check
-
-    def check(self) -> Any:
-        """The posted failure notice, or ``None`` — the non-raising form
-        of :meth:`assert_healthy`, for waits that re-check in the kernel."""
-        return None if self._check is None else self._check()
+        #: the posted failure notice, or ``None``: the hook itself, bound
+        #: once, so a wait that re-checks in the kernel takes it as its
+        #: ``recheck`` without a bound method built per call
+        self.check: Callable[[], Any] = (_no_notice if check is None
+                                         else check)
 
     def assert_healthy(self) -> None:
         """Raise :class:`FailureAcknowledged` if a failure notice is posted.
 
-        With no hook installed (failure-free configuration) this is a single
-        attribute test — the zero-overhead property of the design.
+        One call of the hook: a local read, the zero-overhead property
+        of the design.
         """
-        if self._check is None:
-            return
-        notice = self._check()
+        notice = self.check()
         if notice is not None:
             raise FailureAcknowledged(notice)

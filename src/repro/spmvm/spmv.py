@@ -26,7 +26,7 @@ from typing import Any, Generator, Optional
 import numpy as np
 
 from repro.sim import Sleep, WaitEvent
-from repro.gaspi.constants import ReturnCode
+from repro.gaspi.constants import GASPI_SUCCESS
 from repro.gaspi.errors import GaspiUsageError
 from repro.spmvm.dist_matrix import DistMatrix
 from repro.spmvm.ft_hooks import FailureAcknowledged
@@ -118,7 +118,7 @@ class SpMVMEngine:
         guard.assert_healthy()
         ret = yield from team.ctx.wait(0, team.comm_timeout,
                                        recheck=guard.check)
-        if ret is not ReturnCode.SUCCESS:
+        if ret is not GASPI_SUCCESS:
             raise FailureAcknowledged(guard.check())
 
     def multiply(self, x_local: np.ndarray, out: Optional[np.ndarray] = None,
@@ -166,7 +166,7 @@ class SpMVMEngine:
                     (entry,), team.to_physical(requester),
                     X_SEGMENT, (notification_id, value),
                 )
-                if ret is ReturnCode.SUCCESS:
+                if ret is GASPI_SUCCESS:
                     break
                 yield from self._flush()  # queue full: drain and repost
         yield from self._flush()

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Generator, Optional
 
-from repro.gaspi.constants import GASPI_BLOCK, AllreduceOp, ReturnCode
+from repro.gaspi.constants import GASPI_BLOCK, GASPI_SUCCESS, AllreduceOp
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import Group
 from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
@@ -60,7 +60,7 @@ class Team:
         guard.assert_healthy()
         ret = yield from self.ctx.group_commit(self.group, self.comm_timeout,
                                                recheck=guard.check)
-        if ret is not ReturnCode.SUCCESS:
+        if ret is not GASPI_SUCCESS:
             raise FailureAcknowledged(guard.check())
 
     def barrier(self) -> Generator[Any, Any, None]:
@@ -69,7 +69,7 @@ class Team:
         guard.assert_healthy()
         ret = yield from self.ctx.barrier(self.group, self.comm_timeout,
                                           recheck=guard.check)
-        if ret is not ReturnCode.SUCCESS:
+        if ret is not GASPI_SUCCESS:
             raise FailureAcknowledged(guard.check())
 
     def allreduce(self, values: Any, op: AllreduceOp) -> Generator[Any, Any, Any]:
@@ -79,7 +79,7 @@ class Team:
         guard.assert_healthy()
         ret, result = yield from self.ctx.allreduce(
             values, op, self.group, self.comm_timeout, recheck=guard.check)
-        if ret is not ReturnCode.SUCCESS:
+        if ret is not GASPI_SUCCESS:
             raise FailureAcknowledged(guard.check())
         return result
 

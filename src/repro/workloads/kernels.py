@@ -54,7 +54,7 @@ class ModelLanczosProgram(FTProgram):
         compute = Sleep(spec.iteration_time)
         while step < spec.n_iterations:
             # the alpha reduction: the iteration's (guarded) global sync
-            t0 = ftx.now
+            t0 = ftx.now if tracer.enabled else 0.0
             yield from ftx.agree_min(step)
             yield compute
             step += 1

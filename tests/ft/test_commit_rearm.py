@@ -293,7 +293,8 @@ def test_a_rank_arriving_after_the_notice_acknowledges_at_once(caller):
 
 def _assert_kill_leaves_nothing(wait):
     """Ranks 0 and 1 block in a rechecked ``wait`` that rank 2 never
-    joins; rank 0, killed at 3.5 s, leaves no live timer or callback."""
+    joins; rank 0, killed at 3.5 s, leaves no live timer, timeout record
+    or callback."""
     checks = []
     state = {}
 
@@ -323,15 +324,20 @@ def _assert_kill_leaves_nothing(wait):
     assert pending.events[0]._callbacks == []
     assert len(pending.events[1]._callbacks) == 1  # rank 1 still waits
     entries = list(sim._heap) + list(sim._runq) + [sim._next]
-    live = [e for e in entries if e is not None and e[2] is not None
-            and getattr(getattr(e[2], "__self__", None), "proc", None)
-            is proc]
+    live = [e for e in entries if e is not None and (
+        e[3] is proc
+        or getattr(getattr(e[2], "__self__", None), "proc", None) is proc)]
     assert live == []
+    # the timeout FIFOs hold rank 1's current record, and none of rank 0
+    records = [r for fifo in sim._timeouts.values() for r in fifo
+               if r[2] is not None]
+    assert [r[2].proc for r in records] == [run.procs[1]]
 
 
 def test_kill_mid_wait_leaves_no_timer_or_callback():
-    """A rank killed after several re-arms leaves no live timer and no
-    callback on its commit event: the kill cancels the current timer."""
+    """A rank killed after several re-arms leaves no live timer, no live
+    timeout record and no callback on its commit event: the kill voids
+    the current record."""
     _assert_kill_leaves_nothing("commit")
 
 
