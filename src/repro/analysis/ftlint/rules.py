@@ -212,7 +212,7 @@ class FT001PreCommCheck(Rule):
         where = "inside a retry loop " if isinstance(loop, ast.While) else ""
         return (
             f"blocking '{name}' {where}without a health-flag check "
-            f"(guard.assert_healthy()/block.check_failure()/recheck=) "
+            f"(team.assert_healthy()/block.check_failure()/recheck=) "
             f"{'in the loop body' if loop is not None else 'or a finite timeout'}"
         )
 

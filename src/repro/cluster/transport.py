@@ -447,39 +447,6 @@ class Transport:
     # ------------------------------------------------------------------
     # ping (gaspi_proc_ping extension) — the detection mechanism
     # ------------------------------------------------------------------
-    def post_ping(self, src: int, dst: int) -> Event:
-        """Health probe: completes ``(True, None)`` from a live target,
-        ``(False, None)`` after ``error_timeout`` from a dead/cut one."""
-        done = Event(name=f"ping:{src}->{dst}")
-        p = self.params
-        broken = self._broken.get(src)
-        if broken is not None and dst in broken:
-            self.sim.schedule(p.fast_fail, lambda: done.succeed((False, None)))
-            return done
-        rtt = (
-            p.ping_overhead
-            + self._latency(src, dst, p.small_message)
-            + self._ack_latency(src, dst)
-        )
-
-        def resolve() -> None:
-            # Aliveness is re-checked at resolution time so that a target
-            # dying during the RTT is still (eventually) caught by later
-            # pings, while one dying after the answer is legitimately seen
-            # healthy this round — just like a real probe.
-            if self._path_up(src, dst):
-                done.succeed((True, None))
-            else:
-                self._broken.setdefault(src, set()).add(dst)
-
-                def fail() -> None:
-                    done.succeed((False, None))
-
-                self.sim.schedule(max(0.0, p.error_timeout - rtt), fail)
-
-        self.sim.schedule(rtt, resolve)
-        return done
-
     def post_ping_sweep(
         self,
         src: int,
@@ -488,19 +455,23 @@ class Transport:
     ) -> Event:
         """Probe a whole round of targets as one batched sweep.
 
-        Semantically identical to issuing :meth:`post_ping` per target with
-        at most ``width`` probes in flight (the FD's ``fd_threads`` knob),
-        but the whole round is priced in one vectorized alpha-beta call
+        The transport's one ping: a single ``gaspi_proc_ping`` is a
+        one-target sweep.  A probe costs ``ping_overhead`` plus the small
+        message's round trip; a live target answers then, a known-broken
+        channel fails fast, and a newly dead or cut target fails only
+        after ``error_timeout``, which marks the channel broken.  At most
+        ``width`` probes are in flight (the FD's ``fd_threads`` knob), the
+        whole round is priced in one vectorized alpha-beta call
         (:meth:`Network.transfer_time_round`) and driven by a *single*
         finalize callback — O(1) simulator events per sweep instead of
-        O(n) — while the caller blocks once on the returned event.
+        O(n) — while the caller blocks once on the returned event.  The
+        tests pin it to a sequential oracle of single probes.
 
         Completes ``(True, results)`` where ``results`` is a
         :class:`SweepResults` of ``(target, alive, t_start, t_end)`` tuples
-        in ``targets`` order — the virtual start/resolve times each probe
-        would have seen as a :meth:`post_ping` (known-broken fast-fails,
-        live-target RTTs, and the ``error_timeout`` wait for newly dead
-        targets all preserved).
+        in ``targets`` order — the virtual start/resolve times each single
+        probe would have seen (known-broken fast-fails, live-target RTTs,
+        and the ``error_timeout`` wait for newly dead targets).
 
         The per-probe timeline is reconstructed in closed form: groups of
         ``width`` probes start together, each group at the previous group's

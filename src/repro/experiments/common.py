@@ -58,14 +58,6 @@ class ScenarioOutcome:
     #: empty when the run never attached one
     ckpt_phases: Dict[str, float] = field(default_factory=dict, repr=False)
 
-    def components(self) -> Dict[str, float]:
-        return {
-            "computation": self.computation_time,
-            "redo_work": self.redo_work_time,
-            "reinit": self.reinit_time,
-            "detection": self.detection_time,
-        }
-
 
 def _recovery_decomposition(result: FTRunResult,
                             spec: WorkloadSpec) -> Tuple[float, float, float, int]:

@@ -167,18 +167,17 @@ def _label(n_ranks: int, backend: str, failure_free: bool) -> str:
 def compare_tasks(sizes: Sequence[int],
                   backends: Sequence[str] = BACKENDS,
                   replication: int = 2,
-                  failure_free: bool = False,
-                  ulfm: bool = True) -> List[SweepTask]:
+                  failure_free: bool = False) -> List[SweepTask]:
     """Every simulation behind the two tables, each scenario once.
 
     Per size: one :func:`measure_backend` run per backend of the backend
-    table and, with ``ulfm``, the ULFM run plus the killed neighbor run
-    whose result fills the ULFM table's GASPI columns.  The backend table
-    makes that neighbor run itself unless ``failure_free`` or
-    ``backends`` leave it out; only then is it added.
+    table, the ULFM run, and the killed neighbor run whose result fills
+    the ULFM table's GASPI columns.  The backend table makes that
+    neighbor run itself unless ``failure_free`` or ``backends`` leave it
+    out; only then is it added.
     """
     runs = [(backend, failure_free) for backend in backends]
-    if ulfm and ("neighbor", False) not in runs:
+    if ("neighbor", False) not in runs:
         runs.insert(0, ("neighbor", False))
     tasks = []
     for n in sizes:
@@ -186,9 +185,8 @@ def compare_tasks(sizes: Sequence[int],
             SweepTask("compare", _label(n, backend, ff), measure_backend,
                       (n, backend, replication, ff))
             for backend, ff in runs)
-        if ulfm:
-            tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm,
-                                   (n,)))
+        tasks.append(SweepTask("compare", f"ulfm-{n}", measure_ulfm,
+                               (n,)))
     return tasks
 
 
@@ -212,19 +210,6 @@ def _backend_rows(sizes: Sequence[int], backends: Sequence[str],
                 restore_bytes=r_bytes, restore_s=r_s,
             ))
     return rows
-
-
-def run_backend_comparison(
-    sizes: Sequence[int] = (8, 16, 32, 64, 128, 256),
-    backends: Sequence[str] = BACKENDS,
-    replication: int = 2,
-    jobs: Optional[int] = 1,
-    failure_free: bool = False,
-) -> List[BackendRow]:
-    """The three-way neighbor/PFS/replicated recovery-latency table."""
-    results = _sweep(compare_tasks(sizes, backends, replication,
-                                   failure_free, ulfm=False), jobs)
-    return _backend_rows(sizes, backends, failure_free, results)
 
 
 def _compare_rows(sizes: Sequence[int],

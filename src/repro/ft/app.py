@@ -29,7 +29,7 @@ from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.gaspi.runtime import GaspiRun, run_gaspi
 from repro.checkpoint.replicated import CheckpointBackend, make_checkpoint_lib
-from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
+from repro.spmvm.ft_hooks import FailureAcknowledged
 from repro.spmvm.team import Team
 from repro.ft import rankstate
 from repro.ft.config import FTConfig
@@ -327,7 +327,7 @@ def ft_main(cfg: FTConfig,
             group=group,
             logical_rank=ctx.rank,
             rank_map=initial_map,
-            guard=CommGuard(partial(block.check_failure, 0)),
+            guard=partial(block.check_failure, 0),
             comm_timeout=cfg.comm_timeout,
         )
         ftx = FTContext.build(ctx, cfg, block, team, epoch=0)
@@ -350,9 +350,6 @@ class FTRunResult:
     @property
     def elapsed(self) -> float:
         return self.run.elapsed
-
-    def rank_result(self, rank: int) -> Any:
-        return self.run.result(rank)
 
     def worker_ranks(self) -> List[int]:
         """Physical ranks that finished as workers, ascending."""

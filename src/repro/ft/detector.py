@@ -97,24 +97,19 @@ def scan_once(ctx: GaspiContext, targets: List[int], fd_threads: int = 1,
     ``ping`` tracer events are emitted from the sweep's recorded per-probe
     timings, so observability output is unchanged.
     """
-    failed: List[int] = []
     if not targets:
-        return failed
+        return []
     ret, results = yield from ctx.proc_ping_sweep(targets, fd_threads)
     if ret is not ReturnCode.SUCCESS:
-        return failed
+        return []
     tracer = ctx.tracer
-    if not tracer.enabled:
-        # all-alive rounds (the overwhelmingly common case) finish here
-        # without touching a single per-target Python object
-        return results.failed
-    for rank, alive, t0, t1 in results:
-        if not alive:
-            failed.append(rank)
-        if tracer.enabled:
+    if tracer.enabled:
+        for rank, alive, t0, t1 in results:
             tracer.emit(t1, ctx.rank, "ping", dur=t1 - t0,
                         target=rank, alive=bool(alive))
-    return failed
+    # untraced, an all-alive round (the overwhelmingly common case)
+    # touches no per-target Python object
+    return results.failed
 
 
 def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,

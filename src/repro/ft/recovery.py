@@ -49,7 +49,6 @@ from repro.gaspi.groups import Group
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
 from repro.obs.timeline import milestone
-from repro.spmvm.ft_hooks import CommGuard
 from repro.spmvm.team import Team
 
 
@@ -135,5 +134,5 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                       logical=my_logical)
         team = Team(ctx=ctx, group=group, logical_rank=my_logical,
                     rank_map=rank_map, comm_timeout=cfg.comm_timeout,
-                    guard=CommGuard(partial(block.check_failure, notice.epoch)))
+                    guard=partial(block.check_failure, notice.epoch))
         return RecoveryResult(notice=notice, team=team)

@@ -35,10 +35,6 @@ class RescueAssignment:
     def recoverable(self) -> bool:
         return len(self.rescues) == len(self.failed)
 
-    @property
-    def shortfall(self) -> int:
-        return len(self.failed) - len(self.rescues)
-
 
 class SparePool:
     """The FD's view of who can still be turned into a worker."""

@@ -3,15 +3,18 @@
 Collectives in GASPI are timed-out and must be retried with identical
 parameters after a timeout.  The engine keys each collective *instance* by
 ``(kind, group identity, sequence)``; a rank's arrival is idempotent, so a
-retry after timeout re-joins the same pending instance.  When the last
-member arrives the instance completes for everyone at
+retry after timeout re-joins the same pending instance.  Callers hand the
+engine the payload size only; the engine prices an instance once, when its
+last member arrives, and it completes for everyone at
 
-    ``max(arrival time) + cost(kind, group size, payload)``
+    ``max(arrival time) + price(kind, group size, payload)``
 
-with costs from :class:`CollectiveCosts`.  A member that never arrives
-(because it failed) leaves the instance pending forever — the survivors
-only ever see ``GASPI_TIMEOUT``, which is precisely the failure mode the
-paper's fault detector exists to resolve.
+with the formulas of :class:`CollectiveCosts`.  A kind without a formula
+(ULFM's ``agree`` and ``shrink``, which charge their own price) completes
+at the last arrival.  A member that never arrives (because it failed)
+leaves the instance pending forever — the survivors only ever see
+``GASPI_TIMEOUT``, which is precisely the failure mode the paper's fault
+detector exists to resolve.
 """
 
 from __future__ import annotations
@@ -43,30 +46,29 @@ class CollectiveCosts:
     commit_per_rank: float = 0.027
     commit_base: float = 0.050
 
-    def __post_init__(self) -> None:
-        # collective costs are pure in (p, nbytes); memoize — the spMVM
-        # loop pays one allreduce per iteration with identical arguments.
-        self._barrier_cache: Dict[int, float] = {}
-        self._allreduce_cache: Dict[Tuple[int, int], float] = {}
-
     def barrier(self, p: int) -> float:
-        cost = self._barrier_cache.get(p)
-        if cost is None:
-            cost = max(1, math.ceil(math.log2(max(2, p)))) * self.round_latency
-            self._barrier_cache[p] = cost
-        return cost
+        return max(1, math.ceil(math.log2(max(2, p)))) * self.round_latency
 
     def allreduce(self, p: int, nbytes: int) -> float:
-        key = (p, nbytes)
-        cost = self._allreduce_cache.get(key)
-        if cost is None:
-            rounds = max(1, math.ceil(math.log2(max(2, p))))
-            cost = rounds * (self.round_latency + nbytes / self.bandwidth)
-            self._allreduce_cache[key] = cost
-        return cost
+        rounds = max(1, math.ceil(math.log2(max(2, p))))
+        return rounds * (self.round_latency + nbytes / self.bandwidth)
 
     def commit(self, p: int) -> float:
         return self.commit_base + self.commit_per_rank * p
+
+    def price(self, kind: str, p: int, nbytes: int) -> float:
+        """Duration of one instance of ``kind`` over ``p`` members.
+
+        The one map from an instance to its formula; a kind with none
+        (ULFM's ``agree`` and ``shrink``) is free here.
+        """
+        if kind == "allreduce":
+            return self.allreduce(p, nbytes)
+        if kind == "barrier":
+            return self.barrier(p)
+        if kind == "commit":
+            return self.commit(p)
+        return 0.0
 
 
 #: exact reducers of plain ``int`` contributions (integer agreements)
@@ -98,7 +100,7 @@ class _Instance:
 
     __slots__ = ("members", "contributions", "events")
 
-    def __init__(self, members: Tuple[int, ...]) -> None:
+    def __init__(self, members: _Members) -> None:
         self.members = members
         self.contributions: Dict[int, Any] = {}
         self.events: Dict[int, Event] = {}
@@ -119,35 +121,34 @@ class CollectiveEngine:
         group_identity: Tuple,
         seq: int,
         rank: int,
-        members: Tuple[int, ...],
+        members: _Members,
         contribution: Any = None,
         finisher: Union[AllreduceOp, Callable[[List[Any]], Any], None] = None,
-        cost: float = 0.0,
+        nbytes: int = 0,
     ) -> Event:
         """Join collective instance ``(kind, group_identity, seq)``.
 
         Returns this rank's completion event (stable across retries: only
-        the first arrival records its event and ``contribution``).  When
-        the final member arrives, the instance combines the contributions
-        (in member order) into the shared result once — ``finisher`` is
-        an :class:`AllreduceOp` to reduce them with, or a callable over
-        the list — and every member's event fires ``cost`` seconds later.
+        the first arrival records its event and ``contribution``).
+        ``members`` is the interned membership, and ``nbytes`` the
+        payload size (0 for barriers and commits).  When the final member
+        arrives, the instance combines the contributions (in member
+        order) into the shared result once — ``finisher`` is an
+        :class:`AllreduceOp` to reduce them with, or a callable over the
+        list — and every member's event fires after the instance's price,
+        :meth:`CollectiveCosts.price` of its kind, size and ``nbytes``.
         """
-        # interned memberships carry a shared set — O(1) instead of an
-        # O(p) tuple scan, which a timed-out commit retries p times
-        if isinstance(members, _Members):
-            if rank not in members.member_set():
-                raise GaspiUsageError(
-                    f"rank {rank} not a member of {group_identity}")
-        elif rank not in members:
+        # the interned set makes this O(1), not an O(p) tuple scan that
+        # a timed-out commit retries p times
+        if rank not in members.member_set():
             raise GaspiUsageError(f"rank {rank} not a member of {group_identity}")
         key = (kind, group_identity, seq)
         inst = self._instances.get(key)
         if inst is None:
             inst = _Instance(members)
             self._instances[key] = inst
-        # interned memberships make the match an identity check; the
-        # content compare only runs for non-interned callers
+        # interning makes the match an identity check; the content compare
+        # covers a membership re-interned after the table was cleared
         elif inst.members is not members and inst.members != members:
             raise GaspiUsageError(
                 f"collective {key} called with mismatched membership: "
@@ -175,7 +176,8 @@ class CollectiveEngine:
                     events[member].succeed(result)
                 self._instances.pop(key, None)
 
-            self.sim.schedule(cost, complete)
+            self.sim.schedule(
+                self.costs.price(kind, len(members), nbytes), complete)
         return event
 
     # ------------------------------------------------------------------

@@ -51,10 +51,10 @@ def _clip_timeout(timeout: float) -> Optional[float]:
     """Map a GASPI timeout to the kernel's (None = forever)."""
     if timeout is None:
         raise GaspiUsageError("timeout must be a number, GASPI_BLOCK or GASPI_TEST")
-    if math.isinf(timeout):
-        return None
     if timeout < 0:
         raise GaspiUsageError(f"negative timeout {timeout}")
+    if math.isinf(timeout):
+        return None
     return timeout
 
 
@@ -656,11 +656,9 @@ class GaspiContext:
         """
         if self.rank not in group:
             raise GaspiUsageError(f"rank {self.rank} commits group it is not part of")
-        members = group.members
-        engine = self.world.engine
-        event = engine.arrive(
-            "commit", group.identity(), group.coll_seq, self.rank, members,
-            cost=engine.costs.commit(len(members)),
+        event = self.world.engine.arrive(
+            "commit", group.identity(), group.coll_seq, self.rank,
+            group.members,
         )
         ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
@@ -682,11 +680,9 @@ class GaspiContext:
         if group is None:
             group = self.group_all
         group.require_committed()
-        members = group.members
-        engine = self.world.engine
-        event = engine.arrive(
-            "barrier", group.identity(), group.coll_seq, self.rank, members,
-            cost=engine.costs.barrier(len(members)),
+        event = self.world.engine.arrive(
+            "barrier", group.identity(), group.coll_seq, self.rank,
+            group.members,
         )
         ok, _ = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
@@ -716,12 +712,10 @@ class GaspiContext:
         else:
             contribution = np.array(values, copy=True)
             nbytes = contribution.nbytes
-        members = group.members
-        engine = self.world.engine
-        event = engine.arrive(
-            "allreduce", group.identity(), group.coll_seq, self.rank, members,
-            contribution=contribution, finisher=op,
-            cost=engine.costs.allreduce(len(members), nbytes),
+        event = self.world.engine.arrive(
+            "allreduce", group.identity(), group.coll_seq, self.rank,
+            group.members, contribution=contribution, finisher=op,
+            nbytes=nbytes,
         )
         ok, result = yield WaitEvent(event, _clip_timeout(timeout), recheck)
         if not ok:
@@ -736,21 +730,16 @@ class GaspiContext:
                   ) -> Generator[Any, Any, ReturnCode]:
         """GPI-2 extension ``gaspi_proc_ping`` (generator).
 
-        ``SUCCESS`` from a live, reachable peer; ``ERROR`` once the
-        transport diagnosed a broken channel (also marking the peer
-        ``CORRUPT`` in the local state vector); ``TIMEOUT`` if the caller's
-        own patience ran out first.
+        A one-target :meth:`proc_ping_sweep`.  ``SUCCESS`` from a live,
+        reachable peer; ``ERROR`` once the transport diagnosed a broken
+        channel (the sweep also marks the peer ``CORRUPT`` in the local
+        state vector); ``TIMEOUT`` if the caller's own patience ran out
+        first.
         """
-        self._remote(dst_rank)
-        done = self.world.transport.post_ping(self.rank, dst_rank)
-        ok, res = yield WaitEvent(done, _clip_timeout(timeout))
-        if not ok:
+        _, results = yield from self.proc_ping_sweep((dst_rank,), 1, timeout)
+        if results is None:
             return GASPI_TIMEOUT
-        alive, _ = res
-        if alive:
-            return GASPI_SUCCESS
-        self.state_vector.mark_corrupt(dst_rank)
-        return GASPI_ERROR
+        return GASPI_ERROR if results.failed else GASPI_SUCCESS
 
     def proc_ping_sweep(
         self, targets: Sequence[int], width: int = 1,
@@ -762,9 +751,9 @@ class GaspiContext:
         ``fd_threads`` knob) but blocks the caller **once** for the entire
         sweep rather than once per probe.  Returns ``(ReturnCode, results)``
         with ``results`` a sequence of ``(target, alive, t_start, t_end)``
-        tuples in ``targets`` order; dead targets are marked ``CORRUPT`` in
-        the state vector exactly as :meth:`proc_ping` would have.  On
-        ``TIMEOUT`` the results are ``None`` and no state is updated.
+        tuples in ``targets`` order; targets that did not answer are marked
+        ``CORRUPT`` in the state vector.  On ``TIMEOUT`` the results are
+        ``None`` and no state is updated.
         """
         if targets and not (0 <= min(targets)
                             and max(targets) < self.world.n_ranks):

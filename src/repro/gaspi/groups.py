@@ -93,7 +93,7 @@ class Group:
         self.tag = tag
         self._members: Union[List[int], _Members] = []
         self._member_set: Optional[Set[int]] = set()
-        self._sorted: Optional[Tuple[int, ...]] = None
+        self._sorted: Optional[_Members] = None
         self.committed = False
         #: per-rank collective sequence number on this group; incremented
         #: only on collective *success* so timed-out calls retry the same
@@ -194,7 +194,7 @@ class Group:
         self._sorted = None
 
     @property
-    def members(self) -> Tuple[int, ...]:
+    def members(self) -> _Members:
         """Membership in deterministic (sorted) order.
 
         Returns the interned :class:`_Members` instance — every group

@@ -15,7 +15,7 @@ pre-processing.
 from repro.spmvm.csr import CSRMatrix
 from repro.spmvm.partition import RowPartition
 from repro.spmvm.team import Team
-from repro.spmvm.ft_hooks import FailureAcknowledged, CommGuard
+from repro.spmvm.ft_hooks import FailureAcknowledged
 from repro.spmvm.comm_setup import CommPlan, split_columns
 from repro.spmvm.dist_matrix import DistMatrix, distribute_matrix
 from repro.spmvm.dist_vector import DistVector
@@ -26,7 +26,6 @@ __all__ = [
     "RowPartition",
     "Team",
     "FailureAcknowledged",
-    "CommGuard",
     "CommPlan",
     "split_columns",
     "DistMatrix",

@@ -9,7 +9,7 @@ scientific-Python performance guides over any per-row loop.
 ``spmv`` is called once per solver iteration, so it allocates nothing per
 call: a gather plan and its scratch buffers are built lazily on first use
 and cached on the matrix (matrices are immutable after construction —
-``with_columns`` and ``row_block`` build new objects).  Two plan kinds:
+``with_columns`` builds a new object).  Two plan kinds:
 
 * **ELL (padded) plan** — when rows are near-uniform (padding to the
   widest row costs < 25 % extra entries, the case for all the stencil /
@@ -239,44 +239,9 @@ class CSRMatrix:
         dense[self._row_of(), self.col_idx] = self.values  # no dups post-CSR
         return dense
 
-    def row_block(self, r0: int, r1: int) -> "CSRMatrix":
-        """Extract rows ``[r0, r1)`` (column space unchanged)."""
-        if not (0 <= r0 <= r1 <= self.n_rows):
-            raise ValueError(f"bad row block [{r0}, {r1})")
-        lo, hi = self.row_ptr[r0], self.row_ptr[r1]
-        return CSRMatrix(
-            r1 - r0,
-            self.n_cols,
-            self.row_ptr[r0 : r1 + 1] - lo,
-            self.col_idx[lo:hi],
-            self.values[lo:hi],
-        )
-
     def with_columns(self, new_col_idx: np.ndarray, n_cols: int) -> "CSRMatrix":
         """Same pattern/values with relabelled columns (halo remapping)."""
         return CSRMatrix(self.n_rows, n_cols, self.row_ptr, new_col_idx, self.values)
-
-    def is_symmetric(self, tol: float = 1e-12) -> bool:
-        """Numeric symmetry check in O(nnz log nnz) time and O(nnz) memory.
-
-        Forms ``A - A^T`` as merged COO triplets (``from_coo`` sorts and
-        sums duplicates, so matching ``(i, j)``/``(j, i)`` pairs cancel and
-        unmatched entries survive with their value) and tests that nothing
-        larger than ``tol`` remains.  Unlike the previous dense comparison
-        this works on paper-scale matrices without densifying.
-        """
-        if self.n_rows != self.n_cols:
-            return False
-        if self.nnz == 0:
-            return True
-        row_of = self._row_of()
-        diff = CSRMatrix.from_coo(
-            np.concatenate([row_of, self.col_idx]),
-            np.concatenate([self.col_idx, row_of]),
-            np.concatenate([self.values, -self.values]),
-            self.shape,
-        )
-        return diff.nnz == 0 or bool(np.abs(diff.values).max() <= tol)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<CSRMatrix {self.n_rows}x{self.n_cols} nnz={self.nnz}>"

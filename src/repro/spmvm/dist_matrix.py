@@ -95,7 +95,6 @@ def distribute_matrix(team: Team, generator: RowGenerator,
     Must be called collectively by every team member.  Returns this rank's
     :class:`DistMatrix`.
     """
-    guard = team.guard
     timeout = team.comm_timeout
     ctx = team.ctx
     n_workers = team.n_workers
@@ -116,7 +115,7 @@ def distribute_matrix(team: Team, generator: RowGenerator,
         spec = plan.recv[provider]
         # a retry must re-post: a message dropped on a down link is gone
         while True:
-            guard.assert_healthy()
+            team.assert_healthy()
             ret = yield from ctx.passive_send(
                 team.to_physical(provider),
                 ("halo-request", team.logical_rank, spec.cols,
@@ -131,7 +130,7 @@ def distribute_matrix(team: Team, generator: RowGenerator,
     # has no recheck, so the flag is read before each one
     got = 0
     while got < n_requesters:
-        guard.assert_healthy()
+        team.assert_healthy()
         ret, _, payload = yield from ctx.passive_receive(timeout)
         if ret is not ReturnCode.SUCCESS:
             continue

@@ -27,10 +27,6 @@ class DistVector:
     # ------------------------------------------------------------------
     # local (embarrassingly parallel) operations
     # ------------------------------------------------------------------
-    def copy_from(self, other: "DistVector") -> "DistVector":
-        self.local[:] = other.local
-        return self
-
     def scale(self, alpha: float) -> "DistVector":
         self.local *= alpha
         return self

@@ -3,14 +3,16 @@
 Per the paper: "Each blocking communication call in the spMVM library now
 performs a check for the failure acknowledgment signal.  After the
 processes detect a failure signal from the FD process, no further
-communications are performed."  :class:`CommGuard` is that check — a cheap
-*local* read the FD layer supplies — and :class:`FailureAcknowledged` is
-how the library unwinds the solver into its recovery stage.
+communications are performed."  That check is a :class:`~repro.spmvm.Team`'s
+``guard``: a callable the FD layer supplies, a cheap *local* read that returns
+the posted notice or ``None`` (:func:`no_notice` when no FD layer is
+installed).  :class:`FailureAcknowledged` is how the library unwinds the
+solver into its recovery stage.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Optional
+from typing import Any
 
 
 class FailureAcknowledged(Exception):
@@ -25,29 +27,6 @@ class FailureAcknowledged(Exception):
         self.notice = notice
 
 
-def _no_notice() -> None:
-    """The hook of a guard with none installed: never a notice."""
+def no_notice() -> None:
+    """The guard of a team with no FD layer installed: never a notice."""
     return None
-
-
-class CommGuard:
-    """Wraps the failure-acknowledgment check used before blocking calls."""
-
-    __slots__ = ("check",)
-
-    def __init__(self, check: Optional[Callable[[], Any]] = None) -> None:
-        #: the posted failure notice, or ``None``: the hook itself, bound
-        #: once, so a wait that re-checks in the kernel takes it as its
-        #: ``recheck`` without a bound method built per call
-        self.check: Callable[[], Any] = (_no_notice if check is None
-                                         else check)
-
-    def assert_healthy(self) -> None:
-        """Raise :class:`FailureAcknowledged` if a failure notice is posted.
-
-        One call of the hook: a local read, the zero-overhead property
-        of the design.
-        """
-        notice = self.check()
-        if notice is not None:
-            raise FailureAcknowledged(notice)

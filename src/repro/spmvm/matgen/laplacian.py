@@ -55,10 +55,3 @@ class Laplacian2D(RowGenerator):
                          x < self.nx_grid - 1, y > 0, y < ny - 1], axis=1)
         return stencil_block(cols, [4.0, -1.0, -1.0, -1.0, -1.0], keep,
                              self.n_rows)
-
-    def exact_eigenvalues(self) -> np.ndarray:
-        """All eigenvalues in ascending order (for validation)."""
-        kx = np.arange(1, self.nx_grid + 1) * np.pi / (self.nx_grid + 1)
-        ky = np.arange(1, self.ny_grid + 1) * np.pi / (self.ny_grid + 1)
-        lam = (4.0 - 2.0 * np.cos(kx)[:, None] - 2.0 * np.cos(ky)[None, :]).ravel()
-        return np.sort(lam)

@@ -48,8 +48,3 @@ class RandomSparse(RowGenerator):
             vals = np.concatenate([vals, np.full(n_block, self.diagonal)])
         return CSRMatrix.from_coo(rows, cols, vals, (n_block, self.n),
                                   sum_duplicates=True)
-
-    def symmetrized_full(self) -> CSRMatrix:
-        """``(A + A^T) / 2`` of the whole matrix (test-sized inputs only)."""
-        dense = self.full().to_dense()
-        return CSRMatrix.from_dense((dense + dense.T) / 2.0)

@@ -114,12 +114,11 @@ class SpMVMEngine:
     def _flush(self) -> Generator[Any, Any, None]:
         """Generator: guarded flush of the engine's queue."""
         team = self.team
-        guard = team.guard
-        guard.assert_healthy()
+        team.assert_healthy()
         ret = yield from team.ctx.wait(0, team.comm_timeout,
-                                       recheck=guard.check)
+                                       recheck=team.guard)
         if ret is not GASPI_SUCCESS:
-            raise FailureAcknowledged(guard.check())
+            raise FailureAcknowledged(team.guard())
 
     def multiply(self, x_local: np.ndarray, out: Optional[np.ndarray] = None,
                  tag: Optional[int] = None,
@@ -180,7 +179,7 @@ class SpMVMEngine:
         guard = team.guard
         limit = None if math.isinf(team.comm_timeout) else team.comm_timeout
         while pending:
-            guard.assert_healthy()  # before each wait; the kernel rechecks timeouts
+            team.assert_healthy()  # before each wait; the kernel rechecks timeouts
             landed = [p for p in pending if values[p] == value]
             if landed:
                 ctx.notify_reset_many(X_SEGMENT, landed)
@@ -198,7 +197,7 @@ class SpMVMEngine:
             # flag set inside the span, returning instantly forever.)
             lo = min(pending)
             event = board.subscribe(lo, max(pending) - lo + 1)
-            ok, _ = yield WaitEvent(event, limit, recheck=guard.check)
+            ok, _ = yield WaitEvent(event, limit, recheck=guard)
             if not ok:
                 board.unsubscribe(event)  # the check tripped: raise above
 

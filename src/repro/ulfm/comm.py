@@ -27,6 +27,7 @@ import numpy as np
 from repro.sim import Sleep, WaitEvent
 from repro.gaspi.constants import AllreduceOp
 from repro.gaspi.context import GaspiContext
+from repro.gaspi.groups import _Members
 
 
 class UlfmResult(enum.Enum):
@@ -70,6 +71,9 @@ class UlfmComm:
             raise ValueError(f"rank {ctx.rank} not in communicator {ranks}")
         self.ctx = ctx
         self.ranks = sorted(ranks)
+        #: the interned membership every collective of this communicator
+        #: hands the engine
+        self._members = _Members.intern(tuple(self.ranks))
         self.comm_id = comm_id
         self.costs = costs or UlfmCosts()
         self.revoked = False
@@ -93,7 +97,7 @@ class UlfmComm:
         return self.ctx.world.machine
 
     def _identity(self) -> Tuple:
-        return ("ulfm", self.comm_id, tuple(self.ranks))
+        return ("ulfm", self.comm_id, self._members)
 
     # ------------------------------------------------------------------
     # failure knowledge
@@ -175,14 +179,13 @@ class UlfmComm:
     # ------------------------------------------------------------------
     # collectives
     # ------------------------------------------------------------------
-    def _collective(self, kind: str, contribution, finisher, cost: float,
-                    members: Tuple[int, ...]):
+    def _collective(self, kind: str, contribution, finisher, nbytes: int):
         """Generator: engine-backed collective with ULFM error reporting."""
         engine = self._engine()
         seq = self._coll_seq
         event = engine.arrive(kind, self._identity(), seq, self.ctx.rank,
-                              members, contribution=contribution,
-                              finisher=finisher, cost=cost)
+                              self._members, contribution=contribution,
+                              finisher=finisher, nbytes=nbytes)
         error_after = self.ctx.world.machine.spec.transport_params.error_timeout
         waited = 0.0
         while True:
@@ -196,7 +199,7 @@ class UlfmComm:
             waited += self.costs.poll
             if waited >= error_after:
                 self._note_failures()
-                if any(r in self._known_failed for r in members):
+                if any(r in self._known_failed for r in self.ranks):
                     return (UlfmResult.PROC_FAILED, None)
 
     def barrier(self):
@@ -204,10 +207,7 @@ class UlfmComm:
         self._drain_control()
         if self.revoked:
             return UlfmResult.REVOKED
-        members = tuple(self.ranks)
-        cost = self._engine().costs.barrier(len(members))
-        ret, _ = yield from self._collective("barrier", None, None, cost,
-                                             members)
+        ret, _ = yield from self._collective("barrier", None, None, 0)
         return ret
 
     def allreduce(self, values, op: AllreduceOp):
@@ -215,11 +215,9 @@ class UlfmComm:
         self._drain_control()
         if self.revoked:
             return (UlfmResult.REVOKED, None)
-        members = tuple(self.ranks)
         contribution = np.array(values, copy=True)
-        cost = self._engine().costs.allreduce(len(members), contribution.nbytes)
         return (yield from self._collective(
-            "allreduce", contribution, op, cost, members,
+            "allreduce", contribution, op, contribution.nbytes,
         ))
 
     # ------------------------------------------------------------------
@@ -245,22 +243,23 @@ class UlfmComm:
         """Generator: ``MPIX_Comm_agree`` — AND over *surviving* members.
 
         Returns ``(result, agreed flag)``.  Works on revoked communicators
-        (that is its purpose) and ignores dead members.
+        (that is its purpose) and ignores dead members.  The instance
+        completes at the last arrival; each member then charges the
+        agreement's price, as :meth:`revoke` charges its latency.
         """
         self._note_failures()
-        members = tuple(self._alive_members())
+        members = _Members.intern(tuple(self._alive_members()))
         if self.ctx.rank not in members:  # pragma: no cover - we are alive
             raise RuntimeError("agree called by dead rank")
-        cost = (self.costs.agree_base
-                + self.costs.agree_per_rank * len(self.ranks))
         seq = self._coll_seq
         engine = self._engine()
         event = engine.arrive(
             "agree", self._identity() + ("agree",), seq, self.ctx.rank,
             members, contribution=int(flag), finisher=AllreduceOp.MIN,
-            cost=cost,
         )
         ok, result = yield WaitEvent(event)
+        yield Sleep(self.costs.agree_base
+                    + self.costs.agree_per_rank * len(self.ranks))
         self._coll_seq += 1
         return (UlfmResult.SUCCESS, result)
 
@@ -269,20 +268,20 @@ class UlfmComm:
 
         Collective among survivors; returns ``(result, new UlfmComm)``.
         Cost is linear in the parent size (the OpenMPI prototype's
-        behaviour reported by Laguna et al.).
+        behaviour reported by Laguna et al.); each member charges it after
+        the instance completes at the last arrival, as in :meth:`agree`.
         """
         self._note_failures()
-        members = tuple(self._alive_members())
-        cost = (self.costs.shrink_base
-                + self.costs.shrink_per_rank * len(self.ranks))
+        members = _Members.intern(tuple(self._alive_members()))
         seq = self._coll_seq
         engine = self._engine()
         event = engine.arrive(
             "shrink", self._identity() + ("shrink",), seq, self.ctx.rank,
             members, contribution=None, finisher=lambda _: list(members),
-            cost=cost,
         )
         ok, alive = yield WaitEvent(event)
+        yield Sleep(self.costs.shrink_base
+                    + self.costs.shrink_per_rank * len(self.ranks))
         self._coll_seq += 1
         new_id = new_comm_id if new_comm_id is not None else self.comm_id + 1
         return (UlfmResult.SUCCESS,

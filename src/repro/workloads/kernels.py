@@ -49,7 +49,6 @@ class ModelLanczosProgram(FTProgram):
     def run(self, ftx: FTContext, work: Dict[str, int]):
         spec = self.spec
         step = work["step"]
-        iterations_executed = 0
         tracer = ftx.ctx.tracer
         compute = Sleep(spec.iteration_time)
         while step < spec.n_iterations:
@@ -58,7 +57,6 @@ class ModelLanczosProgram(FTProgram):
             yield from ftx.agree_min(step)
             yield compute
             step += 1
-            iterations_executed += 1
             ftx.count("iterations")
             if tracer.enabled:
                 tracer.emit(ftx.now, ftx.ctx.rank, "solver_iter",
@@ -69,5 +67,5 @@ class ModelLanczosProgram(FTProgram):
                     {"step": np.int64(step)},
                     nominal_bytes=spec.checkpoint_bytes_per_worker,
                 )
-        return {"steps": step, "iterations_executed": iterations_executed}
+        return {"steps": step}
 

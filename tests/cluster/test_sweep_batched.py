@@ -1,6 +1,6 @@
 """Batched ping-sweep equivalence: the single-callback round-priced sweep
-must reproduce a sequential oracle — ``post_ping`` probes in groups of
-``width``, each group posted when the previous one resolved — exactly:
+must reproduce a sequential oracle — single probes (``ping_oracle``) in
+groups of ``width``, each group posted when the previous one resolved — exactly:
 same per-probe timings, same dead sets, same completion time, including
 when targets die mid-sweep; and its lazy result sequence must behave
 like the oracle's tuple list."""
@@ -10,6 +10,7 @@ import pytest
 from repro.sim import Simulator, WaitEvent
 from repro.cluster import Machine, MachineSpec, TransportParams
 from repro.cluster.transport import SweepResults
+from tests.cluster.ping_oracle import post_ping
 
 
 def make_machine(n_nodes=8, error_timeout=3.5):
@@ -33,7 +34,7 @@ def sequential_sweep(sim, transport, src, targets, width):
         t_start = sim.now
         group = targets[g0:g0 + width]
         resolved = {}
-        events = [transport.post_ping(src, dst) for dst in group]
+        events = [post_ping(transport, src, dst) for dst in group]
         for dst, ev in zip(group, events):
             ev.add_callback(lambda e, dst=dst: resolved.__setitem__(
                 dst, (dst, e.value[0], t_start, sim.now)))
@@ -62,7 +63,8 @@ def run_sweep(batched=True, n_nodes=8, width=1, kills=(), pre_broken=(),
             # one earlier probe per pre-broken target teaches rank 0's
             # transport the channel is broken (the fast-fail case)
             for rank in pre_broken:
-                ev = m.transport.post_ping(0, rank)
+                ev = (m.transport.post_ping_sweep(0, [rank]) if batched
+                      else post_ping(m.transport, 0, rank))
                 yield WaitEvent(ev, timeout=10.0)
         if not batched:
             success, results = yield from sequential_sweep(

@@ -61,15 +61,18 @@ def test_rdma_target_dies_in_flight_not_applied():
     assert applied == []
 
 
+def ping(sim, m, dst, timeout):
+    """Generator: one probe from rank 0, a one-target sweep; returns
+    ``(ok, alive, time)``."""
+    t0 = sim.now
+    ev = m.transport.post_ping_sweep(0, [dst])
+    ok, (_, results) = yield WaitEvent(ev, timeout=timeout)
+    return ok, results[0][1], sim.now - t0
+
+
 def test_ping_healthy_returns_quickly():
     sim, m = make_machine()
-
-    def pinger():
-        ev = m.transport.post_ping(0, 1)
-        ok, (alive, _) = yield WaitEvent(ev, timeout=1.0)
-        return (ok, alive, sim.now)
-
-    p = sim.spawn(pinger())
+    p = sim.spawn(ping(sim, m, 1, 1.0))
     sim.run()
     ok, alive, t = p.result
     assert ok and alive
@@ -79,13 +82,7 @@ def test_ping_healthy_returns_quickly():
 def test_ping_dead_process_errors_after_error_timeout():
     sim, m = make_machine(error_timeout=3.5)
     m.kill_process(2)
-
-    def pinger():
-        ev = m.transport.post_ping(0, 2)
-        ok, (alive, _) = yield WaitEvent(ev, timeout=10.0)
-        return (ok, alive, sim.now)
-
-    p = sim.spawn(pinger())
+    p = sim.spawn(ping(sim, m, 2, 10.0))
     sim.run()
     ok, alive, t = p.result
     assert ok and not alive
@@ -99,10 +96,9 @@ def test_second_ping_to_broken_target_fails_fast():
 
     def pinger():
         for _ in range(2):
-            t0 = sim.now
-            ev = m.transport.post_ping(0, 2)
-            yield WaitEvent(ev, timeout=10.0)
-            times.append(sim.now - t0)
+            ok, alive, t = yield from ping(sim, m, 2, 10.0)
+            assert ok and not alive
+            times.append(t)
 
     sim.spawn(pinger())
     sim.run()
@@ -114,15 +110,10 @@ def test_ping_across_broken_link_errors_false_positive_case():
     """A healthy process behind a cut link looks failed to the pinger."""
     sim, m = make_machine()
     m.network.break_link(m.node_of(0), m.node_of(3))
-
-    def pinger():
-        ev = m.transport.post_ping(0, 3)
-        ok, (alive, _) = yield WaitEvent(ev, timeout=10.0)
-        return alive
-
-    p = sim.spawn(pinger())
+    p = sim.spawn(ping(sim, m, 3, 10.0))
     sim.run()
-    assert p.result is False
+    ok, alive, _ = p.result
+    assert ok and alive is False
     assert m.alive(3)  # ... but the process is actually alive
 
 

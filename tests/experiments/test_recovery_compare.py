@@ -33,7 +33,8 @@ def test_ulfm_rows_have_no_restore_phase(rows8):
 
 @pytest.fixture(scope="module")
 def backend_rows8():
-    return rc.run_backend_comparison(sizes=(8,))
+    return [rc.BackendRow(8, backend, *rc.measure_backend(8, backend))
+            for backend in rc.BACKENDS]
 
 
 def test_backend_table_covers_all_three_backends(backend_rows8):

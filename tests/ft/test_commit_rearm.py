@@ -36,7 +36,7 @@ from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.sim import Simulator, Sleep
 from repro.spmvm import SpMVMEngine, Team
-from repro.spmvm.ft_hooks import CommGuard, FailureAcknowledged
+from repro.spmvm.ft_hooks import FailureAcknowledged
 from repro.workloads.spec import scaled_spec
 
 _rearmed_group_commit = GaspiContext.group_commit
@@ -55,12 +55,12 @@ def looping_group_commit(self, group, timeout=GASPI_BLOCK, recheck=None):
             return ret
 
 
-def retry_loop(guard, call, *args):
+def retry_loop(team, call, *args):
     """The oracle of a guarded team call and of the engine flush: the
     caller-side loop it replaced — read the flag, call, and on
     ``TIMEOUT`` do both again with the same parameters."""
     while True:
-        guard.assert_healthy()
+        team.assert_healthy()
         ret = yield from call(*args)
         if (ret[0] if type(ret) is tuple else ret) is ReturnCode.SUCCESS:
             return ret
@@ -104,14 +104,14 @@ def _team_call(caller, team, oracle):
     """Generator: one guarded call of ``caller`` — under ``oracle``, the
     retry loop it replaced (a commit's is swapped in below the team);
     what the rank saw."""
-    ctx, guard, timeout = team.ctx, team.guard, team.comm_timeout
+    ctx, timeout = team.ctx, team.comm_timeout
     rank = ctx.rank
     if caller == "guard":
         yield from team.commit()
         return "committed"
     if caller == "barrier":
         if oracle:
-            yield from retry_loop(guard, ctx.barrier, team.group, timeout)
+            yield from retry_loop(team, ctx.barrier, team.group, timeout)
         else:
             yield from team.barrier()
         return "passed"
@@ -121,7 +121,7 @@ def _team_call(caller, team, oracle):
         else:
             values, op = np.array([rank, 0.5]), AllreduceOp.SUM
         if oracle:
-            _, total = yield from retry_loop(guard, ctx.allreduce, values,
+            _, total = yield from retry_loop(team, ctx.allreduce, values,
                                              op, team.group, timeout)
         else:
             total = yield from team.allreduce(values, op)
@@ -131,7 +131,7 @@ def _team_call(caller, team, oracle):
     for i in range(1 + rank % 2):
         ctx.write(0, 8 * i, 8, team.n_workers, 8 * i, 0)
     if oracle:
-        yield from retry_loop(guard, ctx.wait, 0, timeout)
+        yield from retry_loop(team, ctx.wait, 0, timeout)
     else:
         yield from SpMVMEngine._flush(SimpleNamespace(team=team))
     return "flushed"
@@ -210,7 +210,7 @@ def run_wait(case, oracle):
             yield Sleep(arrivals[ctx.rank])
             team = Team(ctx=ctx, group=group, logical_rank=ctx.rank,
                         rank_map=rank_map,
-                        guard=CommGuard(lambda: block.check_failure(0)),
+                        guard=lambda: block.check_failure(0),
                         comm_timeout=timeout)
             try:
                 outcome = yield from _team_call(caller, team, oracle)

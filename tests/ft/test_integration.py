@@ -89,7 +89,7 @@ class TestFailureFree:
     def test_idles_exit_cleanly(self, cfg):
         result = run_case(cfg, make_program())
         for rank in cfg.idle_ranks:
-            assert result.rank_result(rank) == {"status": "idle-exit"}
+            assert result.run.result(rank) == {"status": "idle-exit"}
 
     def test_failure_log_stays_empty(self, cfg):
         """The lifecycle sites run only on failure paths: a failure-free

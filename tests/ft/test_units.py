@@ -65,7 +65,7 @@ class TestSparePool:
         pool = SparePool(statuses, cfg.fd_rank)
         a = pool.assign([0, 1])
         assert a.fd_joined and not a.recoverable
-        assert a.shortfall == 1
+        assert len(a.failed) - len(a.rescues) == 1
 
 
 class TestControlBlock:

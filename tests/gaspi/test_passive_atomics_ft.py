@@ -1,5 +1,7 @@
 """Tests for passive communication, atomics, ping/kill and the state vector."""
 
+import math
+
 import pytest
 
 from repro.cluster import FaultPlan
@@ -11,6 +13,7 @@ from repro.gaspi import (
     ReturnCode,
     run_gaspi,
 )
+from repro.gaspi.context import _clip_timeout
 from repro.sim import Sleep
 
 
@@ -34,6 +37,20 @@ def test_passive_receive_timeout():
 
     run = run_gaspi(main, n_ranks=1)
     assert run.result(0) == (ReturnCode.TIMEOUT, -1, None)
+
+
+def test_every_negative_timeout_raises_minus_infinity_included():
+    assert _clip_timeout(GASPI_BLOCK) is None  # +inf blocks forever
+    assert _clip_timeout(GASPI_TEST) == 0.0
+    for timeout in (-1.0, -math.inf):
+        with pytest.raises(GaspiUsageError, match="negative timeout"):
+            _clip_timeout(timeout)
+
+    def main(ctx):
+        yield from ctx.passive_receive(-math.inf)  # clips before it waits
+
+    with pytest.raises(GaspiUsageError, match="negative timeout -inf"):
+        run_gaspi(main, n_ranks=1)
 
 
 def test_passive_send_to_dead_rank_times_out():

@@ -189,7 +189,7 @@ def numeric48_late_kill():
         deactivate()
     events = tuple(tracer.events())
     out = result.worker_results()[0]["result"]
-    fd = result.rank_result(result.cfg.fd_rank)
+    fd = result.run.result(result.cfg.fd_rank)
     rows = {
         "status": result.status,
         "elapsed": result.elapsed,

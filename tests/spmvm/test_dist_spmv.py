@@ -137,7 +137,7 @@ def test_dist_vector_local_ops():
         w = DistVector(team, np.full(4, 3.0))
         v.axpy(2.0, w)        # v = 2 + 2*3 = 8
         v.scale(0.5)          # v = 4
-        u = DistVector(team, np.zeros(4)).copy_from(v)
+        u = DistVector(team, v.local.copy())
         total = yield from u.dot(DistVector(team, np.ones(4)))
         return total
 

@@ -13,6 +13,8 @@ from repro.spmvm.matgen import (
     RandomSparse,
     hash_uniform,
 )
+from tests.spmvm.oracles import (is_symmetric, laplacian2d_eigenvalues,
+                                 symmetrized_full)
 
 
 # ----------------------------------------------------------------------
@@ -233,7 +235,7 @@ class TestGenerators:
         Laplacian2D(3, 4),
     ])
     def test_symmetry(self, gen):
-        assert gen.full().is_symmetric()
+        assert is_symmetric(gen.full())
 
     def test_graphene_dimensions_and_degree(self):
         gen = GrapheneSheet(4, 5, t=1.0)
@@ -277,7 +279,8 @@ class TestGenerators:
     def test_laplacian2d_exact_eigenvalues(self):
         gen = Laplacian2D(4, 3)
         eig = np.linalg.eigvalsh(gen.full().to_dense())
-        assert np.allclose(np.sort(eig), gen.exact_eigenvalues(), atol=1e-10)
+        assert np.allclose(np.sort(eig), laplacian2d_eigenvalues(gen),
+                           atol=1e-10)
 
     def test_random_sparse_reproducible_and_bounded_degree(self):
         a = RandomSparse(50, nnz_per_row=6, seed=1).full()
@@ -286,11 +289,12 @@ class TestGenerators:
         assert a.row_nnz().max() <= 6  # duplicates may merge, never exceed
 
     def test_random_sparse_symmetrized_is_symmetric(self):
-        sym = RandomSparse(20, nnz_per_row=4, seed=3).symmetrized_full()
-        assert sym.is_symmetric()
+        sym = symmetrized_full(RandomSparse(20, nnz_per_row=4, seed=3))
+        assert is_symmetric(sym)
 
     def test_random_sparse_diagonal_dominance_option(self):
-        a = RandomSparse(20, nnz_per_row=3, seed=0, diagonal=10.0).symmetrized_full()
+        a = symmetrized_full(RandomSparse(20, nnz_per_row=3, seed=0,
+                                          diagonal=10.0))
         dense = a.to_dense()
         assert np.all(np.linalg.eigvalsh(dense) > 0)  # SPD for CG tests
 
