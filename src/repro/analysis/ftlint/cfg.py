@@ -22,10 +22,8 @@ turns a ``FunctionDef`` body into basic blocks and edges:
   recognisably exception-swallowing (``contextlib.suppress``) adds an
   escape edge from every block of its body to the join point;
 * **generators**: ``yield``/``yield from`` positions are recorded on
-  their blocks (:attr:`Block.has_yield`, :attr:`CFG.yield_blocks`).  By
-  default a yield is *not* an exit — a resumed generator continues — but
-  ``build_cfg(..., abandon_edges=True)`` adds yield→exit edges to model
-  a caller abandoning the generator mid-protocol.
+  their blocks (:attr:`Block.has_yield`, :attr:`CFG.yield_blocks`).  A
+  yield is *not* an exit: a resumed generator continues.
 
 Nested function/class definitions are opaque single elements: every
 ``def`` gets its own CFG when the rules iterate over a module.
@@ -142,9 +140,8 @@ def _const_test(test: ast.AST) -> Optional[bool]:
 class _Builder:
     """Recursive-descent CFG construction with loop/finally stacks."""
 
-    def __init__(self, cfg: CFG, abandon_edges: bool) -> None:
+    def __init__(self, cfg: CFG) -> None:
         self.cfg = cfg
-        self.abandon_edges = abandon_edges
         #: (continue_target, break_target, n_finally_at_entry)
         self.loops: List[Tuple[Block, Block, int]] = []
         #: finalbody statement lists of enclosing try/finally constructs
@@ -159,8 +156,6 @@ class _Builder:
         block = self.cfg._new(stmt)
         if _contains_yield(stmt):
             block.has_yield = True
-            if self.abandon_edges:
-                self.cfg._edge(block, self.cfg.exit)
         for pred in preds:
             self.cfg._edge(pred, block)
         # a statement inside a try body may raise into every live handler
@@ -366,14 +361,10 @@ class _Builder:
         return normal
 
 
-def build_cfg(func: ast.AST, abandon_edges: bool = False) -> CFG:
-    """CFG of one ``FunctionDef``/``AsyncFunctionDef``.
-
-    ``abandon_edges=True`` additionally wires every yield point to the
-    exit block, modelling a generator dropped by its consumer mid-flight.
-    """
+def build_cfg(func: ast.AST) -> CFG:
+    """CFG of one ``FunctionDef``/``AsyncFunctionDef``."""
     cfg = CFG(func)
-    builder = _Builder(cfg, abandon_edges)
+    builder = _Builder(cfg)
     body = getattr(func, "body", [])
     frontier = builder.stmts(body, [cfg.entry])
     for block in frontier:

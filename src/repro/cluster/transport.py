@@ -71,7 +71,6 @@ class Delivery:
     kind: str
     payload: Any
     nbytes: int
-    t_sent: float
 
 
 class SweepResults:
@@ -614,13 +613,12 @@ class Transport:
         """
         done = Event(name=f"ctl:{src}->{dst}:{kind}")
         lat = self._latency(src, dst, nbytes)
-        t_sent = self.sim.now
 
         def deliver() -> None:
             if not self._path_up(src, dst):
                 return
             self.endpoint(dst).inbox(kind).put(
-                Delivery(src=src, kind=kind, payload=payload, nbytes=nbytes, t_sent=t_sent)
+                Delivery(src=src, kind=kind, payload=payload, nbytes=nbytes)
             )
             self.sim.schedule(self._ack_latency(src, dst), lambda: done.succeed((True, None)))
 

@@ -1,13 +1,15 @@
 """The fault-tolerant application driver (paper Fig. 3).
 
 At startup the physical ranks split into workers, idle spares and the FD.
-Workers run the application's compute loop; every blocking communication
-checks the local failure-ack flag (its :class:`Team`'s guard), and a posted
-notice unwinds the loop into the recovery stage: rebuild the worker group
-(rescues adopt failed identities), agree on the newest globally consistent
-checkpoint version, restore, redo the lost work and continue.  Idles poll
-until designated as rescues; the FD scans until the application completes
-or joins the workers as the very last rescue.
+Idles poll until designated as rescues; the FD scans until the
+application completes or joins the workers as the very last rescue.
+Every rank that computes runs one loop, :func:`worker_loop`, with one
+:class:`FTContext` for the whole run.  Every blocking communication
+checks the local failure-ack flag (its :class:`Team`'s guard), and a
+posted notice unwinds the loop into the recovery stage: rebuild the
+worker group (rescues adopt failed identities), agree on the newest
+globally consistent checkpoint version, restore, redo the lost work and
+continue.
 
 Applications implement :class:`FTProgram` (setup / restore / run);
 :func:`run_ft_application` wires everything onto the simulated cluster.
@@ -28,13 +30,13 @@ from repro.gaspi.constants import GASPI_BLOCK, GASPI_OP_MIN, ReturnCode
 from repro.gaspi.context import GaspiContext
 from repro.gaspi.groups import _Members
 from repro.gaspi.runtime import GaspiRun, run_gaspi
-from repro.checkpoint.replicated import CheckpointBackend, make_checkpoint_lib
+from repro.checkpoint.replicated import make_checkpoint_lib
 from repro.spmvm.ft_hooks import FailureAcknowledged
 from repro.spmvm.team import Team
 from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock, FailureNotice
-from repro.ft.detector import FD_STOP, fd_process
+from repro.ft.detector import FD_STOP, FDStats, fd_process
 from repro.ft.recovery import perform_recovery
 from repro.ft.roles import Role
 from repro.obs.timeline import FailureRecord, milestone
@@ -43,46 +45,36 @@ SETUP_VERSION = 0
 
 
 class FTContext:
-    """Per-rank services handed to the application program."""
+    """Per-rank services handed to the application program: one per rank
+    for the whole run, rebound to every team a recovery rebuilds."""
 
-    def __init__(self, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-                 team: Team, epoch: int, state_ckpt: CheckpointBackend,
-                 setup_ckpt: CheckpointBackend) -> None:
+    def __init__(self, ctx: GaspiContext, cfg: FTConfig, team: Team) -> None:
         self.ctx = ctx
         self.cfg = cfg
-        self.block = block
         self.team = team
-        self.epoch = epoch
-        self.state_ckpt = state_ckpt
-        self.setup_ckpt = setup_ckpt
-        #: free-form per-rank counters (e.g. iterations executed across
-        #: recoveries); carried over rebuilds
-        self.counters: Dict[str, float] = {}
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def build(cls, ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-              team: Team, epoch: int,
-              old: Optional["FTContext"] = None) -> "FTContext":
-        """Create (or refresh, for survivors) the per-rank FT services."""
         # the team's interned membership: the libraries adopt it as-is
         participants = team.group.members
-        if old is not None:
-            old.state_ckpt.refresh(participants)
-            old.setup_ckpt.refresh(participants)
-            state_ckpt, setup_ckpt = old.state_ckpt, old.setup_ckpt
-        else:
-            state_cfg = dataclasses.replace(cfg.checkpoint, tag="state")
-            setup_cfg = dataclasses.replace(cfg.checkpoint, tag="setup",
-                                            keep_versions=1)
-            state_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=state_cfg)
-            setup_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
-                                             participants, config=setup_cfg)
-        built = cls(ctx, cfg, block, team, epoch, state_ckpt, setup_ckpt)
-        if old is not None:
-            built.counters = old.counters
-        return built
+        state_cfg = dataclasses.replace(cfg.checkpoint, tag="state")
+        setup_cfg = dataclasses.replace(cfg.checkpoint, tag="setup",
+                                        keep_versions=1)
+        self.state_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
+                                              participants, config=state_cfg)
+        self.setup_ckpt = make_checkpoint_lib(ctx, team.logical_rank,
+                                              participants, config=setup_cfg)
+        #: free-form per-rank counters (e.g. iterations executed across
+        #: recoveries)
+        self.counters: Dict[str, float] = {}
+
+    def rebind(self, team: Team) -> None:
+        """Adopt the team a recovery rebuilt (the survivor side)."""
+        self.team = team
+        self.state_ckpt.refresh(team.group.members)
+        self.setup_ckpt.refresh(team.group.members)
+
+    @property
+    def epoch(self) -> int:
+        """The recovery epoch of the current team: its group's tag."""
+        return self.team.group.tag
 
     def count(self, key: str, amount: float = 1) -> None:
         self.counters[key] = self.counters.get(key, 0) + amount
@@ -110,18 +102,6 @@ class FTContext:
     def agree_min(self, value: int) -> Generator[Any, Any, int]:
         """Generator: team-wide integer MIN (a guarded team allreduce)."""
         return self.team.allreduce(int(value), GASPI_OP_MIN)
-
-    def agree_restore_version(self) -> Generator[Any, Any, int]:
-        """Generator: newest checkpoint version every rank can restore."""
-        mine = self.state_ckpt.restorable_latest()
-        version = yield from self.agree_min(mine)
-        return version
-
-    def read_state_checkpoint(self, version: int,
-                              ) -> Generator[Any, Any, Dict[str, Any]]:
-        """Generator: restore the agreed periodic checkpoint payload."""
-        _, payload = yield from self.state_ckpt.read_checkpoint(version)
-        return payload
 
     def read_setup_checkpoint(
         self,
@@ -187,21 +167,27 @@ def _announce_done(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock):
 
 
 def _rebuild_context(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-                     notice: FailureNotice, old: Optional[FTContext]):
-    """Generator: run Listing 2 and wire fresh FT services around it."""
-    recovery = yield from perform_recovery(
+                     notice: FailureNotice, ftx: Optional[FTContext]):
+    """Generator: run Listing 2; a survivor rebinds its context to the new
+    team, a rescue (``ftx is None``) builds its own around it."""
+    team = yield from perform_recovery(
         ctx, cfg, block, notice,
-        old_group=old.team.group if old is not None else None,
+        old_group=ftx.team.group if ftx is not None else None,
     )
-    return FTContext.build(ctx, cfg, block, recovery.team,
-                           recovery.notice.epoch, old=old)
+    if ftx is None:
+        return FTContext(ctx, cfg, team)
+    ftx.rebind(team)
+    return ftx
 
 
 def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
-                program: FTProgram, ftx: FTContext, mode: str,
+                program: FTProgram, ftx: Optional[FTContext] = None,
+                notice: Optional[FailureNotice] = None,
                 ) -> Generator[Any, Any, Dict[str, Any]]:
     """Generator: compute / recover until completion (worker side of Fig. 3).
 
+    An initial worker enters with its ``ftx``; a rescue enters with the
+    ``notice`` that promoted it, and rebuilds for it before restoring.
     Records the worker's lifecycle milestones (folded into the run's
     failure log, and traced): ``failure_ack`` when a notice unwinds it,
     ``version_agreed`` when the team agreed the version to restore
@@ -211,20 +197,24 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     sim = ctx.world.sim
     while True:
         try:
-            if mode == "fresh":
+            if notice is None:
                 # the initial group commit runs inside the recovery scope:
                 # a rank dying during startup unwinds the survivors into a
                 # regular recovery instead of spinning on commit timeouts
                 yield from ftx.team.commit()
                 work = yield from program.setup(ftx)
             else:
+                ftx = yield from _rebuild_context(ctx, cfg, block, notice, ftx)
                 t_restore = ctx.now
-                version = yield from ftx.agree_restore_version()
+                # the newest checkpoint version every rank can restore
+                version = yield from ftx.agree_min(
+                    ftx.state_ckpt.restorable_latest())
                 milestone(sim, ctx.now, ctx.rank, "version_agreed",
                           epoch=ftx.epoch, version=version)
                 payload = None
                 if version >= 0:
-                    payload = yield from ftx.read_state_checkpoint(version)
+                    _, payload = yield from ftx.state_ckpt.read_checkpoint(
+                        version)
                 work = yield from program.restore(ftx, payload)
                 milestone(sim, ctx.now, ctx.rank, "restore",
                           dur=ctx.now - t_restore, epoch=ftx.epoch,
@@ -246,7 +236,7 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                 "t_done": ctx.now,
             }
         except FailureAcknowledged as ack:
-            notice: FailureNotice = ack.notice
+            notice = ack.notice
             milestone(sim, ctx.now, ctx.rank, "failure_ack",
                       epoch=notice.epoch)
             if not notice.recoverable:
@@ -257,8 +247,6 @@ def worker_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                     "counters": dict(ftx.counters),
                     "t_done": ctx.now,
                 }
-            ftx = yield from _rebuild_context(ctx, cfg, block, notice, ftx)
-            mode = "restore"
 
 
 def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
@@ -275,10 +263,8 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         if notice is not None:
             seen_epoch = notice.epoch
             if ctx.rank in notice.rescues and ctx.rank in notice.logical_of:
-                ftx = yield from _rebuild_context(ctx, cfg, block, notice,
-                                                  None)
-                return (yield from worker_loop(ctx, cfg, block, program, ftx,
-                                               mode="restore"))
+                return (yield from worker_loop(ctx, cfg, block, program,
+                                               notice=notice))
         if is_watchdog and ctx.now >= next_fd_check:
             next_fd_check = ctx.now + cfg.fd_scan_period
             ret = yield from ctx.proc_ping(cfg.fd_rank, GASPI_BLOCK)
@@ -291,16 +277,13 @@ def idle_loop(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
 def _fd_role(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
              program: FTProgram, takeover: bool = False):
     """Generator: run as FD; become the last rescue if spares run out."""
-    outcome, stats = yield from fd_process(ctx, cfg, block=block,
-                                           takeover=takeover)
-    if outcome == "rescue":
-        notice = block.read_notice()
-        ftx = yield from _rebuild_context(ctx, cfg, block, notice, None)
-        result = yield from worker_loop(ctx, cfg, block, program, ftx,
-                                        mode="restore")
+    stats = yield from fd_process(ctx, cfg, block=block, takeover=takeover)
+    if stats.outcome == "rescue":
+        result = yield from worker_loop(ctx, cfg, block, program,
+                                        notice=block.read_notice())
         result["fd_stats"] = stats
         return result
-    return {"status": f"fd-{outcome}", "fd_stats": stats}
+    return {"status": f"fd-{stats.outcome}", "fd_stats": stats}
 
 
 def ft_main(cfg: FTConfig,
@@ -314,7 +297,6 @@ def ft_main(cfg: FTConfig,
 
     def main(ctx: GaspiContext):
         block = ControlBlock(ctx, cfg)
-        block.init_local()
         role = cfg.role_of(ctx.rank)
         if role is Role.FD:
             return (yield from _fd_role(ctx, cfg, block, program))
@@ -330,9 +312,8 @@ def ft_main(cfg: FTConfig,
             guard=partial(block.check_failure, 0),
             comm_timeout=cfg.comm_timeout,
         )
-        ftx = FTContext.build(ctx, cfg, block, team, epoch=0)
-        return (yield from worker_loop(ctx, cfg, block, program, ftx,
-                                       mode="fresh"))
+        ftx = FTContext(ctx, cfg, team)
+        return (yield from worker_loop(ctx, cfg, block, program, ftx))
 
     return main
 
@@ -371,7 +352,7 @@ class FTRunResult:
         return self.run.sim.failure_log.records()
 
     @property
-    def fd_stats(self) -> Optional[Dict[str, Any]]:
+    def fd_stats(self) -> Optional[FDStats]:
         for proc in self.run.procs.values():
             result = proc.result
             if isinstance(result, dict) and "fd_stats" in result:

@@ -6,7 +6,7 @@ Every rank owns segment ``FT_SEGMENT`` laid out as int64 cells:
 cell                  meaning
 ====================  =========================================================
 ``epoch``             failure sequence number (0 = no failure yet)
-``ack``               1 while a failure notice is pending acknowledgment
+``ack``               1 once a failure notice was composed (``epoch >= 1``)
 ``done``              1 once the application completed (tells idles to exit)
 ``n_failed``          failed ranks in this epoch's notice
 ``n_rescues``         rescues assigned (``< n_failed`` = unrecoverable)
@@ -56,7 +56,6 @@ class FailureNotice:
     epoch: int
     failed: Tuple[int, ...]
     rescues: Tuple[int, ...]
-    status: Tuple[int, ...]
     rank_map: Dict[int, int]
 
     @property
@@ -82,12 +81,12 @@ class ControlBlock:
 
     The segment is copy-on-write over shared, immutable images (see
     :mod:`repro.gaspi.segments`).  Every rank's block starts
-    byte-identical (a pure function of the layout parameters), so all
-    blocks of one world start on a single shared image — :meth:`init_local`
-    costs nothing per rank.  Whole-block writes keep it that way: a
-    broadcast notice lands as the FD's one snapshot, adopted by every
-    healthy rank, and :meth:`mark_done_local` swaps in the world's one
-    done image derived from the image the block holds.  Only the FD's
+    byte-identical (a pure function of the layout parameters), so the
+    constructor installs the world's one initial image when it creates
+    the segment, at no per-rank cost.  Whole-block writes keep it that
+    way: a broadcast notice lands as the FD's one snapshot, adopted by
+    every healthy rank, and :meth:`mark_done_local` swaps in the world's
+    one done image derived from the image the block holds.  Only the FD's
     block, whose status array it mutates in place, gets a private buffer.
     """
 
@@ -186,17 +185,8 @@ class ControlBlock:
         return [int(r) for r in self.cells[self._off_rescues : self._off_rescues + n]]
 
     # ------------------------------------------------------------------
-    # initialisation (every rank, at startup)
+    # initialisation (the world's one initial image)
     # ------------------------------------------------------------------
-    def init_local(self) -> None:
-        """Fill the block with the initial roles and identity mapping.
-
-        A pristine block adopts the world's shared initial image, so the
-        per-rank fill costs nothing; a materialised block is re-filled in
-        place.
-        """
-        self._seg.write_bytes(0, self._shared_template())
-
     def _fill_initial(self, cells: np.ndarray) -> None:
         """Write the initial roles and identity map into ``cells``.
 
@@ -217,9 +207,9 @@ class ControlBlock:
     # worker-side acknowledgment (the zero-cost check)
     # ------------------------------------------------------------------
     def check_failure(self, seen_epoch: int) -> Optional[FailureNotice]:
-        """Local-memory check: a new notice since ``seen_epoch``?"""
-        cells = self._seg.cells64()
-        if not cells[1] or cells[0] <= seen_epoch:
+        """Local-memory check: a new notice since ``seen_epoch``?  Reads the
+        epoch cell alone, as every block image has ``ack == (epoch >= 1)``."""
+        if self._seg.cells64()[0] <= seen_epoch:
             return None
         return self.read_notice()
 
@@ -228,9 +218,9 @@ class ControlBlock:
 
         Within one world a notice's content is a pure function of its
         epoch (the FD composes it once and byte-copies it everywhere), so
-        the parse — O(n_ranks) tuple and dict building — runs once per
-        epoch per world instead of once per rank; every other rank gets
-        the shared, never-mutated :class:`FailureNotice`.
+        the parse — O(n_workers) dict building — runs once per epoch per
+        world instead of once per rank; every other rank gets the shared,
+        never-mutated :class:`FailureNotice`.
         """
         epoch = self.epoch
         cache = self._world_cache("_ft_notice_cache")
@@ -240,7 +230,6 @@ class ControlBlock:
                 epoch=epoch,
                 failed=tuple(self.failed_list()),
                 rescues=tuple(self.rescue_list()),
-                status=tuple(int(s) for s in self.statuses()),
                 rank_map=self.rank_map(),
             )
             cache[epoch] = notice
@@ -260,6 +249,8 @@ class ControlBlock:
             raise ValueError(f"{len(failed)} failures exceed capacity {max_failed}")
         cells = self._cells_rw()
         cells[0] = epoch
+        # nothing reads the ack cell (it equals epoch >= 1), but it stays in
+        # the layout: the broadcast's byte count prices every notice write
         cells[1] = 1
         cells[3] = len(failed)
         cells[4] = len(rescues)

@@ -53,7 +53,7 @@ from repro.ft import rankstate
 from repro.ft.config import FTConfig
 from repro.ft.control import ControlBlock
 from repro.ft.roles import Role
-from repro.ft.spares import SparePool
+from repro.ft.spares import assign_rescues
 from repro.obs.timeline import milestone
 
 #: payload of the passive message that shuts the FD down at job end
@@ -114,10 +114,10 @@ def scan_once(ctx: GaspiContext, targets: List[int], fd_threads: int = 1,
 
 def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                takeover: bool = False,
-               ) -> Generator[Any, Any, Tuple[str, dict]]:
+               ) -> Generator[Any, Any, FDStats]:
     """Generator: the fault-detector main loop.
 
-    Returns ``(outcome, stats)`` where outcome is
+    Returns the FD's :class:`FDStats`, whose ``outcome`` is
 
     * ``"stopped"`` — the application signalled completion;
     * ``"rescue"`` — the spare pool ran dry and this FD process joined the
@@ -133,7 +133,6 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
     statuses = block.statuses_rw()
     if takeover:
         statuses[ctx.rank] = Role.FD
-    pool = SparePool(statuses, ctx.rank)
     rank_map_arr = block.rank_map_array()
     avoid = rankstate.avoid_mask(statuses)
     # the target list is derived once from the avoid mask and reused
@@ -147,7 +146,7 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         ret, _, payload = yield from ctx.passive_receive(GASPI_TEST)
         if (ret is ReturnCode.SUCCESS and payload == FD_STOP) or block.done:
             stats.outcome = "stopped"
-            return ("stopped", stats)
+            return stats
 
         yield Sleep(cfg.fd_scan_period)
 
@@ -170,7 +169,7 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         if not failed_workers:
             continue  # no worker died: nothing to acknowledge
 
-        assignment = pool.assign(failed_workers)
+        assignment = assign_rescues(statuses, ctx.rank, failed_workers)
         epoch += 1
         rank_map_arr = rankstate.apply_rescues(
             rank_map_arr, assignment.failed, assignment.rescues)
@@ -197,7 +196,7 @@ def fd_process(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
 
         if assignment.fd_joined:
             stats.outcome = "rescue"
-            return ("rescue", stats)
+            return stats
         if not assignment.recoverable:
             stats.outcome = "unrecoverable"
-            return ("unrecoverable", stats)
+            return stats

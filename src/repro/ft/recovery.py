@@ -21,14 +21,15 @@ rescues — executes :func:`perform_recovery`:
 
 A rank's identity and the new membership come from the shared notice,
 which derives them once per epoch, so a rank's rebuild work does not
-grow with the group.
+grow with the group.  The call returns the rank's new :class:`Team`;
+the worker loop (`repro.ft.app`) then agrees the version and restores.
 
 Parameter ↔ paper-symbol mapping: ``cfg.comm_timeout`` is the GASPI
 timeout bounding each blocking step (``gaspi_proc_kill``,
 ``gaspi_group_commit``); ``notice.epoch`` numbers recovery rounds and is
-the new group's tag; steps 3–5 together are the paper's OHF2, while the
-subsequent checkpoint restore (`repro.checkpoint`) is OHF3 and the
-redone iterations are OHF4.
+the new group's tag (``FTContext.epoch`` reads it there); steps 3–5
+together are the paper's OHF2, while the subsequent checkpoint restore
+(`repro.checkpoint`) is OHF3 and the redone iterations are OHF4.
 
 Tracer events (``repro.obs``): a ``proc_kill`` span per enforced kill, a
 ``group_rebuild`` span ending at commit success, and a ``spare_promote``
@@ -39,7 +40,6 @@ the run's failure log (``sim.failure_log``).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 from typing import Any, Generator, Optional
 
@@ -52,23 +52,14 @@ from repro.obs.timeline import milestone
 from repro.spmvm.team import Team
 
 
-@dataclass
-class RecoveryResult:
-    """What one rank knows after a successful reconstruction: the notice
-    it rebuilt for (a rescue finds its predecessor's checkpoints through
-    the checkpoint library, by logical rank) and its new team."""
-
-    notice: FailureNotice
-    team: Team
-
-
 def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
                      notice: FailureNotice, old_group: Optional[Group] = None,
-                     ) -> Generator[Any, Any, "RecoveryResult"]:
-    """Generator: Listing 2 for one rank; returns :class:`RecoveryResult`.
+                     ) -> Generator[Any, Any, Team]:
+    """Generator: Listing 2 for one rank; returns the rank's new team.
 
     Restarts automatically if a newer failure notice supersedes ``notice``
-    while the group commit is pending.
+    while the group commit is pending: the team's group tag is the epoch
+    it was finally rebuilt for.
     """
     was_rescue = False
     tracer = ctx.tracer
@@ -135,4 +126,4 @@ def perform_recovery(ctx: GaspiContext, cfg: FTConfig, block: ControlBlock,
         team = Team(ctx=ctx, group=group, logical_rank=my_logical,
                     rank_map=rank_map, comm_timeout=cfg.comm_timeout,
                     guard=partial(block.check_failure, notice.epoch))
-        return RecoveryResult(notice=notice, team=team)
+        return team

@@ -7,7 +7,8 @@ identities.  The pool size bounds the failure budget (§IV-D restriction
 1), and once it runs dry the FD itself joins as the final rescue —
 ending fault tolerance (restriction 2).  The promotion itself is traced
 on the rescue side as a ``spare_promote`` span (`repro.ft.recovery`);
-this module is pure bookkeeping and runs in zero virtual time.
+this module is bookkeeping (one function over the FD's status view,
+:func:`assign_rescues`) and runs in zero virtual time.
 """
 
 from __future__ import annotations
@@ -36,34 +37,25 @@ class RescueAssignment:
         return len(self.rescues) == len(self.failed)
 
 
-class SparePool:
-    """The FD's view of who can still be turned into a worker."""
+def assign_rescues(statuses: np.ndarray, fd_rank: int,
+                   failed: Sequence[int]) -> RescueAssignment:
+    """Pick rescues for ``failed`` (lowest idle ranks first).
 
-    def __init__(self, statuses: np.ndarray, fd_rank: int) -> None:
-        self.statuses = statuses  # shared view into the FD's control block
-        self.fd_rank = fd_rank
-
-    def idle_ranks(self) -> List[int]:
-        return rankstate.idle_ranks(self.statuses)
-
-    def assign(self, failed: Sequence[int]) -> RescueAssignment:
-        """Pick rescues for ``failed`` (lowest idle ranks first).
-
-        Updates the status array: failed ranks become ``FAILED``, assigned
-        rescues become ``WORKING``.  If the idle pool runs dry, the FD
-        itself is assigned as the last rescue (paper Fig. 3: "The FD
-        process itself joins the worker group if no idle process is
-        further available").
-        """
-        failed = sorted(int(f) for f in failed)
-        for rank in failed:
-            self.statuses[rank] = Role.FAILED
-        pool = self.idle_ranks()
-        rescues = pool[: len(failed)]
-        fd_joined = False
-        if len(rescues) < len(failed) and self.statuses[self.fd_rank] == Role.FD:
-            rescues.append(self.fd_rank)
-            fd_joined = True
-        for rank in rescues:
-            self.statuses[rank] = Role.WORKING
-        return RescueAssignment(failed=failed, rescues=rescues, fd_joined=fd_joined)
+    ``statuses`` is the FD's live status view, and this updates it:
+    failed ranks become ``FAILED``, assigned rescues become ``WORKING``.
+    If the idle pool runs dry, the FD (``fd_rank``) itself is assigned as
+    the last rescue (paper Fig. 3: "The FD process itself joins the
+    worker group if no idle process is further available").
+    """
+    failed = sorted(int(f) for f in failed)
+    for rank in failed:
+        statuses[rank] = Role.FAILED
+    pool = rankstate.idle_ranks(statuses)
+    rescues = pool[: len(failed)]
+    fd_joined = False
+    if len(rescues) < len(failed) and statuses[fd_rank] == Role.FD:
+        rescues.append(fd_rank)
+        fd_joined = True
+    for rank in rescues:
+        statuses[rank] = Role.WORKING
+    return RescueAssignment(failed=failed, rescues=rescues, fd_joined=fd_joined)

@@ -16,7 +16,7 @@ overhead versus the dedicated FD's zero-cost local flag check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Generator, List, Optional, Set
 
 from repro.gaspi.context import GaspiContext
@@ -30,7 +30,6 @@ class StrategyStats:
     checks: int = 0
     pings_sent: int = 0
     time_spent: float = 0.0
-    detected: List[tuple] = field(default_factory=list)  # (t, failed ranks)
 
 
 class DetectionStrategy:
@@ -63,7 +62,6 @@ class DetectionStrategy:
         fresh = set(failed) - self._known_failed
         if fresh:
             self._known_failed |= fresh
-            self.stats.detected.append((self.ctx.now, tuple(sorted(fresh))))
         self._next_check = self.ctx.now + self.period
         return fresh
 

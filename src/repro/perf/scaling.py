@@ -130,7 +130,7 @@ def bench_group_rebuild_us_per_rank(n_ranks: int = REFERENCE_RANKS,
     t0 = time.perf_counter()
     for k in range(rounds):
         notice = FailureNotice(epoch=k + 1, failed=(), rescues=(),
-                               status=(), rank_map=rank_map)
+                               rank_map=rank_map)
         for rank in range(n_ranks):
             logical = notice.logical_of[rank]
             group = Group(tag=notice.epoch)

@@ -98,13 +98,6 @@ class CSRMatrix:
         return cls(n_rows, n_cols, row_ptr, cols, vals)
 
     @classmethod
-    def from_dense(cls, dense: np.ndarray, tol: float = 0.0) -> "CSRMatrix":
-        dense = np.asarray(dense, dtype=np.float64)
-        rows, cols = np.nonzero(np.abs(dense) > tol)
-        return cls.from_coo(rows, cols, dense[rows, cols], dense.shape,
-                            sum_duplicates=False)
-
-    @classmethod
     def empty(cls, n_rows: int, n_cols: int) -> "CSRMatrix":
         return cls(n_rows, n_cols, np.zeros(n_rows + 1, dtype=np.int64),
                    np.zeros(0, dtype=np.int64), np.zeros(0))
@@ -229,15 +222,6 @@ class CSRMatrix:
                 out[:] = 0.0
                 out[nonempty] = nz_out
         return out
-
-    def _row_of(self) -> np.ndarray:
-        """Row index of every stored entry (O(nnz); cold paths only)."""
-        return np.repeat(np.arange(self.n_rows, dtype=np.int64), self.row_nnz())
-
-    def to_dense(self) -> np.ndarray:
-        dense = np.zeros(self.shape)
-        dense[self._row_of(), self.col_idx] = self.values  # no dups post-CSR
-        return dense
 
     def with_columns(self, new_col_idx: np.ndarray, n_cols: int) -> "CSRMatrix":
         """Same pattern/values with relabelled columns (halo remapping)."""

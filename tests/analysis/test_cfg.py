@@ -14,9 +14,9 @@ from repro.analysis.ftlint.cfg import build_cfg
 from repro.analysis.ftlint.dataflow import Fact, facts_at_exit, run_forward
 
 
-def cfg_of(source, **kwargs):
+def cfg_of(source):
     tree = ast.parse(textwrap.dedent(source))
-    return build_cfg(tree.body[0], **kwargs)
+    return build_cfg(tree.body[0])
 
 
 def blocks_matching(cfg, needle):
@@ -180,11 +180,6 @@ class TestYield:
         assert "ctx.wait" in ast.unparse(block.stmt)
         # by default a resumed generator continues: no edge to exit
         assert cfg.exit.idx not in block.succs
-
-    def test_abandon_edges_wire_yields_to_exit(self):
-        cfg = cfg_of(self.SRC, abandon_edges=True)
-        (block,) = cfg.yield_blocks
-        assert cfg.exit.idx in block.succs
 
 
 class TestWithSuppress:

@@ -80,7 +80,7 @@ class _Block:
 
 
 def _notice(epoch, n):
-    return FailureNotice(epoch=epoch, failed=(), rescues=(), status=(),
+    return FailureNotice(epoch=epoch, failed=(), rescues=(),
                          rank_map={r: r for r in range(n)})
 
 
@@ -196,12 +196,12 @@ def run_wait(case, oracle):
             # joins the recovery of a notice that superseded it elsewhere
             notice, old = _notice(1, n), None
             while notice is not None:
-                result = yield from perform_recovery(
+                team = yield from perform_recovery(
                     ctx, SimpleNamespace(comm_timeout=timeout), block,
                     notice, old_group=old)
-                old = result.team.group
-                notice = block.check_failure(result.notice.epoch)
-            outcome = result.notice.epoch
+                old = team.group
+                notice = block.check_failure(team.group.tag)
+            outcome = team.group.tag
         else:
             group = ctx.group_create(tag=0)
             group.adopt_members(members)
@@ -348,8 +348,9 @@ def test_kill_mid_rechecked_barrier_leaves_no_timer_or_callback():
 
 class _RebuildSpy:
     """Counts calls of the O(n) membership derivations made while any
-    rank runs a recovery rebuild (``perform_recovery`` then
-    ``FTContext.build``), and ``group_commit`` calls overall."""
+    rank runs a recovery rebuild (``perform_recovery``, then a survivor's
+    ``FTContext.rebind`` or a rescue's new ``FTContext``), and
+    ``group_commit`` calls overall."""
 
     DERIVATIONS = ("map_members", "intern", "fromiter")
 

@@ -127,7 +127,7 @@ def test_rescue_and_map_kernels_identical(world, n_failed, n_rescues):
     rank_map = {i: int(p) for i, p in enumerate(out)}
     assert rankstate.map_members(rank_map) == sorted(rank_map.values())
     # recovery's per-epoch view of the map: membership and inverse lookup
-    notice = FailureNotice(epoch=1, failed=(), rescues=(), status=(),
+    notice = FailureNotice(epoch=1, failed=(), rescues=(),
                            rank_map=rank_map)
     assert list(notice.members) == sorted(rank_map.values())
     for phys in (int(out[0]), n + 7):  # present and absent

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.gaspi import run_gaspi
-from repro.ft import ControlBlock, FTConfig, Role, SparePool
+from repro.ft import ControlBlock, FTConfig, Role, assign_rescues
 
 
 class TestFTConfig:
@@ -42,8 +42,7 @@ class TestSparePool:
     def test_assign_uses_lowest_idles_first(self):
         cfg = FTConfig(n_workers=4, n_spares=3)  # idles 4,5; fd 6
         statuses = self.make_statuses(cfg)
-        pool = SparePool(statuses, cfg.fd_rank)
-        a = pool.assign([2])
+        a = assign_rescues(statuses, cfg.fd_rank, [2])
         assert a.rescues == [4]
         assert a.recoverable and not a.fd_joined
         assert statuses[2] == Role.FAILED
@@ -52,18 +51,16 @@ class TestSparePool:
     def test_fd_joins_when_pool_dry(self):
         cfg = FTConfig(n_workers=3, n_spares=2)  # one idle (3), fd 4
         statuses = self.make_statuses(cfg)
-        pool = SparePool(statuses, cfg.fd_rank)
-        a1 = pool.assign([0])
+        a1 = assign_rescues(statuses, cfg.fd_rank, [0])
         assert a1.rescues == [3]
-        a2 = pool.assign([1])
+        a2 = assign_rescues(statuses, cfg.fd_rank, [1])
         assert a2.rescues == [4] and a2.fd_joined
         assert statuses[4] == Role.WORKING
 
     def test_unrecoverable_shortfall(self):
         cfg = FTConfig(n_workers=3, n_spares=1)  # no idles, fd only
         statuses = self.make_statuses(cfg)
-        pool = SparePool(statuses, cfg.fd_rank)
-        a = pool.assign([0, 1])
+        a = assign_rescues(statuses, cfg.fd_rank, [0, 1])
         assert a.fd_joined and not a.recoverable
         assert len(a.failed) - len(a.rescues) == 1
 
@@ -74,7 +71,6 @@ class TestControlBlock:
 
         def main(ctx):
             block = ControlBlock(ctx, cfg)
-            block.init_local()
             if False:
                 yield
             return fn(ctx, block, cfg)
@@ -142,7 +138,6 @@ class TestControlBlock:
 
         def main(ctx):
             block = ControlBlock(ctx, cfg)
-            block.init_local()
             yield from ctx.barrier()
             if ctx.rank == cfg.fd_rank:
                 statuses = block.statuses().copy()

@@ -12,9 +12,10 @@ from repro.solvers import (
 )
 from repro.solvers.lanczos import starting_vector
 from repro.solvers.tridiag import lanczos_matrix_eigenvalues
-from repro.spmvm import CSRMatrix, SpMVMEngine, Team, distribute_matrix
+from repro.spmvm import SpMVMEngine, Team, distribute_matrix
 from repro.spmvm.matgen import GrapheneSheet, Laplacian2D, RandomSparse
-from tests.spmvm.oracles import laplacian2d_eigenvalues, symmetrized_full
+from tests.spmvm.oracles import (from_dense, laplacian2d_eigenvalues,
+                                 symmetrized_full, to_dense)
 
 
 class TestSequentialLanczos:
@@ -30,13 +31,12 @@ class TestSequentialLanczos:
         full = gen.full()
         alphas, betas = lanczos_sequential(full, full.n_rows)
         est = lanczos_matrix_eigenvalues(alphas, betas)
-        exact = np.linalg.eigvalsh(full.to_dense())
+        exact = np.linalg.eigvalsh(to_dense(full))
         assert est[0] == pytest.approx(exact[0], abs=1e-7)
 
     def test_breakdown_on_exact_invariant_subspace(self):
         # identity: Krylov space is 1-dimensional -> immediate breakdown
-        from repro.spmvm import CSRMatrix
-        eye = CSRMatrix.from_dense(np.eye(8))
+        eye = from_dense(np.eye(8))
         alphas, betas = lanczos_sequential(eye, 10)
         assert len(alphas) == 1
         assert alphas[0] == pytest.approx(1.0)
@@ -74,17 +74,17 @@ class TestDistributedLanczos:
     def test_min_eigenvalue_matches_dense(self):
         gen = GrapheneSheet(3, 4, disorder=1.0, seed=1)
         states = run_distributed_lanczos(gen, 3, gen.n_rows)
-        exact = np.linalg.eigvalsh(gen.full().to_dense())
+        exact = np.linalg.eigvalsh(to_dense(gen.full()))
         assert states[0].min_eigenvalue() == pytest.approx(exact[0], abs=1e-7)
 
     def test_all_ranks_agree_on_coefficients(self):
         gen = RandomSparse(24, nnz_per_row=4, seed=8, diagonal=6.0)
-        sym = symmetrized_full(gen).to_dense()
+        sym = to_dense(symmetrized_full(gen))
 
         class FullGen:
             n_rows = len(sym)
             def generate_rows(self, r0, r1):
-                return CSRMatrix.from_dense(sym[r0:r1])
+                return from_dense(sym[r0:r1])
 
         states = run_distributed_lanczos(FullGen(), 4, 10)
         for state in states[1:]:

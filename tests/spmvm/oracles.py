@@ -6,6 +6,23 @@ import numpy as np
 from repro.spmvm import CSRMatrix
 
 
+def from_dense(dense, tol=0.0):
+    """The CSR matrix of a dense array's entries larger than ``tol``."""
+    dense = np.asarray(dense, dtype=np.float64)
+    rows, cols = np.nonzero(np.abs(dense) > tol)
+    return CSRMatrix.from_coo(rows, cols, dense[rows, cols], dense.shape,
+                              sum_duplicates=False)
+
+
+def to_dense(matrix):
+    """The dense array of a CSR matrix: the tests' dense reference."""
+    dense = np.zeros(matrix.shape)
+    row_of = np.repeat(np.arange(matrix.n_rows, dtype=np.int64),
+                       matrix.row_nnz())
+    dense[row_of, matrix.col_idx] = matrix.values  # no dups post-CSR
+    return dense
+
+
 def is_symmetric(matrix, tol=1e-12):
     """Numeric symmetry check in O(nnz log nnz) time and O(nnz) memory.
 
@@ -40,5 +57,5 @@ def laplacian2d_eigenvalues(gen):
 
 def symmetrized_full(gen):
     """``(A + A^T) / 2`` of a generator's whole matrix (test sizes only)."""
-    dense = gen.full().to_dense()
-    return CSRMatrix.from_dense((dense + dense.T) / 2.0)
+    dense = to_dense(gen.full())
+    return from_dense((dense + dense.T) / 2.0)

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from repro.spmvm import CSRMatrix, CommPlan, RowPartition
 from repro.spmvm.comm_setup import SendSpec, split_columns
 from repro.spmvm.matgen import GrapheneSheet, Laplacian2D, RandomSparse
+from tests.spmvm.oracles import to_dense
 
 
 def fill_send_plans(plans, partition):
@@ -81,7 +82,7 @@ class TestSplitColumns:
         assert list(plan.recv[2].cols) == [6, 8]
         assert plan.recv[2].halo_start == 2
         # remapping: local block is rows [0,3) so col 3 -> 3 (n_local) + 0
-        dense = remapped.to_dense()
+        dense = to_dense(remapped)
         assert dense.shape == (3, 7)
 
     def test_duplicate_remote_column_requested_once(self):

@@ -14,7 +14,7 @@ from repro.spmvm.matgen import (
     hash_uniform,
 )
 from tests.spmvm.oracles import (is_symmetric, laplacian2d_eigenvalues,
-                                 symmetrized_full)
+                                 symmetrized_full, to_dense)
 
 
 # ----------------------------------------------------------------------
@@ -220,10 +220,10 @@ class TestGenerators:
     ])
     def test_block_independence(self, gen):
         """Any block decomposition reproduces the same global matrix."""
-        full = gen.full().to_dense()
+        full = to_dense(gen.full())
         p = RowPartition(gen.n_rows, 3)
         stacked = np.vstack([
-            gen.generate_rows(*p.range_of(i)).to_dense() for i in range(3)
+            to_dense(gen.generate_rows(*p.range_of(i))) for i in range(3)
         ])
         assert np.array_equal(full, stacked)
 
@@ -252,13 +252,13 @@ class TestGenerators:
 
     def test_graphene_spectrum_symmetric_about_zero(self):
         """Bipartite lattice: eigenvalues come in +/- pairs."""
-        full = GrapheneSheet(3, 3).full().to_dense()
+        full = to_dense(GrapheneSheet(3, 3).full())
         eig = np.linalg.eigvalsh(full)
         assert np.allclose(eig, -eig[::-1], atol=1e-10)
 
     def test_graphene_disorder_changes_diagonal_only(self):
-        clean = GrapheneSheet(3, 3).full().to_dense()
-        noisy = GrapheneSheet(3, 3, disorder=1.0, seed=4).full().to_dense()
+        clean = to_dense(GrapheneSheet(3, 3).full())
+        noisy = to_dense(GrapheneSheet(3, 3, disorder=1.0, seed=4).full())
         off_clean = clean - np.diag(np.diag(clean))
         off_noisy = noisy - np.diag(np.diag(noisy))
         assert np.array_equal(off_clean, off_noisy)
@@ -272,20 +272,20 @@ class TestGenerators:
             GrapheneSheet(1, 1, periodic=True)
 
     def test_laplacian1d_matches_classic_tridiagonal(self):
-        full = Laplacian1D(5).full().to_dense()
+        full = to_dense(Laplacian1D(5).full())
         expected = 2 * np.eye(5) - np.eye(5, k=1) - np.eye(5, k=-1)
         assert np.array_equal(full, expected)
 
     def test_laplacian2d_exact_eigenvalues(self):
         gen = Laplacian2D(4, 3)
-        eig = np.linalg.eigvalsh(gen.full().to_dense())
+        eig = np.linalg.eigvalsh(to_dense(gen.full()))
         assert np.allclose(np.sort(eig), laplacian2d_eigenvalues(gen),
                            atol=1e-10)
 
     def test_random_sparse_reproducible_and_bounded_degree(self):
         a = RandomSparse(50, nnz_per_row=6, seed=1).full()
         b = RandomSparse(50, nnz_per_row=6, seed=1).full()
-        assert np.array_equal(a.to_dense(), b.to_dense())
+        assert np.array_equal(to_dense(a), to_dense(b))
         assert a.row_nnz().max() <= 6  # duplicates may merge, never exceed
 
     def test_random_sparse_symmetrized_is_symmetric(self):
@@ -295,7 +295,7 @@ class TestGenerators:
     def test_random_sparse_diagonal_dominance_option(self):
         a = symmetrized_full(RandomSparse(20, nnz_per_row=3, seed=0,
                                           diagonal=10.0))
-        dense = a.to_dense()
+        dense = to_dense(a)
         assert np.all(np.linalg.eigvalsh(dense) > 0)  # SPD for CG tests
 
     def test_generator_bad_range_rejected(self):

@@ -9,8 +9,8 @@ from repro.checkpoint import pack_checkpoint, unpack_checkpoint
 from repro.ft import rankstate
 from repro.sim import Simulator, Sleep, RngStreams
 from repro.solvers import ql_eigenvalues
-from repro.spmvm import CSRMatrix
 from tests.sim.step_trace import record_steps
+from tests.spmvm.oracles import from_dense
 
 
 # ----------------------------------------------------------------------
@@ -116,7 +116,7 @@ def test_ql_with_zero_couplings(n, seed, zero_every):
 def test_csr_spmv_linearity(n, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.4)
-    a = CSRMatrix.from_dense(dense)
+    a = from_dense(dense)
     x, y = rng.standard_normal(n), rng.standard_normal(n)
     alpha = float(rng.standard_normal())
     lhs = a.spmv(alpha * x + y)
@@ -129,12 +129,12 @@ def test_csr_spmv_linearity(n, seed):
 def test_csr_row_block_partition_reconstructs_spmv(n, seed):
     rng = np.random.default_rng(seed)
     dense = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.5)
-    a = CSRMatrix.from_dense(dense)
+    a = from_dense(dense)
     x = rng.standard_normal(n)
     cut = int(rng.integers(0, n + 1))
     stacked = np.concatenate([
-        CSRMatrix.from_dense(dense[:cut]).spmv(x),
-        CSRMatrix.from_dense(dense[cut:]).spmv(x),
+        from_dense(dense[:cut]).spmv(x),
+        from_dense(dense[cut:]).spmv(x),
     ])
     assert np.allclose(stacked, a.spmv(x))
 
